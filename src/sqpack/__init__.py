@@ -7,7 +7,7 @@ geometrically without trusting the construction.
 """
 
 from .config import PackConfig
-from .geometry import Pose, Region, UnitSquarePlacement
+from .geometry import Pose, Region
 from .plan import PlanNode, StackRun, WasteReport, account, check_bound, enumerate_placements
 from .packer import pack_square
 from .coverer import cover_square
@@ -17,7 +17,6 @@ __all__ = [
     "PackConfig",
     "Pose",
     "Region",
-    "UnitSquarePlacement",
     "PlanNode",
     "StackRun",
     "WasteReport",

@@ -15,27 +15,28 @@ shelf -- shallow right trapezoid whose top edge is an exact integer;
          an integer grid column on the left, a tilted stack band, and a
          conceded slant sliver per band, plus a floor zone at the bottom.
 
-Every builder works in its own local frame and returns (node, seams);
-parents graft the subtree with `transform_node`, possibly mirrored (the
-stack-band leftover wedges have the opposite chirality). All construction
-frames are quarter-turn rotations; only square poses carry irrational
-angles.
+Every builder works in its own local frame and returns a node that keeps
+its own seam segments in that frame. A parent grafts a child by composing
+the child's local-to-parent (frame, mirror) map into the child's pending
+graft in O(1), possibly mirrored (the stack-band leftover wedges have the
+opposite chirality); nothing is mapped during the build. The planner then
+resolves the whole tree once, top-down (`plan.resolve_grafts`). All
+construction frames are quarter-turn rotations; only square poses carry
+irrational angles.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 from .config import PackConfig
 from .geometry import (
-    Pose, Region, ceil_guard, floor_guard, frac_guard,
+    Pose, Region, ceil_guard, compose_graft, floor_guard, frac_guard,
     rect_region, region_area, trap_region, tri_region,
 )
-from .plan import (
-    PlanNode, StackRun, grid_node, split_node, stacks_node, waste_node,
-    transform_node, transform_seams,
-)
+from .plan import PlanNode, StackRun, grid_node, split_node, stacks_node, waste_node
 from .tilt import solve_cover_tilt, solve_pack_tilt, solve_stack_tilt
 
 SQRT2 = math.sqrt(2.0)
@@ -45,6 +46,17 @@ MAX_DEPTH = 48
 
 class InvalidSpec(ValueError):
     pass
+
+
+# at and above 2**52 every double is an integer, so frac(x) is lost
+MAX_SIDE = 2.0 ** 52
+
+
+def check_side(x: float) -> None:
+    """Reject target sides outside the supported domain."""
+    if not math.isfinite(x) or abs(x) >= MAX_SIDE:
+        raise InvalidSpec(f"x must be finite and below 2**52 (so frac(x) survives "
+                          f"in a double), got {x}")
 
 
 @dataclass(frozen=True)
@@ -123,11 +135,10 @@ def _bump(stats: BuildStats, depth: int) -> None:
     stats.max_depth = max(stats.max_depth, depth)
 
 
-def _graft(parent_children, parent_seams, built, frame: Pose, mirror: bool = False):
-    node, seams = built
-    transform_node(node, frame, mirror)
-    parent_children.append(node)
-    parent_seams.extend(transform_seams(seams, frame, mirror))
+def _graft(node: PlanNode, frame: Pose, mirror: bool = False) -> PlanNode:
+    """Record that `node` maps into its parent by (frame, mirror); O(1)."""
+    graft = (frame, mirror)
+    node.graft = graft if node.graft is None else compose_graft(graft, node.graft)
     return node
 
 
@@ -152,25 +163,26 @@ def sliced_trap_fill(h: float, a_top: float, a_bot: float, kind: str,
                      label: str = "") -> PlanNode:
     """Row-by-row fill of a canonical right trapezoid.
 
-    Each unit-height row holds one horizontal run: floor of the row's
-    narrowest width for packing, ceil of its widest for covering (covering
-    rows overshoot past the slant and the partial top row becomes a full
-    extra row).
+    Each unit-height row holds one horizontal run of squares: floor of the
+    row's narrowest width for packing, ceil of its widest for covering
+    (covering rows overshoot past the slant and the partial top row becomes
+    a full extra row). Consecutive rows of equal width share one run with
+    `repeat` rows, a unit `pitch` apart.
     """
     region = trap_region(h, a_top, a_bot)
-    runs = []
     if kind == "pack":
-        for j in range(floor_guard(h)):
-            w = a_bot + (a_top - a_bot) * (j + 1) / h
-            cols = floor_guard(w)
-            if cols >= 1:
-                runs.append(StackRun(base=Pose(0.0, float(j), 0.0), step=(1.0, 0.0),
-                                     count=cols, label=label))
+        widths = [floor_guard(a_bot + (a_top - a_bot) * (j + 1) / h)
+                  for j in range(floor_guard(h))]
     else:
-        for j in range(ceil_guard(h)):
-            w = a_bot + (a_top - a_bot) * j / h
-            runs.append(StackRun(base=Pose(0.0, float(j), 0.0), step=(1.0, 0.0),
-                                 count=ceil_guard(w), label=label))
+        widths = [ceil_guard(a_bot + (a_top - a_bot) * j / h) for j in range(ceil_guard(h))]
+    runs = []
+    j = 0
+    for cols, group in itertools.groupby(widths):
+        rows = len(list(group))
+        if cols >= 1:
+            runs.append(StackRun(base=Pose(0.0, float(j), 0.0), step=(1.0, 0.0), count=cols,
+                                 repeat=rows, pitch=(0.0, 1.0), label=label))
+        j += rows
     return stacks_node(region, runs, label=label)
 
 
@@ -220,18 +232,13 @@ def build_rect(w: float, h: float, cfg: PackConfig, depth: int, stats: BuildStat
     """General rectangle router: grid at small scale, panel when the aspect
     fits, otherwise chopped into compliant panels."""
     _bump(stats, depth)
-    seams: list = []
     if min(w, h) <= cfg.base_cutoff or min(w, h) < 2.0:
-        return grid_fill(w, h, kind, label="grid"), seams
+        return grid_fill(w, h, kind, label="grid")
     length, width = (w, h) if w <= h else (h, w)
     if width <= cfg.aspect_limit * length:
         built = build_panel(PanelSpec(length, width, cfg.aspect_limit), cfg, depth,
                             stats, kind)
-        if w <= h:
-            return built
-        children: list = []
-        _graft(children, seams, built, Pose(w, 0.0, math.pi / 2))
-        return children[0], seams
+        return built if w <= h else _graft(built, Pose(w, 0.0, math.pi / 2))
     # aspect too wide: chop the long side into compliant panels
     q = ceil_guard(width / (cfg.aspect_limit * length))
     piece = width / q
@@ -240,10 +247,10 @@ def build_rect(w: float, h: float, cfg: PackConfig, depth: int, stats: BuildStat
         built = build_panel(PanelSpec(length, piece, cfg.aspect_limit), cfg, depth + 1,
                             stats, kind)
         if w <= h:
-            _graft(children, seams, built, Pose(0.0, i * piece, 0.0))
+            children.append(_graft(built, Pose(0.0, i * piece, 0.0)))
         else:
-            _graft(children, seams, built, Pose(w - i * piece, 0.0, math.pi / 2))
-    return split_node(rect_region(w, h), children, label="chopped rect"), seams
+            children.append(_graft(built, Pose(w - i * piece, 0.0, math.pi / 2)))
+    return split_node(rect_region(w, h), children, label="chopped rect")
 
 
 def build_panel(spec: PanelSpec, cfg: PackConfig, depth: int, stats: BuildStats,
@@ -257,9 +264,8 @@ def build_panel(spec: PanelSpec, cfg: PackConfig, depth: int, stats: BuildStats,
     spec.validate()
     length, width = spec.length, spec.width
     region = rect_region(length, width)
-    seams: list = []
     if min(length, width) <= cfg.base_cutoff:
-        return grid_fill(length, width, kind, label="panel grid"), seams
+        return grid_fill(length, width, kind, label="panel grid")
 
     m_target = length ** 0.75
     core_l = floor_guard(length - m_target)
@@ -267,26 +273,20 @@ def build_panel(spec: PanelSpec, cfg: PackConfig, depth: int, stats: BuildStats,
     if core_l <= 0 or core_w <= 0:
         if width <= length:
             return build_strip(width, length, cfg, depth + 1, stats, kind)
-        children: list = []
-        _graft(children, seams, build_strip(length, width, cfg, depth + 1, stats, kind),
-               Pose(length, 0.0, math.pi / 2))
-        return children[0], seams
+        return _graft(build_strip(length, width, cfg, depth + 1, stats, kind),
+                      Pose(length, 0.0, math.pi / 2))
 
     m2 = length - core_l
     m1 = width - core_w
     swap = frac_guard(length) <= EPS and frac_guard(width) > EPS
-    children = [grid_fill(core_l, core_w, kind, label="core")]
-    if swap:
-        _graft(children, seams, build_strip(m1, length, cfg, depth + 1, stats, kind),
-               Pose(0.0, core_w, 0.0))
-        _graft(children, seams, build_strip(m2, core_w, cfg, depth + 1, stats, kind),
-               Pose(length, 0.0, math.pi / 2))
-    else:
-        _graft(children, seams, build_strip(m1, core_l, cfg, depth + 1, stats, kind),
-               Pose(0.0, core_w, 0.0))
-        _graft(children, seams, build_strip(m2, width, cfg, depth + 1, stats, kind),
-               Pose(length, 0.0, math.pi / 2))
-    return split_node(region, children, label="panel"), seams
+    top_len, side_len = (length, core_w) if swap else (core_l, width)
+    children = [
+        grid_fill(core_l, core_w, kind, label="core"),
+        _graft(build_strip(m1, top_len, cfg, depth + 1, stats, kind), Pose(0.0, core_w, 0.0)),
+        _graft(build_strip(m2, side_len, cfg, depth + 1, stats, kind),
+               Pose(length, 0.0, math.pi / 2)),
+    ]
+    return split_node(region, children, label="panel")
 
 
 def partition_panel(spec: PanelSpec):
@@ -319,9 +319,8 @@ def build_strip(m: float, L: float, cfg: PackConfig, depth: int, stats: BuildSta
     if m < 2.0:
         raise InvalidSpec(f"strip width must be >= 2, got {m}")
     region = rect_region(L, m)
-    seams: list = []
     if frac_guard(m) <= EPS:
-        return grid_fill(L, m, kind, label="strip grid"), seams
+        return grid_fill(L, m, kind, label="strip grid")
 
     tilt = solve_pack_tilt(m) if kind == "pack" else solve_cover_tilt(m)
     theta, n = tilt.theta, tilt.n
@@ -336,7 +335,7 @@ def build_strip(m: float, L: float, cfg: PackConfig, depth: int, stats: BuildSta
         x_start = top_target + tan_t * (m + sin_t)
         n_stacks = floor_guard((L - x_start + tan_t * sin_t - top_target) / p)
     if n_stacks < 1:
-        return grid_fill(L, m, kind, label="short strip grid"), seams
+        return grid_fill(L, m, kind, label="short strip grid")
 
     if kind == "pack":
         run = StackRun(base=Pose(x_start, 0.0, theta), step=(-sin_t, cos_t),
@@ -356,20 +355,17 @@ def build_strip(m: float, L: float, cfg: PackConfig, depth: int, stats: BuildSta
             rect_region(n_stacks * p + 1.0, sin_t,
                         Pose(seam_lx - m * tan_t - 1.0, m, 0.0)),
         ]
-    seams.append((seam_lx, 0.0, seam_lx - m * tan_t, m))
-    seams.append((seam_lx + n_stacks * p, 0.0, seam_lx + n_stacks * p - m * tan_t, m))
-
-    children: list = []
-    _graft(children, seams,
-           build_wedge(WedgeSpec(m, left_top, theta), cfg, depth + 1, stats, kind),
-           Pose(0.0, 0.0, 0.0))
-    _graft(children, seams,
-           build_wedge(WedgeSpec(m, right_bot, theta), cfg, depth + 1, stats, kind),
-           Pose(L, m, math.pi))
+    children = [
+        build_wedge(WedgeSpec(m, left_top, theta), cfg, depth + 1, stats, kind),
+        _graft(build_wedge(WedgeSpec(m, right_bot, theta), cfg, depth + 1, stats, kind),
+               Pose(L, m, math.pi)),
+    ]
     node = stacks_node(region, [run], leftovers=children, label="strip",
                        overshoot=overshoot,
                        ledger={"stack_end_balance": n_stacks * tan_t})
-    return node, seams
+    node.seams = [(seam_lx, 0.0, seam_lx - m * tan_t, m),
+                  (seam_lx + n_stacks * p, 0.0, seam_lx + n_stacks * p - m * tan_t, m)]
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +380,17 @@ def build_wedge(spec: WedgeSpec, cfg: PackConfig, depth: int, stats: BuildStats,
     tan_t = math.tan(theta)
     a_bot = top + height * tan_t
     region = trap_region(height, top, a_bot)
-    seams: list = []
 
     if theta <= EPS:
         if top < 1.0:
-            return waste_node(region, "sliver wedge"), seams
+            return waste_node(region, "sliver wedge")
         return build_rect(top, height, cfg, depth, stats, kind)
     if height <= cfg.base_cutoff or top < 1.0:
-        return sliced_trap_fill(height, top, a_bot, kind, label="wedge rows"), seams
+        return sliced_trap_fill(height, top, a_bot, kind, label="wedge rows")
 
     a_len = shelf_top_len(height, kind)
     if a_len < 2 or top - a_len < 1.0:
-        return sliced_trap_fill(height, top, a_bot, kind, label="wedge rows"), seams
+        return sliced_trap_fill(height, top, a_bot, kind, label="wedge rows")
 
     h_int = max(1, round(height / max(round(2.0 * math.sqrt(height)), 1)))
     s_full = floor_guard(height / h_int)
@@ -404,17 +399,17 @@ def build_wedge(spec: WedgeSpec, cfg: PackConfig, depth: int, stats: BuildStats,
         rem = 0.0
 
     children: list = []
+    seams: list = []
     for i in range(s_full):
         y_bot = height - (i + 1) * h_int
         w_i = top + i * h_int * tan_t
         a_i = w_i - a_len
-        _graft(children, seams,
-               _band_rect(a_i, float(h_int), cfg, depth + 1, stats, kind),
-               Pose(0.0, y_bot, 0.0))
-        _graft(children, seams,
-               build_shelf(ShelfSpec(height, float(h_int), a_len, theta, kind), cfg,
-                           depth + 1, stats),
-               Pose(a_i, y_bot, 0.0))
+        children.append(_graft(_band_rect(a_i, float(h_int), cfg, depth + 1, stats, kind),
+                               Pose(0.0, y_bot, 0.0)))
+        children.append(_graft(
+            build_shelf(ShelfSpec(height, float(h_int), a_len, theta, kind), cfg,
+                        depth + 1, stats),
+            Pose(a_i, y_bot, 0.0)))
         seams.append((0.0, y_bot, top + (i + 1) * h_int * tan_t, y_bot))
     if rem > 0.0:
         w_rem_top = top + s_full * h_int * tan_t
@@ -427,17 +422,17 @@ def build_wedge(spec: WedgeSpec, cfg: PackConfig, depth: int, stats: BuildStats,
                                                  label="wedge remainder"))
         else:
             a_rem = w_rem_top - a_len
-            rem_children: list = []
-            _graft(rem_children, seams,
-                   _band_rect(a_rem, rem, cfg, depth + 1, stats, kind),
-                   Pose(0.0, 0.0, 0.0))
-            _graft(rem_children, seams,
-                   build_shelf(ShelfSpec(height, rem, a_len, theta, kind), cfg,
-                               depth + 1, stats),
-                   Pose(a_rem, 0.0, 0.0))
+            rem_children = [
+                _band_rect(a_rem, rem, cfg, depth + 1, stats, kind),
+                _graft(build_shelf(ShelfSpec(height, rem, a_len, theta, kind), cfg,
+                                   depth + 1, stats),
+                       Pose(a_rem, 0.0, 0.0)),
+            ]
             children.append(split_node(trap_region(rem, w_rem_top, a_bot),
                                        rem_children, label="wedge remainder"))
-    return split_node(region, children, label="wedge"), seams
+    node = split_node(region, children, label="wedge")
+    node.seams = seams
+    return node
 
 
 def _band_rect(a_i: float, h_band: float, cfg: PackConfig, depth: int,
@@ -445,8 +440,8 @@ def _band_rect(a_i: float, h_band: float, cfg: PackConfig, depth: int,
     """Rectangular left part of a wedge band."""
     if a_i < 1.0:
         if kind == "pack":
-            return waste_node(rect_region(a_i, h_band), "band sliver"), []
-        return grid_fill(a_i, h_band, "cover", label="band sliver"), []
+            return waste_node(rect_region(a_i, h_band), "band sliver")
+        return grid_fill(a_i, h_band, "cover", label="band sliver")
     return build_rect(a_i, h_band, cfg, depth, stats, kind)
 
 
@@ -463,12 +458,11 @@ def build_shelf(spec: ShelfSpec, cfg: PackConfig, depth: int, stats: BuildStats)
     tan_t = math.tan(theta)
     a_bot = a_len + height * tan_t
     region = trap_region(height, a_len, a_bot)
-    seams: list = []
 
     if theta <= EPS:
         return build_rect(a_len, height, cfg, depth, stats, kind)
     if scale <= cfg.base_cutoff or a_len < 2:
-        return sliced_trap_fill(height, a_len, a_bot, kind, label="shelf rows"), seams
+        return sliced_trap_fill(height, a_len, a_bot, kind, label="shelf rows")
     h1 = floor_guard(scale ** (-1.0 / 6.0) / tan_t)
     if h1 < 1:
         raise InvalidSpec(f"tilt {theta} too large for band construction at scale {scale}")
@@ -526,7 +520,7 @@ def _shelf_bands(scale: float, a_len: int, h1: int, height: float, tan_t: float,
     return nb, bands
 
 
-def _floor_zone_pack(children, seams, f1, h2, x13, tan_t, cfg, depth, stats):
+def _floor_zone_pack(children, f1, h2, x13, tan_t, cfg, depth, stats):
     if h2 <= 0.0:
         return
     if h2 < 1.0:
@@ -536,10 +530,8 @@ def _floor_zone_pack(children, seams, f1, h2, x13, tan_t, cfg, depth, stats):
     if h2 <= x13 or f1 < 2.0:
         children.append(grid_fill(f1, h2, "pack", label="floor grid"))
     else:
-        sub: list = []
-        _graft(sub, seams, build_strip(f1, h2, cfg, depth + 1, stats, "pack"),
-               Pose(f1, 0.0, math.pi / 2))
-        children.append(sub[0])
+        children.append(_graft(build_strip(f1, h2, cfg, depth + 1, stats, "pack"),
+                               Pose(f1, 0.0, math.pi / 2)))
     children.append(waste_node(tri_region(h2 * tan_t, h2, Pose(f1, 0.0, 0.0)),
                                "floor sliver"))
 
@@ -609,10 +601,10 @@ def _shelf_pack(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
                     n_stacks = floor_guard((y0 - y_stop) / p) + 1
                     stats.band_tilts.append((scale, k, d, alpha))
                     if top_gap is not None:
-                        _graft(chain_children, seams,
-                               build_wedge(WedgeSpec(d, top_gap, alpha), cfg,
-                                           depth + 1, stats, "pack"),
-                               Pose(c + d, yt, math.pi / 2), mirror=True)
+                        chain_children.append(_graft(
+                            build_wedge(WedgeSpec(d, top_gap, alpha), cfg, depth + 1,
+                                        stats, "pack"),
+                            Pose(c + d, yt, math.pi / 2), mirror=True))
                     y_last = y0 - (n_stacks - 1) * p
                     chain_runs.append(StackRun(
                         base=Pose(c, y0, -alpha), step=(cos_a, -sin_a), count=n,
@@ -627,10 +619,10 @@ def _shelf_pack(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
                             ledger["b_k"].append(hit - c)
                     if last:
                         tau_r = (y_last - h2) - d * tan_a
-                        _graft(chain_children, seams,
-                               build_wedge(WedgeSpec(d, tau_r, alpha), cfg,
-                                           depth + 1, stats, "pack"),
-                               Pose(c, h2, -math.pi / 2), mirror=True)
+                        chain_children.append(_graft(
+                            build_wedge(WedgeSpec(d, tau_r, alpha), cfg, depth + 1,
+                                        stats, "pack"),
+                            Pose(c, h2, -math.pi / 2), mirror=True))
                     seam = {"type": "stack", "cx": c, "y": y_last, "tan": tan_a,
                             "x_edge": c + n * cos_a, "x_region": c + d,
                             "n_sin": n * sin_a}
@@ -654,8 +646,10 @@ def _shelf_pack(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
             band_children, label="band block"))
 
     f1 = a_len + nb * h1 * tan_t
-    _floor_zone_pack(children, seams, f1, h2, x13, tan_t, cfg, depth, stats)
-    return split_node(region, children, label="shelf"), seams
+    _floor_zone_pack(children, f1, h2, x13, tan_t, cfg, depth, stats)
+    node = split_node(region, children, label="shelf")
+    node.seams = seams
+    return node
 
 
 def _next_is_stack(bands, k: int) -> bool:
@@ -731,7 +725,7 @@ def _shelf_cover(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
 
     if t > 0 and any(b["base"] < 2 for b in bands):
         return sliced_trap_fill(height, a_len, a_len + height * tan_t, "cover",
-                                label="shelf rows"), seams
+                                label="shelf rows")
 
     if t > 0:
         band_children: list = []
@@ -774,10 +768,10 @@ def _shelf_cover(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
                     tau = min(cfg.wedge_top * math.sqrt(d), h1 - d * tan_a - p - 0.5)
                     if tau >= 1.0:
                         y0 = h2 + tau + (d + sin_a) * tan_a
-                        _graft(chain_children, seams,
-                               build_wedge(WedgeSpec(d, tau, alpha), cfg, depth + 1,
-                                           stats, "cover"),
-                               Pose(c, h2, -math.pi / 2), mirror=True)
+                        chain_children.append(_graft(
+                            build_wedge(WedgeSpec(d, tau, alpha), cfg, depth + 1, stats,
+                                        "cover"),
+                            Pose(c, h2, -math.pi / 2), mirror=True))
                 else:
                     below = bands[idx + 1]
                     dc = int(below["c"] - b["c"])
@@ -809,10 +803,10 @@ def _shelf_cover(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
                     if k == 1:
                         tau_top = height - y_last - cos_a
                         if tau_top > 1e-9:
-                            _graft(chain_children, seams,
-                                   build_wedge(WedgeSpec(d, tau_top, alpha), cfg,
-                                               depth + 1, stats, "cover"),
-                                   Pose(c + d, height, math.pi / 2), mirror=True)
+                            chain_children.append(_graft(
+                                build_wedge(WedgeSpec(d, tau_top, alpha), cfg, depth + 1,
+                                            stats, "cover"),
+                                Pose(c + d, height, math.pi / 2), mirror=True))
                     seam = {"type": "stack", "ax": ax, "y": y_last + p, "tan": tan_a}
                     placed = True
             if not placed:
@@ -833,16 +827,18 @@ def _shelf_cover(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
     if h2 > 0.0:
         f1 = a_len + height * tan_t
         f_top = a_len + t * h1 * tan_t
-        f_trap = trap_region(h2, f_top, f1)
         if h2 <= x13 or f1 < 2.0 or h2 < 2.0 * ceil_guard(f1):
-            fnode = grid_node(f_trap, (0.0, 0.0), ceil_guard(h2), ceil_guard(f1),
-                              label="floor grid")
+            fnode = grid_node(trap_region(h2, f_top, f1), (0.0, 0.0), ceil_guard(h2),
+                              ceil_guard(f1), label="floor grid")
         else:
-            sub: list = []
-            _graft(sub, seams, build_strip(f1, h2, cfg, depth + 1, stats, "cover"),
-                   Pose(f1, 0.0, math.pi / 2))
-            fnode = sub[0]
-            fnode.region = f_trap
-            fnode.area = region_area(f_trap)
+            # the strip stands on its side and overshoots the floor trapezoid;
+            # the node keeps the trapezoid as its region, written in the
+            # strip's own frame (the inverse of the graft below)
+            fnode = build_strip(f1, h2, cfg, depth + 1, stats, "cover")
+            fnode.region = trap_region(h2, f_top, f1, Pose(0.0, f1, -math.pi / 2))
+            fnode.area = region_area(fnode.region)
+            _graft(fnode, Pose(f1, 0.0, math.pi / 2))
         children.append(fnode)
-    return split_node(region, children, label="shelf"), seams
+    node = split_node(region, children, label="shelf")
+    node.seams = seams
+    return node

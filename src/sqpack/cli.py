@@ -12,7 +12,7 @@ import math
 import sys
 import time
 
-from .builders import InvalidSpec
+from .builders import InvalidSpec, check_side
 from .config import PackConfig, load_config
 from .coverer import cover_square
 from .packer import pack_square
@@ -47,6 +47,7 @@ def _report_path(args) -> str:
 
 def cmd_build(args, kind: str) -> int:
     cfg = _config_from_args(args)
+    check_side(args.x)
     if args.x < 1.0:
         print(f"error: --x must be >= 1, got {args.x}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .builders import (
     BuildStats, InvalidSpec, PanelSpec, ShelfSpec, WedgeSpec,
     base_grid, build_panel, build_rect, build_shelf, build_strip, build_wedge,
-    grid_fill,
+    check_side, grid_fill,
 )
 from .config import PackConfig
 from .geometry import Region, rect_region
@@ -25,49 +25,49 @@ __all__ = [
 
 def cover_square(x: float, cfg: PackConfig = PackConfig()) -> Plan:
     """Covering plan for a square target of side x."""
+    check_side(x)
     if x <= 0.0:
         raise InvalidSpec(f"target side must be positive, got {x}")
     stats = BuildStats()
     region = rect_region(x, x)
     if x <= cfg.base_cutoff:
-        node, seams = grid_fill(x, x, "cover", label="square grid"), []
+        node = grid_fill(x, x, "cover", label="square grid")
     else:
-        node, seams = build_panel(PanelSpec(x, x, cfg.aspect_limit), cfg, 0, stats,
+        node = build_panel(PanelSpec(x, x, cfg.aspect_limit), cfg, 0, stats,
                                   "cover")
-    return _finish(x, region, node, seams, stats, kind="cover")
+    return _finish(x, region, node, stats, kind="cover")
 
 
 def cover_rect(w: float, h: float, cfg: PackConfig = PackConfig()) -> Plan:
     stats = BuildStats()
-    node, seams = build_rect(w, h, cfg, 0, stats, "cover")
-    return _finish(max(w, h), rect_region(w, h), node, seams, stats, kind="cover")
+    node = build_rect(w, h, cfg, 0, stats, "cover")
+    return _finish(max(w, h), rect_region(w, h), node, stats, kind="cover")
 
 
 def cover_panel(spec: PanelSpec, cfg: PackConfig = PackConfig()) -> Plan:
     stats = BuildStats()
-    node, seams = build_panel(spec, cfg, 0, stats, "cover")
-    return _finish(spec.length, rect_region(spec.length, spec.width), node, seams,
-                   stats, kind="cover")
+    node = build_panel(spec, cfg, 0, stats, "cover")
+    return _finish(spec.length, rect_region(spec.length, spec.width), node, stats, kind="cover")
 
 
 def cover_strip(m: float, L: float, cfg: PackConfig = PackConfig()) -> Plan:
     stats = BuildStats()
-    node, seams = build_strip(m, L, cfg, 0, stats, "cover")
-    return _finish(m, rect_region(L, m), node, seams, stats, kind="cover")
+    node = build_strip(m, L, cfg, 0, stats, "cover")
+    return _finish(m, rect_region(L, m), node, stats, kind="cover")
 
 
 def cover_wedge(spec: WedgeSpec, cfg: PackConfig = PackConfig()) -> Plan:
     stats = BuildStats()
-    node, seams = build_wedge(spec, cfg, 0, stats, "cover")
-    return _finish(spec.height, node.region, node, seams, stats, kind="cover")
+    node = build_wedge(spec, cfg, 0, stats, "cover")
+    return _finish(spec.height, None, node, stats, kind="cover")
 
 
 def cover_shelf(spec: ShelfSpec, cfg: PackConfig = PackConfig()) -> Plan:
     if spec.mode != "cover":
         raise InvalidSpec("cover_shelf expects mode='cover'")
     stats = BuildStats()
-    node, seams = build_shelf(spec, cfg, 0, stats)
-    return _finish(spec.scale, node.region, node, seams, stats, kind="cover")
+    node = build_shelf(spec, cfg, 0, stats)
+    return _finish(spec.scale, None, node, stats, kind="cover")
 
 
 def cover_base_grid(region: Region) -> PlanNode:

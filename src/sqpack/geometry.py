@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 FLOOR_EPS = 1e-12
 
 
@@ -50,13 +52,6 @@ class Pose:
         s = math.sin(self.angle)
         return (self.tx + c * x - s * y, self.ty + s * x + c * y)
 
-    def invert_apply(self, x: float, y: float) -> tuple[float, float]:
-        c = math.cos(self.angle)
-        s = math.sin(self.angle)
-        dx = x - self.tx
-        dy = y - self.ty
-        return (c * dx + s * dy, -s * dx + c * dy)
-
     def compose(self, inner: "Pose") -> "Pose":
         """Pose equivalent to applying `inner` first, then self."""
         tx, ty = self.apply(inner.tx, inner.ty)
@@ -66,12 +61,17 @@ class Pose:
 IDENTITY = Pose(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class UnitSquarePlacement:
-    pose: Pose
+def compose_graft(outer: tuple[Pose, bool], inner: tuple[Pose, bool]) -> tuple[Pose, bool]:
+    """One (frame, mirror) map equal to applying `inner`, then `outer`.
 
-    def corners(self):
-        return square_corners(self.pose)
+    A (frame, mirror) pair reflects across local x = 0 when `mirror` is set,
+    then applies `frame`. Pulling a reflection through a frame reflects the
+    frame: M . f = reflect(f) . M with reflect(f) = Pose(-tx, ty, -angle).
+    """
+    (f1, m1), (f2, m2) = outer, inner
+    if m1:
+        f2 = Pose(-f2.tx, f2.ty, -f2.angle)
+    return f1.compose(f2), m1 != m2
 
 
 def square_corners(pose: Pose) -> list[tuple[float, float]]:
@@ -103,16 +103,6 @@ def fold_square_pose(pose: Pose) -> Pose:
         tx += math.sin(a)
         ty -= math.cos(a)
     return Pose(tx, ty, a)
-
-
-def _polygon_area(poly) -> float:
-    n = len(poly)
-    acc = 0.0
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        acc += x1 * y2 - x2 * y1
-    return 0.5 * acc
 
 
 def _shrink_toward_centroid(poly, tau: float):
@@ -231,26 +221,35 @@ def region_area(region: Region) -> float:
     raise ValueError(f"unknown region kind {region.kind!r}")
 
 
-def point_in_region(region: Region, p: tuple[float, float], tau: float) -> bool:
-    """Membership with a signed tolerance: tau > 0 inflates, tau < 0 deflates."""
-    x, y = region.frame.invert_apply(p[0], p[1])
+def points_in_region(region: Region, pts: np.ndarray, tau: float) -> np.ndarray:
+    """Membership mask for (N, 2) points with a signed tolerance: tau > 0
+    inflates the region, tau < 0 deflates it."""
+    fr = region.frame
+    c, s = math.cos(fr.angle), math.sin(fr.angle)
+    dx = pts[:, 0] - fr.tx
+    dy = pts[:, 1] - fr.ty
+    x = c * dx + s * dy
+    y = -s * dx + c * dy
     if region.mirror:
         x = -x
     if region.kind == "rect":
         w, h = region.dims
-        return -tau <= x <= w + tau and -tau <= y <= h + tau
+        return (x >= -tau) & (x <= w + tau) & (y >= -tau) & (y <= h + tau)
     if region.kind == "trap":
         h, a_top, a_bot = region.dims
-        if x < -tau or y < -tau or y > h + tau:
-            return False
         ex, ey = a_top - a_bot, h
         norm = math.hypot(ex, ey)
         # outward normal of the slant edge (a_bot,0) -> (a_top,h)
-        return (ey * (x - a_bot) - ex * y) / norm <= tau
+        slant = (ey * (x - a_bot) - ex * y) / norm <= tau
+        return (x >= -tau) & (y >= -tau) & (y <= h + tau) & slant
     if region.kind == "tri":
         u, v = region.dims
-        if x < -tau or y < -tau:
-            return False
         norm = math.hypot(u, v)
-        return (v * (x - u) + u * y) / norm <= tau
+        hyp = (v * (x - u) + u * y) / norm <= tau
+        return (x >= -tau) & (y >= -tau) & hyp
     raise ValueError(f"unknown region kind {region.kind!r}")
+
+
+def point_in_region(region: Region, p: tuple[float, float], tau: float) -> bool:
+    """Scalar form of `points_in_region`."""
+    return bool(points_in_region(region, np.array([p], dtype=float), tau)[0])

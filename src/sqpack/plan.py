@@ -15,6 +15,11 @@ Node kinds:
 
 Stack runs are arithmetic families: `count` squares step apart along the
 stack, repeated `repeat` times `pitch` apart. A single run is repeat == 1.
+
+Builders work in local frames. While a plan is built, a node may carry a
+pending `graft` (its local-to-parent map) and its own `seams` in local
+coordinates; `resolve_grafts` maps every node into world coordinates
+once, top-down, and clears both.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose, Region, fold_square_pose, region_area
+from .geometry import IDENTITY, Pose, Region, compose_graft, fold_square_pose, region_area
 
 NODE_KINDS = ("split", "grid", "stacks", "waste")
 AREA_RTOL = 1e-6
@@ -67,6 +72,8 @@ class PlanNode:
     reason: str = ""
     overshoot: list[Region] = field(default_factory=list)  # cover plans: conceded outside area
     ledger: dict = field(default_factory=dict)
+    graft: tuple[Pose, bool] | None = None  # pending (frame, mirror) into the parent
+    seams: list = field(default_factory=list)  # own seam segments, local, while building
 
     def own_count(self) -> int:
         if self.kind == "grid":
@@ -152,10 +159,17 @@ class WasteReport:
         }
 
 
-def _check_node(node: PlanNode, kind: str, path: str) -> None:
+def _subtree_counts(node: PlanNode, out: dict) -> int:
+    """Post-order: square count of every subtree, keyed by node id."""
+    n = node.own_count() + sum(_subtree_counts(c, out) for c in node.children)
+    out[id(node)] = n
+    return n
+
+
+def _check_node(node: PlanNode, kind: str, path: str, counts: dict) -> None:
     if node.kind not in NODE_KINDS:
         raise PlanError(f"{path}: unknown node kind {node.kind!r}")
-    count = node.total_count()
+    count = counts[id(node)]
     if kind == "pack":
         slack = node.area - count
         if slack < -AREA_RTOL * max(node.area, 1.0):
@@ -168,15 +182,16 @@ def _check_node(node: PlanNode, kind: str, path: str) -> None:
         if abs(child_sum - node.area) > AREA_RTOL * max(node.area, 1.0):
             raise PlanError(f"{path}: split children areas {child_sum} != {node.area}")
     for i, c in enumerate(node.children):
-        _check_node(c, kind, f"{path}.{i}")
+        _check_node(c, kind, f"{path}.{i}", counts)
 
 
 def account(plan: Plan) -> WasteReport:
     """Bottom-up analytic accounting. For packing, waste = area - count; for
     covering, excess = count - area. Conservation is asserted at every node."""
-    _check_node(plan.root, plan.kind, "root")
+    counts: dict = {}
+    count = _subtree_counts(plan.root, counts)
+    _check_node(plan.root, plan.kind, "root", counts)
     area = region_area(plan.region)
-    count = plan.root.total_count()
     if plan.kind == "pack":
         value = area - count
     else:
@@ -185,7 +200,7 @@ def account(plan: Plan) -> WasteReport:
         raise PlanError(f"negative {plan.kind} balance: {value}")
     per = []
     for child in (plan.root.children if plan.root.kind == "split" else [plan.root]):
-        c = child.total_count()
+        c = counts[id(child)]
         entry = {
             "label": child.label or child.kind,
             "area": child.area,
@@ -278,77 +293,68 @@ def enumerate_placements(plan: Plan | PlanNode, limit: int = 10_000_000) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# grafting: builders work in their own local coordinates; a finished local
-# subtree is mapped into the parent's coordinates by a rigid frame plus an
-# optional reflection across local x = 0. Unit squares are achiral, so a
-# mirrored square placement is re-expressed as a proper rotation.
+# grafting: builders work in their own local coordinates and record on each
+# child the (frame, mirror) map into the parent's coordinates; repeated
+# grafts of one node compose in O(1). A (frame, mirror) map reflects across
+# local x = 0 when `mirror` is set, then applies the rigid frame. Unit
+# squares are achiral, so a mirrored square placement is re-expressed as a
+# proper rotation.
 
-def transform_vec(frame: Pose, mirror: bool, v: tuple[float, float]) -> tuple[float, float]:
-    dx, dy = (-v[0], v[1]) if mirror else v
-    c = math.cos(frame.angle)
-    s = math.sin(frame.angle)
-    return (c * dx - s * dy, s * dx + c * dy)
+def map_node(node: PlanNode, frame: Pose, mirror: bool) -> None:
+    """Map one node's own geometry (not its children) by (frame, mirror), in place."""
+    c, s = math.cos(frame.angle), math.sin(frame.angle)
+    sx = -1.0 if mirror else 1.0
 
+    def vec(vx, vy):
+        vx *= sx
+        return (c * vx - s * vy, s * vx + c * vy)
 
-def transform_pose(frame: Pose, mirror: bool, pose: Pose) -> Pose:
-    if mirror:
-        # reflected unit square re-anchored as a proper rotation
-        pose = Pose(-pose.tx, pose.ty, math.pi / 2 - pose.angle)
-    return frame.compose(pose)
+    def point(px, py):
+        vx, vy = vec(px, py)
+        return (frame.tx + vx, frame.ty + vy)
 
+    def region(r: Region) -> Region:
+        return Region(r.kind, r.dims, *compose_graft((frame, mirror), (r.frame, r.mirror)))
 
-def transform_region(frame: Pose, mirror: bool, region: Region) -> Region:
-    rf = region.frame
-    if mirror:
-        new_frame = frame.compose(Pose(-rf.tx, rf.ty, -rf.angle))
-        return Region(region.kind, region.dims, new_frame, not region.mirror)
-    return Region(region.kind, region.dims, frame.compose(rf), region.mirror)
-
-
-def _transform_grid(frame: Pose, mirror: bool, node: PlanNode) -> None:
-    ox, oy = node.origin
-    if mirror:
-        ox = -ox - node.cols
-    k = round(frame.angle / (math.pi / 2))
-    if abs(frame.angle - k * math.pi / 2) > 1e-9:
-        raise PlanError("grids only survive quarter-turn frames")
-    p1 = frame.apply(ox, oy)
-    p2 = frame.apply(ox + node.cols, oy + node.rows)
-    node.origin = (min(p1[0], p2[0]), min(p1[1], p2[1]))
-    if k % 2 != 0:
-        node.rows, node.cols = node.cols, node.rows
-
-
-def transform_node(node: PlanNode, frame: Pose, mirror: bool = False) -> PlanNode:
-    """Map a local subtree into parent coordinates, in place."""
     if node.region is not None:
-        node.region = transform_region(frame, mirror, node.region)
+        node.region = region(node.region)
     if node.kind == "grid":
-        _transform_grid(frame, mirror, node)
+        k = round(frame.angle / (math.pi / 2))
+        if abs(frame.angle - k * math.pi / 2) > 1e-9:
+            raise PlanError("grids only survive quarter-turn frames")
+        # opposite corners of the block land on opposite corners of its image
+        ox, oy = node.origin
+        p1, p2 = point(ox, oy), point(ox + node.cols, oy + node.rows)
+        node.origin = (min(p1[0], p2[0]), min(p1[1], p2[1]))
+        if k % 2 != 0:
+            node.rows, node.cols = node.cols, node.rows
     elif node.kind == "stacks":
-        node.runs = [
-            StackRun(base=transform_pose(frame, mirror, r.base),
-                     step=transform_vec(frame, mirror, r.step),
-                     count=r.count, repeat=r.repeat,
-                     pitch=transform_vec(frame, mirror, r.pitch),
-                     label=r.label)
-            for r in node.runs
-        ]
-        node.overshoot = [transform_region(frame, mirror, r) for r in node.overshoot]
-    for c in node.children:
-        transform_node(c, frame, mirror)
-    return node
+        runs = []
+        for r in node.runs:
+            b = r.base
+            # a reflected square is re-anchored at its other bottom corner
+            angle = frame.angle + (math.pi / 2 - b.angle if mirror else b.angle)
+            runs.append(StackRun(Pose(*point(b.tx, b.ty), angle), vec(*r.step), r.count,
+                                 r.repeat, vec(*r.pitch), r.label))
+        node.runs = runs
+        node.overshoot = [region(r) for r in node.overshoot]
+    node.seams = [point(x1, y1) + point(x2, y2) for x1, y1, x2, y2 in node.seams]
 
 
-def transform_seams(seams, frame: Pose, mirror: bool = False):
-    out = []
-    for x1, y1, x2, y2 in seams:
-        if mirror:
-            x1, x2 = -x1, -x2
-        p1 = frame.apply(x1, y1)
-        p2 = frame.apply(x2, y2)
-        out.append((p1[0], p1[1], p2[0], p2[1]))
-    return out
+def resolve_grafts(root: PlanNode) -> list[tuple[float, float, float, float]]:
+    """Map every node into world coordinates exactly once, top-down, and
+    return all seam segments in pre-order. Clears the pending grafts and
+    the per-node seams."""
+    seams: list = []
+    stack = [(root, (IDENTITY, False))]
+    while stack:
+        node, outer = stack.pop()
+        frame = outer if node.graft is None else compose_graft(outer, node.graft)
+        map_node(node, *frame)
+        seams.extend(node.seams)
+        node.graft, node.seams = None, []
+        stack.extend((c, frame) for c in reversed(node.children))
+    return seams
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PackConfig
-from .geometry import Region
+from .geometry import Region, points_in_region
 from .plan import OverLimit, Plan, PlanNode, enumerate_placements
 
 CELL = 2.0
@@ -166,30 +166,6 @@ def _overlap_mask(corners_a: np.ndarray, corners_b: np.ndarray,
     return overlap
 
 
-def _points_in_region(pts: np.ndarray, region: Region, tau: float) -> np.ndarray:
-    fr = region.frame
-    c, s = math.cos(fr.angle), math.sin(fr.angle)
-    dx = pts[:, 0] - fr.tx
-    dy = pts[:, 1] - fr.ty
-    x = c * dx + s * dy
-    y = -s * dx + c * dy
-    if region.kind == "rect":
-        w, h = region.dims
-        return (x >= -tau) & (x <= w + tau) & (y >= -tau) & (y <= h + tau)
-    if region.kind == "trap":
-        h, a_top, a_bot = region.dims
-        ex, ey = a_top - a_bot, h
-        norm = math.hypot(ex, ey)
-        slant = (ey * (x - a_bot) - ex * y) / norm <= tau
-        return (x >= -tau) & (y >= -tau) & (y <= h + tau) & slant
-    if region.kind == "tri":
-        u, v = region.dims
-        norm = math.hypot(u, v)
-        hyp = (v * (x - u) + u * y) / norm <= tau
-        return (x >= -tau) & (y >= -tau) & hyp
-    raise ValueError(region.kind)
-
-
 def _leaf_nodes(node, out):
     if node.kind in ("grid", "stacks") and node.own_count() > 0:
         out.append(node)
@@ -244,7 +220,7 @@ def verify_packing(plan: Plan, region: Region | None = None,
                                   "magnitude": float(analytic - len(poses))})
 
     corners = _corners(poses)
-    flat_in = _points_in_region(corners.reshape(-1, 2), region, cfg.tau)
+    flat_in = points_in_region(region, corners.reshape(-1, 2), cfg.tau)
     bad = np.nonzero(~flat_in.reshape(-1, 4).all(axis=1))[0]
     for i in bad[:100]:
         report.violations.append({
@@ -286,7 +262,7 @@ def _sample_region(region: Region, n: int, rng: np.random.RandomState) -> np.nda
     out = np.empty((0, 2))
     while len(out) < n:
         cand = rng.uniform(lo, hi, size=(max(2 * (n - len(out)), 1024), 2))
-        keep = _points_in_region(cand, region, 0.0)
+        keep = points_in_region(region, cand, 0.0)
         out = np.concatenate([out, cand[keep]], axis=0)
     return out[:n]
 
@@ -308,7 +284,7 @@ def _seam_samples(seams, region: Region, n: int, rng: np.random.RandomState) -> 
     norm = np.hypot(dx, dy)
     off = rng.uniform(-0.1, 0.1, size=n)
     pts = np.stack([px - off * dy / norm, py + off * dx / norm], axis=1)
-    keep = _points_in_region(pts, region, -1e-9)
+    keep = points_in_region(region, pts, -1e-9)
     return pts[keep]
 
 

@@ -44,6 +44,14 @@ def test_invalid_x_usage_error(tmp_path):
     assert run(["pack", "--x", 0.2, "--out", tmp_path / "p.json"]) == 2
 
 
+@pytest.mark.parametrize("command", ["pack", "cover"])
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf", "1e300"])
+def test_x_outside_domain_is_usage_error(tmp_path, capsys, command, x):
+    assert run([command, f"--x={x}", "--out", tmp_path / "p.json"]) == 2
+    assert "x must be finite and below 2**52" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_verify_command_roundtrip(tmp_path):
     plan_path = tmp_path / "plan.json"
     run(["pack", "--x", 120.5, "--out", plan_path])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from sqpack.builders import InvalidSpec, ShelfSpec, WedgeSpec, shelf_top_len
@@ -94,6 +95,24 @@ def test_cover_shelf_zero_tilt_routes_to_rect():
     assert verify_covering(plan, cfg=CFG).passed
 
 
+def _same_outline(r1, r2):
+    return sorted(np.round(r1.polygon(), 9).tolist()) == \
+        sorted(np.round(r2.polygon(), 9).tolist())
+
+
+def test_cover_zero_tilt_panel_route_keeps_world_region():
+    # the rect router grafts a turned panel into the root: the plan region
+    # must be the mapped one, or coverage is checked on the wrong outline
+    plan = cover_wedge(WedgeSpec(150.0, 300.0, 0.0))
+    assert _same_outline(plan.region, trap_region(150.0, 300.0, 300.0))
+    assert verify_covering(plan, cfg=CFG).passed
+    top = shelf_top_len(1e8, "cover")
+    plan = cover_shelf(ShelfSpec(1e8, 150.0, top, 0.0, "cover"))
+    assert 150.0 < top <= 7 * 150.0
+    assert _same_outline(plan.region, trap_region(150.0, top, top))
+    assert verify_covering(plan, cfg=CFG).passed
+
+
 def test_cover_shelf_bound_and_coverage():
     for x, f in ((1e4, 1.0), (1e6, 1.0), (1e6, 0.3)):
         theta = f * SQRT2 * x ** -0.5
@@ -148,3 +167,24 @@ def test_random_sizes_cover_and_meet_bound():
         rep = account(plan)
         assert check_bound(rep, "square").passed, x
         assert verify_covering(plan, cfg=CFG).passed, x
+
+
+def test_cover_shelf_floor_strip_keeps_its_trapezoid_in_place():
+    # a shallow tilt gives h1 > height: no bands, the whole shelf is a floor
+    # zone tall enough to be filled by a strip stood on its side
+    a_len = shelf_top_len(10000.0, "cover")
+    tan_t = 0.004
+    spec = ShelfSpec(10000.0, 40.0, a_len, math.atan(tan_t), "cover")
+    plan = cover_shelf(spec)
+    floor = plan.root.children[-1]
+    assert floor.label == "strip"
+    expected = trap_region(40.0, a_len, a_len + 40.0 * tan_t).polygon()
+    assert np.allclose(floor.region.polygon(), expected, atol=1e-9)
+    assert account(plan).waste_or_excess >= 0.0
+    assert verify_covering(plan, cfg=CFG).passed
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"), 1e300])
+def test_cover_square_rejects_x_outside_domain(x):
+    with pytest.raises(InvalidSpec):
+        cover_square(x)

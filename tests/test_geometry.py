@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from sqpack.geometry import (
-    Pose, ceil_guard, floor_guard, fold_square_pose, frac_guard,
-    point_in_region, quads_disjoint, rect_region, region_area, square_corners,
+    Pose, ceil_guard, floor_guard, fold_square_pose, frac_guard, point_in_region,
+    points_in_region, quads_disjoint, rect_region, region_area, square_corners,
     trap_region, tri_region,
 )
 from oracles import overlap_area_estimate, shoelace
@@ -117,6 +117,23 @@ def test_point_in_region_mirror():
     r = trap_region(4, 3, 5, Pose(0, 0, 0), mirror=True)
     assert point_in_region(r, (-4.0, 2.0), 1e-9)
     assert not point_in_region(r, (4.0, 2.0), 1e-9)
+
+
+def test_points_in_region_matches_polygon_on_mirrored_regions():
+    rng = np.random.RandomState(2)
+    for region in (trap_region(4, 1, 3, Pose(2, 1, math.pi / 2), mirror=True),
+                   tri_region(3, 5, Pose(-1, 4, math.pi), mirror=True),
+                   rect_region(2, 6, Pose(0, 0, -math.pi / 2), mirror=True)):
+        poly = region.polygon()
+        lo, hi = np.min(poly, axis=0), np.max(poly, axis=0)
+        pts = rng.uniform(lo - 1, hi + 1, size=(500, 2))
+        inside = points_in_region(region, pts, 0.0)
+        # shoelace sign test against every edge of the counterclockwise polygon
+        ref = np.ones(len(pts), dtype=bool)
+        for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
+            ref &= (x2 - x1) * (pts[:, 1] - y1) - (y2 - y1) * (pts[:, 0] - x1) >= 0
+        assert np.array_equal(inside, ref)
+        assert inside.any() and not inside.all()
 
 
 def test_region_area_examples():

@@ -44,6 +44,12 @@ def test_square_below_unit():
     assert rep.square_count == 0
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"), 1e300, 2.0 ** 52])
+def test_square_rejects_x_outside_domain(x):
+    with pytest.raises(InvalidSpec):
+        pack_square(x)
+
+
 def test_square_recursive_verifies():
     plan = pack_square(400.5)
     rep = account(plan)
@@ -149,6 +155,24 @@ def test_wedge_degenerate_tilt_routes_to_rect():
     plan = pack_wedge(WedgeSpec(400.0, 40.0, 0.0))
     rep = account(plan)
     assert rep.square_count > 0
+    assert verify_packing(plan, cfg=CFG).passed
+
+
+def _same_outline(r1, r2):
+    return sorted(np.round(r1.polygon(), 9).tolist()) == \
+        sorted(np.round(r2.polygon(), 9).tolist())
+
+
+def test_zero_tilt_panel_route_keeps_world_region():
+    # top > height > base_cutoff: the rect router grafts a turned panel into
+    # the root, so the plan region must be read after the grafts are mapped
+    plan = pack_wedge(WedgeSpec(150.0, 300.0, 0.0))
+    assert _same_outline(plan.region, trap_region(150.0, 300.0, 300.0))
+    assert verify_packing(plan, cfg=CFG).passed
+    top = shelf_top_len(1e8, "pack")
+    plan = pack_shelf(ShelfSpec(1e8, 150.0, top, 0.0, "pack"))
+    assert 150.0 < top <= 7 * 150.0
+    assert _same_outline(plan.region, trap_region(150.0, top, top))
     assert verify_packing(plan, cfg=CFG).passed
 
 

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import copy
+import math
+
+import numpy as np
 
 from sqpack.config import PackConfig
 from sqpack.coverer import cover_square, cover_strip
-from sqpack.geometry import Pose, square_corners, quads_disjoint, rect_region
+from sqpack.geometry import Pose, square_corners, quads_disjoint, rect_region, trap_region
 from sqpack.packer import pack_square, pack_strip
 from sqpack.plan import Plan, StackRun, enumerate_placements, grid_node, stacks_node
-from sqpack.verifier import verify_covering, verify_packing
+from sqpack.verifier import _sample_region, verify_covering, verify_packing
+from oracles import point_in_quad
 
 CFG = PackConfig(samples=100_000)
 
@@ -125,3 +129,11 @@ def test_seeded_sampling_is_deterministic():
     r2 = verify_covering(plan, cfg=CFG)
     assert r1.sampled_points == r2.sampled_points
     assert r1.passed == r2.passed
+
+
+def test_sample_region_keeps_points_of_a_mirrored_trapezoid():
+    region = trap_region(4.0, 1.0, 3.0, Pose(2.0, 1.0, math.pi / 2), mirror=True)
+    quad = region.polygon()
+    pts = _sample_region(region, 2000, np.random.RandomState(3))
+    assert len(pts) == 2000
+    assert all(point_in_quad(p, quad) for p in pts)
