@@ -1,4 +1,4 @@
-"""Planar primitives: poses, unit squares, convex-quad tests, regions.
+"""Planar primitives: poses, unit-square corners, regions.
 
 Everything is double precision. Predicates take an explicit tolerance so
 flush contact (shared edges) can be treated as disjoint. Floor/ceil of
@@ -74,17 +74,26 @@ def compose_graft(outer: tuple[Pose, bool], inner: tuple[Pose, bool]) -> tuple[P
     return f1.compose(f2), m1 != m2
 
 
+def corners(poses: np.ndarray) -> np.ndarray:
+    """(N, 4, 2) counterclockwise corners of unit squares for (N, 3) poses."""
+    c = np.cos(poses[:, 2])
+    s = np.sin(poses[:, 2])
+    base = poses[:, :2]
+    out = np.empty((len(poses), 4, 2))
+    out[:, 0] = base
+    out[:, 1, 0] = base[:, 0] + c
+    out[:, 1, 1] = base[:, 1] + s
+    out[:, 2, 0] = base[:, 0] + c - s
+    out[:, 2, 1] = base[:, 1] + s + c
+    out[:, 3, 0] = base[:, 0] - s
+    out[:, 3, 1] = base[:, 1] + c
+    return out
+
+
 def square_corners(pose: Pose) -> list[tuple[float, float]]:
     """Counterclockwise corners of the unit square under `pose`."""
-    c = math.cos(pose.angle)
-    s = math.sin(pose.angle)
-    tx, ty = pose.tx, pose.ty
-    return [
-        (tx, ty),
-        (tx + c, ty + s),
-        (tx + c - s, ty + s + c),
-        (tx - s, ty + c),
-    ]
+    row = corners(np.array([[pose.tx, pose.ty, pose.angle]], dtype=float))[0]
+    return [tuple(p) for p in row.tolist()]
 
 
 def fold_square_pose(pose: Pose) -> Pose:
@@ -103,48 +112,6 @@ def fold_square_pose(pose: Pose) -> Pose:
         tx += math.sin(a)
         ty -= math.cos(a)
     return Pose(tx, ty, a)
-
-
-def _shrink_toward_centroid(poly, tau: float):
-    cx = sum(p[0] for p in poly) / len(poly)
-    cy = sum(p[1] for p in poly) / len(poly)
-    out = []
-    for x, y in poly:
-        dx = cx - x
-        dy = cy - y
-        d = math.hypot(dx, dy)
-        if d <= tau:
-            out.append((cx, cy))
-        else:
-            out.append((x + tau * dx / d, y + tau * dy / d))
-    return out
-
-
-def quads_disjoint(q1, q2, tau: float) -> bool:
-    """True iff the quads' interiors, each shrunk by tau, do not intersect.
-
-    Separating-axis test over the 8 edge normals. Convex counterclockwise
-    quads expected; touching edges count as disjoint for any tau > 0.
-    """
-    a = _shrink_toward_centroid(q1, tau)
-    b = _shrink_toward_centroid(q2, tau)
-    for poly in (a, b):
-        for i in range(4):
-            x1, y1 = poly[i]
-            x2, y2 = poly[(i + 1) % 4]
-            nx, ny = y2 - y1, x1 - x2
-            norm = math.hypot(nx, ny)
-            if norm == 0.0:
-                continue
-            nx /= norm
-            ny /= norm
-            amin = min(nx * p[0] + ny * p[1] for p in a)
-            amax = max(nx * p[0] + ny * p[1] for p in a)
-            bmin = min(nx * p[0] + ny * p[1] for p in b)
-            bmax = max(nx * p[0] + ny * p[1] for p in b)
-            if amax <= bmin or bmax <= amin:
-                return True
-    return False
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ are shaded; `outline_only` draws just the region decomposition.
 
 from __future__ import annotations
 
-from .geometry import square_corners
+from .geometry import corners
 from .plan import OverLimit, Plan, PlanNode, enumerate_placements
 
 _F = "{:.6f}".format
@@ -46,10 +46,7 @@ def plan_to_svg(plan: Plan, outline_only: bool = False, limit: int = 200_000) ->
     if not outline_only:
         poses = enumerate_placements(plan, limit)  # raises OverLimit when too big
         style = SQUARE_STYLE if plan.kind == "pack" else COVER_STYLE
-        for i in range(len(poses)):
-            from .geometry import Pose
-            corners = square_corners(Pose(poses[i, 0], poses[i, 1], poses[i, 2]))
-            body.append(_poly(corners, style))
+        body.extend(_poly(quad, style) for quad in corners(poses).tolist())
     _walk_regions(plan.root, body)
 
     # flip y so the world's up is the screen's up

@@ -2,10 +2,11 @@
 
 The verifier never reads plan accounting to decide validity: it expands
 placements, then checks pairwise interior disjointness and containment
-(packing) or samples the target for uncovered points (covering). Pair
-candidates come from a uniform spatial hash with cell size 2: two unit
-squares can only intersect if their centres are at most sqrt(2) apart,
-and a point only lies in a square whose centre is within sqrt(2)/2.
+(packing) or samples the target for uncovered points (covering). Candidates
+come from a KD-tree on the square centres (scipy's cKDTree, imported on
+first use): two unit squares can only intersect if their centres are at
+most sqrt(2) apart, and a point only lies in a square whose centre is
+within sqrt(2)/2.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PackConfig
-from .geometry import Region, points_in_region
+from .geometry import Region, corners, points_in_region, region_area
 from .plan import OverLimit, Plan, PlanNode, enumerate_placements
 
-CELL = 2.0
-_PAIR_CHUNK = 4_000_000
+_PAIR_CHUNK = 1 << 20
+_SAMPLE_DRAWS = 1 << 27  # most candidate points one call to _sample_region draws
 
 
 @dataclass
@@ -52,117 +53,31 @@ class VerifyReport:
         return d
 
 
-def _corners(poses: np.ndarray) -> np.ndarray:
-    """(N, 4, 2) corner array for (N, 3) poses."""
-    c = np.cos(poses[:, 2])
-    s = np.sin(poses[:, 2])
-    base = poses[:, :2]
-    out = np.empty((len(poses), 4, 2))
-    out[:, 0] = base
-    out[:, 1, 0] = base[:, 0] + c
-    out[:, 1, 1] = base[:, 1] + s
-    out[:, 2, 0] = base[:, 0] + c - s
-    out[:, 2, 1] = base[:, 1] + s + c
-    out[:, 3, 0] = base[:, 0] - s
-    out[:, 3, 1] = base[:, 1] + c
-    return out
-
-
 def _centers(poses: np.ndarray) -> np.ndarray:
     c = np.cos(poses[:, 2])
     s = np.sin(poses[:, 2])
     return np.stack([poses[:, 0] + (c - s) / 2.0, poses[:, 1] + (s + c) / 2.0], axis=1)
 
 
-def _cell_ids(pts: np.ndarray) -> np.ndarray:
-    cells = np.floor(pts / CELL).astype(np.int64)
-    return (cells[:, 0] + 2**31) * np.int64(2**32) + (cells[:, 1] + 2**31)
-
-
-def _group_by_cell(ids: np.ndarray):
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    uniq, starts = np.unique(sorted_ids, return_index=True)
-    counts = np.diff(np.append(starts, len(sorted_ids)))
-    return order, uniq, starts, counts
-
-
-def _expand_join(sa, ca, sb, cb, order_a, order_b):
-    """All (a, b) combinations for matched groups, yielded in bounded chunks."""
-    sizes = (ca * cb).astype(np.int64)
-    if len(sizes) == 0:
-        return
-    bounds = np.cumsum(sizes)
-    total = int(bounds[-1])
-    if total == 0:
-        return
-    lo = 0
-    while lo < total:
-        hi = min(lo + _PAIR_CHUNK, total)
-        g_lo = int(np.searchsorted(bounds, lo, side="right"))
-        g_hi = int(np.searchsorted(bounds, hi - 1, side="right")) + 1
-        gsz = sizes[g_lo:g_hi]
-        goff = bounds[g_lo:g_hi] - gsz
-        grp = np.repeat(np.arange(g_lo, g_hi), gsz)
-        within = np.arange(goff[0], bounds[g_hi - 1]) - goff[np.repeat(
-            np.arange(len(gsz)), gsz)]
-        ia = within // cb[grp]
-        ib = within - ia * cb[grp]
-        ii = order_a[sa[grp] + ia]
-        jj = order_b[sb[grp] + ib]
-        sel = slice(lo - int(goff[0]), hi - int(goff[0]))
-        yield ii[sel], jj[sel]
-        lo = hi
-
-
-def _candidate_pairs(centers: np.ndarray, max_dist: float):
-    """Unordered candidate index pairs from the spatial hash, distance-filtered."""
-    ids = _cell_ids(centers)
-    order, uniq, starts, counts = _group_by_cell(ids)
-    max_d2 = max_dist * max_dist
-    shifts = [0, 2**32, 2**32 + 1, 1, 2**32 - 1]  # self + 4 half-plane neighbours
-    for shift in shifts:
-        if shift == 0:
-            src = np.arange(len(uniq))
-            dst = src
-        else:
-            target = uniq + shift
-            pos = np.searchsorted(uniq, target)
-            posc = np.clip(pos, 0, len(uniq) - 1)
-            valid = uniq[posc] == target
-            src = np.nonzero(valid)[0]
-            dst = posc[valid]
-        for ii, jj in _expand_join(starts[src], counts[src], starts[dst], counts[dst],
-                                   order, order):
-            if shift == 0:
-                keep = ii < jj
-                ii, jj = ii[keep], jj[keep]
-            if len(ii) == 0:
-                continue
-            d = centers[ii] - centers[jj]
-            keep = (d * d).sum(axis=1) <= max_d2
-            if keep.any():
-                yield ii[keep], jj[keep]
-
-
-def _overlap_mask(corners_a: np.ndarray, corners_b: np.ndarray,
-                  angles_a: np.ndarray, angles_b: np.ndarray, tau: float) -> np.ndarray:
+def _overlap_mask(centers: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                  ii: np.ndarray, jj: np.ndarray, tau: float) -> np.ndarray:
     """SAT for pairs of unit squares: overlap iff every axis shows depth > 2*tau.
 
     For rectangles the 2+2 edge-direction axes are a complete separating set.
+    On an edge axis of either square, one square projects to half-width 1/2
+    and the other to (|cos d| + |sin d|)/2, d the angle between them; a
+    projection is never shorter than 1 > 2*tau, so the depth is the sum of
+    the half-widths minus the projected centre offset.
     """
-    overlap = np.ones(len(corners_a), dtype=bool)
-    for angles in (angles_a, angles_b):
-        for extra in (0.0, math.pi / 2):
-            ang = angles + extra
-            ax = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            pa = np.einsum("nkd,nd->nk", corners_a, ax)
-            pb = np.einsum("nkd,nd->nk", corners_b, ax)
-            depth = np.minimum(pa.max(axis=1), pb.max(axis=1)) - np.maximum(
-                pa.min(axis=1), pb.min(axis=1))
-            overlap &= depth > 2.0 * tau
-            if not overlap.any():
-                return overlap
+    dx = centers[jj, 0] - centers[ii, 0]
+    dy = centers[jj, 1] - centers[ii, 1]
+    ca, sa, cb, sb = cos[ii], sin[ii], cos[jj], sin[jj]
+    limit = 0.5 * (np.abs(ca * cb + sa * sb) + np.abs(ca * sb - sa * cb))
+    limit += 0.5 - 2.0 * tau
+    overlap = np.abs(ca * dx + sa * dy) < limit
+    overlap &= np.abs(ca * dy - sa * dx) < limit
+    overlap &= np.abs(cb * dx + sb * dy) < limit
+    overlap &= np.abs(cb * dy - sb * dx) < limit
     return overlap
 
 
@@ -219,8 +134,9 @@ def verify_packing(plan: Plan, region: Region | None = None,
         report.violations.append({"type": "count", "location": None,
                                   "magnitude": float(analytic - len(poses))})
 
-    corners = _corners(poses)
-    flat_in = points_in_region(region, corners.reshape(-1, 2), cfg.tau)
+    quads = corners(poses)
+    flat_in = points_in_region(region, quads.reshape(-1, 2), cfg.tau)
+    del quads
     bad = np.nonzero(~flat_in.reshape(-1, 4).all(axis=1))[0]
     for i in bad[:100]:
         report.violations.append({
@@ -232,13 +148,17 @@ def verify_packing(plan: Plan, region: Region | None = None,
         report.violations.append({"type": "escape", "location": None,
                                   "magnitude": float(len(bad) - 100)})
 
+    from scipy.spatial import cKDTree  # deferred: keeps `import sqpack` light
+
     centers = _centers(poses)
-    angles = poses[:, 2]
+    cos = np.cos(poses[:, 2])
+    sin = np.sin(poses[:, 2])
+    pairs = cKDTree(centers).query_pairs(math.sqrt(2.0), output_type="ndarray")
+    n_pairs = len(pairs)
     n_overlaps = 0
-    n_pairs = 0
-    for ii, jj in _candidate_pairs(centers, math.sqrt(2.0)):
-        n_pairs += len(ii)
-        mask = _overlap_mask(corners[ii], corners[jj], angles[ii], angles[jj], cfg.tau)
+    for lo in range(0, n_pairs, _PAIR_CHUNK):
+        ii, jj = pairs[lo:lo + _PAIR_CHUNK].T
+        mask = _overlap_mask(centers, cos, sin, ii, jj, cfg.tau)
         if mask.any():
             for a, b in zip(ii[mask][:50], jj[mask][:50]):
                 report.violations.append({
@@ -255,13 +175,26 @@ def verify_packing(plan: Plan, region: Region | None = None,
 
 
 def _sample_region(region: Region, n: int, rng: np.random.RandomState) -> np.ndarray:
-    """n points uniform in the region via rejection from its bounding box."""
+    """n points uniform in the region via rejection from its bounding box.
+
+    Raises ValueError when that takes more than _SAMPLE_DRAWS candidate
+    points, expected (from the region's share of its box) or drawn.
+    """
     poly = np.array(region.polygon())
     lo = poly.min(axis=0)
     hi = poly.max(axis=0)
+    box = float(np.prod(hi - lo))
+    if not n * box <= region_area(region) * _SAMPLE_DRAWS:
+        raise ValueError(f"cannot sample {n} points from {region}: it fills "
+                         f"{region_area(region):.3g} of a {box:.3g} bounding box")
     out = np.empty((0, 2))
+    drawn = 0
     while len(out) < n:
+        if drawn > _SAMPLE_DRAWS:
+            raise ValueError(f"kept {len(out)} of {n} points from {region} "
+                             f"after {drawn} draws")
         cand = rng.uniform(lo, hi, size=(max(2 * (n - len(out)), 1024), 2))
+        drawn += len(cand)
         keep = points_in_region(region, cand, 0.0)
         out = np.concatenate([out, cand[keep]], axis=0)
     return out[:n]
@@ -333,35 +266,20 @@ def verify_covering(plan: Plan, region: Region | None = None,
 
 def _points_covered(pts: np.ndarray, poses: np.ndarray, tau: float) -> np.ndarray:
     """Boolean mask: point inside at least one square (squares inflated by tau)."""
-    centers = _centers(poses)
-    order, uniq, starts, counts = _group_by_cell(_cell_ids(centers))
-    cos = np.cos(poses[:, 2])
-    sin = np.sin(poses[:, 2])
-    pt_ids = _cell_ids(pts)
-    pt_order, pt_uniq, pt_starts, pt_counts = _group_by_cell(pt_ids)
+    from scipy.spatial import cKDTree  # deferred: keeps `import sqpack` light
 
+    # a point of a tau-inflated unit square lies within sqrt(1/2) + sqrt(2) tau
+    # of its centre
+    near = cKDTree(_centers(poses)).sparse_distance_matrix(
+        cKDTree(pts), math.sqrt(0.5) + 2.0 * tau, output_type="ndarray")
+    srow, prow = near["i"], near["j"]
+    cos = np.cos(poses[srow, 2])
+    sin = np.sin(poses[srow, 2])
+    dxp = pts[prow, 0] - poses[srow, 0]
+    dyp = pts[prow, 1] - poses[srow, 1]
+    u = cos * dxp + sin * dyp
+    v = -sin * dxp + cos * dyp
+    inside = (u >= -tau) & (u <= 1 + tau) & (v >= -tau) & (v <= 1 + tau)
     covered = np.zeros(len(pts), dtype=bool)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            shift = dx * np.int64(2**32) + dy
-            target = pt_uniq + shift
-            pos = np.searchsorted(uniq, target)
-            posc = np.clip(pos, 0, max(len(uniq) - 1, 0))
-            valid = (len(uniq) > 0) & (uniq[posc] == target)
-            src = np.nonzero(valid)[0]
-            dst = posc[valid]
-            for prow, srow in _expand_join(pt_starts[src], pt_counts[src],
-                                           starts[dst], counts[dst],
-                                           pt_order, order):
-                live = ~covered[prow]
-                prow, srow = prow[live], srow[live]
-                if len(prow) == 0:
-                    continue
-                dxp = pts[prow, 0] - poses[srow, 0]
-                dyp = pts[prow, 1] - poses[srow, 1]
-                u = cos[srow] * dxp + sin[srow] * dyp
-                v = -sin[srow] * dxp + cos[srow] * dyp
-                inside = (u >= -tau) & (u <= 1 + tau) & (v >= -tau) & (v <= 1 + tau)
-                if inside.any():
-                    covered[prow[inside]] = True
+    covered[prow[inside]] = True
     return covered

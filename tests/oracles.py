@@ -1,8 +1,10 @@
 """Independent reference computations used only by the tests.
 
 These deliberately avoid the code paths they check: bisection instead of
-the closed-form tilt solver, Monte Carlo sampling instead of the
-separating-axis test, shoelace instead of closed-form areas.
+the closed-form tilt solver, a scalar corner-projection separating-axis
+test instead of the verifier's vectorised centre-form one, Monte Carlo
+sampling to check that test in turn, shoelace instead of closed-form
+areas.
 """
 
 from __future__ import annotations
@@ -83,3 +85,45 @@ def overlap_area_estimate(q1, q2, rng: np.random.RandomState, n: int = 10_000) -
     pts = sample_quad(q1, rng, n)
     hits = sum(1 for p in pts if point_in_quad(p, q2))
     return abs(shoelace(q1)) * hits / n
+
+
+def _shrink_toward_centroid(poly, tau: float):
+    cx = sum(p[0] for p in poly) / len(poly)
+    cy = sum(p[1] for p in poly) / len(poly)
+    out = []
+    for x, y in poly:
+        dx = cx - x
+        dy = cy - y
+        d = math.hypot(dx, dy)
+        if d <= tau:
+            out.append((cx, cy))
+        else:
+            out.append((x + tau * dx / d, y + tau * dy / d))
+    return out
+
+
+def quads_disjoint(q1, q2, tau: float) -> bool:
+    """True iff the quads' interiors, each shrunk by tau, do not intersect.
+
+    Separating-axis test over the 8 edge normals. Convex counterclockwise
+    quads expected; touching edges count as disjoint for any tau > 0.
+    """
+    a = _shrink_toward_centroid(q1, tau)
+    b = _shrink_toward_centroid(q2, tau)
+    for poly in (a, b):
+        for i in range(4):
+            x1, y1 = poly[i]
+            x2, y2 = poly[(i + 1) % 4]
+            nx, ny = y2 - y1, x1 - x2
+            norm = math.hypot(nx, ny)
+            if norm == 0.0:
+                continue
+            nx /= norm
+            ny /= norm
+            amin = min(nx * p[0] + ny * p[1] for p in a)
+            amax = max(nx * p[0] + ny * p[1] for p in a)
+            bmin = min(nx * p[0] + ny * p[1] for p in b)
+            bmax = max(nx * p[0] + ny * p[1] for p in b)
+            if amax <= bmin or bmax <= amin:
+                return True
+    return False

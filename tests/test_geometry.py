@@ -7,10 +7,9 @@ import pytest
 
 from sqpack.geometry import (
     Pose, ceil_guard, floor_guard, fold_square_pose, frac_guard, point_in_region,
-    points_in_region, quads_disjoint, rect_region, region_area, square_corners,
-    trap_region, tri_region,
+    points_in_region, rect_region, region_area, square_corners, trap_region, tri_region,
 )
-from oracles import overlap_area_estimate, shoelace
+from oracles import overlap_area_estimate, quads_disjoint, shoelace
 
 
 def test_square_corners_identity():
