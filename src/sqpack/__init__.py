@@ -9,8 +9,7 @@ geometrically without trusting the construction.
 from .config import PackConfig
 from .geometry import Pose, Region
 from .plan import PlanNode, StackRun, WasteReport, account, check_bound, enumerate_placements
-from .packer import pack_square
-from .coverer import cover_square
+from .planner import cover_square, pack_square
 from .verifier import verify_covering, verify_packing
 
 __all__ = [

@@ -1,4 +1,6 @@
-"""Recursive layout builders shared by the packing and covering planners.
+"""Recursive layout builders behind `planner.build_plan`, shared by packing and
+covering: a builder's `kind` (a shelf's `mode`) picks floor or ceil and the
+sign of the tilt equation.
 
 Region classes and their local canonical coordinates:
 
@@ -57,6 +59,8 @@ def check_side(x: float) -> None:
     if not math.isfinite(x) or abs(x) >= MAX_SIDE:
         raise InvalidSpec(f"x must be finite and below 2**52 (so frac(x) survives "
                           f"in a double), got {x}")
+    if x <= 0.0:
+        raise InvalidSpec(f"target side must be positive, got {x}")
 
 
 @dataclass(frozen=True)
@@ -184,44 +188,6 @@ def sliced_trap_fill(h: float, a_top: float, a_bot: float, kind: str,
                                  repeat=rows, pitch=(0.0, 1.0), label=label))
         j += rows
     return stacks_node(region, runs, label=label)
-
-
-def base_grid(region: Region, kind: str = "pack") -> PlanNode:
-    """Single-grid base fill: the largest inscribed axis-aligned rectangle
-    anchored at the right-angle corner; the remainder is conceded.
-
-    Operates in the region's local frame, which must be the identity.
-    """
-    fr = region.frame
-    if fr.angle != 0.0 or fr.tx != 0.0 or fr.ty != 0.0 or region.mirror:
-        raise InvalidSpec("base_grid expects an identity-framed region")
-    if region.kind == "rect":
-        w, h = region.dims
-        rows, cols = (floor_guard(h), floor_guard(w)) if kind == "pack" \
-            else (ceil_guard(h), ceil_guard(w))
-        return grid_node(region, (0.0, 0.0), max(rows, 0), max(cols, 0))
-    if region.kind == "trap":
-        h, a_top, a_bot = region.dims
-        if kind == "cover":
-            return grid_node(region, (0.0, 0.0), ceil_guard(h), ceil_guard(a_bot))
-        best = (0, 0)
-        for rows in range(1, floor_guard(h) + 1):
-            w_at = a_bot + (a_top - a_bot) * min(rows / h, 1.0)
-            cols = floor_guard(w_at)
-            if rows * cols > best[0] * best[1]:
-                best = (rows, cols)
-        return grid_node(region, (0.0, 0.0), best[0], best[1])
-    if region.kind == "tri":
-        u, v = region.dims
-        if kind == "cover":
-            return grid_node(region, (0.0, 0.0), ceil_guard(v), ceil_guard(u))
-        best = (0, 0)
-        for rows in range(1, max(floor_guard(v), 0) + 1):
-            cols = floor_guard(u * (1.0 - rows / v)) if rows < v else 0
-            if rows * cols > best[0] * best[1]:
-                best = (rows, cols)
-        return grid_node(region, (0.0, 0.0), best[0], best[1])
-    raise InvalidSpec(region.kind)
 
 
 # ---------------------------------------------------------------------------

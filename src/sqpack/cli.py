@@ -7,19 +7,16 @@ Exit codes: 0 success (and bound/verify passed where applicable),
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
 
 from .builders import InvalidSpec, check_side
 from .config import PackConfig, load_config
-from .coverer import cover_square
-from .packer import pack_square
 from .plan import (
-    OverLimit, Plan, PlanError, account, check_bound, dumps_stable,
-    plan_from_json, plan_to_json,
+    OverLimit, PlanError, account, check_bound, dumps_stable, plan_from_json, plan_to_json,
 )
+from .planner import build_plan
 from .render import plan_to_svg
 from .verifier import verify_covering, verify_packing
 
@@ -41,17 +38,22 @@ def _config_from_args(args) -> PackConfig:
     )
 
 
+def _check_x(x: float) -> None:
+    """The domain of --x for pack, cover and series: what the planner
+    accepts, and at least one unit square."""
+    check_side(x)
+    if x < 1.0:
+        raise InvalidSpec(f"--x must be >= 1, got {x}")
+
+
 def _report_path(args) -> str:
     return args.report if args.report else args.out + ".report.json"
 
 
 def cmd_build(args, kind: str) -> int:
     cfg = _config_from_args(args)
-    check_side(args.x)
-    if args.x < 1.0:
-        print(f"error: --x must be >= 1, got {args.x}", file=sys.stderr)
-        return 2
-    plan = pack_square(args.x, cfg) if kind == "pack" else cover_square(args.x, cfg)
+    _check_x(args.x)
+    plan = build_plan(kind, "square", args.x, cfg=cfg)
     report = account(plan)
     check = check_bound(report, "square")
     _write(args.out, plan_to_json(plan))
@@ -104,7 +106,7 @@ def run_series(xs: list[float], kind: str, cfg: PackConfig):
     rows = []
     for x in xs:
         t0 = time.perf_counter()
-        plan = pack_square(x, cfg) if kind == "pack" else cover_square(x, cfg)
+        plan = build_plan(kind, "square", x, cfg=cfg)
         report = account(plan)
         check = check_bound(report, "square")
         rows.append({
@@ -149,6 +151,8 @@ def cmd_series(args) -> int:
     if len(args.x) < 3:
         print("error: series needs at least 3 sizes", file=sys.stderr)
         return 2
+    for x in args.x:
+        _check_x(x)
     rows, slope = run_series(args.x, args.kind, cfg)
     _write(args.out, series_csv(rows, slope))
     printable = "undefined" if slope is None else f"{slope:.4f}"
@@ -192,11 +196,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="repeatable: one size per flag")
     p.add_argument("--kind", choices=("pack", "cover"), default="pack")
     p.add_argument("--out", type=str, default="series.csv")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--base-cutoff", dest="base_cutoff", type=float, default=None)
-    p.add_argument("--config", type=str, default=None)
+    common(p, with_x=False)
     return ap
 
 

@@ -8,7 +8,7 @@ are shaded; `outline_only` draws just the region decomposition.
 from __future__ import annotations
 
 from .geometry import corners
-from .plan import OverLimit, Plan, PlanNode, enumerate_placements
+from .plan import Plan, PlanNode, enumerate_placements
 
 _F = "{:.6f}".format
 

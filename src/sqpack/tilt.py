@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import ceil_guard, floor_guard, frac_guard
+from .geometry import ceil_guard, frac_guard
 
 RESIDUAL_TOL = 1e-12
 

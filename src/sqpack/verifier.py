@@ -111,15 +111,14 @@ def _sampled_poses(plan: Plan, cfg: PackConfig) -> np.ndarray:
     return np.concatenate(chunks, axis=0) if chunks else np.empty((0, 3))
 
 
-def verify_packing(plan: Plan, region: Region | None = None,
-                   cfg: PackConfig = PackConfig()) -> VerifyReport:
-    """Pairwise interior disjointness + containment + count consistency.
+def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
+    """Pairwise interior disjointness + containment in `plan.region` + count
+    consistency.
 
     Over the enumeration limit, a seeded random sample of leaves is checked
     instead and the report is marked partial.
     """
     t0 = time.perf_counter()
-    region = region if region is not None else plan.region
     report = VerifyReport(kind="pack", square_count=0)
     analytic = plan.root.total_count()
     try:
@@ -135,7 +134,7 @@ def verify_packing(plan: Plan, region: Region | None = None,
                                   "magnitude": float(analytic - len(poses))})
 
     quads = corners(poses)
-    flat_in = points_in_region(region, quads.reshape(-1, 2), cfg.tau)
+    flat_in = points_in_region(plan.region, quads.reshape(-1, 2), cfg.tau)
     del quads
     bad = np.nonzero(~flat_in.reshape(-1, 4).all(axis=1))[0]
     for i in bad[:100]:
@@ -221,14 +220,13 @@ def _seam_samples(seams, region: Region, n: int, rng: np.random.RandomState) -> 
     return pts[keep]
 
 
-def verify_covering(plan: Plan, region: Region | None = None,
-                    cfg: PackConfig = PackConfig()) -> VerifyReport:
-    """Stratified sampling: every sample must lie inside >= 1 placed square.
+def verify_covering(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
+    """Stratified sampling of `plan.region`: every sample must lie inside >= 1
+    placed square.
 
     Escape is not checked; covering squares may exit the region.
     """
     t0 = time.perf_counter()
-    region = region if region is not None else plan.region
     report = VerifyReport(kind="cover", square_count=0)
     try:
         poses = enumerate_placements(plan, cfg.enum_limit)
@@ -240,8 +238,8 @@ def verify_covering(plan: Plan, region: Region | None = None,
     report.square_count = len(poses)
 
     rng = np.random.RandomState(cfg.seed)
-    pts = _sample_region(region, cfg.samples, rng)
-    seam_pts = _seam_samples(plan.seams, region, cfg.samples // 10, rng)
+    pts = _sample_region(plan.region, cfg.samples, rng)
+    seam_pts = _seam_samples(plan.seams, plan.region, cfg.samples // 10, rng)
     if len(seam_pts):
         pts = np.concatenate([pts, seam_pts], axis=0)
     report.sampled_points = len(pts)

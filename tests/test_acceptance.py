@@ -18,9 +18,8 @@ import pytest
 from sqpack.builders import ShelfSpec, WedgeSpec, shelf_top_len
 from sqpack.cli import run_series, series_csv
 from sqpack.config import PackConfig
-from sqpack.coverer import cover_shelf, cover_square
-from sqpack.packer import pack_shelf, pack_square, pack_wedge
-from sqpack.plan import account, check_bound, dumps_stable, enumerate_placements, plan_to_json
+from sqpack.plan import account, dumps_stable, enumerate_placements, plan_to_json
+from sqpack.planner import cover_shelf, cover_square, pack_shelf, pack_square, pack_wedge
 from sqpack.tilt import cover_residual, pack_residual, solve_cover_tilt, solve_pack_tilt
 from sqpack.verifier import verify_covering, verify_packing
 from oracles import bisect_tilt

@@ -7,7 +7,7 @@ import pytest
 from sqpack.cli import main, run_series, series_csv
 from sqpack.config import PackConfig
 from sqpack.render import plan_to_svg
-from sqpack.packer import pack_strip
+from sqpack.planner import pack_strip
 from sqpack.plan import plan_from_json
 
 
@@ -113,6 +113,15 @@ def test_series_csv_and_slope(tmp_path):
 def test_series_requires_three_sizes(tmp_path):
     assert run(["series", "--x", 100.5, "--x", 200.5,
                 "--out", tmp_path / "s.csv"]) == 2
+
+
+@pytest.mark.parametrize("x", ["-1", "0", "0.5", "nan", "inf", "1e300"])
+def test_series_rejects_x_outside_domain(tmp_path, capsys, x):
+    # the same domain as pack and cover: finite, below 2**52 and at least 1
+    out = tmp_path / "s.csv"
+    assert run(["series", f"--x={x}", "--x", 2, "--x", 3, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_series_integer_inputs_undefined_slope():

@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from sqpack.builders import InvalidSpec, ShelfSpec, WedgeSpec, shelf_top_len
+from sqpack.builders import InvalidSpec, PanelSpec, ShelfSpec, WedgeSpec, shelf_top_len
 from sqpack.config import PackConfig
-from sqpack.coverer import (
-    cover_base_grid, cover_panel, cover_shelf, cover_square, cover_strip,
-    cover_wedge,
+from sqpack.geometry import trap_region
+from sqpack.planner import (
+    cover_panel, cover_shelf, cover_square, cover_strip, cover_wedge,
 )
-from sqpack.geometry import rect_region, trap_region
-from sqpack.packer import PanelSpec
 from sqpack.plan import account, check_bound
 from sqpack.tilt import solve_cover_tilt
 from sqpack.verifier import verify_covering
@@ -144,13 +142,6 @@ def test_cover_joint_grid_rows_match_gap():
           for k in range(1, 5)]
     for a, b in zip(cs, cs[1:]):
         assert isinstance(b - a, int) and b - a >= 1
-
-
-def test_cover_base_grid_ceil():
-    node = cover_base_grid(rect_region(7.9, 3.2))
-    assert (node.rows, node.cols) == (4, 8)
-    node = cover_base_grid(trap_region(20.0, 30.0, 31.0))
-    assert (node.rows, node.cols) == (20, 31)
 
 
 def test_cover_square_rejects_nonpositive():

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from sqpack.builders import InvalidSpec, shelf_top_len
-from sqpack.config import PackConfig
-from sqpack.geometry import rect_region, trap_region, tri_region
-from sqpack.packer import (
-    PanelSpec, ShelfSpec, WedgeSpec, pack_base_grid, pack_panel, pack_rect,
-    pack_shelf, pack_square, pack_strip, pack_wedge, partition_panel,
+from sqpack.builders import (
+    InvalidSpec, PanelSpec, ShelfSpec, WedgeSpec, partition_panel, shelf_top_len,
 )
-from sqpack.plan import account, check_bound, enumerate_placements
+from sqpack.config import PackConfig
+from sqpack.geometry import trap_region
+from sqpack.planner import (
+    pack_panel, pack_rect, pack_shelf, pack_square, pack_strip, pack_wedge,
+)
+from sqpack.plan import account, check_bound
 from sqpack.tilt import solve_pack_tilt, solve_stack_tilt
 from sqpack.verifier import verify_packing
 
@@ -308,30 +309,6 @@ def test_shelf_joint_ledger_within_budget():
     spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta, "pack")
     plan = pack_shelf(spec)
     assert plan.meta["stats"]["joint_max"] <= (2.5 + 2 * SQRT2) * x ** (1 / 6)
-
-
-# ---------------------------------------------------------------------------
-# base grid
-
-def test_base_grid_rect():
-    node = pack_base_grid(rect_region(7.9, 3.2))
-    assert node.rows * node.cols == 21
-    from sqpack.plan import Plan
-    rep = account(Plan(kind="pack", x=7.9, region=node.region, root=node))
-    assert rep.waste_or_excess == pytest.approx(7.9 * 3.2 - 21)
-
-
-def test_base_grid_thin_triangle():
-    node = pack_base_grid(tri_region(0.8, 50.0))
-    assert node.rows * node.cols == 0
-
-
-def test_base_grid_trapezoid():
-    node = pack_base_grid(trap_region(20.0, 30.0, 31.0))
-    assert (node.rows, node.cols) == (20, 30)
-    from sqpack.plan import Plan
-    rep = account(Plan(kind="pack", x=20.0, region=node.region, root=node))
-    assert rep.waste_or_excess == pytest.approx(10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sqpack.geometry import Pose, rect_region, tri_region, trap_region
-from sqpack.packer import pack_square
+from sqpack.geometry import Pose, rect_region, tri_region
+from sqpack.planner import pack_square
 from sqpack.plan import (
     OverLimit, Plan, PlanError, StackRun, account, check_bound, dumps_stable,
     enumerate_placements, grid_node, plan_from_json, plan_to_json, split_node,

@@ -1,0 +1,42 @@
+"""Property tests of the planner's square domain: what it accepts builds, conserves
+area and meets the growth bound; what it does not accept raises InvalidSpec."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqpack.builders import MAX_SIDE, InvalidSpec
+from sqpack.plan import account, check_bound
+from sqpack.planner import build_plan
+
+# seeded from the test itself, no example database: every run draws the same sizes
+REPEATABLE = settings(derandomize=True, database=None, deadline=None)
+
+
+@settings(REPEATABLE, max_examples=60)
+@given(kind=st.sampled_from(["pack", "cover"]), x=st.floats(min_value=1.0, max_value=2e4))
+def test_square_plans_conserve_area_and_meet_the_bound(kind, x):
+    report = account(build_plan(kind, "square", x))
+    sign = 1 if kind == "pack" else -1
+    assert report.area == x * x
+    assert report.square_count + sign * report.waste_or_excess == pytest.approx(report.area,
+                                                                                rel=1e-12)
+    assert check_bound(report, "square").passed
+
+
+@settings(REPEATABLE, max_examples=40)
+@given(kind=st.sampled_from(["pack", "cover"]),
+       x=st.one_of(st.just(float("nan")), st.just(float("inf")), st.just(float("-inf")),
+                   st.floats(max_value=0.0, allow_nan=False),
+                   st.floats(min_value=MAX_SIDE, allow_nan=False)))
+def test_square_outside_the_domain_raises_invalid_spec(kind, x):
+    with pytest.raises(InvalidSpec):
+        build_plan(kind, "square", x)
+
+
+@pytest.mark.parametrize("kind,shape", [("pak", "square"), ("cover", "circle")])
+def test_unknown_kind_or_shape_raises_invalid_spec(kind, shape):
+    with pytest.raises(InvalidSpec, match="unknown plan kind or shape"):
+        build_plan(kind, shape, 50.5)

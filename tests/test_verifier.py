@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from sqpack.config import PackConfig
-from sqpack.coverer import cover_square, cover_strip
 from sqpack.geometry import Pose, square_corners, rect_region, trap_region
-from sqpack.packer import pack_square, pack_strip
 from sqpack.plan import Plan, StackRun, enumerate_placements, grid_node, stacks_node
+from sqpack.planner import cover_square, cover_strip, pack_square, pack_strip
 from sqpack.verifier import _points_covered, _sample_region, verify_covering, verify_packing
 from oracles import point_in_quad, quads_disjoint
 
@@ -109,22 +108,22 @@ def test_covering_detects_deleted_stack_run():
     assert not report.passed
 
 
-def test_spatial_hash_matches_all_pairs():
+def test_pair_search_matches_all_pairs():
     plan = pack_square(60.5)
     poses = enumerate_placements(plan)
     assert len(poses) <= 10_000
     report = verify_packing(plan, cfg=CFG)
     overlap_pairs = report.runtime_stats["overlap_pairs"]
-    # brute force with the scalar predicate
+    # brute force over all pairs i < j: a numpy distance prefilter in row
+    # blocks, then the scalar predicate on every pair it keeps
     corners = [square_corners(Pose(*p)) for p in poses]
+    base = poses[:, :2]
     brute = 0
-    for i in range(len(corners)):
-        for j in range(i + 1, len(corners)):
-            ci = poses[i][:2]
-            cj = poses[j][:2]
-            if (ci[0] - cj[0]) ** 2 + (ci[1] - cj[1]) ** 2 > 8.0:
-                continue
-            if not quads_disjoint(corners[i], corners[j], 1e-9):
+    for lo in range(0, len(poses), 512):
+        d = base[lo:lo + 512, None, :] - base[None, lo:, :]
+        ii, jj = np.nonzero((d ** 2).sum(axis=2) <= 8.0)
+        for i, j in zip(ii + lo, jj + lo):
+            if i < j and not quads_disjoint(corners[i], corners[j], 1e-9):
                 brute += 1
     assert overlap_pairs == brute == 0
 
