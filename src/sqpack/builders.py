@@ -33,13 +33,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .config import PackConfig
+from .config import ASPECT_LIMIT, WEDGE_TOP, PackConfig
 from .geometry import (
     Pose, Region, ceil_guard, compose_graft, floor_guard, frac_guard,
     rect_region, region_area, trap_region, tri_region,
 )
 from .plan import PlanNode, StackRun, grid_node, split_node, stacks_node, waste_node
-from .tilt import solve_cover_tilt, solve_pack_tilt, solve_stack_tilt
+from .tilt import solve_cover_tilt, solve_pack_tilt
 
 SQRT2 = math.sqrt(2.0)
 EPS = 1e-12
@@ -67,14 +67,13 @@ def check_side(x: float) -> None:
 class PanelSpec:
     length: float                # anchor scale
     width: float
-    aspect_limit: float = 7.0
 
     def validate(self) -> None:
         if self.length < 1.0 or self.width < 1.0:
             raise InvalidSpec(f"panel sides must be >= 1: {self.length} x {self.width}")
-        if self.width > self.aspect_limit * self.length + 1e-9:
+        if self.width > ASPECT_LIMIT * self.length + 1e-9:
             raise InvalidSpec(
-                f"panel width {self.width} exceeds {self.aspect_limit} x length {self.length}")
+                f"panel width {self.width} exceeds {ASPECT_LIMIT} x length {self.length}")
         if self.width < self.length ** 0.75 - 1e-9:
             raise InvalidSpec(
                 f"panel width {self.width} below length**(3/4) = {self.length ** 0.75}")
@@ -86,16 +85,12 @@ class WedgeSpec:
     top: float
     tilt: float
 
-    def validate(self, strict: bool = False) -> None:
-        if self.height < 1.0 or self.top < 0.0 or self.tilt < 0.0:
+    def validate(self) -> None:
+        if not (self.height >= 1.0 and 0.0 <= self.top < math.inf and self.tilt >= 0.0):
             raise InvalidSpec(f"bad wedge {self}")
-        cap = SQRT2 * self.height ** -0.5
-        limit = cap if strict else min(1.75 * cap, math.pi / 3)
+        limit = min(1.75 * SQRT2 * self.height ** -0.5, math.pi / 3)
         if self.tilt >= limit:
             raise InvalidSpec(f"wedge tilt {self.tilt} over limit {limit}")
-        if strict and not (1.5 * math.sqrt(self.height) <= self.top
-                           <= 2.5 * math.sqrt(self.height)):
-            raise InvalidSpec(f"wedge top {self.top} outside tolerance band")
 
 
 @dataclass(frozen=True)
@@ -106,16 +101,13 @@ class ShelfSpec:
     tilt: float
     mode: str = "pack"
 
-    def validate(self, strict: bool = False) -> None:
-        if self.height < 1.0 or self.top_len < 1 or self.tilt < 0.0:
+    def validate(self) -> None:
+        if not (self.height >= 1.0 and self.top_len >= 1 and self.tilt >= 0.0
+                and float(self.top_len).is_integer()):
             raise InvalidSpec(f"bad shelf {self}")
-        cap = SQRT2 * self.scale ** -0.5
-        limit = cap if strict else min(1.75 * cap, math.pi / 3)
+        limit = min(1.75 * SQRT2 * self.scale ** -0.5, math.pi / 3)
         if self.tilt >= limit:
             raise InvalidSpec(f"shelf tilt {self.tilt} over limit {limit}")
-        if strict and not (0.4 * math.sqrt(self.scale) <= self.height
-                           <= 0.6 * math.sqrt(self.scale)):
-            raise InvalidSpec(f"shelf height {self.height} outside tolerance band")
 
 
 def shelf_top_len(scale: float, mode: str) -> int:
@@ -201,17 +193,15 @@ def build_rect(w: float, h: float, cfg: PackConfig, depth: int, stats: BuildStat
     if min(w, h) <= cfg.base_cutoff or min(w, h) < 2.0:
         return grid_fill(w, h, kind, label="grid")
     length, width = (w, h) if w <= h else (h, w)
-    if width <= cfg.aspect_limit * length:
-        built = build_panel(PanelSpec(length, width, cfg.aspect_limit), cfg, depth,
-                            stats, kind)
+    if width <= ASPECT_LIMIT * length:
+        built = build_panel(PanelSpec(length, width), cfg, depth, stats, kind)
         return built if w <= h else _graft(built, Pose(w, 0.0, math.pi / 2))
     # aspect too wide: chop the long side into compliant panels
-    q = ceil_guard(width / (cfg.aspect_limit * length))
+    q = ceil_guard(width / (ASPECT_LIMIT * length))
     piece = width / q
     children = []
     for i in range(q):
-        built = build_panel(PanelSpec(length, piece, cfg.aspect_limit), cfg, depth + 1,
-                            stats, kind)
+        built = build_panel(PanelSpec(length, piece), cfg, depth + 1, stats, kind)
         if w <= h:
             children.append(_graft(built, Pose(0.0, i * piece, 0.0)))
         else:
@@ -223,8 +213,11 @@ def build_panel(spec: PanelSpec, cfg: PackConfig, depth: int, stats: BuildStats,
                 kind: str):
     """Rectangle with moderate aspect: integer core plus two border strips.
 
-    The corner arrangement guarantees every strip of integer width also has
-    integer length (a fractional length would concede a full-width sliver).
+    The core_l x core_w core is integer-sided; the border widths
+    m2 = length - core_l and m1 = width - core_w both lie in [s, s + 1)
+    for s = length**(3/4). The corner arrangement guarantees every strip
+    of integer width also has integer length (a fractional length would
+    concede a full-width sliver).
     """
     _bump(stats, depth)
     spec.validate()
@@ -255,22 +248,6 @@ def build_panel(spec: PanelSpec, cfg: PackConfig, depth: int, stats: BuildStats,
     return split_node(region, children, label="panel")
 
 
-def partition_panel(spec: PanelSpec):
-    """Border widths and core of the panel partition (diagnostic helper).
-
-    Returns (m1, m2, core_l, core_w): core_l x core_w is integer-sided,
-    m2 = length - core_l and m1 = width - core_w both lie in [s, s + 1)
-    for s = length**(3/4).
-    """
-    spec.validate()
-    m_target = spec.length ** 0.75
-    core_l = floor_guard(spec.length - m_target)
-    core_w = floor_guard(spec.width - m_target)
-    if core_l <= 0 or core_w <= 0:
-        raise InvalidSpec(f"panel too small to partition: {spec}")
-    return spec.width - core_w, spec.length - core_l, core_l, core_w
-
-
 # ---------------------------------------------------------------------------
 # strips
 
@@ -292,7 +269,7 @@ def build_strip(m: float, L: float, cfg: PackConfig, depth: int, stats: BuildSta
     theta, n = tilt.theta, tilt.n
     tan_t, sin_t, cos_t = math.tan(theta), math.sin(theta), math.cos(theta)
     p = 1.0 / cos_t
-    top_target = cfg.wedge_top * math.sqrt(m)
+    top_target = WEDGE_TOP * math.sqrt(m)
 
     if kind == "pack":
         x_start = top_target + m * tan_t
@@ -437,36 +414,6 @@ def build_shelf(spec: ShelfSpec, cfg: PackConfig, depth: int, stats: BuildStats)
     return _shelf_cover(spec, region, h1, cfg, depth, stats)
 
 
-def shelf_partition(spec: ShelfSpec) -> dict:
-    """Band parameter table for a shelf: the integer band height h1, the
-    fractional part r_prime of scale**(-1/6)/tan(tilt), per-band integer
-    grid widths c_k, stack widths d_k, their fractional parts and tilts,
-    the floor height h2 and floor width f1."""
-    spec.validate()
-    tan_t = math.tan(spec.tilt)
-    if tan_t <= EPS:
-        raise InvalidSpec("partition undefined for zero tilt")
-    raw = spec.scale ** (-1.0 / 6.0) / tan_t
-    h1 = floor_guard(raw)
-    if h1 < 1:
-        raise InvalidSpec(f"tilt {spec.tilt} too large for band construction")
-    nb, bands = _shelf_bands(spec.scale, spec.top_len, h1, spec.height, tan_t,
-                             spec.mode)
-    table = []
-    for b in bands:
-        d = b["d"]
-        table.append({
-            "k": b["k"], "c": b["c"], "d": d, "r": frac_guard(d),
-            "alpha": solve_stack_tilt(d).theta if spec.mode == "pack" and
-            frac_guard(d) > EPS and d >= 2.0 else
-            (solve_cover_tilt(d).theta if frac_guard(d) > EPS and d >= 2.0 else 0.0),
-        })
-    h2 = spec.height - nb * h1
-    f1 = spec.top_len + (nb * h1 if spec.mode == "pack" else spec.height) * tan_t
-    return {"h1": h1, "r_prime": frac_guard(raw), "t": max(nb - 1, 0) if
-            spec.mode == "pack" else nb, "bands": table, "h2": h2, "f1": f1}
-
-
 def _shelf_bands(scale: float, a_len: int, h1: int, height: float, tan_t: float,
                  mode: str):
     """Band parameter table: integer grid width c_k, stack width d_k."""
@@ -546,19 +493,19 @@ def _shelf_pack(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
             last = k == nb - 1
             placed = False
             if d >= 2.0 and frac_guard(d) > EPS:
-                alpha = solve_stack_tilt(d).theta
+                alpha = solve_pack_tilt(d).theta
                 n = ceil_guard(d)
                 tan_a, sin_a, cos_a = math.tan(alpha), math.sin(alpha), math.cos(alpha)
                 p = 1.0 / cos_a
                 top_gap = None
                 if seam is None:
-                    tau = min(cfg.wedge_top * math.sqrt(d), h1 - d * tan_a - p - 0.5)
+                    tau = min(WEDGE_TOP * math.sqrt(d), h1 - d * tan_a - p - 0.5)
                     y0 = yt - tau - p if tau >= 1.0 else None
                     top_gap = tau
                 else:
                     y0 = _anchor_below_seam(seam, c, d, p, tan_a, yt)
                 if last:
-                    y_stop = h2 + cfg.wedge_top * math.sqrt(d) + n * sin_a
+                    y_stop = h2 + WEDGE_TOP * math.sqrt(d) + n * sin_a
                 elif _next_is_stack(bands, k):
                     y_stop = yb + (bands[k + 1]["c"] - c) * tan_a
                 else:
@@ -731,7 +678,7 @@ def _shelf_cover(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
                 ax = c - sin_a
                 y0 = None
                 if first:
-                    tau = min(cfg.wedge_top * math.sqrt(d), h1 - d * tan_a - p - 0.5)
+                    tau = min(WEDGE_TOP * math.sqrt(d), h1 - d * tan_a - p - 0.5)
                     if tau >= 1.0:
                         y0 = h2 + tau + (d + sin_a) * tan_a
                         chain_children.append(_graft(
@@ -759,7 +706,7 @@ def _shelf_cover(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
                         need = (yt - p - y0 + (px - ax) * tan_a) / p
                         n_stacks = max(1, ceil_guard(need) + 1)
                     else:
-                        target = height - cos_a - cfg.wedge_top * math.sqrt(d)
+                        target = height - cos_a - WEDGE_TOP * math.sqrt(d)
                         n_stacks = max(1, floor_guard((target - y0) / p) + 1)
                     chain_runs.append(StackRun(
                         base=Pose(ax, y0, -alpha), step=(cos_a, -sin_a), count=n,

@@ -1,7 +1,8 @@
 """Command line interface: build, verify, render and sweep plans.
 
 Exit codes: 0 success (and bound/verify passed where applicable),
-1 a check failed, 2 usage or input errors.
+1 a check failed, 2 usage or input errors, 3 verify checked only part of
+the plan and found nothing there (unverified).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import time
 from .builders import InvalidSpec, check_side
 from .config import PackConfig, load_config
 from .plan import (
-    OverLimit, PlanError, account, check_bound, dumps_stable, plan_from_json, plan_to_json,
+    OverLimit, Plan, PlanError, account, check_bound, dumps_stable, plan_from_json,
+    plan_to_json,
 )
 from .planner import build_plan
 from .render import plan_to_svg
@@ -46,6 +48,14 @@ def _check_x(x: float) -> None:
         raise InvalidSpec(f"--x must be >= 1, got {x}")
 
 
+def _read_plan(path: str) -> Plan:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return plan_from_json(fh.read())
+    except (OSError, ValueError, KeyError) as exc:
+        raise PlanError(f"cannot read plan: {exc}") from exc
+
+
 def _report_path(args) -> str:
     return args.report if args.report else args.out + ".report.json"
 
@@ -67,30 +77,22 @@ def cmd_build(args, kind: str) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
-    try:
-        with open(args.plan, "r", encoding="utf-8") as fh:
-            plan = plan_from_json(fh.read())
-    except (OSError, ValueError, KeyError, PlanError) as exc:
-        print(f"error: cannot read plan: {exc}", file=sys.stderr)
-        return 2
+    plan = _read_plan(args.plan)
     if plan.kind == "pack":
         report = verify_packing(plan, cfg=cfg)
+        checked = f"{report.square_count} of {plan.root.total_count()} squares"
     else:
         report = verify_covering(plan, cfg=cfg)
+        checked = f"{report.sampled_points} sample points ({cfg.samples} requested)"
     if args.out:
         _write(args.out, dumps_stable(report.to_dict(include_runtime=False)))
-    print(f"verify {plan.kind}: {report.square_count} squares, "
-          f"passed={report.passed}, violations={len(report.violations)}")
-    return 0 if report.passed else 1
+    print(f"verify {plan.kind}: {report.status}, checked {checked}, "
+          f"violations={len(report.violations)}")
+    return {"passed": 0, "failed": 1, "unverified": 3}[report.status]
 
 
 def cmd_render(args) -> int:
-    try:
-        with open(args.plan, "r", encoding="utf-8") as fh:
-            plan = plan_from_json(fh.read())
-    except (OSError, ValueError, KeyError, PlanError) as exc:
-        print(f"error: cannot read plan: {exc}", file=sys.stderr)
-        return 2
+    plan = _read_plan(args.plan)
     try:
         svg = plan_to_svg(plan, outline_only=args.outline_only, limit=args.limit)
     except OverLimit as exc:
@@ -165,25 +167,25 @@ def make_parser() -> argparse.ArgumentParser:
                                  description="unit-square packing/covering planner")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_x=True):
-        if with_x:
-            p.add_argument("--x", type=float, required=True, help="target side length")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--limit", type=int, default=None)
+    # each subcommand takes only the PackConfig fields it reads, plus --config
+    def build_flags(p):
         p.add_argument("--base-cutoff", dest="base_cutoff", type=float, default=None)
         p.add_argument("--config", type=str, default=None)
 
     for name in ("pack", "cover"):
         p = sub.add_parser(name, help=f"build a {name}ing plan for a square")
-        common(p)
+        p.add_argument("--x", type=float, required=True, help="target side length")
+        build_flags(p)
         p.add_argument("--out", type=str, default=f"{name}_plan.json")
         p.add_argument("--report", type=str, default=None)
 
     p = sub.add_parser("verify", help="geometrically verify a stored plan")
     p.add_argument("plan", type=str)
     p.add_argument("--out", type=str, default=None)
-    common(p, with_x=False)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--config", type=str, default=None)
 
     p = sub.add_parser("render", help="render a stored plan to SVG")
     p.add_argument("plan", type=str)
@@ -196,7 +198,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="repeatable: one size per flag")
     p.add_argument("--kind", choices=("pack", "cover"), default="pack")
     p.add_argument("--out", type=str, default="series.csv")
-    common(p, with_x=False)
+    build_flags(p)
     return ap
 
 

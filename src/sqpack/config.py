@@ -1,20 +1,22 @@
-"""Shared configuration for plan construction and verification."""
+"""Shared configuration for plan construction and verification, and the
+construction's fixed parameters."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
 
+ASPECT_LIMIT = 7.0  # the paper's c: a panel is at most c times wider than long
+WEDGE_TOP = 2.0     # target top edge of strip-end trapezoids, in units of sqrt(m)
+TAU = 1e-9          # geometric predicate tolerance
+
 
 @dataclass(frozen=True)
 class PackConfig:
     base_cutoff: float = 100.0      # scale at or below which regions are grid-filled
-    aspect_limit: float = 7.0       # max width/length ratio accepted for rectangle specs
     enum_limit: int = 10_000_000    # refuse to materialise more placements than this
-    tau: float = 1e-9               # geometric predicate tolerance
     samples: int = 1_000_000        # coverage sample budget
     seed: int = 0                   # RNG seed for sampling
-    wedge_top: float = 2.0          # target top edge of strip-end trapezoids, in units of sqrt(m)
 
     def with_overrides(self, **kw) -> "PackConfig":
         current = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ASPECT_LIMIT
 from .geometry import IDENTITY, Pose, Region, compose_graft, fold_square_pose, region_area
 
 NODE_KINDS = ("split", "grid", "stacks", "waste")
@@ -225,22 +226,21 @@ class BoundCheck:
 _SQRT2 = math.sqrt(2.0)
 
 BOUND_TABLE = {
-    # region class -> (constant(c), exponent); waste <= constant * x**exponent
-    "square": (lambda c: 16.0 * _SQRT2 + 38.0, 5.0 / 8.0),
-    "panel": (lambda c: (15.0 + c) * _SQRT2 + 38.0, 5.0 / 8.0),
-    "wedge": (lambda c: 19.0 / 2.0 + 7.0 * _SQRT2 / 2.0, 5.0 / 6.0),
-    "shelf": (lambda c: 19.0 / 4.0 + 7.0 * _SQRT2 / 4.0, 1.0 / 3.0),
+    # region class -> (constant, exponent); waste <= constant * x**exponent
+    "square": (16.0 * _SQRT2 + 38.0, 5.0 / 8.0),
+    "panel": ((15.0 + ASPECT_LIMIT) * _SQRT2 + 38.0, 5.0 / 8.0),
+    "wedge": (19.0 / 2.0 + 7.0 * _SQRT2 / 2.0, 5.0 / 6.0),
+    "shelf": (19.0 / 4.0 + 7.0 * _SQRT2 / 4.0, 1.0 / 3.0),
 }
 
 
-def check_bound(report: WasteReport, region_type: str, c: float = 7.0) -> BoundCheck:
+def check_bound(report: WasteReport, region_type: str) -> BoundCheck:
     """Compare achieved waste/excess against the guaranteed growth bound."""
     if region_type not in BOUND_TABLE:
         raise PlanError(f"unknown region type {region_type!r}")
     if report.waste_or_excess < -1e-6:
         raise PlanError(f"negative waste {report.waste_or_excess} signals an accounting bug")
-    const_fn, exponent = BOUND_TABLE[region_type]
-    constant = const_fn(c)
+    constant, exponent = BOUND_TABLE[region_type]
     bound_value = constant * report.x ** exponent
     passed = report.waste_or_excess <= bound_value
     report.bound_constant = constant

@@ -23,12 +23,11 @@ from .plan import Plan, resolve_grafts, waste_node
 def _square(x, cfg, depth, stats, kind):
     """A grid up to the base cutoff, one square panel above it; a packing of
     a target below unit size is all waste."""
-    check_side(x)
     if kind == "pack" and x < 1.0:
         return waste_node(rect_region(x, x), "target below unit size")
     if x <= cfg.base_cutoff:
         return grid_fill(x, x, kind, label="square grid")
-    return build_panel(PanelSpec(x, x, cfg.aspect_limit), cfg, depth, stats, kind)
+    return build_panel(PanelSpec(x, x), cfg, depth, stats, kind)
 
 
 def _shelf(spec, cfg, depth, stats, kind):
@@ -37,27 +36,31 @@ def _shelf(spec, cfg, depth, stats, kind):
     return build_shelf(spec, cfg, depth, stats)
 
 
-# shape -> (builder, nominal scale, target region), each taking the shape's
-# dims; a region of None means the root's own region once grafts are resolved
+# shape -> (builder, sides, nominal scale, target region), each taking the
+# shape's dims; a region of None means the root's own region once grafts are
+# resolved
 _SHAPES = {
-    "square": (_square, lambda x: x, None),
-    "rect": (build_rect, max, rect_region),
-    "panel": (build_panel, lambda spec: spec.length,
+    "square": (_square, lambda x: (x,), lambda x: x, None),
+    "rect": (build_rect, lambda w, h: (w, h), max, rect_region),
+    "panel": (build_panel, lambda spec: (spec.length, spec.width), lambda spec: spec.length,
               lambda spec: rect_region(spec.length, spec.width)),
-    "strip": (build_strip, lambda m, L: m, lambda m, L: rect_region(L, m)),
-    "wedge": (build_wedge, lambda spec: spec.height, None),
-    "shelf": (_shelf, lambda spec: spec.scale, None),
+    "strip": (build_strip, lambda m, L: (m, L), lambda m, L: m,
+              lambda m, L: rect_region(L, m)),
+    "wedge": (build_wedge, lambda spec: (spec.height,), lambda spec: spec.height, None),
+    "shelf": (_shelf, lambda spec: (spec.scale, spec.height), lambda spec: spec.scale, None),
 }
 
 
 def build_plan(kind: str, shape: str, *dims, cfg: PackConfig = PackConfig()) -> Plan:
     """Build the `kind` ("pack" or "cover") plan for a target `shape`:
     square (x), rect (w, h), panel (PanelSpec), strip (m, L), wedge
-    (WedgeSpec) or shelf (ShelfSpec). The tree is mapped into world
-    coordinates once, here."""
+    (WedgeSpec) or shelf (ShelfSpec). Every side passes `check_side`
+    first. The tree is mapped into world coordinates once, here."""
     if kind not in ("pack", "cover") or shape not in _SHAPES:
         raise InvalidSpec(f"unknown plan kind or shape: {kind!r}, {shape!r}")
-    build, scale, region = _SHAPES[shape]
+    build, sides, scale, region = _SHAPES[shape]
+    for side in sides(*dims):
+        check_side(side)
     stats = BuildStats()
     root = build(*dims, cfg, 0, stats, kind)
     seams = resolve_grafts(root)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PackConfig
+from .config import TAU, PackConfig
 from .geometry import Region, corners, points_in_region, region_area
 from .plan import OverLimit, Plan, PlanNode, enumerate_placements
 
@@ -27,17 +27,38 @@ _SAMPLE_DRAWS = 1 << 27  # most candidate points one call to _sample_region draw
 
 @dataclass
 class VerifyReport:
+    """`status` is "failed" when a violation was found, "unverified" when
+    only part of the plan was checked and nothing was found there, and
+    "passed" only after a full check found nothing."""
+
     kind: str
     square_count: int
     violations: list[dict] = field(default_factory=list)
     sampled_points: int = 0
-    passed: bool = True
+    status: str = "unverified"
     partial: bool = False
     runtime_stats: dict = field(default_factory=dict)
 
+    @property
+    def passed(self) -> bool:
+        return self.status == "passed"
+
     def finish(self) -> "VerifyReport":
-        self.passed = not self.violations
+        if self.violations:
+            self.status = "failed"
+        else:
+            self.status = "unverified" if self.partial else "passed"
         return self
+
+    def add_violations(self, kind: str, locations: np.ndarray) -> None:
+        """The first 100 violations of `kind` at (N, 2) `locations`, then one
+        entry that counts the rest."""
+        for x, y in locations[:100]:
+            self.violations.append({"type": kind, "location": [float(x), float(y)],
+                                    "magnitude": 1.0})
+        if len(locations) > 100:
+            self.violations.append({"type": kind, "location": None,
+                                    "magnitude": float(len(locations) - 100)})
 
     def to_dict(self, include_runtime: bool = True) -> dict:
         d = {
@@ -45,6 +66,7 @@ class VerifyReport:
             "square_count": self.square_count,
             "violations": self.violations,
             "sampled_points": self.sampled_points,
+            "status": self.status,
             "passed": self.passed,
             "partial": self.partial,
         }
@@ -116,7 +138,8 @@ def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     consistency.
 
     Over the enumeration limit, a seeded random sample of leaves is checked
-    instead and the report is marked partial.
+    instead and the report is marked partial: "unverified" unless a
+    violation is found.
     """
     t0 = time.perf_counter()
     report = VerifyReport(kind="pack", square_count=0)
@@ -134,18 +157,9 @@ def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
                                   "magnitude": float(analytic - len(poses))})
 
     quads = corners(poses)
-    flat_in = points_in_region(plan.region, quads.reshape(-1, 2), cfg.tau)
+    flat_in = points_in_region(plan.region, quads.reshape(-1, 2), TAU)
     del quads
-    bad = np.nonzero(~flat_in.reshape(-1, 4).all(axis=1))[0]
-    for i in bad[:100]:
-        report.violations.append({
-            "type": "escape",
-            "location": [float(poses[i, 0]), float(poses[i, 1])],
-            "magnitude": 1.0,
-        })
-    if len(bad) > 100:
-        report.violations.append({"type": "escape", "location": None,
-                                  "magnitude": float(len(bad) - 100)})
+    report.add_violations("escape", poses[~flat_in.reshape(-1, 4).all(axis=1), :2])
 
     from scipy.spatial import cKDTree  # deferred: keeps `import sqpack` light
 
@@ -157,7 +171,7 @@ def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     n_overlaps = 0
     for lo in range(0, n_pairs, _PAIR_CHUNK):
         ii, jj = pairs[lo:lo + _PAIR_CHUNK].T
-        mask = _overlap_mask(centers, cos, sin, ii, jj, cfg.tau)
+        mask = _overlap_mask(centers, cos, sin, ii, jj, TAU)
         if mask.any():
             for a, b in zip(ii[mask][:50], jj[mask][:50]):
                 report.violations.append({
@@ -244,17 +258,7 @@ def verify_covering(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
         pts = np.concatenate([pts, seam_pts], axis=0)
     report.sampled_points = len(pts)
 
-    covered = _points_covered(pts, poses, cfg.tau)
-    bad = np.nonzero(~covered)[0]
-    for i in bad[:100]:
-        report.violations.append({
-            "type": "uncovered",
-            "location": [float(pts[i, 0]), float(pts[i, 1])],
-            "magnitude": 1.0,
-        })
-    if len(bad) > 100:
-        report.violations.append({"type": "uncovered", "location": None,
-                                  "magnitude": float(len(bad) - 100)})
+    report.add_violations("uncovered", pts[~_points_covered(pts, poses, TAU)])
     # coverage is checked probabilistically; the residual miss risk for a
     # gap of area A inside area S is about (1 - A/S) ** samples
     report.runtime_stats["method"] = "seeded stratified sampling (seam-biased)"

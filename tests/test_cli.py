@@ -52,10 +52,12 @@ def test_x_outside_domain_is_usage_error(tmp_path, capsys, command, x):
     assert not (tmp_path / "p.json").exists()
 
 
-def test_verify_command_roundtrip(tmp_path):
+def test_verify_command_roundtrip(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     run(["pack", "--x", 120.5, "--out", plan_path])
+    capsys.readouterr()
     assert run(["verify", plan_path]) == 0
+    assert "verify pack: passed, checked 14383 of 14383 squares" in capsys.readouterr().out
 
 
 def test_verify_command_corrupt_plan(tmp_path):
@@ -72,6 +74,34 @@ def test_verify_command_detects_fault(tmp_path):
     data["region"]["dims"] = [49.5, 50.0]
     plan_path.write_text(json.dumps(data))
     assert run(["verify", plan_path]) == 1
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+def test_verify_over_limit_is_unverified(tmp_path, capsys, kind):
+    # 1000 placements hold no whole leaf of a 300.5 plan, so nothing is checked
+    plan_path = tmp_path / "plan.json"
+    report_path = tmp_path / "verify.json"
+    assert run([kind, "--x", 300.5, "--out", plan_path]) == 0
+    capsys.readouterr()
+    assert run(["verify", plan_path, "--limit", 1000, "--out", report_path]) == 3
+    out = capsys.readouterr().out
+    assert f"verify {kind}: unverified, checked 0 " in out
+    report = json.loads(report_path.read_text())
+    assert report["status"] == "unverified"
+    assert report["passed"] is False and report["partial"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["pack", "--x", 50, "--limit", 5],
+    ["cover", "--x", 50, "--samples", 3],
+    ["series", "--x", 50, "--x", 60, "--x", 70, "--seed", 9],
+    ["verify", "plan.json", "--base-cutoff", 60],
+], ids=["pack-limit", "cover-samples", "series-seed", "verify-base-cutoff"])
+def test_unread_flags_are_usage_errors(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
 
 
 def test_render_outputs_svg(tmp_path):
@@ -158,5 +188,14 @@ def test_config_file_roundtrip(tmp_path):
 def test_bad_config_is_usage_error(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"nonsense_knob": 1}))
+    assert run(["pack", "--x", 50, "--out", tmp_path / "p.json",
+                "--config", cfg_path]) == 2
+
+
+@pytest.mark.parametrize("knob", ["aspect_limit", "wedge_top", "tau"])
+def test_config_naming_a_fixed_parameter_is_usage_error(tmp_path, knob):
+    # the construction's fixed parameters are constants, not config fields
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({knob: 7.0}))
     assert run(["pack", "--x", 50, "--out", tmp_path / "p.json",
                 "--config", cfg_path]) == 2

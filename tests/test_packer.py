@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sqpack.builders import (
-    InvalidSpec, PanelSpec, ShelfSpec, WedgeSpec, partition_panel, shelf_top_len,
+    InvalidSpec, PanelSpec, ShelfSpec, WedgeSpec, shelf_top_len,
 )
 from sqpack.config import PackConfig
 from sqpack.geometry import trap_region
@@ -14,7 +14,7 @@ from sqpack.planner import (
     pack_panel, pack_rect, pack_shelf, pack_square, pack_strip, pack_wedge,
 )
 from sqpack.plan import account, check_bound
-from sqpack.tilt import solve_pack_tilt, solve_stack_tilt
+from sqpack.tilt import solve_pack_tilt
 from sqpack.verifier import verify_packing
 
 SQRT2 = math.sqrt(2.0)
@@ -73,6 +73,14 @@ def test_integer_inputs_give_zero_waste():
 
 # ---------------------------------------------------------------------------
 # panel partition
+
+def partition_panel(spec: PanelSpec):
+    """(m1, m2, core_l, core_w) read off the built panel: the widths of its
+    top and side border strips, and the columns and rows of its core grid."""
+    core, top, side = pack_panel(spec).root.children
+    assert core.label == "core" and core.kind == "grid"
+    return top.region.dims[1], side.region.dims[1], core.cols, core.rows
+
 
 def test_partition_panel_symmetric_example():
     m1, m2, core_l, core_w = partition_panel(PanelSpec(10000.5, 10000.5))
@@ -222,19 +230,27 @@ def test_wedge_small_instance_all_grids():
 # shelves
 
 def test_shelf_partition_million_example():
-    from sqpack.builders import shelf_partition
+    # the band table, read off the built shelf
     x, theta = 1e6, 1e-3
     a = shelf_top_len(x, "pack")
     assert a == 114
-    part = shelf_partition(ShelfSpec(x, 500.0, a, theta, "pack"))
-    assert part["h1"] == 99
-    assert part["t"] <= 5
-    band1 = part["bands"][1]
-    assert band1["c"] == 10
-    assert band1["d"] == pytest.approx(104.099, abs=1e-3)
-    assert band1["alpha"] == pytest.approx(0.14096, abs=1e-4)
-    assert solve_stack_tilt(band1["d"]).theta == band1["alpha"]
-    assert 0 <= part["r_prime"] < 1
+    plan = pack_shelf(ShelfSpec(x, 500.0, a, theta, "pack"))
+    band_block = plan.root.children[0]
+    top_band = band_block.children[-1].runs[0]
+    assert top_band.label == "top band" and top_band.count == a
+    h1 = top_band.repeat
+    assert h1 == 99
+    # r_prime, the fractional part of x**(-1/6)/tan(theta)
+    assert 0 <= x ** (-1 / 6) / math.tan(theta) - h1 < 1
+    # one slant sliver per band; t counts the bands below the top one
+    assert sum(c.label == "slant sliver" for c in band_block.children) - 1 <= 5
+    columns = [c for c in band_block.children if c.label == "grid column"]
+    assert columns[0].cols == 10
+    _, k, d, alpha = plan.meta["band_tilts"][0]
+    assert k == 1
+    assert d == pytest.approx(104.099, abs=1e-3)
+    assert alpha == pytest.approx(0.14096, abs=1e-4)
+    assert solve_pack_tilt(d).theta == alpha
 
 
 def test_shelf_builds_and_verifies_at_million():

@@ -1,13 +1,15 @@
-"""Property tests of the planner's square domain: what it accepts builds, conserves
+"""Property tests of the planner's domain: what it accepts builds, conserves
 area and meets the growth bound; what it does not accept raises InvalidSpec."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqpack.builders import MAX_SIDE, InvalidSpec
+from sqpack.builders import MAX_SIDE, InvalidSpec, PanelSpec, ShelfSpec, WedgeSpec
 from sqpack.plan import account, check_bound
 from sqpack.planner import build_plan
 
@@ -40,3 +42,31 @@ def test_square_outside_the_domain_raises_invalid_spec(kind, x):
 def test_unknown_kind_or_shape_raises_invalid_spec(kind, shape):
     with pytest.raises(InvalidSpec, match="unknown plan kind or shape"):
         build_plan(kind, shape, 50.5)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+@pytest.mark.parametrize("shape,dims", [
+    ("rect", (NAN, 5.0)),
+    ("rect", (5.0, INF)),
+    ("panel", (PanelSpec(NAN, 200.0),)),
+    ("strip", (NAN, 50.0)),
+    ("strip", (5.5, INF)),
+    ("wedge", (WedgeSpec(NAN, 200.0, 0.01),)),
+    ("wedge", (WedgeSpec(1e4, NAN, 0.01),)),
+    ("wedge", (WedgeSpec(1e4, INF, 0.01),)),
+    ("wedge", (WedgeSpec(1e4, 200.0, NAN),)),
+    ("shelf", (ShelfSpec(1e6, NAN, 114, 1e-3),)),
+    ("shelf", (ShelfSpec(1e6, 500.0, 114, NAN),)),
+    ("shelf", (ShelfSpec(1e6, 500.0, INF, 1e-3),)),
+    ("shelf", (ShelfSpec(1e6, 500.0, 114.5, 1e-3),)),
+], ids=["rect-nan", "rect-inf", "panel-nan", "strip-nan", "strip-inf",
+        "wedge-nan-height", "wedge-nan-top", "wedge-inf-top", "wedge-nan-tilt",
+        "shelf-nan-height", "shelf-nan-tilt", "shelf-inf-top", "shelf-fractional-top"])
+def test_dims_outside_the_domain_raise_invalid_spec(kind, shape, dims):
+    if shape == "shelf":
+        dims = (replace(dims[0], mode=kind),)
+    with pytest.raises(InvalidSpec):
+        build_plan(kind, shape, *dims)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from sqpack.tilt import (
-    TiltError, alpha_diagnostics, cover_residual, pack_residual,
-    solve_cover_tilt, solve_pack_tilt, solve_stack_tilt,
+    TiltError, cover_residual, pack_residual, solve_cover_tilt, solve_pack_tilt,
 )
 from oracles import bisect_tilt
 
@@ -31,16 +30,13 @@ def test_cover_tilt_frozen_values():
 
 
 def test_stack_tilt_frozen_value():
-    # band width for a million-scale shelf with tilt 1e-3
-    assert abs(solve_stack_tilt(104.099).theta - 0.14096431663827852) < 1e-11
+    # band width for a million-scale shelf with tilt 1e-3; shelf bands use
+    # the packing tilt
+    assert abs(solve_pack_tilt(104.099).theta - 0.14096431663827852) < 1e-11
 
 
 def test_stack_tilt_integer_width():
-    assert solve_stack_tilt(104.0).theta == 0.0
-
-
-def test_stack_tilt_is_pack_tilt():
-    assert solve_stack_tilt(9.5).theta == solve_pack_tilt(9.5).theta
+    assert solve_pack_tilt(104.0).theta == 0.0
 
 
 def test_residuals_within_tolerance():
@@ -102,37 +98,40 @@ def test_pack_tilt_bound_fails_below_crossover():
 
 
 def test_alpha_diagnostics_frozen_example():
-    d = alpha_diagnostics(1e6, 1, 1e-3, 104.099)
-    assert abs(d.alpha - 0.14096431663827852) < 1e-9
-    assert abs(d.leading - SQRT2 * 1e-1) < 1e-12
-    assert abs(d.l3_hat - (-0.457)) < 5e-3
-    assert not d.degenerate
-    assert 0 <= d.beta < SQRT2 / 2 + 0.01
-    assert 0 <= d.gamma < 1 + 0.01
+    # band k=1 of a shelf at x=1e6 with tilt 1e-3 has width d_1 = 104.099;
+    # its tilt alpha_1 is sqrt(2) x**(-1/6) plus an x**(-1/2) correction
+    # whose coefficient is about -0.457
+    x, k, theta = 1e6, 1, 1e-3
+    alpha = solve_pack_tilt(104.099).theta
+    leading = SQRT2 * x ** (-1 / 6)
+    assert abs(alpha - 0.14096431663827852) < 1e-9
+    assert abs(leading - SQRT2 * 1e-1) < 1e-12
+    assert abs((alpha - leading) * math.sqrt(x) - (-0.457)) < 5e-3
+    assert alpha > 0.0
+    # the series terms beta = k x**(-1/6) and gamma = x**(1/3) k r' tan(theta),
+    # with r' = frac(x**(-1/6) / tan(theta)), lie in their ranges
+    r_prime = x ** (-1 / 6) / math.tan(theta) % 1.0
+    beta = k * x ** (-1 / 6)
+    gamma = x ** (1 / 3) * k * r_prime * math.tan(theta)
+    assert 0 <= beta < SQRT2 / 2 + 0.01
+    assert 0 <= gamma < 1 + 0.01
 
 
 def test_alpha_diagnostics_degenerate_band():
-    d = alpha_diagnostics(1e6, 2, 1e-3, 104.0)
-    assert d.degenerate and d.alpha == 0.0
+    # an integer band width leaves the band upright: alpha_2 = 0
+    assert solve_pack_tilt(104.0).theta == 0.0
 
 
-def test_alpha_diagnostics_converges_at_larger_scale():
-    x = 1e8
-    theta = 10 ** -4.5
+@pytest.mark.parametrize("x, theta, ks, bound", [
+    (1e6, 1e-3, (1, 2, 3, 4), 5.0),
+    (1e8, 10 ** -4.5, (1,), 10.0),
+], ids=["1e6", "1e8"])
+def test_band_tilt_leading_order(x, theta, ks, bound):
+    # the band tilt alpha_k of shelf band k is sqrt(2) * x**(-1/6) to leading
+    # order; the x**(-1/2) correction coefficient stays within a few units
     h1 = math.floor(x ** (-1 / 6) / math.tan(theta))
-    d1 = math.floor(x ** (1 / 3) + (SQRT2 - 1) * x ** (1 / 6)) + h1 * math.tan(theta)
-    d = alpha_diagnostics(x, 1, theta, d1)
-    assert abs(d.alpha - d.leading) <= 10 * x ** -0.5
-
-
-def test_alpha_diagnostics_correction_coefficient_bounded():
-    # the x**(-1/2) series coefficient is estimated, not pinned; it stays
-    # within a few units across a full band table
-    x, theta = 1e6, 1e-3
-    h1 = math.floor(x ** (-1 / 6) / math.tan(theta))
-    for k in range(1, 5):
-        d_k = math.floor(x ** (1 / 3) + (SQRT2 - k) * x ** (1 / 6)) \
-            + k * h1 * math.tan(theta)
-        diag = alpha_diagnostics(x, k, theta, d_k)
-        if not diag.degenerate:
-            assert abs(diag.l3_hat) <= 5.0
+    for k in ks:
+        d_k = math.floor(x ** (1 / 3) + (SQRT2 - k) * x ** (1 / 6)) + k * h1 * math.tan(theta)
+        assert d_k != math.floor(d_k)
+        alpha = solve_pack_tilt(d_k).theta
+        assert abs(alpha - SQRT2 * x ** (-1 / 6)) * math.sqrt(x) <= bound

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqpack.config import PackConfig
+from sqpack.config import TAU, PackConfig
 from sqpack.geometry import Pose, square_corners, rect_region, trap_region
 from sqpack.plan import Plan, StackRun, enumerate_placements, grid_node, stacks_node
 from sqpack.planner import cover_square, cover_strip, pack_square, pack_strip
@@ -71,6 +71,7 @@ def test_over_limit_marks_partial():
     plan = pack_square(400.5)
     report = verify_packing(plan, cfg=PackConfig(enum_limit=10))
     assert report.partial
+    assert report.status == "unverified" and not report.passed
 
 
 def test_covering_clean():
@@ -155,8 +156,6 @@ def test_sample_region_rejects_a_region_its_box_dwarfs(region):
     assert time.perf_counter() - t0 < 2.0
 
 
-TAU = 1e-9
-
 
 def _mixed_poses(seed: int = 11) -> np.ndarray:
     """A few thousand squares at angles 0, pi/2 and tilted, with exactly
@@ -212,7 +211,7 @@ def test_pair_search_and_sat_match_brute_force_on_mixed_poses():
     plan = _loose_plan(_mixed_poses())
     poses = enumerate_placements(plan)
     assert len(poses) > 2000
-    report = verify_packing(plan, cfg=PackConfig(tau=TAU))
+    report = verify_packing(plan, cfg=PackConfig())
     centres = _unit_centres(poses)
     quads = [square_corners(Pose(*p)) for p in poses]
     brute_pairs = brute_overlaps = 0
