@@ -36,7 +36,7 @@ def frac_guard(v: float) -> float:
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     """Rigid placement: rotate by `angle`, then translate by (tx, ty).
 
@@ -114,7 +114,7 @@ def fold_square_pose(pose: Pose) -> Pose:
     return Pose(tx, ty, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Region:
     """Rectangle, right trapezoid or right triangle with a world frame.
 

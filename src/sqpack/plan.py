@@ -24,8 +24,10 @@ once, top-down, and clears both.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +47,25 @@ class OverLimit(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@contextmanager
+def gc_paused():
+    """Hold off the cyclic garbage collector while a plan tree is created or
+    serialised, then restore the caller's setting, also on a raise.
+
+    Plan trees hold no reference cycles, so reference counting frees them
+    and the pause leaves nothing for a later collection; without it the
+    collector rescans the growing tree many times over.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@dataclass(frozen=True, slots=True)
 class StackRun:
     base: Pose
     step: tuple[float, float]
@@ -59,7 +79,7 @@ class StackRun:
         return self.count * self.repeat
 
 
-@dataclass
+@dataclass(slots=True)
 class PlanNode:
     kind: str
     region: Region | None = None
@@ -300,45 +320,54 @@ def enumerate_placements(plan: Plan | PlanNode, limit: int = 10_000_000) -> np.n
 # squares are achiral, so a mirrored square placement is re-expressed as a
 # proper rotation.
 
+def _map_region(r: Region, frame: Pose, c: float, s: float, mirror: bool) -> Region:
+    """`r` under (frame, mirror), composed as `compose_graft` composes; c and s
+    are the cosine and sine of the frame's angle."""
+    f = r.frame
+    rx, ra = (-f.tx, -f.angle) if mirror else (f.tx, f.angle)
+    pose = Pose(frame.tx + c * rx - s * f.ty, frame.ty + s * rx + c * f.ty, frame.angle + ra)
+    return Region(r.kind, r.dims, pose, mirror != r.mirror)
+
+
 def map_node(node: PlanNode, frame: Pose, mirror: bool) -> None:
-    """Map one node's own geometry (not its children) by (frame, mirror), in place."""
-    c, s = math.cos(frame.angle), math.sin(frame.angle)
+    """Map one node's own geometry (not its children) by (frame, mirror), in place.
+
+    A point (x, y) goes to (tx + (c*x' - s*y), ty + (s*x' + c*y)) with
+    x' = sx*x, sx = -1 under a mirror; a vector drops the translation.
+    The arithmetic is written out per point, and plan bytes depend on its
+    operation order.
+    """
+    tx, ty, fa = frame.tx, frame.ty, frame.angle
+    c, s = math.cos(fa), math.sin(fa)
     sx = -1.0 if mirror else 1.0
-
-    def vec(vx, vy):
-        vx *= sx
-        return (c * vx - s * vy, s * vx + c * vy)
-
-    def point(px, py):
-        vx, vy = vec(px, py)
-        return (frame.tx + vx, frame.ty + vy)
-
-    def region(r: Region) -> Region:
-        return Region(r.kind, r.dims, *compose_graft((frame, mirror), (r.frame, r.mirror)))
-
     if node.region is not None:
-        node.region = region(node.region)
+        node.region = _map_region(node.region, frame, c, s, mirror)
     if node.kind == "grid":
-        k = round(frame.angle / (math.pi / 2))
-        if abs(frame.angle - k * math.pi / 2) > 1e-9:
+        k = round(fa / (math.pi / 2))
+        if abs(fa - k * math.pi / 2) > 1e-9:
             raise PlanError("grids only survive quarter-turn frames")
         # opposite corners of the block land on opposite corners of its image
         ox, oy = node.origin
-        p1, p2 = point(ox, oy), point(ox + node.cols, oy + node.rows)
-        node.origin = (min(p1[0], p2[0]), min(p1[1], p2[1]))
+        x1, y1, x2, y2 = sx * ox, oy, sx * (ox + node.cols), oy + node.rows
+        node.origin = (min(tx + (c * x1 - s * y1), tx + (c * x2 - s * y2)),
+                       min(ty + (s * x1 + c * y1), ty + (s * x2 + c * y2)))
         if k % 2 != 0:
             node.rows, node.cols = node.cols, node.rows
     elif node.kind == "stacks":
         runs = []
         for r in node.runs:
-            b = r.base
+            b, (ux, uy), (px, py) = r.base, r.step, r.pitch
+            bx, by, ux, px = sx * b.tx, b.ty, sx * ux, sx * px
             # a reflected square is re-anchored at its other bottom corner
-            angle = frame.angle + (math.pi / 2 - b.angle if mirror else b.angle)
-            runs.append(StackRun(Pose(*point(b.tx, b.ty), angle), vec(*r.step), r.count,
-                                 r.repeat, vec(*r.pitch), r.label))
+            angle = fa + (math.pi / 2 - b.angle if mirror else b.angle)
+            runs.append(StackRun(Pose(tx + (c * bx - s * by), ty + (s * bx + c * by), angle),
+                                 (c * ux - s * uy, s * ux + c * uy), r.count, r.repeat,
+                                 (c * px - s * py, s * px + c * py), r.label))
         node.runs = runs
-        node.overshoot = [region(r) for r in node.overshoot]
-    node.seams = [point(x1, y1) + point(x2, y2) for x1, y1, x2, y2 in node.seams]
+        node.overshoot = [_map_region(r, frame, c, s, mirror) for r in node.overshoot]
+    node.seams = [(tx + (c * (sx * x1) - s * y1), ty + (s * (sx * x1) + c * y1),
+                   tx + (c * (sx * x2) - s * y2), ty + (s * (sx * x2) + c * y2))
+                  for x1, y1, x2, y2 in node.seams]
 
 
 def resolve_grafts(root: PlanNode) -> list[tuple[float, float, float, float]]:
@@ -452,8 +481,10 @@ def dumps_stable(obj) -> str:
 
 
 def plan_to_json(plan: Plan) -> str:
-    return dumps_stable(plan_to_dict(plan))
+    with gc_paused():
+        return dumps_stable(plan_to_dict(plan))
 
 
 def plan_from_json(text: str) -> Plan:
-    return plan_from_dict(json.loads(text))
+    with gc_paused():
+        return plan_from_dict(json.loads(text))

@@ -17,7 +17,7 @@ from .builders import (
 )
 from .config import PackConfig
 from .geometry import rect_region
-from .plan import Plan, resolve_grafts, waste_node
+from .plan import Plan, gc_paused, resolve_grafts, waste_node
 
 
 def _square(x, cfg, depth, stats, kind):
@@ -62,8 +62,9 @@ def build_plan(kind: str, shape: str, *dims, cfg: PackConfig = PackConfig()) -> 
     for side in sides(*dims):
         check_side(side)
     stats = BuildStats()
-    root = build(*dims, cfg, 0, stats, kind)
-    seams = resolve_grafts(root)
+    with gc_paused():
+        root = build(*dims, cfg, 0, stats, kind)
+        seams = resolve_grafts(root)
     meta = {"stats": {"max_depth": stats.max_depth,
                       "fallback_bands": stats.fallback_bands,
                       "joint_max": stats.joint_max},

@@ -3,6 +3,7 @@ and accounting that does not depend on frames."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 
@@ -17,8 +18,8 @@ from sqpack.geometry import (
     Pose, ceil_guard, floor_guard, rect_region, square_corners, trap_region, tri_region,
 )
 from sqpack.plan import (
-    StackRun, account, dumps_stable, enumerate_placements, grid_node, plan_to_json,
-    resolve_grafts, stacks_node,
+    StackRun, account, dumps_stable, enumerate_placements, grid_node, plan_from_json,
+    plan_to_json, resolve_grafts, stacks_node,
 )
 from sqpack.planner import build_plan, cover_square, pack_square
 
@@ -235,3 +236,22 @@ PLAN_DIGESTS = {
 def test_plan_bytes_are_pinned(kind, case):
     text = plan_to_json(_build_case(kind, case))
     assert hashlib.sha256(text.encode()).hexdigest() == PLAN_DIGESTS[(kind, case)]
+
+
+def test_plans_hold_no_reference_cycles():
+    """Reference counting alone frees every plan, so pausing the cyclic
+    collector while plans are built and serialised leaves it nothing to find."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for kind in ("pack", "cover"):
+            for case in PLAN_CASES:
+                plan = _build_case(kind, case)
+                account(plan)
+                plan_from_json(plan_to_json(plan))
+        del plan
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()

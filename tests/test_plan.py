@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
+import sqpack.plan as plan_mod
+import sqpack.planner as planner_mod
+from sqpack.builders import InvalidSpec, ShelfSpec, shelf_top_len
 from sqpack.geometry import Pose, rect_region, tri_region
-from sqpack.planner import pack_square
+from sqpack.planner import build_plan, pack_square
 from sqpack.plan import (
     OverLimit, Plan, PlanError, StackRun, account, check_bound, dumps_stable,
     enumerate_placements, grid_node, plan_from_json, plan_to_json, split_node,
@@ -151,6 +155,42 @@ def test_plan_json_round_trip_byte_identical():
 def test_plan_json_rejects_unknown_version():
     with pytest.raises(PlanError):
         plan_from_json(dumps_stable({"version": 99}))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_is_paused_and_restored(enabled, monkeypatch):
+    """`build_plan`, `plan_to_json` and `plan_from_json` run with the cyclic
+    collector off and leave it as the caller set it, also when they raise."""
+    inside = []
+
+    def recording(fn):
+        def wrapped(*args):
+            inside.append(gc.isenabled())
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(planner_mod, "resolve_grafts", recording(planner_mod.resolve_grafts))
+    monkeypatch.setattr(plan_mod, "plan_to_dict", recording(plan_mod.plan_to_dict))
+    monkeypatch.setattr(plan_mod, "plan_from_dict", recording(plan_mod.plan_from_dict))
+    cover_spec = ShelfSpec(1e4, 50.0, shelf_top_len(1e4, "cover"), 0.01, "cover")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        plan = pack_square(150.5)
+        assert gc.isenabled() is enabled
+        text = plan_to_json(plan)
+        assert gc.isenabled() is enabled
+        plan_from_json(text)
+        assert gc.isenabled() is enabled
+        with pytest.raises(PlanError):
+            plan_from_json(dumps_stable({"version": 2}))
+        assert gc.isenabled() is enabled
+        with pytest.raises(InvalidSpec):
+            build_plan("pack", "shelf", cover_spec)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert inside == [False] * 4
 
 
 def test_per_region_breakdown_present():
