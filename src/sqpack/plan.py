@@ -1,8 +1,9 @@
 """Plan trees: region decompositions with grid, stack-run and waste leaves.
 
 A plan is immutable once built. Accounting (areas, counts, waste/excess)
-is analytic and never requires materialising placements; enumeration
-expands the leaves into explicit world-frame poses when the total count
+is analytic and never requires materialising placements. Every grid and
+stack run is one lattice of unit squares (`plan_lattices`); enumeration
+expands the lattices into explicit world-frame poses when the total count
 is small enough.
 
 Node kinds:
@@ -271,44 +272,76 @@ def check_bound(report: WasteReport, region_type: str) -> BoundCheck:
                       bound_value=bound_value, passed=passed)
 
 
-def _collect_poses(node: PlanNode, out: list[np.ndarray]) -> None:
-    if node.kind == "grid" and node.rows * node.cols > 0:
+@dataclass(frozen=True)
+class Lattices:
+    """Every grid and stack run of a plan as one arithmetic family of unit
+    squares, in pre-order. Square (i, j) of lattice k, 0 <= i < count[k] and
+    0 <= j < repeat[k], has the pose (base[k, :2] + i*step[k] + j*pitch[k],
+    base[k, 2]); a lattice lists its squares row-major, j*count + i.
+
+    A grid of rows x cols is (origin, 0, (1, 0) x cols, (0, 1) x rows); a
+    run's base is folded into [-pi/2, pi/2] first. Empty families are left out.
+    """
+
+    base: np.ndarray    # (L, 3) tx, ty, angle
+    step: np.ndarray    # (L, 2)
+    count: np.ndarray   # (L,) int64
+    pitch: np.ndarray   # (L, 2)
+    repeat: np.ndarray  # (L,) int64
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    def sizes(self) -> np.ndarray:
+        return self.count * self.repeat
+
+
+def _collect_lattices(node: PlanNode, out: list[tuple]) -> None:
+    if node.kind == "grid" and node.rows > 0 and node.cols > 0:
         ox, oy = node.origin
-        jj, ii = np.meshgrid(np.arange(node.cols), np.arange(node.rows))
-        poses = np.empty((node.rows * node.cols, 3))
-        poses[:, 0] = ox + jj.ravel()
-        poses[:, 1] = oy + ii.ravel()
-        poses[:, 2] = 0.0
-        out.append(poses)
+        out.append((ox, oy, 0.0, 1.0, 0.0, node.cols, 0.0, 1.0, node.rows))
     elif node.kind == "stacks":
         for run in node.runs:
-            base = fold_square_pose(run.base)
-            idx = np.arange(run.count)
-            rep = np.arange(run.repeat)
-            ii, jj = np.meshgrid(idx, rep)
-            poses = np.empty((run.total, 3))
-            poses[:, 0] = base.tx + ii.ravel() * run.step[0] + jj.ravel() * run.pitch[0]
-            poses[:, 1] = base.ty + ii.ravel() * run.step[1] + jj.ravel() * run.pitch[1]
-            poses[:, 2] = base.angle
-            out.append(poses)
+            if run.count > 0 and run.repeat > 0:
+                b = fold_square_pose(run.base)
+                out.append((b.tx, b.ty, b.angle, *run.step, run.count, *run.pitch, run.repeat))
     for c in node.children:
-        _collect_poses(c, out)
+        _collect_lattices(c, out)
 
 
-def enumerate_placements(plan: Plan | PlanNode, limit: int = 10_000_000) -> np.ndarray:
-    """Flat (N, 3) array of world poses (tx, ty, angle); N equals the
-    analytic square count exactly. Raises OverLimit above `limit`."""
+def plan_lattices(plan: Plan | PlanNode, limit: int = 10_000_000) -> Lattices:
+    """The lattices of `plan`; their sizes add up to the analytic square
+    count exactly. Raises OverLimit when that count is above `limit`."""
     root = plan.root if isinstance(plan, Plan) else plan
     count = root.total_count()
     if count > limit:
         raise OverLimit(f"plan holds {count} placements, limit {limit}")
-    chunks: list[np.ndarray] = []
-    _collect_poses(root, chunks)
-    if not chunks:
-        return np.empty((0, 3))
-    poses = np.concatenate(chunks, axis=0)
-    if len(poses) != count:
-        raise PlanError(f"enumerated {len(poses)} != analytic {count}")
+    rows: list[tuple] = []
+    _collect_lattices(root, rows)
+    table = np.array(rows, dtype=float).reshape(-1, 9)
+    lat = Lattices(table[:, 0:3], table[:, 3:5], table[:, 5].astype(np.int64),
+                   table[:, 6:8], table[:, 8].astype(np.int64))
+    if lat.sizes().sum() != count:
+        raise PlanError(f"enumerated {lat.sizes().sum()} != analytic {count}")
+    return lat
+
+
+def enumerate_placements(plan: Plan | PlanNode, limit: int = 10_000_000) -> np.ndarray:
+    """Flat (N, 3) array of world poses (tx, ty, angle), lattice by lattice
+    as `plan_lattices` lists them; N equals the analytic square count
+    exactly. Raises OverLimit above `limit`."""
+    lat = plan_lattices(plan, limit)
+    poses = np.empty((int(lat.sizes().sum()), 3))
+    end = 0
+    for (bx, by, angle), (ux, uy), n, (px, py), m in zip(
+            lat.base.tolist(), lat.step.tolist(), lat.count.tolist(),
+            lat.pitch.tolist(), lat.repeat.tolist()):
+        i = np.arange(n)
+        j = np.arange(m)[:, None]
+        start, end = end, end + n * m
+        poses[start:end, 0] = (bx + i * ux + j * px).ravel()
+        poses[start:end, 1] = (by + i * uy + j * py).ravel()
+        poses[start:end, 2] = angle
     return poses
 
 

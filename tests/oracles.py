@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: bisection instead of
 the closed-form tilt solver, a scalar corner-projection separating-axis
 test instead of the verifier's vectorised centre-form one, Monte Carlo
 sampling to check that test in turn, shoelace instead of closed-form
-areas.
+areas, a per-node expansion of grids and stack runs instead of the
+lattice list, and a KD-tree join against every enumerated square instead
+of the verifier's lattice solve for coverage.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from sqpack.geometry import fold_square_pose
 
 
 def bisect_tilt(m: float, kind: str, iters: int = 80) -> float:
@@ -127,3 +131,59 @@ def quads_disjoint(q1, q2, tau: float) -> bool:
             if amax <= bmin or bmax <= amin:
                 return True
     return False
+
+
+def covered_by_kd_join(pts: np.ndarray, poses: np.ndarray, tau: float) -> np.ndarray:
+    """Boolean mask: point inside at least one of the enumerated squares
+    (squares inflated by tau), joined through KD-trees on the square centres
+    and the points."""
+    from scipy.spatial import cKDTree
+
+    c = np.cos(poses[:, 2])
+    s = np.sin(poses[:, 2])
+    centres = np.stack([poses[:, 0] + (c - s) / 2.0, poses[:, 1] + (s + c) / 2.0], axis=1)
+    # a point of a tau-inflated unit square lies within sqrt(1/2) + sqrt(2) tau
+    # of its centre
+    near = cKDTree(centres).sparse_distance_matrix(
+        cKDTree(pts), math.sqrt(0.5) + 2.0 * tau, output_type="ndarray")
+    srow, prow = near["i"], near["j"]
+    cos = np.cos(poses[srow, 2])
+    sin = np.sin(poses[srow, 2])
+    dxp = pts[prow, 0] - poses[srow, 0]
+    dyp = pts[prow, 1] - poses[srow, 1]
+    u = cos * dxp + sin * dyp
+    v = -sin * dxp + cos * dyp
+    inside = (u >= -tau) & (u <= 1 + tau) & (v >= -tau) & (v <= 1 + tau)
+    covered = np.zeros(len(pts), dtype=bool)
+    covered[prow[inside]] = True
+    return covered
+
+
+def enumerate_by_node(node) -> np.ndarray:
+    """World poses of a plan tree, node by node in pre-order: a grid
+    row-major from its origin, each stack run from its folded base."""
+    out = []
+
+    def walk(n):
+        if n.kind == "grid" and n.rows * n.cols > 0:
+            ox, oy = n.origin
+            jj, ii = np.meshgrid(np.arange(n.cols), np.arange(n.rows))
+            poses = np.empty((n.rows * n.cols, 3))
+            poses[:, 0] = ox + jj.ravel()
+            poses[:, 1] = oy + ii.ravel()
+            poses[:, 2] = 0.0
+            out.append(poses)
+        elif n.kind == "stacks":
+            for run in n.runs:
+                base = fold_square_pose(run.base)
+                ii, jj = np.meshgrid(np.arange(run.count), np.arange(run.repeat))
+                poses = np.empty((run.total, 3))
+                poses[:, 0] = base.tx + ii.ravel() * run.step[0] + jj.ravel() * run.pitch[0]
+                poses[:, 1] = base.ty + ii.ravel() * run.step[1] + jj.ravel() * run.pitch[1]
+                poses[:, 2] = base.angle
+                out.append(poses)
+        for c in n.children:
+            walk(c)
+
+    walk(node)
+    return np.concatenate(out, axis=0) if out else np.empty((0, 3))

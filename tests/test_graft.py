@@ -22,6 +22,7 @@ from sqpack.plan import (
     plan_to_json, resolve_grafts, stacks_node,
 )
 from sqpack.planner import build_plan, cover_square, pack_square
+from oracles import enumerate_by_node
 
 
 def _walk(node):
@@ -173,6 +174,9 @@ PLAN_CASES = {
     "shelf 1e8 flat": ("shelf", 1e8, 150.0, 0.0),
 }
 
+# the PLAN_CASES entries that enumerate more than 2M squares
+HUGE_CASES = {"square 20000.5", "panel 4096x4096.2", "wedge 1e4"}
+
 
 def _build_case(kind, case):
     shape, *dims = PLAN_CASES[case]
@@ -236,6 +240,15 @@ PLAN_DIGESTS = {
 def test_plan_bytes_are_pinned(kind, case):
     text = plan_to_json(_build_case(kind, case))
     assert hashlib.sha256(text.encode()).hexdigest() == PLAN_DIGESTS[(kind, case)]
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+def test_lattice_enumeration_is_the_per_node_expansion(kind):
+    for case in PLAN_CASES:
+        if case not in HUGE_CASES:
+            plan = _build_case(kind, case)
+            got = enumerate_placements(plan, limit=2_000_000)
+            assert got.tobytes() == enumerate_by_node(plan.root).tobytes(), case
 
 
 def test_plans_hold_no_reference_cycles():

@@ -13,10 +13,15 @@ import pytest
 
 from sqpack.config import TAU, PackConfig
 from sqpack.geometry import Pose, square_corners, rect_region, trap_region
-from sqpack.plan import Plan, StackRun, enumerate_placements, grid_node, stacks_node
+from sqpack.plan import (
+    Plan, StackRun, enumerate_placements, grid_node, plan_lattices, stacks_node,
+)
 from sqpack.planner import cover_square, cover_strip, pack_square, pack_strip
-from sqpack.verifier import _points_covered, _sample_region, verify_covering, verify_packing
-from oracles import point_in_quad, quads_disjoint
+from sqpack.verifier import (
+    _coverage_samples, _points_covered, _sample_region, verify_covering, verify_packing,
+)
+from oracles import covered_by_kd_join, enumerate_by_node, point_in_quad, quads_disjoint
+from test_graft import HUGE_CASES, PLAN_CASES, _build_case
 
 CFG = PackConfig(samples=100_000)
 
@@ -77,6 +82,9 @@ def test_over_limit_marks_partial():
 def test_covering_clean():
     report = verify_covering(cover_square(50.0), cfg=CFG)
     assert report.passed
+    # one 50 x 50 grid; every covered sample took at least one test
+    assert report.runtime_stats["lattices"] == 1
+    assert report.runtime_stats["point_tests"] >= report.sampled_points == CFG.samples
 
 
 def test_covering_detects_deleted_leaf():
@@ -224,27 +232,122 @@ def test_pair_search_and_sat_match_brute_force_on_mixed_poses():
     assert report.runtime_stats["overlap_pairs"] == brute_overlaps > 0
 
 
-def test_points_covered_matches_brute_force_on_mixed_poses():
-    poses = enumerate_placements(_loose_plan(_mixed_poses()))
-    rng = np.random.RandomState(5)
+def _edge_points(poses: np.ndarray, rng: np.random.RandomState, n: int) -> np.ndarray:
+    """Points just inside and just outside the edges of random squares:
+    -3, -0.5, 0.5 or 3 tau across one edge, anywhere along it."""
+    pick = rng.randint(0, len(poses), size=n)
+    across = rng.choice([-3.0, -0.5, 0.5, 3.0], size=n) * TAU + rng.randint(0, 2, size=n)
+    along = rng.uniform(0.0, 1.0, size=n)
+    flip = rng.randint(0, 2, size=n).astype(bool)
+    u, v = np.where(flip, along, across), np.where(flip, across, along)
+    c, s = np.cos(poses[pick, 2]), np.sin(poses[pick, 2])
+    return poses[pick, :2] + np.stack([c * u - s * v, s * u + c * v], axis=1)
+
+
+def _brute_covered(pts: np.ndarray, poses: np.ndarray) -> np.ndarray:
+    """One point at a time against every square."""
     cs = np.cos(poses[:, 2])
     sn = np.sin(poses[:, 2])
-    # random points, plus points just inside and just outside square edges
-    pick = rng.randint(0, len(poses), size=1500)
-    u = rng.choice([-3.0 * TAU, -0.5 * TAU, 0.0, 0.5, 1.0 + 0.5 * TAU, 1.0 + 3.0 * TAU], size=1500)
-    v = rng.uniform(0.0, 1.0, size=1500)
-    edge = poses[pick, :2] + np.stack([cs[pick] * u - sn[pick] * v,
-                                       sn[pick] * u + cs[pick] * v], axis=1)
-    pts = np.concatenate([rng.uniform(-5.0, 115.0, size=(2500, 2)), edge], axis=0)
-    got = _points_covered(pts, poses, TAU)
     want = np.zeros(len(pts), dtype=bool)
     for k, (px, py) in enumerate(pts):
         dx, dy = px - poses[:, 0], py - poses[:, 1]
         lu = cs * dx + sn * dy
         lv = -sn * dx + cs * dy
         want[k] = ((lu >= -TAU) & (lu <= 1 + TAU) & (lv >= -TAU) & (lv <= 1 + TAU)).any()
+    return want
+
+
+def test_points_covered_matches_brute_force_on_mixed_poses():
+    plan = _loose_plan(_mixed_poses())
+    lat = plan_lattices(plan)
+    poses = enumerate_placements(plan)
+    assert len(lat) == len(poses) == 2385
+    rng = np.random.RandomState(5)
+    # random points, plus points just inside and just outside square edges
+    pick = rng.randint(0, len(poses), size=1500)
+    u = rng.choice([-3.0 * TAU, -0.5 * TAU, 0.0, 0.5, 1.0 + 0.5 * TAU, 1.0 + 3.0 * TAU], size=1500)
+    v = rng.uniform(0.0, 1.0, size=1500)
+    cs, sn = np.cos(poses[pick, 2]), np.sin(poses[pick, 2])
+    edge = poses[pick, :2] + np.stack([cs * u - sn * v, sn * u + cs * v], axis=1)
+    pts = np.concatenate([rng.uniform(-5.0, 115.0, size=(2500, 2)), edge], axis=0)
+    got, tests = _points_covered(pts, lat, TAU)
+    want = _brute_covered(pts, poses)
     assert want.any() and not want.all()
     assert np.array_equal(got, want)
+    assert tests >= want.sum()
+
+
+def _random_lattice_plan(seed: int) -> Plan:
+    """Overlapping grids and runs with tilted steps and pitches, bases whose
+    angle folds, count == 1, repeat == 1 with zero pitch, collinear step and
+    pitch, and a zero step under several coincident squares."""
+    rng = np.random.RandomState(seed)
+    runs = []
+    for k in range(72):
+        angle = rng.uniform(-math.pi, math.pi)
+        base = Pose(rng.uniform(0.0, 40.0), rng.uniform(0.0, 40.0), angle)
+        t1, t2 = rng.uniform(-math.pi, math.pi, size=2)
+        step = rng.uniform(0.3, 1.6) * np.array([math.cos(t1), math.sin(t1)])
+        pitch = rng.uniform(0.3, 1.6) * np.array([math.cos(t2), math.sin(t2)])
+        count, repeat = rng.randint(2, 9), rng.randint(2, 7)
+        shape = k % 6
+        if shape == 1:
+            count = 1
+        elif shape == 2:
+            repeat, pitch = 1, np.zeros(2)
+        elif shape == 3:
+            pitch = rng.choice([-2.5, 0.5, 1.0, count]) * step
+        elif shape == 4:  # a stack: the step along the square's own axis
+            step = np.array([-math.sin(angle), math.cos(angle)])
+            pitch = np.array([1.0 / max(abs(math.cos(angle)), 0.2), 0.0])
+        elif shape == 5:
+            step = np.zeros(2)
+        runs.append(StackRun(base=base, step=tuple(step), count=count, repeat=repeat,
+                             pitch=tuple(pitch)))
+    region = rect_region(60.0, 60.0, Pose(-10.0, -10.0, 0.0))
+    grids = [grid_node(rect_region(7.0, 5.0, Pose(x, y, 0.0)), (x, y), 5, 7)
+             for x, y in rng.uniform(0.0, 40.0, size=(3, 2))]
+    return Plan(kind="cover", x=60.0, region=region,
+                root=stacks_node(region, runs, leftovers=grids))
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_points_covered_matches_brute_force_on_random_lattices(seed):
+    plan = _random_lattice_plan(seed)
+    lat = plan_lattices(plan)
+    poses = enumerate_placements(plan)
+    assert poses.tobytes() == enumerate_by_node(plan.root).tobytes()
+    assert np.any(np.abs(np.array([r.base.angle for r in plan.root.runs])) > math.pi / 2)
+    rng = np.random.RandomState(seed)
+    edge = _edge_points(poses, rng, 3000)
+    pts = np.concatenate([rng.uniform(-12.0, 52.0, size=(3000, 2)), edge], axis=0)
+    got, _ = _points_covered(pts, lat, TAU)
+    want = _brute_covered(pts, poses)
+    assert want[:3000].any() and not want[:3000].all()
+    assert want[3000:].any() and not want[3000:].all()
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind,case", [(k, c) for k in ("pack", "cover")
+                                       for c in PLAN_CASES if c not in HUGE_CASES])
+def test_lattice_coverage_matches_kd_join_on_plans(kind, case):
+    plan = _build_case(kind, case)
+    poses = enumerate_placements(plan, limit=2_000_000)
+    pts = _coverage_samples(plan, CFG)
+    got, _ = _points_covered(pts, plan_lattices(plan), TAU)
+    assert np.array_equal(got, covered_by_kd_join(pts, poses, TAU))
+
+
+def test_verify_covering_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from sqpack import PackConfig, cover_square, verify_covering; "
+            "r = verify_covering(cover_square(150.5), cfg=PackConfig(samples=20000)); "
+            "print(r.status, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "passed False"
 
 
 def test_import_sqpack_leaves_scipy_unloaded():
