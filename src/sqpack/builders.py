@@ -79,6 +79,11 @@ class PanelSpec:
                 f"panel width {self.width} below length**(3/4) = {self.length ** 0.75}")
 
 
+def _tilt_limit(scale: float) -> float:
+    """The largest tilt, exclusive, of a wedge or shelf at an anchor scale."""
+    return min(1.75 * SQRT2 * scale ** -0.5, math.pi / 3)
+
+
 @dataclass(frozen=True)
 class WedgeSpec:
     height: float                # anchor scale
@@ -88,7 +93,7 @@ class WedgeSpec:
     def validate(self) -> None:
         if not (self.height >= 1.0 and 0.0 <= self.top < math.inf and self.tilt >= 0.0):
             raise InvalidSpec(f"bad wedge {self}")
-        limit = min(1.75 * SQRT2 * self.height ** -0.5, math.pi / 3)
+        limit = _tilt_limit(self.height)
         if self.tilt >= limit:
             raise InvalidSpec(f"wedge tilt {self.tilt} over limit {limit}")
 
@@ -105,7 +110,7 @@ class ShelfSpec:
         if not (self.height >= 1.0 and self.top_len >= 1 and self.tilt >= 0.0
                 and float(self.top_len).is_integer()):
             raise InvalidSpec(f"bad shelf {self}")
-        limit = min(1.75 * SQRT2 * self.scale ** -0.5, math.pi / 3)
+        limit = _tilt_limit(self.scale)
         if self.tilt >= limit:
             raise InvalidSpec(f"shelf tilt {self.tilt} over limit {limit}")
 

@@ -2,9 +2,9 @@
 
 A plan is immutable once built. Accounting (areas, counts, waste/excess)
 is analytic and never requires materialising placements. Every grid and
-stack run is one lattice of unit squares (`plan_lattices`); enumeration
-expands the lattices into explicit world-frame poses when the total count
-is small enough.
+stack run is one lattice of unit squares (`plan_lattices`), at any
+count; enumeration expands the lattices into explicit world-frame poses
+when the total count is small enough.
 
 Node kinds:
   split   -- children tile the node's region (checked by area, not geometry)
@@ -292,8 +292,30 @@ class Lattices:
     def __len__(self) -> int:
         return len(self.count)
 
-    def sizes(self) -> np.ndarray:
-        return self.count * self.repeat
+    def __getitem__(self, index) -> "Lattices":
+        """The lattices picked by an index array or slice, in its order."""
+        return Lattices(self.base[index], self.step[index], self.count[index],
+                        self.pitch[index], self.repeat[index])
+
+    def sizes(self) -> list[int]:
+        """Squares per lattice, as exact Python integers."""
+        return [n * m for n, m in zip(self.count.tolist(), self.repeat.tolist())]
+
+    def poses(self) -> np.ndarray:
+        """Flat (N, 3) array of world poses (tx, ty, angle), lattice by
+        lattice, each row-major."""
+        poses = np.empty((sum(self.sizes()), 3))
+        end = 0
+        for (bx, by, angle), (ux, uy), n, (px, py), m in zip(
+                self.base.tolist(), self.step.tolist(), self.count.tolist(),
+                self.pitch.tolist(), self.repeat.tolist()):
+            i = np.arange(n)
+            j = np.arange(m)[:, None]
+            start, end = end, end + n * m
+            poses[start:end, 0] = (bx + i * ux + j * px).ravel()
+            poses[start:end, 1] = (by + i * uy + j * py).ravel()
+            poses[start:end, 2] = angle
+        return poses
 
 
 def _collect_lattices(node: PlanNode, out: list[tuple]) -> None:
@@ -309,40 +331,30 @@ def _collect_lattices(node: PlanNode, out: list[tuple]) -> None:
         _collect_lattices(c, out)
 
 
-def plan_lattices(plan: Plan | PlanNode, limit: int = 10_000_000) -> Lattices:
-    """The lattices of `plan`; their sizes add up to the analytic square
-    count exactly. Raises OverLimit when that count is above `limit`."""
+def plan_lattices(plan: Plan | PlanNode) -> Lattices:
+    """The lattices of `plan`, at any square count; their sizes add up to
+    the analytic count exactly, or PlanError is raised."""
     root = plan.root if isinstance(plan, Plan) else plan
     count = root.total_count()
-    if count > limit:
-        raise OverLimit(f"plan holds {count} placements, limit {limit}")
     rows: list[tuple] = []
     _collect_lattices(root, rows)
     table = np.array(rows, dtype=float).reshape(-1, 9)
     lat = Lattices(table[:, 0:3], table[:, 3:5], table[:, 5].astype(np.int64),
                    table[:, 6:8], table[:, 8].astype(np.int64))
-    if lat.sizes().sum() != count:
-        raise PlanError(f"enumerated {lat.sizes().sum()} != analytic {count}")
+    total = sum(lat.sizes())
+    if total != count:
+        raise PlanError(f"enumerated {total} != analytic {count}")
     return lat
 
 
 def enumerate_placements(plan: Plan | PlanNode, limit: int = 10_000_000) -> np.ndarray:
-    """Flat (N, 3) array of world poses (tx, ty, angle), lattice by lattice
-    as `plan_lattices` lists them; N equals the analytic square count
-    exactly. Raises OverLimit above `limit`."""
-    lat = plan_lattices(plan, limit)
-    poses = np.empty((int(lat.sizes().sum()), 3))
-    end = 0
-    for (bx, by, angle), (ux, uy), n, (px, py), m in zip(
-            lat.base.tolist(), lat.step.tolist(), lat.count.tolist(),
-            lat.pitch.tolist(), lat.repeat.tolist()):
-        i = np.arange(n)
-        j = np.arange(m)[:, None]
-        start, end = end, end + n * m
-        poses[start:end, 0] = (bx + i * ux + j * px).ravel()
-        poses[start:end, 1] = (by + i * uy + j * py).ravel()
-        poses[start:end, 2] = angle
-    return poses
+    """The (N, 3) world poses `plan_lattices(plan).poses()`; N equals the
+    analytic square count exactly. Raises OverLimit when N is above `limit`."""
+    lat = plan_lattices(plan)
+    count = sum(lat.sizes())
+    if count > limit:
+        raise OverLimit(f"plan holds {count} placements, limit {limit}")
+    return lat.poses()
 
 
 # ---------------------------------------------------------------------------

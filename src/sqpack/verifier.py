@@ -1,13 +1,15 @@
 """Independent geometric validation of finished plans.
 
-The verifier never reads plan accounting to decide validity. Packing:
-it expands placements, then checks pairwise interior disjointness and
-containment. Candidate pairs come from a KD-tree on the square centres
+The verifier never reads plan accounting to decide validity; it sees a
+plan only through its grid and stack-run lattices (`plan_lattices`).
+Packing: it expands the lattices into placements, all of them or, over
+the enumeration limit, a seeded sample of whole lattices, then checks
+pairwise interior disjointness and containment. Candidate pairs come from a KD-tree on the square centres
 (scipy's cKDTree, imported on first use), as two unit squares can only
 intersect if their centres are at most sqrt(2) apart. Covering: it samples
 the target and checks that every sample lies in a square, solving for the
-squares of each nearby grid or stack run (`plan_lattices`) instead of
-expanding them, so its cost grows with runs and samples, not squares.
+squares of each nearby lattice instead of expanding them, so its cost
+grows with lattices and samples, not squares, and it has no limit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .config import TAU, PackConfig
 from .geometry import Region, corners, points_in_region, region_area
-from .plan import Lattices, OverLimit, Plan, PlanNode, enumerate_placements, plan_lattices
+from .plan import Lattices, OverLimit, Plan, enumerate_placements, plan_lattices
 
 _PAIR_CHUNK = 1 << 20
 _POINT_CHUNK = 1 << 15  # point-lattice pairs per narrow-phase batch; small batches stay in cache
@@ -107,58 +109,37 @@ def _overlap_mask(centers: np.ndarray, cos: np.ndarray, sin: np.ndarray,
     return overlap
 
 
-def _leaf_nodes(node, out):
-    if node.kind in ("grid", "stacks") and node.own_count() > 0:
-        out.append(node)
-    for c in node.children:
-        _leaf_nodes(c, out)
-    return out
-
-
-def _sampled_poses(plan: Plan, cfg: PackConfig) -> np.ndarray:
-    """Uniformly chosen leaves totalling at most the enumeration limit."""
-    leaves = _leaf_nodes(plan.root, [])
-    rng = np.random.RandomState(cfg.seed)
-    order = rng.permutation(len(leaves))
-    chunks = []
+def _sampled_lattices(lat: Lattices, cfg: PackConfig) -> Lattices:
+    """Whole lattices, taken in a seeded random order while they fit in
+    the enumeration limit."""
+    order = np.random.RandomState(cfg.seed).permutation(len(lat))
+    keep = []
     budget = cfg.enum_limit
-    for i in order:
-        leaf = leaves[i]
-        n = leaf.own_count()
-        if n > budget:
-            continue
-        bare = PlanNode(kind=leaf.kind, region=leaf.region, area=leaf.area,
-                        origin=leaf.origin, rows=leaf.rows, cols=leaf.cols,
-                        runs=leaf.runs)
-        chunks.append(enumerate_placements(bare, cfg.enum_limit))
-        budget -= n
-        if budget <= 0:
-            break
-    return np.concatenate(chunks, axis=0) if chunks else np.empty((0, 3))
+    for k, n in zip(order.tolist(), lat[order].sizes()):
+        if n <= budget:
+            keep.append(k)
+            budget -= n
+            if budget <= 0:
+                break
+    return lat[np.array(keep, dtype=np.int64)]
 
 
 def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
-    """Pairwise interior disjointness + containment in `plan.region` + count
-    consistency.
+    """Pairwise interior disjointness + containment in `plan.region`.
 
-    Over the enumeration limit, a seeded random sample of leaves is checked
-    instead and the report is marked partial: "unverified" unless a
-    violation is found.
+    Over the enumeration limit, a seeded random sample of whole lattices
+    (grids and stack runs) is checked instead and the report is marked
+    partial: "unverified" unless a violation is found.
     """
     t0 = time.perf_counter()
     report = VerifyReport(kind="pack", square_count=0)
-    analytic = plan.root.total_count()
     try:
         poses = enumerate_placements(plan, cfg.enum_limit)
     except OverLimit as exc:
         report.partial = True
         report.runtime_stats["note"] = str(exc)
-        poses = _sampled_poses(plan, cfg)
+        poses = _sampled_lattices(plan_lattices(plan), cfg).poses()
     report.square_count = len(poses)
-
-    if not report.partial and analytic != len(poses):
-        report.violations.append({"type": "count", "location": None,
-                                  "magnitude": float(analytic - len(poses))})
 
     quads = corners(poses)
     flat_in = points_in_region(plan.region, quads.reshape(-1, 2), TAU)
@@ -252,20 +233,14 @@ def _coverage_samples(plan: Plan, cfg: PackConfig) -> np.ndarray:
 def verify_covering(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     """Seeded uniform rejection sampling of `plan.region`, plus points
     scattered across the recorded seams: every sample must lie inside >= 1
-    placed square.
+    placed square. The cost grows with lattices and samples, not squares,
+    so every plan is checked in full; `cfg.enum_limit` plays no part.
 
     Escape is not checked; covering squares may exit the region.
     """
     t0 = time.perf_counter()
-    report = VerifyReport(kind="cover", square_count=0)
-    try:
-        lat = plan_lattices(plan, cfg.enum_limit)
-    except OverLimit as exc:
-        report.partial = True
-        report.runtime_stats["note"] = str(exc)
-        report.square_count = plan.root.total_count()
-        return report.finish()
-    report.square_count = int(lat.sizes().sum())
+    lat = plan_lattices(plan)
+    report = VerifyReport(kind="cover", square_count=plan.root.total_count())
 
     pts = _coverage_samples(plan, cfg)
     report.sampled_points = len(pts)

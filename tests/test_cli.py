@@ -76,19 +76,61 @@ def test_verify_command_detects_fault(tmp_path):
     assert run(["verify", plan_path]) == 1
 
 
-@pytest.mark.parametrize("kind", ["pack", "cover"])
-def test_verify_over_limit_is_unverified(tmp_path, capsys, kind):
-    # 1000 placements hold no whole leaf of a 300.5 plan, so nothing is checked
+def test_verify_pack_over_limit_is_unverified(tmp_path, capsys):
+    # whole lattices of a 300.5 plan that fit in 1000 squares are checked
     plan_path = tmp_path / "plan.json"
     report_path = tmp_path / "verify.json"
-    assert run([kind, "--x", 300.5, "--out", plan_path]) == 0
+    assert run(["pack", "--x", 300.5, "--out", plan_path]) == 0
     capsys.readouterr()
     assert run(["verify", plan_path, "--limit", 1000, "--out", report_path]) == 3
     out = capsys.readouterr().out
-    assert f"verify {kind}: unverified, checked 0 " in out
     report = json.loads(report_path.read_text())
+    assert 0 < report["square_count"] <= 1000
+    assert f"verify pack: unverified, checked {report['square_count']} of 90046 " in out
     assert report["status"] == "unverified"
     assert report["passed"] is False and report["partial"] is True
+
+
+def _drop_leaf(node: dict, min_area: float) -> bool:
+    """Remove the first grid leaf of area >= min_area below `node`."""
+    for key in ("children", "leftovers"):
+        for i, child in enumerate(node.get(key, [])):
+            if child["kind"] == "grid" and child["area"] >= min_area:
+                del node[key][i]
+                return True
+            if _drop_leaf(child, min_area):
+                return True
+    return False
+
+
+def test_verify_cover_ignores_limit(tmp_path, capsys):
+    # covering checks every plan in full: --limit applies to packing only
+    plan_path = tmp_path / "plan.json"
+    report_path = tmp_path / "verify.json"
+    assert run(["cover", "--x", 300.5, "--out", plan_path]) == 0
+    assert run(["verify", plan_path, "--limit", 1000, "--out", report_path]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["status"] == "passed" and report["partial"] is False
+    data = json.loads(plan_path.read_text())
+    assert _drop_leaf(data["root"], 50.0)
+    plan_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["verify", plan_path, "--limit", 1000]) == 1
+    assert "verify cover: failed" in capsys.readouterr().out
+
+
+def test_verify_count_mismatch_is_input_error(tmp_path, capsys):
+    # a grid with negative rows holds no squares but counts negative ones:
+    # reading its lattices fails before any geometry is checked
+    plan_path = tmp_path / "plan.json"
+    assert run(["pack", "--x", 50.5, "--out", plan_path]) == 0
+    data = json.loads(plan_path.read_text())
+    assert data["root"]["kind"] == "grid"
+    data["root"]["rows"] = -data["root"]["rows"]
+    plan_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["verify", plan_path]) == 2
+    assert "enumerated 0 != analytic -2500" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,7 @@ import pytest
 from sqpack.config import TAU, PackConfig
 from sqpack.geometry import Pose, square_corners, rect_region, trap_region
 from sqpack.plan import (
-    Plan, StackRun, enumerate_placements, grid_node, plan_lattices, stacks_node,
+    Plan, StackRun, dumps_stable, enumerate_placements, grid_node, plan_lattices, stacks_node,
 )
 from sqpack.planner import cover_square, cover_strip, pack_square, pack_strip
 from sqpack.verifier import (
@@ -77,6 +77,58 @@ def test_over_limit_marks_partial():
     report = verify_packing(plan, cfg=PackConfig(enum_limit=10))
     assert report.partial
     assert report.status == "unverified" and not report.passed
+
+
+def test_over_limit_sample_is_deterministic():
+    plan = pack_square(400.5)
+    cfg = PackConfig(enum_limit=5000)
+    r1 = verify_packing(plan, cfg=cfg)
+    r2 = verify_packing(plan, cfg=cfg)
+    assert r1.partial and 0 < r1.square_count <= 5000
+    assert (dumps_stable(r1.to_dict(include_runtime=False))
+            == dumps_stable(r2.to_dict(include_runtime=False)))
+
+
+def test_over_limit_sample_finds_overlaps():
+    # 1000 of the 2385 one-square lattices, planted overlaps among them
+    report = verify_packing(_loose_plan(_mixed_poses()), cfg=PackConfig(enum_limit=1000))
+    assert report.partial and report.square_count == 1000
+    assert report.status == "failed"
+    assert any(v["type"] == "overlap" for v in report.violations)
+
+
+def test_covering_2_64_squares():
+    # one 2**32 x 2**32 grid: its count overflows int64, the exact sum does not
+    side = 2 ** 32
+    region = rect_region(float(side), float(side))
+    plan = Plan(kind="cover", x=float(side), region=region,
+                root=grid_node(region, (0.0, 0.0), side, side))
+    report = verify_covering(plan, PackConfig(samples=10_000))
+    assert report.status == "passed"
+    assert report.square_count == 2 ** 64
+
+
+def _nodes(node):
+    yield node
+    for c in node.children:
+        yield from _nodes(c)
+
+
+def test_covering_ignores_the_enumeration_limit():
+    plan = cover_square(10000.5)
+    cfg = PackConfig(enum_limit=10)
+    report = verify_covering(plan, cfg)
+    assert report.status == "passed" and not report.partial
+    assert report.square_count == plan.root.total_count() > 10 ** 8
+    # deleting a leaf of the strip is still caught
+    strip = plan.root.children[1]
+    assert strip.label == "strip"
+    parent, i = next((n, i) for n in _nodes(strip) for i, c in enumerate(n.children)
+                     if c.kind == "grid" and c.area >= 50.0)
+    del parent.children[i]
+    report = verify_covering(plan, cfg)
+    assert report.status == "failed"
+    assert any(v["type"] == "uncovered" for v in report.violations)
 
 
 def test_covering_clean():
