@@ -14,7 +14,6 @@ TAU = 1e-9          # geometric predicate tolerance
 @dataclass(frozen=True)
 class PackConfig:
     base_cutoff: float = 100.0      # scale at or below which regions are grid-filled
-    enum_limit: int = 10_000_000    # packing verify enumerates at most this many squares
     samples: int = 1_000_000        # coverage sample budget
     seed: int = 0                   # RNG seed for sampling
 

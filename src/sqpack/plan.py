@@ -292,11 +292,6 @@ class Lattices:
     def __len__(self) -> int:
         return len(self.count)
 
-    def __getitem__(self, index) -> "Lattices":
-        """The lattices picked by an index array or slice, in its order."""
-        return Lattices(self.base[index], self.step[index], self.count[index],
-                        self.pitch[index], self.repeat[index])
-
     def sizes(self) -> list[int]:
         """Squares per lattice, as exact Python integers."""
         return [n * m for n, m in zip(self.count.tolist(), self.repeat.tolist())]

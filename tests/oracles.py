@@ -5,8 +5,9 @@ the closed-form tilt solver, a scalar corner-projection separating-axis
 test instead of the verifier's vectorised centre-form one, Monte Carlo
 sampling to check that test in turn, shoelace instead of closed-form
 areas, a per-node expansion of grids and stack runs instead of the
-lattice list, and a KD-tree join against every enumerated square instead
-of the verifier's lattice solve for coverage.
+lattice list, and KD-tree searches over every enumerated square instead of
+the verifier's lattice solves: a point join for coverage, and for packing
+every pair of centres within sqrt(2), tested with the verifier's SAT.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import math
 
 import numpy as np
 
-from sqpack.geometry import fold_square_pose
+from sqpack.geometry import corners, fold_square_pose, points_in_region
+from sqpack.plan import enumerate_placements
+from sqpack.verifier import _overlap_mask
 
 
 def bisect_tilt(m: float, kind: str, iters: int = 80) -> float:
@@ -133,15 +136,20 @@ def quads_disjoint(q1, q2, tau: float) -> bool:
     return False
 
 
+def _centres(poses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centres of unit squares at `poses`, and the cosines and sines of their angles."""
+    c = np.cos(poses[:, 2])
+    s = np.sin(poses[:, 2])
+    return np.stack([poses[:, 0] + (c - s) / 2.0, poses[:, 1] + (s + c) / 2.0], axis=1), c, s
+
+
 def covered_by_kd_join(pts: np.ndarray, poses: np.ndarray, tau: float) -> np.ndarray:
     """Boolean mask: point inside at least one of the enumerated squares
     (squares inflated by tau), joined through KD-trees on the square centres
     and the points."""
     from scipy.spatial import cKDTree
 
-    c = np.cos(poses[:, 2])
-    s = np.sin(poses[:, 2])
-    centres = np.stack([poses[:, 0] + (c - s) / 2.0, poses[:, 1] + (s + c) / 2.0], axis=1)
+    centres, _, _ = _centres(poses)
     # a point of a tau-inflated unit square lies within sqrt(1/2) + sqrt(2) tau
     # of its centre
     near = cKDTree(centres).sparse_distance_matrix(
@@ -187,3 +195,21 @@ def enumerate_by_node(node) -> np.ndarray:
 
     walk(node)
     return np.concatenate(out, axis=0) if out else np.empty((0, 3))
+
+
+def packing_by_kd_pairs(plan, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The packing check over every enumerated square: the flat indices of
+    the squares with a corner outside `plan.region`, and the (N, 2)
+    overlapping pairs i < j in order. Candidate pairs are the centres
+    within sqrt(2) (cKDTree.query_pairs); each is tested with the SAT."""
+    from scipy.spatial import cKDTree
+
+    poses = enumerate_placements(plan, limit=5_000_000)
+    inside = points_in_region(plan.region, corners(poses).reshape(-1, 2), tau)
+    centres, c, s = _centres(poses)
+    pairs = cKDTree(centres).query_pairs(math.sqrt(2.0), output_type="ndarray")
+    ii, jj = pairs.reshape(-1, 2).T
+    d = centres[jj] - centres[ii]
+    hits = pairs.reshape(-1, 2)[_overlap_mask(d[:, 0], d[:, 1], c[ii], s[ii], c[jj], s[jj], tau)]
+    hits = hits[np.lexsort((hits[:, 1], hits[:, 0]))]
+    return np.nonzero(~inside.reshape(-1, 4).all(axis=1))[0], hits

@@ -76,19 +76,19 @@ def test_verify_command_detects_fault(tmp_path):
     assert run(["verify", plan_path]) == 1
 
 
-def test_verify_pack_over_limit_is_unverified(tmp_path, capsys):
-    # whole lattices of a 300.5 plan that fit in 1000 squares are checked
+def test_verify_pack_checks_every_square(tmp_path, capsys):
+    # 4.0e8 squares, far over what enumeration allows, all checked
     plan_path = tmp_path / "plan.json"
     report_path = tmp_path / "verify.json"
-    assert run(["pack", "--x", 300.5, "--out", plan_path]) == 0
+    assert run(["pack", "--x", 20000.5, "--out", plan_path]) == 0
     capsys.readouterr()
-    assert run(["verify", plan_path, "--limit", 1000, "--out", report_path]) == 3
+    assert run(["verify", plan_path, "--out", report_path]) == 0
     out = capsys.readouterr().out
+    assert "verify pack: passed, checked 400013699 of 400013699 squares" in out
     report = json.loads(report_path.read_text())
-    assert 0 < report["square_count"] <= 1000
-    assert f"verify pack: unverified, checked {report['square_count']} of 90046 " in out
-    assert report["status"] == "unverified"
-    assert report["passed"] is False and report["partial"] is True
+    assert report["square_count"] == 400013699
+    assert report["status"] == "passed"
+    assert report["passed"] is True and report["partial"] is False
 
 
 def _drop_leaf(node: dict, min_area: float) -> bool:
@@ -103,19 +103,18 @@ def _drop_leaf(node: dict, min_area: float) -> bool:
     return False
 
 
-def test_verify_cover_ignores_limit(tmp_path, capsys):
-    # covering checks every plan in full: --limit applies to packing only
+def test_verify_cover_detects_dropped_leaf(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     report_path = tmp_path / "verify.json"
     assert run(["cover", "--x", 300.5, "--out", plan_path]) == 0
-    assert run(["verify", plan_path, "--limit", 1000, "--out", report_path]) == 0
+    assert run(["verify", plan_path, "--out", report_path]) == 0
     report = json.loads(report_path.read_text())
     assert report["status"] == "passed" and report["partial"] is False
     data = json.loads(plan_path.read_text())
     assert _drop_leaf(data["root"], 50.0)
     plan_path.write_text(json.dumps(data))
     capsys.readouterr()
-    assert run(["verify", plan_path, "--limit", 1000]) == 1
+    assert run(["verify", plan_path]) == 1
     assert "verify cover: failed" in capsys.readouterr().out
 
 
@@ -138,7 +137,8 @@ def test_verify_count_mismatch_is_input_error(tmp_path, capsys):
     ["cover", "--x", 50, "--samples", 3],
     ["series", "--x", 50, "--x", 60, "--x", 70, "--seed", 9],
     ["verify", "plan.json", "--base-cutoff", 60],
-], ids=["pack-limit", "cover-samples", "series-seed", "verify-base-cutoff"])
+    ["verify", "plan.json", "--limit", 1000],
+], ids=["pack-limit", "cover-samples", "series-seed", "verify-base-cutoff", "verify-limit"])
 def test_unread_flags_are_usage_errors(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -234,9 +234,10 @@ def test_bad_config_is_usage_error(tmp_path):
                 "--config", cfg_path]) == 2
 
 
-@pytest.mark.parametrize("knob", ["aspect_limit", "wedge_top", "tau"])
+@pytest.mark.parametrize("knob", ["aspect_limit", "wedge_top", "tau", "enum_limit"])
 def test_config_naming_a_fixed_parameter_is_usage_error(tmp_path, knob):
-    # the construction's fixed parameters are constants, not config fields
+    # the construction's fixed parameters are constants, not config fields;
+    # verify has no enumeration limit
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({knob: 7.0}))
     assert run(["pack", "--x", 50, "--out", tmp_path / "p.json",

@@ -14,13 +14,17 @@ import pytest
 from sqpack.config import TAU, PackConfig
 from sqpack.geometry import Pose, square_corners, rect_region, trap_region
 from sqpack.plan import (
-    Plan, StackRun, dumps_stable, enumerate_placements, grid_node, plan_lattices, stacks_node,
+    OverLimit, Plan, StackRun, dumps_stable, enumerate_placements, grid_node, plan_lattices,
+    stacks_node,
 )
 from sqpack.planner import cover_square, cover_strip, pack_square, pack_strip
+from sqpack import verifier
 from sqpack.verifier import (
     _coverage_samples, _points_covered, _sample_region, verify_covering, verify_packing,
 )
-from oracles import covered_by_kd_join, enumerate_by_node, point_in_quad, quads_disjoint
+from oracles import (
+    covered_by_kd_join, enumerate_by_node, packing_by_kd_pairs, point_in_quad, quads_disjoint,
+)
 from test_graft import HUGE_CASES, PLAN_CASES, _build_case
 
 CFG = PackConfig(samples=100_000)
@@ -72,29 +76,22 @@ def test_verifier_ignores_accounting():
     assert report.passed
 
 
-def test_over_limit_marks_partial():
-    plan = pack_square(400.5)
-    report = verify_packing(plan, cfg=PackConfig(enum_limit=10))
-    assert report.partial
-    assert report.status == "unverified" and not report.passed
+def test_large_packing_is_checked_in_full():
+    # 4.0e8 squares, far over what enumeration allows: every one is checked
+    plan = pack_square(20000.5)
+    report = verify_packing(plan, cfg=CFG)
+    assert report.status == "passed" and not report.partial
+    assert report.square_count == plan.root.total_count() > 10 ** 8
+    assert report.runtime_stats["probes"] < report.square_count // 1000
 
 
-def test_over_limit_sample_is_deterministic():
-    plan = pack_square(400.5)
-    cfg = PackConfig(enum_limit=5000)
-    r1 = verify_packing(plan, cfg=cfg)
-    r2 = verify_packing(plan, cfg=cfg)
-    assert r1.partial and 0 < r1.square_count <= 5000
+def test_failing_packing_report_is_deterministic():
+    plan = _mutated_plan("nudged square")
+    r1 = verify_packing(plan, cfg=CFG)
+    r2 = verify_packing(plan, cfg=CFG)
+    assert r1.status == "failed"
     assert (dumps_stable(r1.to_dict(include_runtime=False))
             == dumps_stable(r2.to_dict(include_runtime=False)))
-
-
-def test_over_limit_sample_finds_overlaps():
-    # 1000 of the 2385 one-square lattices, planted overlaps among them
-    report = verify_packing(_loose_plan(_mixed_poses()), cfg=PackConfig(enum_limit=1000))
-    assert report.partial and report.square_count == 1000
-    assert report.status == "failed"
-    assert any(v["type"] == "overlap" for v in report.violations)
 
 
 def test_covering_2_64_squares():
@@ -116,7 +113,9 @@ def _nodes(node):
 
 def test_covering_ignores_the_enumeration_limit():
     plan = cover_square(10000.5)
-    cfg = PackConfig(enum_limit=10)
+    cfg = PackConfig()
+    with pytest.raises(OverLimit):
+        enumerate_placements(plan)
     report = verify_covering(plan, cfg)
     assert report.status == "passed" and not report.partial
     assert report.square_count == plan.root.total_count() > 10 ** 8
@@ -267,21 +266,33 @@ def _unit_centres(poses: np.ndarray) -> np.ndarray:
     return poses[:, :2] + 0.5 * np.stack([c - s, s + c], axis=1)
 
 
-def test_pair_search_and_sat_match_brute_force_on_mixed_poses():
+def test_pair_search_and_sat_match_brute_force_on_mixed_poses(monkeypatch):
     plan = _loose_plan(_mixed_poses())
     poses = enumerate_placements(plan)
     assert len(poses) > 2000
     report = verify_packing(plan, cfg=PackConfig())
     centres = _unit_centres(poses)
     quads = [square_corners(Pose(*p)) for p in poses]
-    brute_pairs = brute_overlaps = 0
+    brute = []
     for i in range(len(poses) - 1):
         d = np.hypot(*(centres[i + 1:] - centres[i]).T)
-        for j in np.nonzero(d <= math.sqrt(2.0))[0] + i + 1:
-            brute_pairs += 1
-            brute_overlaps += not quads_disjoint(quads[i], quads[j], TAU)
-    assert report.runtime_stats["candidate_pairs"] == brute_pairs
-    assert report.runtime_stats["overlap_pairs"] == brute_overlaps > 0
+        brute += [[i, int(j)] for j in np.nonzero(d <= math.sqrt(2.0))[0] + i + 1
+                  if not quads_disjoint(quads[i], quads[j], TAU)]
+    assert report.status == "failed"
+    assert report.runtime_stats["overlap_pairs"] == len(brute) > 100
+    assert _listed_pairs(report) == brute[:100]
+    # every pair, once the report may list them all
+    monkeypatch.setattr(verifier, "_LISTED", len(brute) + 1)
+    assert _listed_pairs(verify_packing(plan, cfg=PackConfig())) == brute
+
+
+def test_over_limit_sample_finds_overlaps():
+    # the first 1000 of the 2385 one-square lattices, planted overlaps among
+    # them: a plan of any size is checked in full, never sampled
+    report = verify_packing(_loose_plan(_mixed_poses()[:1000]), cfg=PackConfig())
+    assert not report.partial and report.square_count == 1000
+    assert report.status == "failed"
+    assert any(v["type"] == "overlap" for v in report.violations)
 
 
 def _edge_points(poses: np.ndarray, rng: np.random.RandomState, n: int) -> np.ndarray:
@@ -390,16 +401,103 @@ def test_lattice_coverage_matches_kd_join_on_plans(kind, case):
     assert np.array_equal(got, covered_by_kd_join(pts, poses, TAU))
 
 
+def _listed_pairs(report) -> list[list[int]]:
+    return [v["pair"] for v in report.violations if v["type"] == "overlap"]
+
+
+def _assert_matches_kd_oracle(plan: Plan):
+    """The verifier's verdicts, pair count and listed pairs equal those of
+    the check over every enumerated square."""
+    report = verify_packing(plan, cfg=CFG)
+    escapes, pairs = packing_by_kd_pairs(plan, TAU)
+    assert any(v["type"] == "escape" for v in report.violations) == (len(escapes) > 0)
+    assert report.runtime_stats["overlap_pairs"] == len(pairs)
+    assert _listed_pairs(report) == pairs[:100].tolist()
+    assert report.passed == (len(escapes) == len(pairs) == 0)
+    return report, pairs
+
+
+@pytest.mark.parametrize("case", [c for c in PLAN_CASES if c not in HUGE_CASES])
+def test_packing_matches_kd_oracle_on_plans(case):
+    report, _ = _assert_matches_kd_oracle(_build_case("pack", case))
+    assert report.passed
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_packing_matches_kd_oracle_on_random_lattices(seed):
+    lattices = _random_lattice_plan(seed)
+    plan = Plan(kind="pack", x=lattices.x, region=lattices.region, root=lattices.root)
+    _, pairs = _assert_matches_kd_oracle(plan)
+    assert len(pairs) > 100
+
+
+def _mutated_plan(name: str) -> Plan:
+    """pack_square(300.5), whose core is a 228 x 228 grid at the origin
+    under a tilted strip, with one defect planted around the core."""
+    plan = pack_square(300.5)
+    parent, at = next((nd, i) for nd in _nodes(plan.root) for i, c in enumerate(nd.children)
+                      if c.kind == "grid" and c.rows * c.cols > 50_000)
+    core = parent.children[at]
+    rows, cols = core.rows, core.cols
+
+    def add(*runs, grids=()):
+        plan.root.children.append(stacks_node(None, list(runs), leftovers=list(grids), area=1.0))
+
+    def replace(pitch, repeat):
+        run = StackRun(base=Pose(0.0, 0.0, 0.0), step=(1.0, 0.0), count=cols,
+                       repeat=repeat, pitch=pitch)
+        parent.children[at] = stacks_node(core.region, [run])
+
+    if name == "nudged square":
+        add(StackRun(base=Pose(100.5, 100.0, 0.0), step=(1.0, 0.0), count=1))
+    elif name == "shifted grid":  # into the strip above the core
+        core.origin = (0.0, 0.5)
+    elif name == "grid inside grid":
+        add(grids=[grid_node(rect_region(3.0, 3.0, Pose(100.5, 100.5, 0.0)), (100.5, 100.5), 3, 3)])
+    elif name == "shrunk pitch":
+        replace((0.0, 0.99), rows)
+    elif name == "zero step":
+        add(StackRun(base=Pose(100.0, 100.0, 0.0), step=(0.0, 0.0), count=2))
+    else:  # rows 0, 2, 4, ... of the core, one square in a gap
+        replace((0.0, 2.0), rows // 2)
+        y = {"flush in gap": 101.0, "shifted in gap": 101.5}[name]
+        add(StackRun(base=Pose(100.0, y, 0.0), step=(1.0, 0.0), count=1))
+    return plan
+
+
+@pytest.mark.parametrize("name", ["nudged square", "shifted grid", "grid inside grid",
+                                  "shrunk pitch", "zero step", "flush in gap", "shifted in gap"])
+def test_packing_matches_kd_oracle_on_mutated_plans(name):
+    report, pairs = _assert_matches_kd_oracle(_mutated_plan(name))
+    assert report.passed == (name == "flush in gap")
+    want = {"nudged square": 2, "grid inside grid": 36, "shrunk pitch": 228 * 227,
+            "zero step": 3, "flush in gap": 0, "shifted in gap": 1}
+    assert len(pairs) == want.get(name, len(pairs))
+
+
+def test_packing_finds_gapped_lattices_crossing_at_their_centres():
+    # rows 2 apart and columns 2 apart meet only in the centre square of
+    # each, where no ring square reaches: both are probed in full
+    rows = StackRun(base=Pose(4.5, 3.5, 0.0), step=(1.0, 0.0), count=3, repeat=3, pitch=(0.0, 2.0))
+    cols = StackRun(base=Pose(3.5, 4.5, 0.0), step=(0.0, 1.0), count=3, repeat=3, pitch=(2.0, 0.0))
+    region = rect_region(12.0, 12.0)
+    plan = Plan(kind="pack", x=12.0, region=region, root=stacks_node(region, [rows, cols]))
+    _, pairs = _assert_matches_kd_oracle(plan)
+    assert pairs.tolist() == [[4, 13]]
+
+
 def test_verify_covering_leaves_scipy_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys; from sqpack import PackConfig, cover_square, verify_covering; "
+    code = ("import sys; from sqpack import PackConfig, cover_square, pack_square, "
+            "verify_covering, verify_packing; "
             "r = verify_covering(cover_square(150.5), cfg=PackConfig(samples=20000)); "
-            "print(r.status, 'scipy' in sys.modules)")
+            "p = verify_packing(pack_square(150.5)); "
+            "print(r.status, p.status, 'scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "passed False"
+    assert out.stdout.strip() == "passed passed False"
 
 
 def test_import_sqpack_leaves_scipy_unloaded():
