@@ -1,8 +1,12 @@
 """Command line interface: build, verify, render and sweep plans.
 
 Exit codes: 0 success (and bound/verify passed where applicable),
-1 a check failed, 2 usage or input errors. `verify` checks every square
-of a packing and every sample point of a covering, at any plan size.
+1 a check failed, 2 usage or input errors. `verify` takes no settings and
+checks every square of a plan of any size: a packing for containment and
+overlaps, a covering at every crossing of square and target edges, each
+tested at the point nu = 2*(1e-9 + 2e-12*S) outside both edges, S the
+largest lattice extent. A covering passes only when each such point lies
+in a square, so no gap wider than about nu at its corners is left.
 """
 
 from __future__ import annotations
@@ -31,12 +35,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _config_from_args(args) -> PackConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else PackConfig()
-    return cfg.with_overrides(
-        base_cutoff=getattr(args, "base_cutoff", None),
-        samples=getattr(args, "samples", None),
-        seed=getattr(args, "seed", None),
-    )
+    cfg = load_config(args.config) if args.config else PackConfig()
+    return cfg.with_overrides(base_cutoff=args.base_cutoff)
 
 
 def _check_x(x: float) -> None:
@@ -75,18 +75,12 @@ def cmd_build(args, kind: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
     plan = _read_plan(args.plan)
-    if plan.kind == "pack":
-        report = verify_packing(plan, cfg=cfg)
-        checked = f"{report.square_count} of {plan.root.total_count()} squares"
-    else:
-        report = verify_covering(plan, cfg=cfg)
-        checked = f"{report.sampled_points} sample points ({cfg.samples} requested)"
+    report = (verify_packing if plan.kind == "pack" else verify_covering)(plan)
     if args.out:
         _write(args.out, dumps_stable(report.to_dict(include_runtime=False)))
-    print(f"verify {plan.kind}: {report.status}, checked {checked}, "
-          f"violations={len(report.violations)}")
+    print(f"verify {plan.kind}: {report.status}, checked {report.square_count} of "
+          f"{plan.root.total_count()} squares, violations={len(report.violations)}")
     return 0 if report.passed else 1
 
 
@@ -181,9 +175,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="geometrically verify a stored plan")
     p.add_argument("plan", type=str)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--config", type=str, default=None)
 
     p = sub.add_parser("render", help="render a stored plan to SVG")
     p.add_argument("plan", type=str)

@@ -14,8 +14,8 @@ TAU = 1e-9          # geometric predicate tolerance
 @dataclass(frozen=True)
 class PackConfig:
     base_cutoff: float = 100.0      # scale at or below which regions are grid-filled
-    samples: int = 1_000_000        # coverage sample budget
-    seed: int = 0                   # RNG seed for sampling
+    seed: int = 0                   # read by nothing (no check draws random numbers); kept
+                                    # because perfbench/workloads.py builds PackConfig(seed=...)
 
     def with_overrides(self, **kw) -> "PackConfig":
         current = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -1,23 +1,29 @@
 """Independent geometric validation of finished plans.
 
-The verifier never reads plan accounting. It sees a plan only through its
-grid and stack-run lattices (`plan_lattices`) and never lists a lattice's
-squares: `_near_squares` solves each lattice near a point for the squares
-near it, so the cost grows with lattices and points, not squares, and
-every plan is checked in full. Covering: seeded samples of the target and
-of its seams must each lie in a square. Packing: the target is convex
-and square corners are affine in (i, j), so containment is checked on
-the four extreme squares of each lattice. A lattice is *solid* when, in
-its square frame, its step is a unit step along a square axis and its
-pitch moves at most 1 across and at most 1 along it. A solid lattice that
-does not overlap itself has a union with a connected interior and its
-whole boundary on the ring (its first and last row and column), so when
-two overlap, a ring square of one overlaps a square of the other. Solid
-lattices at least 3 long each way are probed on the ring, others in full;
-the corner probes (0, 0) and (0, repeat - 1) meet every index offset, so
-self-overlaps are found too. After an overlap, each lattice that overlaps
-itself and the smaller of each overlapping pair are probed in full once
-more, which finds every overlapping pair.
+The verifier sees a plan only through its target region and its lattices
+(`plan_lattices`), and never lists a lattice: `_near_squares` solves them
+near points. Every plan is checked in full, at a cost set by perimeters.
+
+A lattice is *solid* when, in its square frame, its step is a unit step
+along a square axis and its pitch moves at most 1 across and 1 along it (to
+within TAU): its columns (runs along the step) are 1 wide and each meets or
+overlaps the next, so the boundary of its union lies on its ring, the first
+and last row and column, even where it overlaps itself. Solid lattices at
+least 3 long each way are probed on the ring, others in full.
+
+Packing: the target is convex, so each lattice's four extreme squares prove
+containment. Where two solid lattices that do not overlap themselves
+overlap, a ring square of one overlaps a square of the other; the probes
+(0, 0) and (0, repeat - 1) meet every index offset. After an overlap, each
+self-overlapping lattice and the smaller of each overlapping pair are
+probed in full once more.
+
+Covering: an uncovered patch of the target has a convex corner where two
+edges cross, each of the target or of a lattice's union, so of a probe.
+Each crossing is tested at the point nu outside both edges (inside, for a
+target edge), nu = 2 * (TAU + 2 * _SLACK * max scale) being twice the widest
+widening the point test gives near a square. So `passed` means no gap is
+wider than about nu at all its corners; an `uncovered` point is a real gap.
 """
 
 from __future__ import annotations
@@ -30,24 +36,21 @@ from itertools import accumulate
 import numpy as np
 
 from .config import TAU, PackConfig
-from .geometry import Region, corners, points_in_region, region_area
+from .geometry import corners, points_in_region
 from .plan import Lattices, Plan, plan_lattices
 
 _POINT_CHUNK = 1 << 15  # point-lattice pairs per narrow-phase batch; small batches stay in cache
 _PROBE_CHUNK = 1 << 18  # probe squares per broad phase
 _CELL_POINTS = 16       # mean points per broad-phase cell
 _SLACK = 1e-12          # relative widening of the lattice bounds
-_SAMPLE_DRAWS = 1 << 27  # most candidate points one call to _sample_region draws
 _LISTED = 100           # overlapping pairs listed in a report
-# the SAT flags a pair only if each centre lies within 1/2 + sqrt(2)/2 of
-# the other along the other's axes: in the other square inflated by sqrt(2)/2
-_PACK_REACH = math.sqrt(0.5)
+_REACH = math.sqrt(0.5)  # squares meet only if each centre is in the other inflated by this
 
 
 @dataclass
 class VerifyReport:
-    """`status` is "failed" when a violation was found and "passed" when
-    none was. Every check covers the whole plan, so `partial` is False."""
+    """`status` is "failed" when a violation was found, else "passed"; `partial` is
+    always False. `sampled_points` counts the covering candidate points tested."""
 
     kind: str
     square_count: int
@@ -68,9 +71,8 @@ class VerifyReport:
     def add_violations(self, kind: str, locations: np.ndarray) -> None:
         """The first 100 violations of `kind` at (N, 2) `locations`, then one
         entry that counts the rest."""
-        for x, y in locations[:100]:
-            self.violations.append({"type": kind, "location": [float(x), float(y)],
-                                    "magnitude": 1.0})
+        self.violations += [{"type": kind, "location": [float(x), float(y)], "magnitude": 1.0}
+                            for x, y in locations[:100]]
         if len(locations) > 100:
             self.violations.append({"type": kind, "location": None,
                                     "magnitude": float(len(locations) - 100)})
@@ -85,23 +87,12 @@ class VerifyReport:
 
 
 def _overlap_mask(dx, dy, ca, sa, cb, sb, tau: float) -> np.ndarray:
-    """SAT for unit squares a and b (angle cosines ca, cb, sines sa, sb;
-    centre of b less centre of a (dx, dy)): overlap iff every axis shows
-    depth > 2*tau. Exactly symmetric in a and b.
-
-    For rectangles the 2+2 edge-direction axes are a complete separating set.
-    On an edge axis of either square, one square projects to half-width 1/2
-    and the other to (|cos d| + |sin d|)/2, d the angle between them; a
-    projection is never shorter than 1 > 2*tau, so the depth is the sum of
-    the half-widths minus the projected centre offset.
-    """
-    limit = 0.5 * (np.abs(ca * cb + sa * sb) + np.abs(ca * sb - sa * cb))
-    limit += 0.5 - 2.0 * tau
-    overlap = np.abs(ca * dx + sa * dy) < limit
-    overlap &= np.abs(ca * dy - sa * dx) < limit
-    overlap &= np.abs(cb * dx + sb * dy) < limit
-    overlap &= np.abs(cb * dy - sb * dx) < limit
-    return overlap
+    """SAT for unit squares a and b (angle cosines ca, cb, sines sa, sb; centre
+    of b less centre of a (dx, dy)): overlap iff on each edge axis the depth,
+    1/2 + (|cos d| + |sin d|)/2 less the centre offset, is > 2*tau."""
+    limit = 0.5 * (np.abs(ca * cb + sa * sb) + np.abs(ca * sb - sa * cb)) + 0.5 - 2.0 * tau
+    return ((np.abs(ca * dx + sa * dy) < limit) & (np.abs(ca * dy - sa * dx) < limit)
+            & (np.abs(cb * dx + sb * dy) < limit) & (np.abs(cb * dy - sb * dx) < limit))
 
 
 def _square_at(table, k, i, j) -> tuple[np.ndarray, np.ndarray]:
@@ -110,17 +101,21 @@ def _square_at(table, k, i, j) -> tuple[np.ndarray, np.ndarray]:
             table["by"][k] + i * table["uy"][k] + j * table["py"][k])
 
 
-def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
-    """Containment in `plan.region` and pairwise interior disjointness of
-    every square, checked over the lattices (see the module notes). Pairs
-    are named by flat index in `enumerate_placements` order."""
-    t0 = time.perf_counter()
+def _setup(plan: Plan, kind: str):
+    """Lattices, empty report, lattice table, first flat indices, full probes."""
     lat = plan_lattices(plan)
-    sizes = lat.sizes()
-    report = VerifyReport(kind="pack", square_count=sum(sizes))
-    table = _lattice_table(lat)
-    n, m = lat.count, lat.repeat
+    sizes, table = lat.sizes(), _lattice_table(lat)
     first = np.array(list(accumulate([0] + sizes))[:-1], dtype=np.int64)
+    full = ~table["solid"] | (np.minimum(lat.count, lat.repeat) <= 2)
+    return lat, VerifyReport(kind=kind, square_count=sum(sizes)), table, first, full
+
+
+def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
+    """Every square lies in `plan.region` and no two overlap (see the module
+    notes); pairs are flat indices in `enumerate_placements` order."""
+    t0 = time.perf_counter()
+    lat, report, table, first, full = _setup(plan, "pack")
+    n, m, sizes = lat.count, lat.repeat, lat.sizes()
 
     # containment: the corners of the extreme squares, each square once
     k = np.repeat(np.arange(len(lat)), 4)
@@ -131,7 +126,6 @@ def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     inside = points_in_region(plan.region, corners(poses).reshape(-1, 2), TAU)
     report.add_violations("escape", poses[~inside.reshape(-1, 4).all(axis=1), :2])
 
-    full = ~table["solid"] | (np.minimum(n, m) <= 2)
     probes, tests, found, listed, links = _overlaps(table, lat, first, full)
     if found:
         for a, b in links:
@@ -147,12 +141,32 @@ def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
 
 
 def _overlaps(table, lat: Lattices, first: np.ndarray, full: np.ndarray):
-    """Probe every square of the lattices marked `full` and the ring of the
-    others against the squares near it; a pair of probes counts at its lower
-    flat index. Returns the probe and probe-square test counts, the number
-    of overlapping pairs, the first _LISTED in order as flat index pairs
-    a < b and (x, y, distance) from the probe's centre to the other's, and
-    the lattice pairs they join."""
+    """The SAT on every probe pair (a pair of probes at its lower flat index): the
+    numbers of probes, pairs and overlapping pairs, the first _LISTED of those as
+    pairs a < b with (x, y, distance) between centres, and the lattice pairs."""
+    probes = tests = found = 0
+    pairs, where, links = np.empty((0, 2), np.int64), np.empty((0, 3)), set()
+    for ka, a, cx, cy, kb, i, j, bx, by in _probe_pairs(table, lat, first, full):
+        ca, cb, sa, sb = (table[f][k] for f in ("c", "s") for k in (ka, kb))
+        dx, dy = bx + (cb - sb) / 2.0 - cx, by + (sb + cb) / 2.0 - cy
+        hit, tests = _overlap_mask(dx, dy, ca, sa, cb, sb, TAU), tests + len(a)
+        ka, a, kb, cx, cy, dx, dy = ka[hit], a[hit], kb[hit], cx[hit], cy[hit], dx[hit], dy[hit]
+        b, ring = _index(lat, first, full, kb, i[hit], j[hit])  # each probe hits itself once
+        keep, probes = (a != b) & ((a < b) | ~ring), probes + int((a == b).sum())
+        found += int(keep.sum())
+        links.update(zip(ka[keep].tolist(), kb[keep].tolist()))
+        a, b, cx, cy, dx, dy = a[keep], b[keep], cx[keep], cy[keep], dx[keep], dy[keep]
+        pairs = np.concatenate([pairs, np.stack([np.minimum(a, b), np.maximum(a, b)], 1)])
+        where = np.concatenate([where, np.stack([cx, cy, np.hypot(dx, dy)], 1)])
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))[:_LISTED]
+        pairs, where = pairs[order], where[order]
+    return probes, tests, found, (pairs, where), links
+
+
+def _probe_pairs(table, lat: Lattices, first: np.ndarray, full: np.ndarray):
+    """Yield in chunks (ka, a, cx, cy, kb, i, j, bx, by): probe a (flat index; of
+    lattice ka, centre (cx, cy)) and each square (i, j) of lattice kb, base (bx,
+    by), within reach, itself once. Probes: all of `full` lattices, else the ring."""
     n, m, c, s = lat.count, lat.repeat, table["c"], table["s"]
     # probe runs within a row: whole rows of full lattices and rows 0 and
     # m - 1 of the others, else the first and the last square of the row
@@ -161,105 +175,91 @@ def _overlaps(table, lat: Lattices, first: np.ndarray, full: np.ndarray):
     sk, sj = np.concatenate([rk, rk[split]]), np.concatenate([rj, rj[split]])
     si = np.concatenate([0 * rk, n[rk[split]] - 1])
     run = np.concatenate([np.where(split, 1, n[rk]), 0 * rk[split] + 1])
-
-    tests = found = 0
-    pairs, where, links = np.empty((0, 2), np.int64), np.empty((0, 3)), set()
     for e, t in _chunks(run, _PROBE_CHUNK):
         pk, pj, pi = sk[e], sj[e], si[e] + t
-        tx, ty = _square_at(table, pk, pi, pj)
+        (tx, ty), flat = _square_at(table, pk, pi, pj), first[pk] + pj * n[pk] + pi
         cx, cy = tx + (c[pk] - s[pk]) / 2.0, ty + (s[pk] + c[pk]) / 2.0
-        for q, k, i, j, tx, ty in _near_squares(np.stack([cx, cy], axis=1), table, _PACK_REACH):
-            tests += len(q)
-            dx = tx + (c[k] - s[k]) / 2.0 - cx[q]
-            dy = ty + (s[k] + c[k]) / 2.0 - cy[q]
-            hit = _overlap_mask(dx, dy, c[pk[q]], s[pk[q]], c[k], s[k], TAU)
-            q, k, dx, dy = q[hit], k[hit], dx[hit], dy[hit]
-            i, j = i[hit].astype(np.int64), j[hit].astype(np.int64)
-            a, b = first[pk[q]] + pj[q] * n[pk[q]] + pi[q], first[k] + j * n[k] + i
-            probe = full[k] | (i == 0) | (i == n[k] - 1) | (j == 0) | (j == m[k] - 1)
-            keep = (a != b) & ((a < b) | ~probe)
-            found += int(keep.sum())
-            links.update(zip(pk[q[keep]].tolist(), k[keep].tolist()))
-            a, b, q, dx, dy = a[keep], b[keep], q[keep], dx[keep], dy[keep]
-            pairs = np.concatenate([pairs, np.stack([np.minimum(a, b), np.maximum(a, b)], 1)])
-            where = np.concatenate([where, np.stack([cx[q], cy[q], np.hypot(dx, dy)], 1)])
-            order = np.lexsort((pairs[:, 1], pairs[:, 0]))[:_LISTED]
-            pairs, where = pairs[order], where[order]
-    return int(run.sum()), tests, found, (pairs, where), links
+        for q, k, i, j, bx, by in _near_squares(np.stack([cx, cy], axis=1), table, _REACH):
+            yield pk[q], flat[q], cx[q], cy[q], k, i, j, bx, by
 
 
-def _sample_region(region: Region, n: int, rng: np.random.RandomState) -> np.ndarray:
-    """n points uniform in the region via rejection from its bounding box,
-    each draw sized by the region's share of the box. Raises ValueError when
-    that takes more than _SAMPLE_DRAWS candidate points, expected or drawn.
-    """
-    poly = np.array(region.polygon())
-    lo, hi = poly.min(axis=0), poly.max(axis=0)
-    box = float(np.prod(hi - lo))
-    area = region_area(region)
-    if not n * box <= area * _SAMPLE_DRAWS:
-        raise ValueError(f"cannot sample {n} points from {region}: it fills "
-                         f"{area:.3g} of a {box:.3g} bounding box")
-    out = np.empty((0, 2))
-    drawn = 0
-    while len(out) < n:
-        if drawn > _SAMPLE_DRAWS:
-            raise ValueError(f"kept {len(out)} of {n} points from {region} "
-                             f"after {drawn} draws")
-        cand = rng.uniform(lo, hi, size=(max(math.ceil((n - len(out)) * box / area), 1024), 2))
-        drawn += len(cand)
-        keep = points_in_region(region, cand, 0.0)
-        out = np.concatenate([out, cand[keep]], axis=0)
-    return out[:n]
-
-
-def _seam_samples(seams, region: Region, n: int, rng: np.random.RandomState) -> np.ndarray:
-    segs = np.asarray(seams, dtype=float)
-    if len(segs) == 0 or n <= 0:
-        return np.empty((0, 2))
-    lengths = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
-    total = lengths.sum()
-    if total <= 0:
-        return np.empty((0, 2))
-    which = rng.choice(len(segs), size=n, p=lengths / total)
-    t = rng.uniform(0.0, 1.0, size=n)
-    dx, dy = segs[which, 2] - segs[which, 0], segs[which, 3] - segs[which, 1]
-    px, py = segs[which, 0] + t * dx, segs[which, 1] + t * dy
-    norm = np.hypot(dx, dy)
-    off = rng.uniform(-0.1, 0.1, size=n)
-    pts = np.stack([px - off * dy / norm, py + off * dx / norm], axis=1)
-    return pts[points_in_region(region, pts, -1e-9)]
-
-
-def _coverage_samples(plan: Plan, cfg: PackConfig) -> np.ndarray:
-    """cfg.samples seeded uniform points of `plan.region`, then up to
-    cfg.samples // 10 points scattered across its seams."""
-    rng = np.random.RandomState(cfg.seed)
-    pts = _sample_region(plan.region, cfg.samples, rng)
-    seam_pts = _seam_samples(plan.seams, plan.region, cfg.samples // 10, rng)
-    if len(seam_pts):
-        pts = np.concatenate([pts, seam_pts], axis=0)
-    return pts
+def _index(lat: Lattices, first: np.ndarray, full: np.ndarray, k, i, j):
+    """Flat index of square (i, j) of lattice k, and whether it is a probe."""
+    n, m, i, j = lat.count[k], lat.repeat[k], i.astype(np.int64), j.astype(np.int64)
+    return first[k] + j * n + i, full[k] | (i == 0) | (i == n - 1) | (j == 0) | (j == m - 1)
 
 
 def verify_covering(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
-    """Seeded uniform rejection sampling of `plan.region`, plus points
-    scattered across the recorded seams: every sample must lie inside >= 1
-    placed square. Escape is not checked; covering squares may exit the region.
-    """
+    """Every point of `plan.region` lies in a square, checked where probe and
+    target edges cross (see the module notes). Squares may leave the region."""
     t0 = time.perf_counter()
-    lat = plan_lattices(plan)
-    report = VerifyReport(kind="cover", square_count=plan.root.total_count())
-    pts = _coverage_samples(plan, cfg)
-    report.sampled_points = len(pts)
-    covered, tests = _points_covered(pts, lat, TAU)
-    report.add_violations("uncovered", pts[~covered])
-    # coverage is checked probabilistically; the residual miss risk for a
-    # gap of area A inside area S is about (1 - A/S) ** samples
-    report.runtime_stats.update(
-        method="seeded uniform rejection sampling plus seam-biased points", lattices=len(lat),
-        point_tests=tests, seconds=round(time.perf_counter() - t0, 3))
+    lat, report, table, first, full = _setup(plan, "cover")
+    ang = table["ang"]
+    # a solid lattice whose columns start level has a rectangle for its union
+    level = table["solid"] & ~full & (np.abs(table["pk"]) <= TAU)
+    nu = 2.0 * (TAU + 2.0 * _SLACK * float(table["scale"].max(initial=0.0)))
+    corner = np.array(plan.region.polygon())[::-1]  # clockwise; `polygon` runs counterclockwise
+    side = np.roll(corner, -1, axis=0) - corner
+    corner, side = corner[(side != 0).any(axis=1)], side[(side != 0).any(axis=1)]
+    stats, found, gaps = report.runtime_stats, [_nudged(corner, np.roll(side, 1, 0), side, nu)], []
+    stats.update(lattices=len(lat), probes=0, candidate_pairs=0, nudge=nu, point_tests=0)
+
+    def test():  # the points found so far, in batches that bound the memory used
+        pts = np.concatenate(found)
+        found.clear()
+        with np.errstate(invalid="ignore"):  # a point at infinity is in no region
+            pts = pts[points_in_region(plan.region, pts, 0.0)]
+        covered, tests = _points_covered(pts, lat, TAU)
+        gaps.append(pts[~covered])
+        report.sampled_points += len(pts)
+        stats["point_tests"] += tests
+
+    for ka, a, cx, cy, kb, i, j, bx, by in _probe_pairs(table, lat, first, full):
+        (b, ring), ca, sa = _index(lat, first, full, kb, i, j), table["c"][ka], table["s"][ka]
+        ax, ay = cx - (ca - sa) / 2.0, cy - (sa + ca) / 2.0
+        # each probe, paired with itself once, against the target's edges
+        me = a == b
+        stats["probes"] += int(me.sum())
+        p, d = _edges(ax[me], ay[me], ang[ka[me]])
+        (row, e, t), at = _crossings(p[:, :, None], d[:, :, None], corner, side, nu)
+        found.append(_nudged(at, d[row, e], side[t], nu))
+        # each pair of probes once, leaving out the pairs within a level lattice
+        keep = ring & (a < b) & ((ka != kb) | ~level[ka])
+        stats["candidate_pairs"] += int(keep.sum())
+        pa, da = _edges(ax[keep], ay[keep], ang[ka[keep]])
+        pb, db = _edges(bx[keep], by[keep], ang[kb[keep]])
+        (row, ea, eb), at = _crossings(pa[:, :, None], da[:, :, None], pb[:, None], db[:, None], nu)
+        found.append(_nudged(at, da[row, ea], db[row, eb], nu))
+        if sum(map(len, found)) >= _PROBE_CHUNK:
+            test()
+    test()
+    report.add_violations("uncovered", np.concatenate(gaps))
+    stats["seconds"] = round(time.perf_counter() - t0, 3)
     return report.finish()
+
+
+def _edges(tx, ty, ang):
+    """(N, 4, 2) corners and edge vectors of unit squares, counterclockwise."""
+    sq = corners(np.stack([tx, ty, ang], axis=1))
+    return sq, np.roll(sq, -1, axis=1) - sq
+
+
+def _crossings(p, d, q, e, eps: float):
+    """Indices and points where segments p + t*d, q + u*e cross, t and u in [-eps, 1 + eps]."""
+    (px, py), (dx, dy), (qx, qy), (ex, ey) = (np.moveaxis(v, -1, 0) for v in (p, d, q, e))
+    wx, wy, det = qx - px, qy - py, dx * ey - dy * ex
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t, u = (wx * ey - wy * ex) / det, (wx * dy - wy * dx) / det
+    at = np.nonzero((t >= -eps) & (t <= 1.0 + eps) & (u >= -eps) & (u <= 1.0 + eps))
+    p, d = np.broadcast_to(p, t.shape + (2,)), np.broadcast_to(d, t.shape + (2,))
+    return at, p[at] + t[at][:, None] * d[at]
+
+
+def _nudged(at: np.ndarray, d1: np.ndarray, d2: np.ndarray, nu: float) -> np.ndarray:
+    """at + nu (n1 + n2) / (1 + n1.n2): nu right of the lines along d1, d2 (normals n1, n2)."""
+    n1, n2 = (d[:, ::-1] * [1.0, -1.0] / np.hypot(d[:, 0], d[:, 1])[:, None] for d in (d1, d2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return at + nu * (n1 + n2) / (1.0 + (n1 * n2).sum(axis=1))[:, None]
 
 
 def _points_covered(pts: np.ndarray, lat: Lattices, tau: float) -> tuple[np.ndarray, int]:
@@ -283,13 +283,14 @@ def _ramp(counts: np.ndarray) -> np.ndarray:
 
 
 def _chunks(counts: np.ndarray, size: int):
-    """Runs of consecutive entries of `counts` adding up to about `size`
-    (at least one entry each), as (entry, t) for t in [0, counts[entry])."""
-    ends, lo = np.cumsum(counts), 0
-    while lo < len(counts):
-        hi = max(int(np.searchsorted(ends, ends[lo] - counts[lo] + size, "right")), lo + 1)
-        yield np.repeat(np.arange(lo, hi), counts[lo:hi]), _ramp(counts[lo:hi])
-        lo = hi
+    """(entry, t) for t in [0, counts[entry]), in chunks of at most `size` (long entries split)."""
+    ends, starts = np.cumsum(counts), np.cumsum(counts) - counts
+    for lo in range(0, int(ends[-1]) if len(ends) else 0, size):
+        hi = min(lo + size, int(ends[-1]))
+        a, b = np.searchsorted(ends, [lo, hi - 1], "right") + [0, 1]
+        part = np.minimum(ends[a:b], hi) - np.maximum(starts[a:b], lo)
+        e = np.repeat(np.arange(a, b), part)
+        yield e, _ramp(part) + np.repeat(np.maximum(lo - starts[a:b], 0), part)
 
 
 def _index_range(w, lo, hi, n) -> tuple[np.ndarray, np.ndarray]:
@@ -333,15 +334,12 @@ def _lattice_table(lat: Lattices) -> dict[str, np.ndarray]:
 def _near_squares(pts: np.ndarray, table: dict, r: float, done: np.ndarray | None = None):
     """Yield in chunks (q, k, i, j, tx, ty): point q lies in square (i, j)
     of lattice k, base (tx, ty), inflated by r in its frame. Points marked
-    in `done` when a chunk starts are passed over.
-
-    Broad phase: the points are sorted once into cells, and each lattice
-    takes the points in the cells its box meets, the box of its base poses
-    inflated by sqrt(2)*(1 + r). Narrow phase: the square-frame offset of
-    the point from the base, less i*U and j*P, must be in [-r, 1 + r]^2;
-    one linear bound on j, then one on i for each j, gives the squares,
-    widened by _SLACK times the size of the coordinates.
-    """
+    in `done` when a chunk starts are passed over. Broad phase: the points
+    are sorted once into cells, and each lattice takes the points in the
+    cells its box meets, the box of its base poses inflated by sqrt(2)*(1 + r).
+    Narrow phase: the square-frame offset of the point from the base, less
+    i*U and j*P, must be in [-r, 1 + r]^2; one linear bound on j, then one
+    on i for each j, widened by _SLACK times the size of the coordinates."""
     if len(pts) == 0 or len(table["n"]) == 0:
         return
     bx, by, ux, uy, px, py, n, m = (table[f] for f in ("bx", "by", "ux", "uy", "px", "py", "n", "m"))

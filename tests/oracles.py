@@ -8,6 +8,8 @@ areas, a per-node expansion of grids and stack runs instead of the
 lattice list, and KD-tree searches over every enumerated square instead of
 the verifier's lattice solves: a point join for coverage, and for packing
 every pair of centres within sqrt(2), tested with the verifier's SAT.
+Covering is checked by dense uniform samples of the target, or of a
+suspect part of it, instead of the verifier's crossing points.
 """
 
 from __future__ import annotations
@@ -167,34 +169,64 @@ def covered_by_kd_join(pts: np.ndarray, poses: np.ndarray, tau: float) -> np.nda
     return covered
 
 
-def enumerate_by_node(node) -> np.ndarray:
+def enumerate_by_node(node, box=None) -> np.ndarray:
     """World poses of a plan tree, node by node in pre-order: a grid
-    row-major from its origin, each stack run from its folded base."""
+    row-major from its origin, each stack run from its folded base. With
+    `box` (x0, y0, x1, y1), only the squares whose base lies in it: grids
+    are cut to the rows and columns that can reach it and runs are read a
+    few rows at a time, so plans of any size can be searched."""
     out = []
+
+    def keep(poses):
+        if box is not None:
+            x, y = poses[:, 0], poses[:, 1]
+            poses = poses[(x >= box[0]) & (x <= box[2]) & (y >= box[1]) & (y <= box[3])]
+        out.append(poses)
 
     def walk(n):
         if n.kind == "grid" and n.rows * n.cols > 0:
             ox, oy = n.origin
-            jj, ii = np.meshgrid(np.arange(n.cols), np.arange(n.rows))
-            poses = np.empty((n.rows * n.cols, 3))
-            poses[:, 0] = ox + jj.ravel()
-            poses[:, 1] = oy + ii.ravel()
-            poses[:, 2] = 0.0
-            out.append(poses)
+            cols, rows = np.arange(n.cols), np.arange(n.rows)
+            if box is not None:
+                cols = cols[(ox + cols >= box[0] - 1) & (ox + cols <= box[2] + 1)]
+                rows = rows[(oy + rows >= box[1] - 1) & (oy + rows <= box[3] + 1)]
+            jj, ii = np.meshgrid(cols, rows)
+            keep(np.stack([ox + jj.ravel(), oy + ii.ravel(), np.zeros(jj.size)], axis=1))
         elif n.kind == "stacks":
             for run in n.runs:
                 base = fold_square_pose(run.base)
-                ii, jj = np.meshgrid(np.arange(run.count), np.arange(run.repeat))
-                poses = np.empty((run.total, 3))
-                poses[:, 0] = base.tx + ii.ravel() * run.step[0] + jj.ravel() * run.pitch[0]
-                poses[:, 1] = base.ty + ii.ravel() * run.step[1] + jj.ravel() * run.pitch[1]
-                poses[:, 2] = base.angle
-                out.append(poses)
+                ends = (np.array([base.tx, base.ty]) + np.array([0, run.count - 1])[:, None, None]
+                        * np.array(run.step) + np.array([0, run.repeat - 1])[:, None] * run.pitch)
+                if box is not None and ((ends.max(axis=(0, 1)) < box[:2]).any()
+                                        or (ends.min(axis=(0, 1)) > box[2:]).any()):
+                    continue  # no base of the run lies in the box
+                step = run.repeat if box is None else max(1, 1_000_000 // max(run.count, 1))
+                for j0 in range(0, run.repeat, step):
+                    rows = np.arange(j0, min(j0 + step, run.repeat))
+                    ii, jj = np.meshgrid(np.arange(run.count), rows)
+                    poses = np.empty((ii.size, 3))
+                    poses[:, 0] = base.tx + ii.ravel() * run.step[0] + jj.ravel() * run.pitch[0]
+                    poses[:, 1] = base.ty + ii.ravel() * run.step[1] + jj.ravel() * run.pitch[1]
+                    poses[:, 2] = base.angle
+                    keep(poses)
         for c in n.children:
             walk(c)
 
     walk(node)
     return np.concatenate(out, axis=0) if out else np.empty((0, 3))
+
+
+def uncovered_samples(plan, n: int, rng: np.random.RandomState, quad=None,
+                      poses=None, tau: float = 1e-9) -> np.ndarray:
+    """The dense-sampling covering check: of n uniform points of the convex
+    `quad` (the target by default) that lie in the target, those in no
+    square of `poses` (every square of the plan by default, enumerated node
+    by node) inflated by tau."""
+    quad = list(plan.region.polygon() if quad is None else quad)
+    pts = sample_quad(quad + quad[-1:] * (4 - len(quad)), rng, n)
+    pts = pts[points_in_region(plan.region, pts, 0.0)]
+    poses = enumerate_by_node(plan.root) if poses is None else poses
+    return pts[~covered_by_kd_join(pts, poses, tau)]
 
 
 def packing_by_kd_pairs(plan, tau: float) -> tuple[np.ndarray, np.ndarray]:

@@ -107,7 +107,10 @@ def test_verify_cover_detects_dropped_leaf(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     report_path = tmp_path / "verify.json"
     assert run(["cover", "--x", 300.5, "--out", plan_path]) == 0
+    capsys.readouterr()
     assert run(["verify", plan_path, "--out", report_path]) == 0
+    # every square is checked, as for a packing
+    assert "verify cover: passed, checked 90542 of 90542 squares" in capsys.readouterr().out
     report = json.loads(report_path.read_text())
     assert report["status"] == "passed" and report["partial"] is False
     data = json.loads(plan_path.read_text())
@@ -138,7 +141,11 @@ def test_verify_count_mismatch_is_input_error(tmp_path, capsys):
     ["series", "--x", 50, "--x", 60, "--x", 70, "--seed", 9],
     ["verify", "plan.json", "--base-cutoff", 60],
     ["verify", "plan.json", "--limit", 1000],
-], ids=["pack-limit", "cover-samples", "series-seed", "verify-base-cutoff", "verify-limit"])
+    ["verify", "plan.json", "--samples", 1000],
+    ["verify", "plan.json", "--seed", 3],
+    ["verify", "plan.json", "--config", "cfg.json"],
+], ids=["pack-limit", "cover-samples", "series-seed", "verify-base-cutoff", "verify-limit",
+        "verify-samples", "verify-seed", "verify-config"])
 def test_unread_flags_are_usage_errors(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -234,10 +241,10 @@ def test_bad_config_is_usage_error(tmp_path):
                 "--config", cfg_path]) == 2
 
 
-@pytest.mark.parametrize("knob", ["aspect_limit", "wedge_top", "tau", "enum_limit"])
+@pytest.mark.parametrize("knob", ["aspect_limit", "wedge_top", "tau", "enum_limit", "samples"])
 def test_config_naming_a_fixed_parameter_is_usage_error(tmp_path, knob):
     # the construction's fixed parameters are constants, not config fields;
-    # verify has no enumeration limit
+    # verify has no enumeration limit and no sample budget
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({knob: 7.0}))
     assert run(["pack", "--x", 50, "--out", tmp_path / "p.json",

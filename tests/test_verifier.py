@@ -5,29 +5,27 @@ import math
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sqpack.config import TAU, PackConfig
-from sqpack.geometry import Pose, square_corners, rect_region, trap_region
+from sqpack.geometry import Pose, square_corners, rect_region
 from sqpack.plan import (
     OverLimit, Plan, StackRun, dumps_stable, enumerate_placements, grid_node, plan_lattices,
     stacks_node,
 )
 from sqpack.planner import cover_square, cover_strip, pack_square, pack_strip
 from sqpack import verifier
-from sqpack.verifier import (
-    _coverage_samples, _points_covered, _sample_region, verify_covering, verify_packing,
-)
+from sqpack.verifier import _points_covered, verify_covering, verify_packing
 from oracles import (
     covered_by_kd_join, enumerate_by_node, packing_by_kd_pairs, point_in_quad, quads_disjoint,
+    sample_quad, uncovered_samples,
 )
 from test_graft import HUGE_CASES, PLAN_CASES, _build_case
 
-CFG = PackConfig(samples=100_000)
+CFG = PackConfig()
 
 
 def test_clean_grid_passes():
@@ -95,14 +93,14 @@ def test_failing_packing_report_is_deterministic():
 
 
 def test_covering_2_64_squares():
-    # one 2**32 x 2**32 grid: its count overflows int64, the exact sum does not
+    # one 2**32 x 2**32 grid: its count overflows int64, the exact sum does
+    # not. Its ring holds 1.7e10 squares, too many to probe, so the lattice
+    # count the verifier starts from is checked instead
     side = 2 ** 32
     region = rect_region(float(side), float(side))
     plan = Plan(kind="cover", x=float(side), region=region,
                 root=grid_node(region, (0.0, 0.0), side, side))
-    report = verify_covering(plan, PackConfig(samples=10_000))
-    assert report.status == "passed"
-    assert report.square_count == 2 ** 64
+    assert sum(plan_lattices(plan).sizes()) == plan.root.total_count() == 2 ** 64
 
 
 def _nodes(node):
@@ -132,10 +130,12 @@ def test_covering_ignores_the_enumeration_limit():
 
 def test_covering_clean():
     report = verify_covering(cover_square(50.0), cfg=CFG)
-    assert report.passed
-    # one 50 x 50 grid; every covered sample took at least one test
+    assert report.passed and report.square_count == 2500
+    # one 50 x 50 grid, level, so no pair within it is tested: the points
+    # are its ring's crossings with the target's edges; each took a test
     assert report.runtime_stats["lattices"] == 1
-    assert report.runtime_stats["point_tests"] >= report.sampled_points == CFG.samples
+    assert report.runtime_stats["probes"] == 196 and report.runtime_stats["candidate_pairs"] == 0
+    assert report.runtime_stats["point_tests"] >= report.sampled_points > 0
 
 
 def test_covering_detects_deleted_leaf():
@@ -153,9 +153,7 @@ def test_covering_detects_deleted_leaf():
         return False
 
     assert kill_first_grid(mutated.root) or mutated.root.kind == "grid"
-    report = verify_covering(mutated, cfg=CFG)
-    assert not report.passed
-    assert any(v["type"] == "uncovered" for v in report.violations)
+    _assert_real_gaps(mutated, verify_covering(mutated, cfg=CFG))
 
 
 def test_covering_detects_deleted_stack_run():
@@ -164,8 +162,7 @@ def test_covering_detects_deleted_stack_run():
     run = mutated.root.runs[0]
     mutated.root.runs[0] = StackRun(base=run.base, step=run.step, count=run.count,
                                     repeat=run.repeat - 20, pitch=run.pitch)
-    report = verify_covering(mutated, cfg=CFG)
-    assert not report.passed
+    _assert_real_gaps(mutated, verify_covering(mutated, cfg=CFG))
 
 
 def test_pair_search_matches_all_pairs():
@@ -188,32 +185,12 @@ def test_pair_search_matches_all_pairs():
     assert overlap_pairs == brute == 0
 
 
-def test_seeded_sampling_is_deterministic():
-    plan = cover_square(120.5)
-    r1 = verify_covering(plan, cfg=CFG)
-    r2 = verify_covering(plan, cfg=CFG)
-    assert r1.sampled_points == r2.sampled_points
-    assert r1.passed == r2.passed
-
-
-def test_sample_region_keeps_points_of_a_mirrored_trapezoid():
-    region = trap_region(4.0, 1.0, 3.0, Pose(2.0, 1.0, math.pi / 2), mirror=True)
-    quad = region.polygon()
-    pts = _sample_region(region, 2000, np.random.RandomState(3))
-    assert len(pts) == 2000
-    assert all(point_in_quad(p, quad) for p in pts)
-
-
-@pytest.mark.parametrize("region", [
-    rect_region(1e-12, 1.0, Pose(1e6, 0.0, 0.3)),
-    trap_region(1e-13, 1.0, 1.0, Pose(1e7, 0.0, 0.1)),
-])
-def test_sample_region_rejects_a_region_its_box_dwarfs(region):
-    t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=region.kind):
-        _sample_region(region, 10, np.random.RandomState(0))
-    assert time.perf_counter() - t0 < 2.0
-
+def test_failing_covering_report_is_deterministic():
+    plan = _random_lattice_plan(7)
+    r1, r2 = verify_covering(plan, cfg=CFG), verify_covering(plan, cfg=CFG)
+    assert r1.status == "failed" and len(r1.violations) == 101
+    assert (dumps_stable(r1.to_dict(include_runtime=False))
+            == dumps_stable(r2.to_dict(include_runtime=False)))
 
 
 def _mixed_poses(seed: int = 11) -> np.ndarray:
@@ -391,12 +368,28 @@ def test_points_covered_matches_brute_force_on_random_lattices(seed):
     assert np.array_equal(got, want)
 
 
+def _candidate_points(plan: Plan, monkeypatch) -> np.ndarray:
+    """The points `verify_covering` hands to `_points_covered`."""
+    seen = []
+
+    def record(pts, lat, tau):
+        seen.append(pts)
+        return _points_covered(pts, lat, tau)
+
+    monkeypatch.setattr(verifier, "_points_covered", record)
+    verify_covering(plan, cfg=CFG)
+    monkeypatch.undo()
+    return seen[0]
+
+
 @pytest.mark.parametrize("kind,case", [(k, c) for k in ("pack", "cover")
                                        for c in PLAN_CASES if c not in HUGE_CASES])
-def test_lattice_coverage_matches_kd_join_on_plans(kind, case):
+def test_lattice_coverage_matches_kd_join_on_plans(kind, case, monkeypatch):
     plan = _build_case(kind, case)
     poses = enumerate_placements(plan, limit=2_000_000)
-    pts = _coverage_samples(plan, CFG)
+    quad = plan.region.polygon()
+    pts = sample_quad(quad + quad[-1:] * (4 - len(quad)), np.random.RandomState(0), 100_000)
+    pts = np.concatenate([pts, _candidate_points(plan, monkeypatch)])
     got, _ = _points_covered(pts, plan_lattices(plan), TAU)
     assert np.array_equal(got, covered_by_kd_join(pts, poses, TAU))
 
@@ -486,12 +479,139 @@ def test_packing_finds_gapped_lattices_crossing_at_their_centres():
     assert pairs.tolist() == [[4, 13]]
 
 
+def _uncovered(report) -> np.ndarray:
+    return np.array([v["location"] for v in report.violations
+                     if v["location"] is not None]).reshape(-1, 2)
+
+
+def _assert_real_gaps(plan: Plan, report, gaps=(None,), poses=None, near=None):
+    """`report` fails on `uncovered` points only, each uncovered in the
+    sampling oracle too (those in the box `near`, when `poses` holds only
+    the squares near it), which also finds an uncovered point in each gap
+    quad (None: anywhere in the target); a listed point lies in each quad."""
+    assert report.status == "failed"
+    assert {v["type"] for v in report.violations} == {"uncovered"}
+    poses = enumerate_by_node(plan.root) if poses is None else poses
+    listed = _uncovered(report)
+    if near is not None:
+        listed = listed[(listed >= near[:2]).all(axis=1) & (listed <= near[2:]).all(axis=1)]
+    assert len(listed) and not covered_by_kd_join(listed, poses, TAU).any()
+    for quad in gaps:
+        assert len(uncovered_samples(plan, 20_000, np.random.RandomState(1), quad, poses)), quad
+        if quad is not None:
+            assert any(point_in_quad(p, quad) for p in listed), quad
+
+
+def _box(x0, y0, x1, y1):
+    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+
+
+def _cover_plan(w: float, h: float, runs=(), grids=()) -> Plan:
+    region = rect_region(w, h)
+    return Plan(kind="cover", x=w, region=region,
+                root=stacks_node(region, list(runs), leftovers=list(grids)))
+
+
+def _grid(x: float, y: float, cols: int, rows: int):
+    return grid_node(rect_region(float(cols), float(rows), Pose(x, y, 0.0)), (x, y), rows, cols)
+
+
+@pytest.mark.parametrize("case", [c for c in PLAN_CASES if c not in HUGE_CASES])
+def test_covering_matches_sampling_oracle_on_plans(case):
+    plan = _build_case("cover", case)
+    report = verify_covering(plan, cfg=CFG)
+    assert report.passed, report.violations[:3]
+    assert report.square_count == plan.root.total_count()
+    assert len(uncovered_samples(plan, 50_000, np.random.RandomState(2))) == 0
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_covering_matches_sampling_oracle_on_random_lattices(seed):
+    # mostly tilted, gapped and overlapping lattices that leave most of the
+    # target bare: every listed point is a gap, and there are many
+    plan = _random_lattice_plan(seed)
+    report = verify_covering(plan, cfg=CFG)
+    _assert_real_gaps(plan, report)
+    assert report.violations[-1]["location"] is None
+
+
+def test_covering_grids_meeting_flush_pass():
+    plan = _cover_plan(10.0, 6.0, grids=[_grid(0.0, 0.0, 4, 6), _grid(4.0, 0.0, 6, 6)])
+    assert verify_covering(plan, cfg=CFG).passed
+
+
+def _planted_gap(name: str):
+    """A covering with gaps planted in it, and a quad inside each gap."""
+    if name == "shifted grid":  # the core of cover_square(300.5), 0.5 off the left edge
+        plan = cover_square(300.5)
+        core = next(n for n in _nodes(plan.root) if n.kind == "grid" and n.rows * n.cols > 50_000)
+        core.origin = (0.5, 0.0)
+        return plan, [_box(0.0, 0.0, 0.5, float(core.rows))]
+    if name == "few nudge widths":  # two grids 5 nudge widths apart, nu = 2.08e-9
+        gap = 5 * 2.08e-9
+        plan = _cover_plan(10.0, 6.0, grids=[_grid(0.0, 0.0, 4, 6), _grid(4.0 + gap, 0.0, 6, 6)])
+        return plan, [_box(4.0, 0.0, 4.0 + gap, 6.0)]
+    if name == "gapped rows":  # rows 2 apart; one gap row is plugged at x = 1.5 and 3.5,
+        # so its middle part has its corners on the edges of inner squares only
+        rows = StackRun(base=Pose(0.0, 0.0, 0.0), step=(1.0, 0.0), count=6, repeat=4,
+                        pitch=(0.0, 2.0))
+        plugs = StackRun(base=Pose(1.5, 3.0, 0.0), step=(2.0, 0.0), count=2)
+        plan = _cover_plan(6.0, 7.0, runs=[rows, plugs], grids=[_grid(0.0, 1.0, 6, 1),
+                                                                _grid(0.0, 5.0, 6, 1)])
+        return plan, [_box(0.0, 3.0, 1.5, 4.0), _box(2.5, 3.0, 3.5, 4.0), _box(4.5, 3.0, 6.0, 4.0)]
+    if name == "brick hole":  # a hole walled in by one lattice's own squares
+        bricks = StackRun(base=Pose(0.0, 0.0, 0.0), step=(1.5, 0.0), count=4, repeat=3,
+                          pitch=(0.75, 0.75))
+        region = rect_region(0.8, 0.7, Pose(1.6, 0.9, 0.0))
+        plan = Plan(kind="cover", x=0.8, region=region, root=stacks_node(region, [bricks]))
+        return plan, [_box(1.75, 1.0, 2.25, 1.5)]
+    # "diamonds": squares at 45 degrees between two 3-row grids, each tip
+    # 0.01 into a grid at a grid corner; a gap's corners are all where an
+    # edge crosses a grid near its tip, and each pair there needs the full reach
+    h, eps = math.sqrt(0.5), 0.01
+    diamonds = StackRun(base=Pose(2.0, 3.0 - eps, math.pi / 4), step=(2.0, 0.0), count=3)
+    top = 3.0 + 2.0 * h - 2.0 * eps
+    plan = _cover_plan(8.0, top + 3.0, runs=[diamonds],
+                       grids=[_grid(0.0, 0.0, 8, 3), _grid(0.0, top, 8, 3)])
+    return plan, [_box(x, 3.0, x + 2.0, top) for x in (2.0, 4.0)]
+
+
+@pytest.mark.parametrize("name", ["shifted grid", "few nudge widths", "gapped rows",
+                                  "brick hole", "diamonds"])
+def test_covering_finds_planted_gaps(name):
+    plan, gaps = _planted_gap(name)
+    _assert_real_gaps(plan, verify_covering(plan, cfg=CFG), gaps)
+
+
+def test_covering_finds_dropped_stack_rows():
+    # the last row dropped from 5 short stack runs (count <= 8, repeat >= 2)
+    # evenly spaced in pre-order; each gap holds listed points of its own,
+    # and the oracle enumerates only the squares near it
+    plan = cover_square(10000.5)
+    runs = [(n, i) for n in _nodes(plan.root) if n.kind == "stacks"
+            for i, r in enumerate(n.runs) if r.repeat >= 2 and r.count <= 8]
+    boxes = []
+    for node, i in runs[::len(runs) // 5][:5]:
+        run = node.runs[i]
+        node.runs[i] = StackRun(base=run.base, step=run.step, count=run.count,
+                                repeat=run.repeat - 1, pitch=run.pitch)
+        last = (np.array([run.base.tx, run.base.ty]) + (run.repeat - 1) * np.array(run.pitch)
+                + np.arange(run.count)[:, None] * np.array(run.step))
+        boxes.append((*(last.min(axis=0) - 1.5), *(last.max(axis=0) + 1.5)))
+    report = verify_covering(plan, cfg=CFG)
+    assert len(report.violations) < 100  # every point is listed
+    for box in boxes:
+        near = (box[0] - 2.0, box[1] - 2.0, box[2] + 2.0, box[3] + 2.0)
+        poses = enumerate_by_node(plan.root, near)
+        _assert_real_gaps(plan, report, [_box(*box)], poses, near=box)
+
+
 def test_verify_covering_leaves_scipy_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys; from sqpack import PackConfig, cover_square, pack_square, "
             "verify_covering, verify_packing; "
-            "r = verify_covering(cover_square(150.5), cfg=PackConfig(samples=20000)); "
+            "r = verify_covering(cover_square(150.5), cfg=PackConfig()); "
             "p = verify_packing(pack_square(150.5)); "
             "print(r.status, p.status, 'scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
