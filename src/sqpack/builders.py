@@ -1,6 +1,6 @@
 """Recursive layout builders behind `planner.build_plan`, shared by packing and
-covering: a builder's `kind` (a shelf's `mode`) picks floor or ceil and the
-sign of the tilt equation.
+covering: a builder's `kind` picks floor or ceil and the sign of the tilt
+equation. Regions at or below the scale `BASE_CUTOFF` are grid-filled.
 
 Region classes and their local canonical coordinates:
 
@@ -33,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .config import ASPECT_LIMIT, WEDGE_TOP, PackConfig
+from .config import ASPECT_LIMIT, BASE_CUTOFF, WEDGE_TOP
 from .geometry import (
     Pose, Region, ceil_guard, compose_graft, floor_guard, frac_guard,
     rect_region, region_area, trap_region, tri_region,
@@ -104,7 +104,6 @@ class ShelfSpec:
     height: float                # about sqrt(scale)/2
     top_len: int                 # exact integer top edge
     tilt: float
-    mode: str = "pack"
 
     def validate(self) -> None:
         if not (self.height >= 1.0 and self.top_len >= 1 and self.tilt >= 0.0
@@ -115,9 +114,9 @@ class ShelfSpec:
             raise InvalidSpec(f"shelf tilt {self.tilt} over limit {limit}")
 
 
-def shelf_top_len(scale: float, mode: str) -> int:
+def shelf_top_len(scale: float, kind: str) -> int:
     """Integer top edge for a shelf at the given anchor scale."""
-    if mode == "pack":
+    if kind == "pack":
         return floor_guard(scale ** (1.0 / 3.0) + SQRT2 * scale ** (1.0 / 6.0))
     return floor_guard(scale ** (1.0 / 3.0) - SQRT2 * scale ** (1.0 / 6.0))
 
@@ -190,23 +189,22 @@ def sliced_trap_fill(h: float, a_top: float, a_bot: float, kind: str,
 # ---------------------------------------------------------------------------
 # rectangles
 
-def build_rect(w: float, h: float, cfg: PackConfig, depth: int, stats: BuildStats,
-               kind: str):
+def build_rect(w: float, h: float, depth: int, stats: BuildStats, kind: str):
     """General rectangle router: grid at small scale, panel when the aspect
     fits, otherwise chopped into compliant panels."""
     _bump(stats, depth)
-    if min(w, h) <= cfg.base_cutoff or min(w, h) < 2.0:
+    if min(w, h) <= BASE_CUTOFF or min(w, h) < 2.0:
         return grid_fill(w, h, kind, label="grid")
     length, width = (w, h) if w <= h else (h, w)
     if width <= ASPECT_LIMIT * length:
-        built = build_panel(PanelSpec(length, width), cfg, depth, stats, kind)
+        built = build_panel(PanelSpec(length, width), depth, stats, kind)
         return built if w <= h else _graft(built, Pose(w, 0.0, math.pi / 2))
     # aspect too wide: chop the long side into compliant panels
     q = ceil_guard(width / (ASPECT_LIMIT * length))
     piece = width / q
     children = []
     for i in range(q):
-        built = build_panel(PanelSpec(length, piece), cfg, depth + 1, stats, kind)
+        built = build_panel(PanelSpec(length, piece), depth + 1, stats, kind)
         if w <= h:
             children.append(_graft(built, Pose(0.0, i * piece, 0.0)))
         else:
@@ -214,8 +212,7 @@ def build_rect(w: float, h: float, cfg: PackConfig, depth: int, stats: BuildStat
     return split_node(rect_region(w, h), children, label="chopped rect")
 
 
-def build_panel(spec: PanelSpec, cfg: PackConfig, depth: int, stats: BuildStats,
-                kind: str):
+def build_panel(spec: PanelSpec, depth: int, stats: BuildStats, kind: str):
     """Rectangle with moderate aspect: integer core plus two border strips.
 
     The core_l x core_w core is integer-sided; the border widths
@@ -228,7 +225,7 @@ def build_panel(spec: PanelSpec, cfg: PackConfig, depth: int, stats: BuildStats,
     spec.validate()
     length, width = spec.length, spec.width
     region = rect_region(length, width)
-    if min(length, width) <= cfg.base_cutoff:
+    if min(length, width) <= BASE_CUTOFF:
         return grid_fill(length, width, kind, label="panel grid")
 
     m_target = length ** 0.75
@@ -236,8 +233,8 @@ def build_panel(spec: PanelSpec, cfg: PackConfig, depth: int, stats: BuildStats,
     core_w = floor_guard(width - m_target)
     if core_l <= 0 or core_w <= 0:
         if width <= length:
-            return build_strip(width, length, cfg, depth + 1, stats, kind)
-        return _graft(build_strip(length, width, cfg, depth + 1, stats, kind),
+            return build_strip(width, length, depth + 1, stats, kind)
+        return _graft(build_strip(length, width, depth + 1, stats, kind),
                       Pose(length, 0.0, math.pi / 2))
 
     m2 = length - core_l
@@ -246,8 +243,8 @@ def build_panel(spec: PanelSpec, cfg: PackConfig, depth: int, stats: BuildStats,
     top_len, side_len = (length, core_w) if swap else (core_l, width)
     children = [
         grid_fill(core_l, core_w, kind, label="core"),
-        _graft(build_strip(m1, top_len, cfg, depth + 1, stats, kind), Pose(0.0, core_w, 0.0)),
-        _graft(build_strip(m2, side_len, cfg, depth + 1, stats, kind),
+        _graft(build_strip(m1, top_len, depth + 1, stats, kind), Pose(0.0, core_w, 0.0)),
+        _graft(build_strip(m2, side_len, depth + 1, stats, kind),
                Pose(length, 0.0, math.pi / 2)),
     ]
     return split_node(region, children, label="panel")
@@ -256,8 +253,7 @@ def build_panel(spec: PanelSpec, cfg: PackConfig, depth: int, stats: BuildStats,
 # ---------------------------------------------------------------------------
 # strips
 
-def build_strip(m: float, L: float, cfg: PackConfig, depth: int, stats: BuildStats,
-                kind: str):
+def build_strip(m: float, L: float, depth: int, stats: BuildStats, kind: str):
     """Fill [0, L] x [0, m] with tilted stacks; wedge leftovers at both ends.
 
     Integer widths fill as plain grids; strips too short for two wedge ends
@@ -304,8 +300,8 @@ def build_strip(m: float, L: float, cfg: PackConfig, depth: int, stats: BuildSta
                         Pose(seam_lx - m * tan_t - 1.0, m, 0.0)),
         ]
     children = [
-        build_wedge(WedgeSpec(m, left_top, theta), cfg, depth + 1, stats, kind),
-        _graft(build_wedge(WedgeSpec(m, right_bot, theta), cfg, depth + 1, stats, kind),
+        build_wedge(WedgeSpec(m, left_top, theta), depth + 1, stats, kind),
+        _graft(build_wedge(WedgeSpec(m, right_bot, theta), depth + 1, stats, kind),
                Pose(L, m, math.pi)),
     ]
     node = stacks_node(region, [run], leftovers=children, label="strip",
@@ -319,8 +315,7 @@ def build_strip(m: float, L: float, cfg: PackConfig, depth: int, stats: BuildSta
 # ---------------------------------------------------------------------------
 # wedges
 
-def build_wedge(spec: WedgeSpec, cfg: PackConfig, depth: int, stats: BuildStats,
-                kind: str):
+def build_wedge(spec: WedgeSpec, depth: int, stats: BuildStats, kind: str):
     """Tall right trapezoid: bands of integer height, each panel + shelf."""
     _bump(stats, depth)
     spec.validate()
@@ -332,8 +327,8 @@ def build_wedge(spec: WedgeSpec, cfg: PackConfig, depth: int, stats: BuildStats,
     if theta <= EPS:
         if top < 1.0:
             return waste_node(region, "sliver wedge")
-        return build_rect(top, height, cfg, depth, stats, kind)
-    if height <= cfg.base_cutoff or top < 1.0:
+        return build_rect(top, height, depth, stats, kind)
+    if height <= BASE_CUTOFF or top < 1.0:
         return sliced_trap_fill(height, top, a_bot, kind, label="wedge rows")
 
     a_len = shelf_top_len(height, kind)
@@ -352,11 +347,10 @@ def build_wedge(spec: WedgeSpec, cfg: PackConfig, depth: int, stats: BuildStats,
         y_bot = height - (i + 1) * h_int
         w_i = top + i * h_int * tan_t
         a_i = w_i - a_len
-        children.append(_graft(_band_rect(a_i, float(h_int), cfg, depth + 1, stats, kind),
+        children.append(_graft(_band_rect(a_i, float(h_int), depth + 1, stats, kind),
                                Pose(0.0, y_bot, 0.0)))
         children.append(_graft(
-            build_shelf(ShelfSpec(height, float(h_int), a_len, theta, kind), cfg,
-                        depth + 1, stats),
+            build_shelf(ShelfSpec(height, float(h_int), a_len, theta), depth + 1, stats, kind),
             Pose(a_i, y_bot, 0.0)))
         seams.append((0.0, y_bot, top + (i + 1) * h_int * tan_t, y_bot))
     if rem > 0.0:
@@ -371,9 +365,8 @@ def build_wedge(spec: WedgeSpec, cfg: PackConfig, depth: int, stats: BuildStats,
         else:
             a_rem = w_rem_top - a_len
             rem_children = [
-                _band_rect(a_rem, rem, cfg, depth + 1, stats, kind),
-                _graft(build_shelf(ShelfSpec(height, rem, a_len, theta, kind), cfg,
-                                   depth + 1, stats),
+                _band_rect(a_rem, rem, depth + 1, stats, kind),
+                _graft(build_shelf(ShelfSpec(height, rem, a_len, theta), depth + 1, stats, kind),
                        Pose(a_rem, 0.0, 0.0)),
             ]
             children.append(split_node(trap_region(rem, w_rem_top, a_bot),
@@ -383,51 +376,49 @@ def build_wedge(spec: WedgeSpec, cfg: PackConfig, depth: int, stats: BuildStats,
     return node
 
 
-def _band_rect(a_i: float, h_band: float, cfg: PackConfig, depth: int,
-               stats: BuildStats, kind: str):
+def _band_rect(a_i: float, h_band: float, depth: int, stats: BuildStats, kind: str):
     """Rectangular left part of a wedge band."""
     if a_i < 1.0:
         if kind == "pack":
             return waste_node(rect_region(a_i, h_band), "band sliver")
         return grid_fill(a_i, h_band, "cover", label="band sliver")
-    return build_rect(a_i, h_band, cfg, depth, stats, kind)
+    return build_rect(a_i, h_band, depth, stats, kind)
 
 
 # ---------------------------------------------------------------------------
 # shelves
 
-def build_shelf(spec: ShelfSpec, cfg: PackConfig, depth: int, stats: BuildStats):
+def build_shelf(spec: ShelfSpec, depth: int, stats: BuildStats, kind: str):
     """Shallow trapezoid with integer top edge: integer grid columns on the
     left, tilted stack bands against the slant, floor zone at the bottom."""
     _bump(stats, depth)
     spec.validate()
     scale, height, a_len, theta = spec.scale, spec.height, spec.top_len, spec.tilt
-    kind = spec.mode
     tan_t = math.tan(theta)
     a_bot = a_len + height * tan_t
     region = trap_region(height, a_len, a_bot)
 
     if theta <= EPS:
-        return build_rect(a_len, height, cfg, depth, stats, kind)
-    if scale <= cfg.base_cutoff or a_len < 2:
+        return build_rect(a_len, height, depth, stats, kind)
+    if scale <= BASE_CUTOFF or a_len < 2:
         return sliced_trap_fill(height, a_len, a_bot, kind, label="shelf rows")
     h1 = floor_guard(scale ** (-1.0 / 6.0) / tan_t)
     if h1 < 1:
         raise InvalidSpec(f"tilt {theta} too large for band construction at scale {scale}")
     if kind == "pack":
-        return _shelf_pack(spec, region, h1, cfg, depth, stats)
-    return _shelf_cover(spec, region, h1, cfg, depth, stats)
+        return _shelf_pack(spec, region, h1, depth, stats)
+    return _shelf_cover(spec, region, h1, depth, stats)
 
 
 def _shelf_bands(scale: float, a_len: int, h1: int, height: float, tan_t: float,
-                 mode: str):
+                 kind: str):
     """Band parameter table: integer grid width c_k, stack width d_k."""
     x13 = scale ** (1.0 / 3.0)
     x16 = scale ** (1.0 / 6.0)
     nb = floor_guard(height / h1)
     bands = []
-    for k in range(nb) if mode == "pack" else range(1, nb + 1):
-        if mode == "pack":
+    for k in range(nb) if kind == "pack" else range(1, nb + 1):
+        if kind == "pack":
             base_k = floor_guard(x13 + (SQRT2 - k) * x16)
             yt = height - k * h1
         else:
@@ -438,7 +429,7 @@ def _shelf_bands(scale: float, a_len: int, h1: int, height: float, tan_t: float,
     return nb, bands
 
 
-def _floor_zone_pack(children, f1, h2, x13, tan_t, cfg, depth, stats):
+def _floor_zone_pack(children, f1, h2, x13, tan_t, depth, stats):
     if h2 <= 0.0:
         return
     if h2 < 1.0:
@@ -448,14 +439,13 @@ def _floor_zone_pack(children, f1, h2, x13, tan_t, cfg, depth, stats):
     if h2 <= x13 or f1 < 2.0:
         children.append(grid_fill(f1, h2, "pack", label="floor grid"))
     else:
-        children.append(_graft(build_strip(f1, h2, cfg, depth + 1, stats, "pack"),
+        children.append(_graft(build_strip(f1, h2, depth + 1, stats, "pack"),
                                Pose(f1, 0.0, math.pi / 2)))
     children.append(waste_node(tri_region(h2 * tan_t, h2, Pose(f1, 0.0, 0.0)),
                                "floor sliver"))
 
 
-def _shelf_pack(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
-                depth: int, stats: BuildStats):
+def _shelf_pack(spec: ShelfSpec, region: Region, h1: int, depth: int, stats: BuildStats):
     scale, height, a_len, theta = spec.scale, spec.height, spec.top_len, spec.tilt
     tan_t = math.tan(theta)
     x13 = scale ** (1.0 / 3.0)
@@ -520,8 +510,7 @@ def _shelf_pack(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
                     stats.band_tilts.append((scale, k, d, alpha))
                     if top_gap is not None:
                         chain_children.append(_graft(
-                            build_wedge(WedgeSpec(d, top_gap, alpha), cfg, depth + 1,
-                                        stats, "pack"),
+                            build_wedge(WedgeSpec(d, top_gap, alpha), depth + 1, stats, "pack"),
                             Pose(c + d, yt, math.pi / 2), mirror=True))
                     y_last = y0 - (n_stacks - 1) * p
                     chain_runs.append(StackRun(
@@ -538,8 +527,7 @@ def _shelf_pack(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
                     if last:
                         tau_r = (y_last - h2) - d * tan_a
                         chain_children.append(_graft(
-                            build_wedge(WedgeSpec(d, tau_r, alpha), cfg, depth + 1,
-                                        stats, "pack"),
+                            build_wedge(WedgeSpec(d, tau_r, alpha), depth + 1, stats, "pack"),
                             Pose(c, h2, -math.pi / 2), mirror=True))
                     seam = {"type": "stack", "cx": c, "y": y_last, "tan": tan_a,
                             "x_edge": c + n * cos_a, "x_region": c + d,
@@ -564,7 +552,7 @@ def _shelf_pack(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
             band_children, label="band block"))
 
     f1 = a_len + nb * h1 * tan_t
-    _floor_zone_pack(children, f1, h2, x13, tan_t, cfg, depth, stats)
+    _floor_zone_pack(children, f1, h2, x13, tan_t, depth, stats)
     node = split_node(region, children, label="shelf")
     node.seams = seams
     return node
@@ -629,8 +617,7 @@ def _seam_top(seam, x: float, fallback_y: float) -> float:
     return seam["y"] - (x - seam["ax"]) * seam["tan"]
 
 
-def _shelf_cover(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
-                 depth: int, stats: BuildStats):
+def _shelf_cover(spec: ShelfSpec, region: Region, h1: int, depth: int, stats: BuildStats):
     scale, height, a_len, theta = spec.scale, spec.height, spec.top_len, spec.tilt
     tan_t = math.tan(theta)
     x13 = scale ** (1.0 / 3.0)
@@ -687,8 +674,7 @@ def _shelf_cover(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
                     if tau >= 1.0:
                         y0 = h2 + tau + (d + sin_a) * tan_a
                         chain_children.append(_graft(
-                            build_wedge(WedgeSpec(d, tau, alpha), cfg, depth + 1, stats,
-                                        "cover"),
+                            build_wedge(WedgeSpec(d, tau, alpha), depth + 1, stats, "cover"),
                             Pose(c, h2, -math.pi / 2), mirror=True))
                 else:
                     below = bands[idx + 1]
@@ -722,8 +708,8 @@ def _shelf_cover(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
                         tau_top = height - y_last - cos_a
                         if tau_top > 1e-9:
                             chain_children.append(_graft(
-                                build_wedge(WedgeSpec(d, tau_top, alpha), cfg, depth + 1,
-                                            stats, "cover"),
+                                build_wedge(WedgeSpec(d, tau_top, alpha), depth + 1, stats,
+                                            "cover"),
                                 Pose(c + d, height, math.pi / 2), mirror=True))
                     seam = {"type": "stack", "ax": ax, "y": y_last + p, "tan": tan_a}
                     placed = True
@@ -752,7 +738,7 @@ def _shelf_cover(spec: ShelfSpec, region: Region, h1: int, cfg: PackConfig,
             # the strip stands on its side and overshoots the floor trapezoid;
             # the node keeps the trapezoid as its region, written in the
             # strip's own frame (the inverse of the graft below)
-            fnode = build_strip(f1, h2, cfg, depth + 1, stats, "cover")
+            fnode = build_strip(f1, h2, depth + 1, stats, "cover")
             fnode.region = trap_region(h2, f_top, f1, Pose(0.0, f1, -math.pi / 2))
             fnode.area = region_area(fnode.region)
             _graft(fnode, Pose(f1, 0.0, math.pi / 2))

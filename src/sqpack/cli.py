@@ -1,12 +1,13 @@
 """Command line interface: build, verify, render and sweep plans.
 
 Exit codes: 0 success (and bound/verify passed where applicable),
-1 a check failed, 2 usage or input errors. `verify` takes no settings and
-checks every square of a plan of any size: a packing for containment and
-overlaps, a covering at every crossing of square and target edges, each
-tested at the point nu = 2*(1e-9 + 2e-12*S) outside both edges, S the
-largest lattice extent. A covering passes only when each such point lies
-in a square, so no gap wider than about nu at its corners is left.
+1 a check failed, 2 usage or input errors. No subcommand takes settings.
+`verify` checks every square of a plan of any size: a packing for
+containment and overlaps, a covering at every crossing of square and
+target edges, each tested at the point nu = 2*(1e-9 + 2e-12*S) outside
+both edges, S the largest lattice extent. A covering passes only when
+each such point lies in a square, so no gap wider than about nu at its
+corners is left.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import sys
 import time
 
 from .builders import InvalidSpec, check_side
-from .config import PackConfig, load_config
 from .plan import (
     OverLimit, Plan, PlanError, account, check_bound, dumps_stable, plan_from_json,
     plan_to_json,
@@ -32,11 +32,6 @@ CSV_HEADER = "x,kind,square_count,waste_or_excess,bound_value,ratio,verified"
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-
-
-def _config_from_args(args) -> PackConfig:
-    cfg = load_config(args.config) if args.config else PackConfig()
-    return cfg.with_overrides(base_cutoff=args.base_cutoff)
 
 
 def _check_x(x: float) -> None:
@@ -60,9 +55,8 @@ def _report_path(args) -> str:
 
 
 def cmd_build(args, kind: str) -> int:
-    cfg = _config_from_args(args)
     _check_x(args.x)
-    plan = build_plan(kind, "square", args.x, cfg=cfg)
+    plan = build_plan(kind, "square", args.x)
     report = account(plan)
     check = check_bound(report, "square")
     _write(args.out, plan_to_json(plan))
@@ -96,12 +90,12 @@ def cmd_render(args) -> int:
     return 0
 
 
-def run_series(xs: list[float], kind: str, cfg: PackConfig):
+def run_series(xs: list[float], kind: str):
     """Rows plus an ordinary-least-squares slope of log waste vs log x."""
     rows = []
     for x in xs:
         t0 = time.perf_counter()
-        plan = build_plan(kind, "square", x, cfg=cfg)
+        plan = build_plan(kind, "square", x)
         report = account(plan)
         check = check_bound(report, "square")
         rows.append({
@@ -142,13 +136,12 @@ def series_csv(rows, slope) -> str:
 
 
 def cmd_series(args) -> int:
-    cfg = _config_from_args(args)
     if len(args.x) < 3:
         print("error: series needs at least 3 sizes", file=sys.stderr)
         return 2
     for x in args.x:
         _check_x(x)
-    rows, slope = run_series(args.x, args.kind, cfg)
+    rows, slope = run_series(args.x, args.kind)
     _write(args.out, series_csv(rows, slope))
     printable = "undefined" if slope is None else f"{slope:.4f}"
     print(f"series {args.kind}: {len(rows)} rows, slope={printable}")
@@ -160,15 +153,9 @@ def make_parser() -> argparse.ArgumentParser:
                                  description="unit-square packing/covering planner")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # each subcommand takes only the PackConfig fields it reads, plus --config
-    def build_flags(p):
-        p.add_argument("--base-cutoff", dest="base_cutoff", type=float, default=None)
-        p.add_argument("--config", type=str, default=None)
-
     for name in ("pack", "cover"):
         p = sub.add_parser(name, help=f"build a {name}ing plan for a square")
         p.add_argument("--x", type=float, required=True, help="target side length")
-        build_flags(p)
         p.add_argument("--out", type=str, default=f"{name}_plan.json")
         p.add_argument("--report", type=str, default=None)
 
@@ -187,7 +174,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="repeatable: one size per flag")
     p.add_argument("--kind", choices=("pack", "cover"), default="pack")
     p.add_argument("--out", type=str, default="series.csv")
-    build_flags(p)
     return ap
 
 

@@ -29,7 +29,7 @@ import gc
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -166,19 +166,7 @@ class WasteReport:
     passed: bool | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "x": self.x,
-            "area": self.area,
-            "square_count": self.square_count,
-            "waste_or_excess": self.waste_or_excess,
-            "per_region": self.per_region,
-            "ledger": self.ledger,
-            "bound_constant": self.bound_constant,
-            "bound_exponent": self.bound_exponent,
-            "bound_value": self.bound_value,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _subtree_counts(node: PlanNode, out: dict) -> int:
@@ -510,6 +498,8 @@ def plan_to_dict(plan: Plan) -> dict:
 def plan_from_dict(d: dict) -> Plan:
     if d.get("version") != 1:
         raise PlanError(f"unsupported plan version {d.get('version')!r}")
+    if d.get("kind") not in ("pack", "cover"):
+        raise PlanError(f"plan kind must be 'pack' or 'cover', got {d.get('kind')!r}")
     return Plan(kind=d["kind"], x=d["x"], region=_region_from_dict(d["region"]),
                 root=_node_from_dict(d["root"]),
                 seams=[tuple(s) for s in d["seams"]], meta=d["meta"])

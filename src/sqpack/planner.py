@@ -15,25 +15,19 @@ from .builders import (
     BuildStats, InvalidSpec, PanelSpec, build_panel, build_rect, build_shelf,
     build_strip, build_wedge, check_side, grid_fill,
 )
-from .config import PackConfig
+from .config import BASE_CUTOFF
 from .geometry import rect_region
 from .plan import Plan, gc_paused, resolve_grafts, waste_node
 
 
-def _square(x, cfg, depth, stats, kind):
+def _square(x, depth, stats, kind):
     """A grid up to the base cutoff, one square panel above it; a packing of
     a target below unit size is all waste."""
     if kind == "pack" and x < 1.0:
         return waste_node(rect_region(x, x), "target below unit size")
-    if x <= cfg.base_cutoff:
+    if x <= BASE_CUTOFF:
         return grid_fill(x, x, kind, label="square grid")
-    return build_panel(PanelSpec(x, x), cfg, depth, stats, kind)
-
-
-def _shelf(spec, cfg, depth, stats, kind):
-    if spec.mode != kind:
-        raise InvalidSpec(f"{kind}_shelf expects mode={kind!r}")
-    return build_shelf(spec, cfg, depth, stats)
+    return build_panel(PanelSpec(x, x), depth, stats, kind)
 
 
 # shape -> (builder, sides, nominal scale, target region), each taking the
@@ -47,15 +41,16 @@ _SHAPES = {
     "strip": (build_strip, lambda m, L: (m, L), lambda m, L: m,
               lambda m, L: rect_region(L, m)),
     "wedge": (build_wedge, lambda spec: (spec.height,), lambda spec: spec.height, None),
-    "shelf": (_shelf, lambda spec: (spec.scale, spec.height), lambda spec: spec.scale, None),
+    "shelf": (build_shelf, lambda spec: (spec.scale, spec.height), lambda spec: spec.scale, None),
 }
 
 
-def build_plan(kind: str, shape: str, *dims, cfg: PackConfig = PackConfig()) -> Plan:
+def build_plan(kind: str, shape: str, *dims) -> Plan:
     """Build the `kind` ("pack" or "cover") plan for a target `shape`:
     square (x), rect (w, h), panel (PanelSpec), strip (m, L), wedge
-    (WedgeSpec) or shelf (ShelfSpec). Every side passes `check_side`
-    first. The tree is mapped into world coordinates once, here."""
+    (WedgeSpec) or shelf (ShelfSpec). It reads no settings: the scale of
+    the grid base case is the constant `BASE_CUTOFF`. Every side passes
+    `check_side` first. The tree is mapped into world coordinates once, here."""
     if kind not in ("pack", "cover") or shape not in _SHAPES:
         raise InvalidSpec(f"unknown plan kind or shape: {kind!r}, {shape!r}")
     build, sides, scale, region = _SHAPES[shape]
@@ -63,7 +58,7 @@ def build_plan(kind: str, shape: str, *dims, cfg: PackConfig = PackConfig()) -> 
         check_side(side)
     stats = BuildStats()
     with gc_paused():
-        root = build(*dims, cfg, 0, stats, kind)
+        root = build(*dims, 0, stats, kind)
         seams = resolve_grafts(root)
     meta = {"stats": {"max_depth": stats.max_depth,
                       "fallback_bands": stats.fallback_bands,

@@ -68,7 +68,7 @@ def shelf_instances():
         for f in (0.3, 1.0):
             theta = f * SQRT2 * x ** -0.5
             spec = ShelfSpec(x, float(round(0.5 * math.sqrt(x))),
-                             shelf_top_len(x, "pack"), theta, "pack")
+                             shelf_top_len(x, "pack"), theta)
             out.append((x, theta, pack_shelf(spec)))
     return out
 
@@ -80,7 +80,7 @@ def cover_shelf_instances():
         for f in (0.3, 1.0):
             theta = f * SQRT2 * x ** -0.5
             spec = ShelfSpec(x, float(round(0.5 * math.sqrt(x))),
-                             shelf_top_len(x, "cover"), theta, "cover")
+                             shelf_top_len(x, "cover"), theta)
             out.append((x, theta, cover_shelf(spec)))
     return out
 
@@ -246,7 +246,7 @@ def test_criterion_09_leading_order_law():
 
 def test_criterion_10_exponent_trend():
     t0 = time.perf_counter()
-    rows, slope = run_series(SERIES_XS, "pack", PackConfig())
+    rows, slope = run_series(SERIES_XS, "pack")
     elapsed = time.perf_counter() - t0
     ratios_ok = all(r["ratio"] <= SQUARE_COEFF for r in rows)
     ok = slope is not None and slope <= 0.75 and ratios_ok and elapsed < 300.0
@@ -279,8 +279,8 @@ def test_criterion_12_determinism(pack_plans, cover_plans):
         c2 = cover_square(x)
         if plan_to_json(cover_plans[x]) != plan_to_json(c2):
             mismatches.append(("cover", x))
-    csv1 = series_csv(*run_series(SERIES_XS, "pack", PackConfig()))
-    csv2 = series_csv(*run_series(SERIES_XS, "pack", PackConfig()))
+    csv1 = series_csv(*run_series(SERIES_XS, "pack"))
+    csv2 = series_csv(*run_series(SERIES_XS, "pack"))
     if csv1 != csv2:
         mismatches.append(("series", "csv"))
     _announce(12, "byte-identical reruns", not mismatches)

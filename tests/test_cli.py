@@ -5,10 +5,10 @@ import json
 import pytest
 
 from sqpack.cli import main, run_series, series_csv
-from sqpack.config import PackConfig
+from sqpack.geometry import Pose, rect_region
 from sqpack.render import plan_to_svg
-from sqpack.planner import pack_strip
-from sqpack.plan import plan_from_json
+from sqpack.planner import pack_square, pack_strip
+from sqpack.plan import grid_node, plan_to_json, split_node
 
 
 def run(argv):
@@ -121,6 +121,25 @@ def test_verify_cover_detects_dropped_leaf(tmp_path, capsys):
     assert "verify cover: failed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", ["Pack", "packing", "", None])
+def test_verify_rejects_unknown_plan_kind(tmp_path, capsys, kind):
+    # one extra square overlaps the grid: checked as a packing, it fails;
+    # under any other kind it must not be checked as a covering and pass
+    plan = pack_square(50.0)
+    extra = grid_node(rect_region(1.0, 1.0, Pose(0.5, 0.5, 0.0)), (0.5, 0.5), 1, 1)
+    plan.root = split_node(None, [plan.root, extra], area=plan.root.area + extra.area)
+    text = plan_to_json(plan)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(text)
+    assert run(["verify", plan_path]) == 1
+    data = json.loads(text)
+    data["kind"] = kind
+    plan_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["verify", plan_path]) == 2
+    assert "plan kind must be 'pack' or 'cover'" in capsys.readouterr().err
+
+
 def test_verify_count_mismatch_is_input_error(tmp_path, capsys):
     # a grid with negative rows holds no squares but counts negative ones:
     # reading its lattices fails before any geometry is checked
@@ -135,22 +154,30 @@ def test_verify_count_mismatch_is_input_error(tmp_path, capsys):
     assert "enumerated 0 != analytic -2500" in capsys.readouterr().err
 
 
+def _usage_error(argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    return exc.value.code
+
+
 @pytest.mark.parametrize("argv", [
     ["pack", "--x", 50, "--limit", 5],
     ["cover", "--x", 50, "--samples", 3],
     ["series", "--x", 50, "--x", 60, "--x", 70, "--seed", 9],
+    ["pack", "--x", 50, "--base-cutoff", 60],
+    ["cover", "--x", 50, "--config", "cfg.json"],
+    ["series", "--x", 50, "--x", 60, "--x", 70, "--base-cutoff", 60],
     ["verify", "plan.json", "--base-cutoff", 60],
     ["verify", "plan.json", "--limit", 1000],
     ["verify", "plan.json", "--samples", 1000],
     ["verify", "plan.json", "--seed", 3],
     ["verify", "plan.json", "--config", "cfg.json"],
-], ids=["pack-limit", "cover-samples", "series-seed", "verify-base-cutoff", "verify-limit",
-        "verify-samples", "verify-seed", "verify-config"])
+], ids=["pack-limit", "cover-samples", "series-seed", "pack-base-cutoff", "cover-config",
+        "series-base-cutoff", "verify-base-cutoff", "verify-limit", "verify-samples",
+        "verify-seed", "verify-config"])
 def test_unread_flags_are_usage_errors(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        run(argv)
-    assert exc.value.code == 2
+    assert _usage_error(argv) == 2
 
 
 def test_render_outputs_svg(tmp_path):
@@ -204,7 +231,7 @@ def test_series_rejects_x_outside_domain(tmp_path, capsys, x):
 
 
 def test_series_integer_inputs_undefined_slope():
-    rows, slope = run_series([100.0, 200.0, 300.0], "pack", PackConfig())
+    rows, slope = run_series([100.0, 200.0, 300.0], "pack")
     assert slope is None
     assert all(r["waste_or_excess"] == 0.0 for r in rows)
     text = series_csv(rows, slope)
@@ -213,39 +240,28 @@ def test_series_integer_inputs_undefined_slope():
 
 def test_series_grid_regime_slope_near_one():
     # below the recursion cutoff the grid wastes ~x, documenting the crossover
-    rows, slope = run_series([50.5, 100.5, 200.5], "pack", PackConfig())
+    rows, slope = run_series([50.5, 100.5, 200.5], "pack")
     assert slope == pytest.approx(1.0, abs=0.15)
 
 
 def test_series_deterministic_bytes():
-    cfg = PackConfig()
-    a = series_csv(*run_series([10000.5, 100000.5, 1000000.5], "pack", cfg))
-    b = series_csv(*run_series([10000.5, 100000.5, 1000000.5], "pack", cfg))
+    a = series_csv(*run_series([10000.5, 100000.5, 1000000.5], "pack"))
+    b = series_csv(*run_series([10000.5, 100000.5, 1000000.5], "pack"))
     assert a == b
-
-
-def test_config_file_roundtrip(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"base_cutoff": 60.0, "seed": 3}))
-    plan_path = tmp_path / "plan.json"
-    assert run(["pack", "--x", 80.5, "--out", plan_path, "--config", cfg_path]) == 0
-    plan = plan_from_json(plan_path.read_text())
-    # cutoff 60 forces the recursive path at x = 80.5
-    assert plan.root.kind == "split"
 
 
 def test_bad_config_is_usage_error(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"nonsense_knob": 1}))
-    assert run(["pack", "--x", 50, "--out", tmp_path / "p.json",
-                "--config", cfg_path]) == 2
+    assert _usage_error(["pack", "--x", 50, "--out", tmp_path / "p.json",
+                         "--config", cfg_path]) == 2
 
 
 @pytest.mark.parametrize("knob", ["aspect_limit", "wedge_top", "tau", "enum_limit", "samples"])
 def test_config_naming_a_fixed_parameter_is_usage_error(tmp_path, knob):
-    # the construction's fixed parameters are constants, not config fields;
-    # verify has no enumeration limit and no sample budget
+    # no subcommand takes a config file: the construction's parameters are
+    # constants, and verify has no enumeration limit and no sample budget
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({knob: 7.0}))
-    assert run(["pack", "--x", 50, "--out", tmp_path / "p.json",
-                "--config", cfg_path]) == 2
+    assert _usage_error(["pack", "--x", 50, "--out", tmp_path / "p.json",
+                         "--config", cfg_path]) == 2

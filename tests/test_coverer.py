@@ -87,7 +87,7 @@ def test_cover_shelf_million_example_values():
 
 
 def test_cover_shelf_zero_tilt_routes_to_rect():
-    plan = cover_shelf(ShelfSpec(1e4, 50.0, shelf_top_len(1e4, "cover"), 0.0, "cover"))
+    plan = cover_shelf(ShelfSpec(1e4, 50.0, shelf_top_len(1e4, "cover"), 0.0))
     rep = account(plan)
     assert rep.waste_or_excess >= 0
     assert verify_covering(plan, cfg=CFG).passed
@@ -105,7 +105,7 @@ def test_cover_zero_tilt_panel_route_keeps_world_region():
     assert _same_outline(plan.region, trap_region(150.0, 300.0, 300.0))
     assert verify_covering(plan, cfg=CFG).passed
     top = shelf_top_len(1e8, "cover")
-    plan = cover_shelf(ShelfSpec(1e8, 150.0, top, 0.0, "cover"))
+    plan = cover_shelf(ShelfSpec(1e8, 150.0, top, 0.0))
     assert 150.0 < top <= 7 * 150.0
     assert _same_outline(plan.region, trap_region(150.0, top, top))
     assert verify_covering(plan, cfg=CFG).passed
@@ -115,7 +115,7 @@ def test_cover_shelf_bound_and_coverage():
     for x, f in ((1e4, 1.0), (1e6, 1.0), (1e6, 0.3)):
         theta = f * SQRT2 * x ** -0.5
         spec = ShelfSpec(x, float(round(0.5 * math.sqrt(x))),
-                         shelf_top_len(x, "cover"), theta, "cover")
+                         shelf_top_len(x, "cover"), theta)
         plan = cover_shelf(spec)
         rep = account(plan)
         assert check_bound(rep, "shelf").passed
@@ -125,7 +125,7 @@ def test_cover_shelf_bound_and_coverage():
 def test_cover_shelf_overshoot_ledger():
     x = 1e6
     theta = SQRT2 * x ** -0.5
-    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "cover"), theta, "cover")
+    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "cover"), theta)
     plan = cover_shelf(spec)
     block = next(c for c in plan.root.children if c.label == "band block")
     chain = next(c for c in block.children if c.label == "stack bands")
@@ -165,7 +165,7 @@ def test_cover_shelf_floor_strip_keeps_its_trapezoid_in_place():
     # zone tall enough to be filled by a strip stood on its side
     a_len = shelf_top_len(10000.0, "cover")
     tan_t = 0.004
-    spec = ShelfSpec(10000.0, 40.0, a_len, math.atan(tan_t), "cover")
+    spec = ShelfSpec(10000.0, 40.0, a_len, math.atan(tan_t))
     plan = cover_shelf(spec)
     floor = plan.root.children[-1]
     assert floor.label == "strip"

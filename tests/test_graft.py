@@ -180,9 +180,9 @@ HUGE_CASES = {"square 20000.5", "panel 4096x4096.2", "wedge 1e4"}
 
 def _build_case(kind, case):
     shape, *dims = PLAN_CASES[case]
-    if shape == "shelf":  # its mode and integer top edge follow the kind
+    if shape == "shelf":  # its integer top edge follows the kind
         scale, height, tilt = dims
-        dims = [ShelfSpec(scale, height, shelf_top_len(scale, kind), tilt, kind)]
+        dims = [ShelfSpec(scale, height, shelf_top_len(scale, kind), tilt)]
     return build_plan(kind, shape, *dims)
 
 

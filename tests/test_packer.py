@@ -179,7 +179,7 @@ def test_zero_tilt_panel_route_keeps_world_region():
     assert _same_outline(plan.region, trap_region(150.0, 300.0, 300.0))
     assert verify_packing(plan, cfg=CFG).passed
     top = shelf_top_len(1e8, "pack")
-    plan = pack_shelf(ShelfSpec(1e8, 150.0, top, 0.0, "pack"))
+    plan = pack_shelf(ShelfSpec(1e8, 150.0, top, 0.0))
     assert 150.0 < top <= 7 * 150.0
     assert _same_outline(plan.region, trap_region(150.0, top, top))
     assert verify_packing(plan, cfg=CFG).passed
@@ -234,7 +234,7 @@ def test_shelf_partition_million_example():
     x, theta = 1e6, 1e-3
     a = shelf_top_len(x, "pack")
     assert a == 114
-    plan = pack_shelf(ShelfSpec(x, 500.0, a, theta, "pack"))
+    plan = pack_shelf(ShelfSpec(x, 500.0, a, theta))
     band_block = plan.root.children[0]
     top_band = band_block.children[-1].runs[0]
     assert top_band.label == "top band" and top_band.count == a
@@ -256,7 +256,7 @@ def test_shelf_partition_million_example():
 def test_shelf_builds_and_verifies_at_million():
     x = 1e6
     theta = SQRT2 * x ** -0.5
-    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta, "pack")
+    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta)
     plan = pack_shelf(spec)
     rep = account(plan)
     assert check_bound(rep, "shelf").passed
@@ -268,7 +268,7 @@ def test_shelf_no_bands_when_h1_exceeds_height():
     # tiny tilt: h1 > height, so only the floor zone remains
     x = 1e6
     theta = 0.5 * x ** (-2 / 3)
-    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta, "pack")
+    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta)
     plan = pack_shelf(spec)
     assert len(plan.meta["band_tilts"]) == 0
     rep = account(plan)
@@ -280,15 +280,10 @@ def test_shelf_integer_band_correction_when_r_prime_zero():
     # pick a tilt making x**(-1/6)/tan(theta) an exact integer
     x = 1e6
     theta = math.atan(x ** (-1 / 6) / 100.0)
-    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta, "pack")
+    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta)
     plan = pack_shelf(spec)
     assert verify_packing(plan, cfg=CFG).passed
     assert check_bound(account(plan), "shelf").passed
-
-
-def test_shelf_rejects_mode_mismatch():
-    with pytest.raises(InvalidSpec):
-        pack_shelf(ShelfSpec(1e6, 500.0, 114, 1e-3, "cover"))
 
 
 def _top_chain_ledger(plan):
@@ -303,7 +298,7 @@ def test_shelf_slant_sliver_ledger():
     for f in (0.3, 1.0):
         x = 1e6
         theta = f * SQRT2 * x ** -0.5
-        spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta, "pack")
+        spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta)
         plan = pack_shelf(spec)
         total = _top_chain_ledger(plan)["slant_sliver_balance"]
         assert total <= 0.25 * x ** (1 / 3) * 1.01
@@ -312,7 +307,7 @@ def test_shelf_slant_sliver_ledger():
 def test_shelf_stack_end_ledger():
     x = 1e6
     theta = SQRT2 * x ** -0.5
-    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta, "pack")
+    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta)
     plan = pack_shelf(spec)
     h1 = math.floor(x ** (-1 / 6) / math.tan(theta))
     total = sum(h1 * math.tan(a) for (_, _, _, a) in plan.meta["band_tilts"])
@@ -322,7 +317,7 @@ def test_shelf_stack_end_ledger():
 def test_shelf_joint_ledger_within_budget():
     x = 1e6
     theta = SQRT2 * x ** -0.5
-    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta, "pack")
+    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta)
     plan = pack_shelf(spec)
     assert plan.meta["stats"]["joint_max"] <= (2.5 + 2 * SQRT2) * x ** (1 / 6)
 
@@ -390,7 +385,7 @@ def test_band_tilt_increment_at_intermediate_scale():
     x = 1e5
     theta = SQRT2 * x ** -0.5
     spec = ShelfSpec(x, float(round(0.5 * math.sqrt(x))),
-                     shelf_top_len(x, "pack"), theta, "pack")
+                     shelf_top_len(x, "pack"), theta)
     plan = pack_shelf(spec)
     tilts = {k: a for (s, k, d, a) in plan.meta["band_tilts"] if s == x}
     assert len(tilts) >= 2

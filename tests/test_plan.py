@@ -8,7 +8,7 @@ import pytest
 
 import sqpack.plan as plan_mod
 import sqpack.planner as planner_mod
-from sqpack.builders import InvalidSpec, ShelfSpec, shelf_top_len
+from sqpack.builders import InvalidSpec, ShelfSpec, _tilt_limit, shelf_top_len
 from sqpack.geometry import Pose, rect_region, tri_region
 from sqpack.planner import build_plan, pack_square
 from sqpack.plan import (
@@ -172,7 +172,8 @@ def test_collector_is_paused_and_restored(enabled, monkeypatch):
     monkeypatch.setattr(planner_mod, "resolve_grafts", recording(planner_mod.resolve_grafts))
     monkeypatch.setattr(plan_mod, "plan_to_dict", recording(plan_mod.plan_to_dict))
     monkeypatch.setattr(plan_mod, "plan_from_dict", recording(plan_mod.plan_from_dict))
-    cover_spec = ShelfSpec(1e4, 50.0, shelf_top_len(1e4, "cover"), 0.01, "cover")
+    # a shelf tilted to its limit passes check_side and fails inside the build
+    steep = ShelfSpec(1e4, 50.0, shelf_top_len(1e4, "pack"), _tilt_limit(1e4))
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -186,7 +187,7 @@ def test_collector_is_paused_and_restored(enabled, monkeypatch):
             plan_from_json(dumps_stable({"version": 2}))
         assert gc.isenabled() is enabled
         with pytest.raises(InvalidSpec):
-            build_plan("pack", "shelf", cover_spec)
+            build_plan("pack", "shelf", steep)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

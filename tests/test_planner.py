@@ -3,8 +3,6 @@ area and meets the growth bound; what it does not accept raises InvalidSpec."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +36,12 @@ def test_square_outside_the_domain_raises_invalid_spec(kind, x):
         build_plan(kind, "square", x)
 
 
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+@pytest.mark.parametrize("x,root", [(100.0, "grid"), (100.5, "split")])
+def test_squares_at_or_below_the_base_cutoff_are_grids(kind, x, root):
+    assert build_plan(kind, "square", x).root.kind == root
+
+
 @pytest.mark.parametrize("kind,shape", [("pak", "square"), ("cover", "circle")])
 def test_unknown_kind_or_shape_raises_invalid_spec(kind, shape):
     with pytest.raises(InvalidSpec, match="unknown plan kind or shape"):
@@ -66,7 +70,5 @@ NAN, INF = float("nan"), float("inf")
         "wedge-nan-height", "wedge-nan-top", "wedge-inf-top", "wedge-nan-tilt",
         "shelf-nan-height", "shelf-nan-tilt", "shelf-inf-top", "shelf-fractional-top"])
 def test_dims_outside_the_domain_raise_invalid_spec(kind, shape, dims):
-    if shape == "shelf":
-        dims = (replace(dims[0], mode=kind),)
     with pytest.raises(InvalidSpec):
         build_plan(kind, shape, *dims)
