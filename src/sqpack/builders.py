@@ -15,7 +15,14 @@ wedge -- tall right trapezoid (vertical left side, slant at a small angle
 shelf -- shallow right trapezoid whose top edge is an exact integer;
          sliced into bands of height h1 = floor(scale**(-1/6)/tan(tilt)):
          an integer grid column on the left, a tilted stack band, and a
-         conceded slant sliver per band, plus a floor zone at the bottom.
+         slant sliver per band (conceded by a packing, overshot by a
+         covering), plus a floor zone at the bottom.
+
+Each step is written once for both kinds: `_stack_family` sets up tilted
+stacks of ceil(m) squares for a width m (and is the only caller of the tilt
+solvers), `_wedge_band` builds one wedge band, and `build_shelf` holds the
+shelf scaffold around the two band chains, `_shelf_pack` (descending) and
+`_shelf_cover` (ascending, with joint grids).
 
 Every builder works in its own local frame and returns a node that keeps
 its own seam segments in that frame. A parent grafts a child by composing
@@ -35,7 +42,7 @@ from dataclasses import dataclass, field
 
 from .config import ASPECT_LIMIT, BASE_CUTOFF, WEDGE_TOP
 from .geometry import (
-    Pose, Region, ceil_guard, compose_graft, floor_guard, frac_guard,
+    Pose, ceil_guard, compose_graft, floor_guard, frac_guard,
     rect_region, region_area, trap_region, tri_region,
 )
 from .plan import PlanNode, StackRun, grid_node, split_node, stacks_node, waste_node
@@ -114,11 +121,15 @@ class ShelfSpec:
             raise InvalidSpec(f"shelf tilt {self.tilt} over limit {limit}")
 
 
+def _band_base(scale: float, k: int, kind: str) -> int:
+    """Base of shelf band k: floor(x**(1/3) + (+-sqrt2 - k) * x**(1/6)), + packs."""
+    sign = 1.0 if kind == "pack" else -1.0
+    return floor_guard(scale ** (1.0 / 3.0) + (sign * SQRT2 - k) * scale ** (1.0 / 6.0))
+
+
 def shelf_top_len(scale: float, kind: str) -> int:
     """Integer top edge for a shelf at the given anchor scale."""
-    if kind == "pack":
-        return floor_guard(scale ** (1.0 / 3.0) + SQRT2 * scale ** (1.0 / 6.0))
-    return floor_guard(scale ** (1.0 / 3.0) - SQRT2 * scale ** (1.0 / 6.0))
+    return _band_base(scale, 0, kind)
 
 
 @dataclass
@@ -253,11 +264,36 @@ def build_panel(spec: PanelSpec, depth: int, stats: BuildStats, kind: str):
 # ---------------------------------------------------------------------------
 # strips
 
+def _takes_stacks(m: float) -> bool:
+    """Whether a width takes tilted stacks: at least 2 and not an integer."""
+    return m >= 2.0 and frac_guard(m) > EPS
+
+
+def _stack_family(m: float, kind: str):
+    """Tilted stacks of ceil(m) squares spanning width m, as
+    (theta, n, tan, sin, cos, pitch); the pitch is 1/cos(theta)."""
+    tilt = solve_pack_tilt(m) if kind == "pack" else solve_cover_tilt(m)
+    theta = tilt.theta
+    cos_t = math.cos(theta)
+    return theta, tilt.n, math.tan(theta), math.sin(theta), cos_t, 1.0 / cos_t
+
+
+def _top_gap(d: float, h1: int, tan_a: float, p: float) -> float:
+    """Top width of the wedge a band chain leaves before its first family."""
+    return min(WEDGE_TOP * math.sqrt(d), h1 - d * tan_a - p - 0.5)
+
+
+def _clamp(r: float) -> float:
+    """A remainder below 1e-9 is none."""
+    return 0.0 if r < 1e-9 else r
+
+
 def build_strip(m: float, L: float, depth: int, stats: BuildStats, kind: str):
     """Fill [0, L] x [0, m] with tilted stacks; wedge leftovers at both ends.
 
     Integer widths fill as plain grids; strips too short for two wedge ends
-    fall back to a grid.
+    fall back to a grid. Covering stacks start at y0 = -sin(theta) and
+    overshoot both long sides by sin(theta).
     """
     _bump(stats, depth)
     if m < 2.0:
@@ -266,41 +302,24 @@ def build_strip(m: float, L: float, depth: int, stats: BuildStats, kind: str):
     if frac_guard(m) <= EPS:
         return grid_fill(L, m, kind, label="strip grid")
 
-    tilt = solve_pack_tilt(m) if kind == "pack" else solve_cover_tilt(m)
-    theta, n = tilt.theta, tilt.n
-    tan_t, sin_t, cos_t = math.tan(theta), math.sin(theta), math.cos(theta)
-    p = 1.0 / cos_t
+    theta, n, tan_t, sin_t, cos_t, p = _stack_family(m, kind)
+    y0 = 0.0 if kind == "pack" else -sin_t
     top_target = WEDGE_TOP * math.sqrt(m)
-
-    if kind == "pack":
-        x_start = top_target + m * tan_t
-        n_stacks = floor_guard((L - x_start - top_target) / p)
-    else:
-        x_start = top_target + tan_t * (m + sin_t)
-        n_stacks = floor_guard((L - x_start + tan_t * sin_t - top_target) / p)
+    x_start = top_target + tan_t * (m - y0)
+    n_stacks = floor_guard((L - x_start - tan_t * y0 - top_target) / p)
     if n_stacks < 1:
         return grid_fill(L, m, kind, label="short strip grid")
 
-    if kind == "pack":
-        run = StackRun(base=Pose(x_start, 0.0, theta), step=(-sin_t, cos_t),
-                       count=n, repeat=n_stacks, pitch=(p, 0.0), label="strip")
-        left_top = top_target
-        right_bot = L - x_start - n_stacks * p
-        seam_lx = x_start
-        overshoot = []
-    else:
-        run = StackRun(base=Pose(x_start, -sin_t, theta), step=(-sin_t, cos_t),
-                       count=n, repeat=n_stacks, pitch=(p, 0.0), label="strip")
-        left_top = top_target
-        right_bot = L - x_start - n_stacks * p + tan_t * sin_t
-        seam_lx = x_start - tan_t * sin_t
-        overshoot = [
-            rect_region(n_stacks * p + 1.0, sin_t, Pose(x_start - 1.0, -sin_t, 0.0)),
-            rect_region(n_stacks * p + 1.0, sin_t,
-                        Pose(seam_lx - m * tan_t - 1.0, m, 0.0)),
-        ]
+    run = StackRun(base=Pose(x_start, y0, theta), step=(-sin_t, cos_t),
+                   count=n, repeat=n_stacks, pitch=(p, 0.0), label="strip")
+    right_bot = L - x_start - n_stacks * p - tan_t * y0
+    seam_lx = x_start + tan_t * y0
+    overshoot = [] if kind == "pack" else [
+        rect_region(n_stacks * p + 1.0, sin_t, Pose(x_start - 1.0, y0, 0.0)),
+        rect_region(n_stacks * p + 1.0, sin_t, Pose(seam_lx - m * tan_t - 1.0, m, 0.0)),
+    ]
     children = [
-        build_wedge(WedgeSpec(m, left_top, theta), depth + 1, stats, kind),
+        build_wedge(WedgeSpec(m, top_target, theta), depth + 1, stats, kind),
         _graft(build_wedge(WedgeSpec(m, right_bot, theta), depth + 1, stats, kind),
                Pose(L, m, math.pi)),
     ]
@@ -337,43 +356,42 @@ def build_wedge(spec: WedgeSpec, depth: int, stats: BuildStats, kind: str):
 
     h_int = max(1, round(height / max(round(2.0 * math.sqrt(height)), 1)))
     s_full = floor_guard(height / h_int)
-    rem = height - s_full * h_int
-    if rem < 1e-9:
-        rem = 0.0
+    rem = _clamp(height - s_full * h_int)
 
     children: list = []
     seams: list = []
     for i in range(s_full):
         y_bot = height - (i + 1) * h_int
-        w_i = top + i * h_int * tan_t
-        a_i = w_i - a_len
-        children.append(_graft(_band_rect(a_i, float(h_int), depth + 1, stats, kind),
-                               Pose(0.0, y_bot, 0.0)))
-        children.append(_graft(
-            build_shelf(ShelfSpec(height, float(h_int), a_len, theta), depth + 1, stats, kind),
-            Pose(a_i, y_bot, 0.0)))
+        rect, shelf = _wedge_band(spec, a_len, top + i * h_int * tan_t, y_bot, float(h_int),
+                                  depth, stats, kind)
+        children += [_graft(rect, Pose(0.0, y_bot, 0.0)), shelf]
         seams.append((0.0, y_bot, top + (i + 1) * h_int * tan_t, y_bot))
     if rem > 0.0:
         w_rem_top = top + s_full * h_int * tan_t
-        if rem < 1.0:
-            if kind == "pack":
-                children.append(waste_node(trap_region(rem, w_rem_top, a_bot),
-                                           "wedge remainder sliver"))
-            else:
-                children.append(sliced_trap_fill(rem, w_rem_top, a_bot, "cover",
-                                                 label="wedge remainder"))
+        if rem >= 1.0:
+            children.append(split_node(
+                trap_region(rem, w_rem_top, a_bot),
+                list(_wedge_band(spec, a_len, w_rem_top, 0.0, rem, depth, stats, kind)),
+                label="wedge remainder"))
+        elif kind == "pack":
+            children.append(waste_node(trap_region(rem, w_rem_top, a_bot),
+                                       "wedge remainder sliver"))
         else:
-            a_rem = w_rem_top - a_len
-            rem_children = [
-                _band_rect(a_rem, rem, depth + 1, stats, kind),
-                _graft(build_shelf(ShelfSpec(height, rem, a_len, theta), depth + 1, stats, kind),
-                       Pose(a_rem, 0.0, 0.0)),
-            ]
-            children.append(split_node(trap_region(rem, w_rem_top, a_bot),
-                                       rem_children, label="wedge remainder"))
+            children.append(sliced_trap_fill(rem, w_rem_top, a_bot, "cover",
+                                             label="wedge remainder"))
     node = split_node(region, children, label="wedge")
     node.seams = seams
     return node
+
+
+def _wedge_band(spec: WedgeSpec, a_len: int, w_top: float, y: float, h_band: float,
+                depth: int, stats: BuildStats, kind: str):
+    """One wedge band of top width w_top: its rectangle in the band's frame,
+    then its shelf against the slant, grafted at height y."""
+    a = w_top - a_len
+    rect = _band_rect(a, h_band, depth + 1, stats, kind)
+    shelf = build_shelf(ShelfSpec(spec.height, h_band, a_len, spec.tilt), depth + 1, stats, kind)
+    return rect, _graft(shelf, Pose(a, y, 0.0))
 
 
 def _band_rect(a_i: float, h_band: float, depth: int, stats: BuildStats, kind: str):
@@ -390,7 +408,9 @@ def _band_rect(a_i: float, h_band: float, depth: int, stats: BuildStats, kind: s
 
 def build_shelf(spec: ShelfSpec, depth: int, stats: BuildStats, kind: str):
     """Shallow trapezoid with integer top edge: integer grid columns on the
-    left, tilted stack bands against the slant, floor zone at the bottom."""
+    left, a chain of tilted stack bands against the slant, floor zone at the
+    bottom. A packing concedes each band's slant sliver, a covering
+    overshoots it."""
     _bump(stats, depth)
     spec.validate()
     scale, height, a_len, theta = spec.scale, spec.height, spec.top_len, spec.tilt
@@ -405,162 +425,170 @@ def build_shelf(spec: ShelfSpec, depth: int, stats: BuildStats, kind: str):
     h1 = floor_guard(scale ** (-1.0 / 6.0) / tan_t)
     if h1 < 1:
         raise InvalidSpec(f"tilt {theta} too large for band construction at scale {scale}")
-    if kind == "pack":
-        return _shelf_pack(spec, region, h1, depth, stats)
-    return _shelf_cover(spec, region, h1, depth, stats)
-
-
-def _shelf_bands(scale: float, a_len: int, h1: int, height: float, tan_t: float,
-                 kind: str):
-    """Band parameter table: integer grid width c_k, stack width d_k."""
-    x13 = scale ** (1.0 / 3.0)
-    x16 = scale ** (1.0 / 6.0)
-    nb = floor_guard(height / h1)
-    bands = []
-    for k in range(nb) if kind == "pack" else range(1, nb + 1):
-        if kind == "pack":
-            base_k = floor_guard(x13 + (SQRT2 - k) * x16)
-            yt = height - k * h1
-        else:
-            base_k = floor_guard(x13 - (SQRT2 + k) * x16)
-            yt = height - (k - 1) * h1
-        bands.append({"k": k, "base": base_k, "c": a_len - base_k,
-                      "d": base_k + k * h1 * tan_t, "yt": yt, "yb": yt - h1})
-    return nb, bands
-
-
-def _floor_zone_pack(children, f1, h2, x13, tan_t, depth, stats):
-    if h2 <= 0.0:
-        return
-    if h2 < 1.0:
-        children.append(waste_node(trap_region(h2, f1, f1 + h2 * tan_t),
-                                   "floor sliver"))
-        return
-    if h2 <= x13 or f1 < 2.0:
-        children.append(grid_fill(f1, h2, "pack", label="floor grid"))
-    else:
-        children.append(_graft(build_strip(f1, h2, depth + 1, stats, "pack"),
-                               Pose(f1, 0.0, math.pi / 2)))
-    children.append(waste_node(tri_region(h2 * tan_t, h2, Pose(f1, 0.0, 0.0)),
-                               "floor sliver"))
-
-
-def _shelf_pack(spec: ShelfSpec, region: Region, h1: int, depth: int, stats: BuildStats):
-    scale, height, a_len, theta = spec.scale, spec.height, spec.top_len, spec.tilt
-    tan_t = math.tan(theta)
-    x13 = scale ** (1.0 / 3.0)
-    nb, bands = _shelf_bands(scale, a_len, h1, height, tan_t, "pack")
-    h2 = height - nb * h1
-    if h2 < 1e-9:
-        h2 = 0.0
-    seams: list = []
+    bands = _shelf_bands(scale, a_len, h1, height, tan_t, kind)
+    if kind == "cover" and any(b["base"] < 2 for b in bands):
+        return sliced_trap_fill(height, a_len, a_bot, "cover", label="shelf rows")
+    nb = len(bands)
+    h2 = _clamp(height - nb * h1)
     children: list = []
+    seams: list = []
 
     if nb > 0:
         band_children: list = []
-        chain_runs: list[StackRun] = []
-        chain_children: list = []
-        chain_area = 0.0
-        ledger: dict = {"slant_sliver_balance": nb * 0.5 * h1 * h1 * tan_t,
-                        "band_ends": [], "joints": [], "b_k": []}
-        bands[0]["d"] = float(a_len)  # integer by construction of a_len
-
+        overshoot: list = []
         for b in bands:
-            w_k = b["c"] + b["d"]
-            band_children.append(waste_node(
-                tri_region(h1 * tan_t, h1, Pose(w_k, b["yb"], 0.0)), "slant sliver"))
+            if kind == "pack":
+                band_children.append(waste_node(
+                    tri_region(h1 * tan_t, h1, Pose(b["c"] + b["d"], b["yb"], 0.0)),
+                    "slant sliver"))
+            else:
+                overshoot.append(tri_region(h1 * tan_t, h1,
+                                            Pose(b["c"] + b["d"], b["yt"], math.pi)))
             if b["k"] >= 1 and b["c"] >= 1:
                 band_children.append(grid_node(
                     rect_region(b["c"], h1, Pose(0.0, b["yb"], 0.0)),
                     (0.0, b["yb"]), h1, int(b["c"]), label="grid column"))
             seams.append((0.0, b["yb"], a_len + (height - b["yb"]) * tan_t, b["yb"]))
-
-        # top band: its width is the integer top edge, fills perfectly
-        chain_runs.append(StackRun(base=Pose(0.0, bands[0]["yb"], 0.0),
-                                   step=(1.0, 0.0), count=a_len, repeat=h1,
-                                   pitch=(0.0, 1.0), label="top band"))
-        chain_area += float(a_len) * h1
-
-        seam = None
-        for b in bands[1:]:
-            k, c, d, yt, yb = b["k"], float(b["c"]), b["d"], b["yt"], b["yb"]
-            chain_area += d * h1
-            last = k == nb - 1
-            placed = False
-            if d >= 2.0 and frac_guard(d) > EPS:
-                alpha = solve_pack_tilt(d).theta
-                n = ceil_guard(d)
-                tan_a, sin_a, cos_a = math.tan(alpha), math.sin(alpha), math.cos(alpha)
-                p = 1.0 / cos_a
-                top_gap = None
-                if seam is None:
-                    tau = min(WEDGE_TOP * math.sqrt(d), h1 - d * tan_a - p - 0.5)
-                    y0 = yt - tau - p if tau >= 1.0 else None
-                    top_gap = tau
-                else:
-                    y0 = _anchor_below_seam(seam, c, d, p, tan_a, yt)
-                if last:
-                    y_stop = h2 + WEDGE_TOP * math.sqrt(d) + n * sin_a
-                elif _next_is_stack(bands, k):
-                    y_stop = yb + (bands[k + 1]["c"] - c) * tan_a
-                else:
-                    y_stop = yb + n * sin_a
-                if y0 is not None and y0 >= y_stop:
-                    n_stacks = floor_guard((y0 - y_stop) / p) + 1
-                    stats.band_tilts.append((scale, k, d, alpha))
-                    if top_gap is not None:
-                        chain_children.append(_graft(
-                            build_wedge(WedgeSpec(d, top_gap, alpha), depth + 1, stats, "pack"),
-                            Pose(c + d, yt, math.pi / 2), mirror=True))
-                    y_last = y0 - (n_stacks - 1) * p
-                    chain_runs.append(StackRun(
-                        base=Pose(c, y0, -alpha), step=(cos_a, -sin_a), count=n,
-                        repeat=n_stacks, pitch=(0.0, -p), label=f"band {k}"))
-                    ledger["band_ends"].append(n_stacks * tan_a)
-                    if seam is not None:
-                        joint = _joint_gap_area(seam, c, d, y0, p, tan_a, yt)
-                        ledger["joints"].append(joint)
-                        stats.joint_max = max(stats.joint_max, joint)
-                        if seam["type"] == "stack" and seam["tan"] > EPS:
-                            hit = seam["cx"] + (seam["y"] - yt) / seam["tan"]
-                            ledger["b_k"].append(hit - c)
-                    if last:
-                        tau_r = (y_last - h2) - d * tan_a
-                        chain_children.append(_graft(
-                            build_wedge(WedgeSpec(d, tau_r, alpha), depth + 1, stats, "pack"),
-                            Pose(c, h2, -math.pi / 2), mirror=True))
-                    seam = {"type": "stack", "cx": c, "y": y_last, "tan": tan_a,
-                            "x_edge": c + n * cos_a, "x_region": c + d,
-                            "n_sin": n * sin_a}
-                    placed = True
-            if not placed:
-                rows = _safe_rows(seam, c, d, h1, yb)
-                cols = floor_guard(d)
-                if rows >= 1 and cols >= 1:
-                    chain_runs.append(StackRun(base=Pose(c, yb, 0.0), step=(1.0, 0.0),
-                                               count=cols, repeat=rows,
-                                               pitch=(0.0, 1.0), label=f"band {k} grid"))
-                if rows < h1:
-                    stats.fallback_bands += 1
-                seam = {"type": "flat", "y": yb}
-
+        if kind == "pack":
+            runs, leftovers, area, ledger = _shelf_pack(bands, a_len, h1, h2, scale, depth,
+                                                        stats)
+        else:
+            runs, leftovers, area, ledger = _shelf_cover(bands, height, h1, h2, tan_t, scale,
+                                                         depth, stats)
+        balance = "slant_sliver_balance" if kind == "pack" else "overshoot_balance"
+        ledger[balance] = nb * 0.5 * h1 * h1 * tan_t
         band_children.append(stacks_node(
-            None, chain_runs, leftovers=chain_children, label="stack bands",
-            area=chain_area, ledger=ledger))
+            None, runs, leftovers=leftovers, label="stack bands", area=area,
+            overshoot=overshoot, ledger=ledger))
         children.append(split_node(
             trap_region(nb * h1, a_len, a_len + nb * h1 * tan_t, Pose(0.0, h2, 0.0)),
             band_children, label="band block"))
 
-    f1 = a_len + nb * h1 * tan_t
-    _floor_zone_pack(children, f1, h2, x13, tan_t, depth, stats)
+    if h2 > 0.0:
+        f_top = a_len + nb * h1 * tan_t
+        x13 = scale ** (1.0 / 3.0)
+        if kind == "pack":
+            children += _floor_zone_pack(f_top, h2, x13, tan_t, depth, stats)
+        else:
+            children.append(_floor_zone_cover(f_top, a_bot, h2, x13, depth, stats))
     node = split_node(region, children, label="shelf")
     node.seams = seams
     return node
 
 
-def _next_is_stack(bands, k: int) -> bool:
-    nxt = bands[k + 1]
-    return nxt["d"] >= 2.0 and frac_guard(nxt["d"]) > EPS
+def _shelf_bands(scale: float, a_len: int, h1: int, height: float, tan_t: float,
+                 kind: str) -> list[dict]:
+    """Band table, top band first: integer grid width c_k, stack width d_k,
+    band top yt and bottom yb. Packing numbers its bands from 0, and its top
+    band spans the whole top edge; covering numbers them from 1."""
+    first = 0 if kind == "pack" else 1
+    bands = []
+    for j in range(floor_guard(height / h1)):
+        k = j + first
+        base_k = _band_base(scale, k, kind)
+        yt = height - j * h1
+        d = float(a_len) if k == 0 else base_k + k * h1 * tan_t
+        bands.append({"k": k, "base": base_k, "c": a_len - base_k, "d": d,
+                      "yt": yt, "yb": yt - h1})
+    return bands
+
+
+def _floor_zone_pack(f1: float, h2: float, x13: float, tan_t: float, depth: int,
+                     stats: BuildStats) -> list:
+    """Packing floor zone under the band block: top width f1, height h2 > 0."""
+    if h2 < 1.0:
+        return [waste_node(trap_region(h2, f1, f1 + h2 * tan_t), "floor sliver")]
+    if h2 <= x13 or f1 < 2.0:
+        fill = grid_fill(f1, h2, "pack", label="floor grid")
+    else:
+        fill = _graft(build_strip(f1, h2, depth + 1, stats, "pack"),
+                      Pose(f1, 0.0, math.pi / 2))
+    return [fill, waste_node(tri_region(h2 * tan_t, h2, Pose(f1, 0.0, 0.0)), "floor sliver")]
+
+
+def _floor_zone_cover(f_top: float, f1: float, h2: float, x13: float, depth: int,
+                      stats: BuildStats) -> PlanNode:
+    """Covering floor zone: the trapezoid of height h2 > 0 from f_top to f1."""
+    if h2 <= x13 or f1 < 2.0 or h2 < 2.0 * ceil_guard(f1):
+        return grid_node(trap_region(h2, f_top, f1), (0.0, 0.0), ceil_guard(h2),
+                         ceil_guard(f1), label="floor grid")
+    # the strip stands on its side and overshoots the floor trapezoid; the
+    # node keeps the trapezoid as its region, written in the strip's own
+    # frame (the inverse of the graft below)
+    fnode = build_strip(f1, h2, depth + 1, stats, "cover")
+    fnode.region = trap_region(h2, f_top, f1, Pose(0.0, f1, -math.pi / 2))
+    fnode.area = region_area(fnode.region)
+    return _graft(fnode, Pose(f1, 0.0, math.pi / 2))
+
+
+def _shelf_pack(bands: list[dict], a_len: int, h1: int, h2: float, scale: float, depth: int,
+                stats: BuildStats):
+    """The packing chain descends: the top band fills as a grid, then each
+    band takes a stack family anchored under the seam of the band above, or
+    a grid where none fits. Returns (runs, leftovers, area, ledger)."""
+    nb = len(bands)
+    # top band: its width is the integer top edge, fills perfectly
+    runs = [StackRun(base=Pose(0.0, bands[0]["yb"], 0.0), step=(1.0, 0.0), count=a_len,
+                     repeat=h1, pitch=(0.0, 1.0), label="top band")]
+    leftovers: list = []
+    area = float(a_len) * h1
+    ledger: dict = {"band_ends": [], "joints": [], "b_k": []}
+    seam = None
+    for b in bands[1:]:
+        k, c, d, yt, yb = b["k"], float(b["c"]), b["d"], b["yt"], b["yb"]
+        area += d * h1
+        last = k == nb - 1
+        placed = False
+        if _takes_stacks(d):
+            alpha, n, tan_a, sin_a, cos_a, p = _stack_family(d, "pack")
+            top_gap = _top_gap(d, h1, tan_a, p) if seam is None else None
+            if seam is None:
+                y0 = yt - top_gap - p if top_gap >= 1.0 else None
+            else:
+                y0 = _anchor_below_seam(seam, c, d, p, tan_a, yt)
+            if last:
+                y_stop = h2 + WEDGE_TOP * math.sqrt(d) + n * sin_a
+            elif _takes_stacks(bands[k + 1]["d"]):
+                y_stop = yb + (bands[k + 1]["c"] - c) * tan_a
+            else:
+                y_stop = yb + n * sin_a
+            if y0 is not None and y0 >= y_stop:
+                n_stacks = floor_guard((y0 - y_stop) / p) + 1
+                stats.band_tilts.append((scale, k, d, alpha))
+                if top_gap is not None:
+                    leftovers.append(_graft(
+                        build_wedge(WedgeSpec(d, top_gap, alpha), depth + 1, stats, "pack"),
+                        Pose(c + d, yt, math.pi / 2), mirror=True))
+                y_last = y0 - (n_stacks - 1) * p
+                runs.append(StackRun(
+                    base=Pose(c, y0, -alpha), step=(cos_a, -sin_a), count=n,
+                    repeat=n_stacks, pitch=(0.0, -p), label=f"band {k}"))
+                ledger["band_ends"].append(n_stacks * tan_a)
+                if seam is not None:
+                    joint = _joint_gap_area(seam, c, d, y0, p, tan_a, yt)
+                    ledger["joints"].append(joint)
+                    stats.joint_max = max(stats.joint_max, joint)
+                    if seam["type"] == "stack" and seam["tan"] > EPS:
+                        hit = seam["cx"] + (seam["y"] - yt) / seam["tan"]
+                        ledger["b_k"].append(hit - c)
+                if last:
+                    tau_r = (y_last - h2) - d * tan_a
+                    leftovers.append(_graft(
+                        build_wedge(WedgeSpec(d, tau_r, alpha), depth + 1, stats, "pack"),
+                        Pose(c, h2, -math.pi / 2), mirror=True))
+                seam = {"type": "stack", "cx": c, "y": y_last, "tan": tan_a,
+                        "x_edge": c + n * cos_a, "x_region": c + d}
+                placed = True
+        if not placed:
+            rows = _safe_rows(seam, c, d, h1, yb)
+            cols = floor_guard(d)
+            if rows >= 1 and cols >= 1:
+                runs.append(StackRun(base=Pose(c, yb, 0.0), step=(1.0, 0.0), count=cols,
+                                     repeat=rows, pitch=(0.0, 1.0), label=f"band {k} grid"))
+            if rows < h1:
+                stats.fallback_bands += 1
+            seam = {"type": "flat", "y": yb}
+    return runs, leftovers, area, ledger
 
 
 def _safe_rows(seam, c: float, d: float, h1: int, yb: float) -> int:
@@ -608,141 +636,85 @@ def _joint_gap_area(seam, c: float, d: float, y0: float, p: float, tan_a: float,
     return max(step, 0.0) + sliver
 
 
-def _seam_top(seam, x: float, fallback_y: float) -> float:
+def _seam_top(seam, x: float) -> float:
     """Height of the covering slab-top line from the family below at x."""
-    if seam is None:
-        return fallback_y
     if seam["type"] == "flat":
         return seam["y"]
     return seam["y"] - (x - seam["ax"]) * seam["tan"]
 
 
-def _shelf_cover(spec: ShelfSpec, region: Region, h1: int, depth: int, stats: BuildStats):
-    scale, height, a_len, theta = spec.scale, spec.height, spec.top_len, spec.tilt
-    tan_t = math.tan(theta)
-    x13 = scale ** (1.0 / 3.0)
-    t, bands = _shelf_bands(scale, a_len, h1, height, tan_t, "cover")
-    h2 = height - t * h1
-    if h2 < 1e-9:
-        h2 = 0.0
-    seams: list = []
-    children: list = []
-
-    if t > 0 and any(b["base"] < 2 for b in bands):
-        return sliced_trap_fill(height, a_len, a_len + height * tan_t, "cover",
-                                label="shelf rows")
-
-    if t > 0:
-        band_children: list = []
-        chain_runs: list[StackRun] = []
-        chain_children: list = []
-        chain_area = 0.0
-        ledger: dict = {"overshoot_balance": t * 0.5 * h1 * h1 * tan_t,
-                        "band_ends": [], "joints": []}
-        overshoot = []
-        for b in bands:
-            if b["c"] >= 1:
-                band_children.append(grid_node(
-                    rect_region(b["c"], h1, Pose(0.0, b["yb"], 0.0)),
-                    (0.0, b["yb"]), h1, int(b["c"]), label="grid column"))
-            overshoot.append(tri_region(h1 * tan_t, h1,
-                                        Pose(b["c"] + b["d"], b["yt"], math.pi)))
-            seams.append((0.0, b["yb"], a_len + (height - b["yb"]) * tan_t, b["yb"]))
-
-        # The chain ascends. Each family hands off once its guaranteed slab
-        # covers the lower-right corner of the band above; the next family
-        # pitches against the previous slab-top line (the lines are nearly
-        # parallel), and the small uncovered triangle over the widening
-        # integer column is bridged by an axis-aligned joint grid.
-        seam = None  # slab-top line of the family below
-        for idx in range(t - 1, -1, -1):
-            b = bands[idx]
-            k, c, d, yt, yb = b["k"], float(b["c"]), b["d"], b["yt"], b["yb"]
-            d_trap = trap_region(h1, d - h1 * tan_t, d, Pose(c, yb, 0.0))
-            chain_area += region_area(d_trap)
-            first = k == t
-            placed = False
-            if d >= 2.0 and frac_guard(d) > EPS:
-                alpha = solve_cover_tilt(d).theta
-                n = ceil_guard(d)
-                tan_a, sin_a, cos_a = math.tan(alpha), math.sin(alpha), math.cos(alpha)
-                p = 1.0 / cos_a
-                ax = c - sin_a
-                y0 = None
-                if first:
-                    tau = min(WEDGE_TOP * math.sqrt(d), h1 - d * tan_a - p - 0.5)
-                    if tau >= 1.0:
-                        y0 = h2 + tau + (d + sin_a) * tan_a
-                        chain_children.append(_graft(
-                            build_wedge(WedgeSpec(d, tau, alpha), depth + 1, stats, "cover"),
-                            Pose(c, h2, -math.pi / 2), mirror=True))
+def _shelf_cover(bands: list[dict], height: float, h1: int, h2: float, tan_t: float,
+                 scale: float, depth: int, stats: BuildStats):
+    """The covering chain ascends. Each family hands off once its guaranteed
+    slab covers the lower-right corner of the band above; the next family
+    pitches against the previous slab-top line (the lines are nearly
+    parallel), and the small uncovered triangle over the widening integer
+    column is bridged by an axis-aligned joint grid. Returns (runs,
+    leftovers, area, ledger)."""
+    t = len(bands)
+    runs: list[StackRun] = []
+    leftovers: list = []
+    area = 0.0
+    ledger: dict = {"band_ends": [], "joints": []}
+    seam = None  # slab-top line of the family below
+    for idx in range(t - 1, -1, -1):
+        b = bands[idx]
+        k, c, d, yt, yb = b["k"], float(b["c"]), b["d"], b["yt"], b["yb"]
+        area += region_area(trap_region(h1, d - h1 * tan_t, d, Pose(c, yb, 0.0)))
+        stacked = _takes_stacks(d)
+        placed = False
+        if stacked:
+            alpha, n, tan_a, sin_a, cos_a, p = _stack_family(d, "cover")
+            ax = c - sin_a
+            y0 = None
+            if k == t:
+                tau = _top_gap(d, h1, tan_a, p)
+                if tau >= 1.0:
+                    y0 = h2 + tau + (d + sin_a) * tan_a
+                    leftovers.append(_graft(
+                        build_wedge(WedgeSpec(d, tau, alpha), depth + 1, stats, "cover"),
+                        Pose(c, h2, -math.pi / 2), mirror=True))
+            else:
+                below = bands[idx + 1]
+                dc = int(below["c"] - b["c"])
+                x_hi = below["c"] + below["d"]
+                y0 = min(_seam_top(seam, x) + (x - ax) * tan_a
+                         for x in (float(below["c"]), x_hi))
+                gap = (y0 - sin_a * tan_a) - yb
+                rows = ceil_guard(gap) if gap > 1e-9 else 0
+                if dc >= 1 and rows >= 1:
+                    runs.append(StackRun(
+                        base=Pose(c, yb, 0.0), step=(1.0, 0.0), count=dc,
+                        repeat=rows, pitch=(0.0, 1.0), label=f"joint {k}"))
+                    ledger["joints"].append(dc * rows - dc * max(gap - dc * tan_a / 2, 0))
+            if y0 is not None:
+                stats.band_tilts.append((scale, k, d, alpha))
+                if k >= 2:
+                    above = bands[idx - 1]
+                    px = above["c"] + above["d"]
+                    need = (yt - p - y0 + (px - ax) * tan_a) / p
+                    n_stacks = max(1, ceil_guard(need) + 1)
                 else:
-                    below = bands[idx + 1]
-                    dc = int(below["c"] - b["c"])
-                    x_hi = below["c"] + below["d"]
-                    y0 = min(_seam_top(seam, x, yb) + (x - ax) * tan_a
-                             for x in (float(below["c"]), x_hi))
-                    gap = (y0 - sin_a * tan_a) - yb
-                    rows = ceil_guard(gap) if gap > 1e-9 else 0
-                    if dc >= 1 and rows >= 1:
-                        chain_runs.append(StackRun(
-                            base=Pose(c, yb, 0.0), step=(1.0, 0.0), count=dc,
-                            repeat=rows, pitch=(0.0, 1.0), label=f"joint {k}"))
-                        ledger["joints"].append(dc * rows - dc * max(gap - dc * tan_a / 2, 0))
-                if y0 is not None:
-                    stats.band_tilts.append((scale, k, d, alpha))
-                    if k >= 2:
-                        above = bands[idx - 1]
-                        px = above["c"] + above["d"]
-                        need = (yt - p - y0 + (px - ax) * tan_a) / p
-                        n_stacks = max(1, ceil_guard(need) + 1)
-                    else:
-                        target = height - cos_a - WEDGE_TOP * math.sqrt(d)
-                        n_stacks = max(1, floor_guard((target - y0) / p) + 1)
-                    chain_runs.append(StackRun(
-                        base=Pose(ax, y0, -alpha), step=(cos_a, -sin_a), count=n,
-                        repeat=n_stacks, pitch=(0.0, p), label=f"band {k}"))
-                    ledger["band_ends"].append(n_stacks * tan_a)
-                    y_last = y0 + (n_stacks - 1) * p
-                    if k == 1:
-                        tau_top = height - y_last - cos_a
-                        if tau_top > 1e-9:
-                            chain_children.append(_graft(
-                                build_wedge(WedgeSpec(d, tau_top, alpha), depth + 1, stats,
-                                            "cover"),
-                                Pose(c + d, height, math.pi / 2), mirror=True))
-                    seam = {"type": "stack", "ax": ax, "y": y_last + p, "tan": tan_a}
-                    placed = True
-            if not placed:
-                chain_runs.append(StackRun(base=Pose(c, yb, 0.0), step=(1.0, 0.0),
-                                           count=ceil_guard(d), repeat=h1,
-                                           pitch=(0.0, 1.0), label=f"band {k} grid"))
-                if d >= 2.0 and frac_guard(d) > EPS:
-                    stats.fallback_bands += 1
-                seam = {"type": "flat", "y": yt}
-
-        band_children.append(stacks_node(
-            None, chain_runs, leftovers=chain_children, label="stack bands",
-            area=chain_area, overshoot=overshoot, ledger=ledger))
-        children.append(split_node(
-            trap_region(t * h1, a_len, a_len + t * h1 * tan_t, Pose(0.0, h2, 0.0)),
-            band_children, label="band block"))
-
-    if h2 > 0.0:
-        f1 = a_len + height * tan_t
-        f_top = a_len + t * h1 * tan_t
-        if h2 <= x13 or f1 < 2.0 or h2 < 2.0 * ceil_guard(f1):
-            fnode = grid_node(trap_region(h2, f_top, f1), (0.0, 0.0), ceil_guard(h2),
-                              ceil_guard(f1), label="floor grid")
-        else:
-            # the strip stands on its side and overshoots the floor trapezoid;
-            # the node keeps the trapezoid as its region, written in the
-            # strip's own frame (the inverse of the graft below)
-            fnode = build_strip(f1, h2, depth + 1, stats, "cover")
-            fnode.region = trap_region(h2, f_top, f1, Pose(0.0, f1, -math.pi / 2))
-            fnode.area = region_area(fnode.region)
-            _graft(fnode, Pose(f1, 0.0, math.pi / 2))
-        children.append(fnode)
-    node = split_node(region, children, label="shelf")
-    node.seams = seams
-    return node
+                    target = height - cos_a - WEDGE_TOP * math.sqrt(d)
+                    n_stacks = max(1, floor_guard((target - y0) / p) + 1)
+                runs.append(StackRun(
+                    base=Pose(ax, y0, -alpha), step=(cos_a, -sin_a), count=n,
+                    repeat=n_stacks, pitch=(0.0, p), label=f"band {k}"))
+                ledger["band_ends"].append(n_stacks * tan_a)
+                y_last = y0 + (n_stacks - 1) * p
+                if k == 1:
+                    tau_top = height - y_last - cos_a
+                    if tau_top > 1e-9:
+                        leftovers.append(_graft(
+                            build_wedge(WedgeSpec(d, tau_top, alpha), depth + 1, stats,
+                                        "cover"),
+                            Pose(c + d, height, math.pi / 2), mirror=True))
+                seam = {"type": "stack", "ax": ax, "y": y_last + p, "tan": tan_a}
+                placed = True
+        if not placed:
+            runs.append(StackRun(base=Pose(c, yb, 0.0), step=(1.0, 0.0), count=ceil_guard(d),
+                                 repeat=h1, pitch=(0.0, 1.0), label=f"band {k} grid"))
+            if stacked:
+                stats.fallback_bands += 1
+            seam = {"type": "flat", "y": yt}
+    return runs, leftovers, area, ledger

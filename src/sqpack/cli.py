@@ -57,15 +57,14 @@ def _report_path(args) -> str:
 def cmd_build(args, kind: str) -> int:
     _check_x(args.x)
     plan = build_plan(kind, "square", args.x)
-    report = account(plan)
-    check = check_bound(report, "square")
+    report = check_bound(account(plan), "square")
     _write(args.out, plan_to_json(plan))
     _write(_report_path(args), dumps_stable(report.to_dict()))
     word = "waste" if kind == "pack" else "excess"
     print(f"{kind} x={args.x}: {report.square_count} squares, "
           f"{word}={report.waste_or_excess:.6g}, "
-          f"bound={check.bound_value:.6g}, passed={check.passed}")
-    return 0 if check.passed else 1
+          f"bound={report.bound_value:.6g}, passed={report.passed}")
+    return 0 if report.passed else 1
 
 
 def cmd_verify(args) -> int:
@@ -96,14 +95,13 @@ def run_series(xs: list[float], kind: str):
     for x in xs:
         t0 = time.perf_counter()
         plan = build_plan(kind, "square", x)
-        report = account(plan)
-        check = check_bound(report, "square")
+        report = check_bound(account(plan), "square")
         rows.append({
             "x": x,
             "kind": kind,
             "square_count": report.square_count,
             "waste_or_excess": report.waste_or_excess,
-            "bound_value": check.bound_value,
+            "bound_value": report.bound_value,
             "ratio": report.waste_or_excess / x ** 0.625,
             "verified": "analytic-only",
             "wall_time": time.perf_counter() - t0,

@@ -169,38 +169,28 @@ class WasteReport:
         return asdict(self)
 
 
-def _subtree_counts(node: PlanNode, out: dict) -> int:
-    """Post-order: square count of every subtree, keyed by node id."""
-    n = node.own_count() + sum(_subtree_counts(c, out) for c in node.children)
-    out[id(node)] = n
-    return n
-
-
-def _check_node(node: PlanNode, kind: str, path: str, counts: dict) -> None:
+def _check_node(node: PlanNode, kind: str, path: str) -> tuple[int, list[int]]:
+    """Assert conservation at `node` and below in one walk; return the
+    subtree's square count and the count of each child subtree."""
     if node.kind not in NODE_KINDS:
         raise PlanError(f"{path}: unknown node kind {node.kind!r}")
-    count = counts[id(node)]
-    if kind == "pack":
-        slack = node.area - count
-        if slack < -AREA_RTOL * max(node.area, 1.0):
-            raise PlanError(f"{path}: packing node holds {count} squares in area {node.area}")
-    else:
-        if node.kind == "waste":
-            raise PlanError(f"{path}: covering plans cannot declare waste nodes")
+    if kind == "cover" and node.kind == "waste":
+        raise PlanError(f"{path}: covering plans cannot declare waste nodes")
     if node.kind == "split":
         child_sum = sum(c.area for c in node.children)
         if abs(child_sum - node.area) > AREA_RTOL * max(node.area, 1.0):
             raise PlanError(f"{path}: split children areas {child_sum} != {node.area}")
-    for i, c in enumerate(node.children):
-        _check_node(c, kind, f"{path}.{i}", counts)
+    parts = [_check_node(c, kind, f"{path}.{i}")[0] for i, c in enumerate(node.children)]
+    count = node.own_count() + sum(parts)
+    if kind == "pack" and node.area - count < -AREA_RTOL * max(node.area, 1.0):
+        raise PlanError(f"{path}: packing node holds {count} squares in area {node.area}")
+    return count, parts
 
 
 def account(plan: Plan) -> WasteReport:
     """Bottom-up analytic accounting. For packing, waste = area - count; for
     covering, excess = count - area. Conservation is asserted at every node."""
-    counts: dict = {}
-    count = _subtree_counts(plan.root, counts)
-    _check_node(plan.root, plan.kind, "root", counts)
+    count, parts = _check_node(plan.root, plan.kind, "root")
     area = region_area(plan.region)
     if plan.kind == "pack":
         value = area - count
@@ -209,8 +199,8 @@ def account(plan: Plan) -> WasteReport:
     if value < -AREA_RTOL * max(area, 1.0):
         raise PlanError(f"negative {plan.kind} balance: {value}")
     per = []
-    for child in (plan.root.children if plan.root.kind == "split" else [plan.root]):
-        c = counts[id(child)]
+    tops = zip(plan.root.children, parts) if plan.root.kind == "split" else [(plan.root, count)]
+    for child, c in tops:
         entry = {
             "label": child.label or child.kind,
             "area": child.area,
@@ -224,14 +214,6 @@ def account(plan: Plan) -> WasteReport:
                        waste_or_excess=value, per_region=per, ledger=ledger)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    constant: float
-    exponent: float
-    bound_value: float
-    passed: bool
-
-
 _SQRT2 = math.sqrt(2.0)
 
 BOUND_TABLE = {
@@ -243,21 +225,19 @@ BOUND_TABLE = {
 }
 
 
-def check_bound(report: WasteReport, region_type: str) -> BoundCheck:
-    """Compare achieved waste/excess against the guaranteed growth bound."""
+def check_bound(report: WasteReport, region_type: str) -> WasteReport:
+    """Compare achieved waste/excess against the guaranteed growth bound;
+    record the bound and the verdict on `report` and return it."""
     if region_type not in BOUND_TABLE:
         raise PlanError(f"unknown region type {region_type!r}")
     if report.waste_or_excess < -1e-6:
         raise PlanError(f"negative waste {report.waste_or_excess} signals an accounting bug")
     constant, exponent = BOUND_TABLE[region_type]
-    bound_value = constant * report.x ** exponent
-    passed = report.waste_or_excess <= bound_value
     report.bound_constant = constant
     report.bound_exponent = exponent
-    report.bound_value = bound_value
-    report.passed = passed
-    return BoundCheck(constant=constant, exponent=exponent,
-                      bound_value=bound_value, passed=passed)
+    report.bound_value = constant * report.x ** exponent
+    report.passed = report.waste_or_excess <= report.bound_value
+    return report
 
 
 @dataclass(frozen=True)
@@ -480,6 +460,8 @@ def _node_from_dict(d: dict) -> PlanNode:
         node.ledger = d["ledger"]
     elif kind == "waste":
         node.reason = d["reason"]
+    else:
+        raise PlanError(f"unknown node kind {kind!r}")
     return node
 
 

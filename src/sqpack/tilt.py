@@ -37,8 +37,8 @@ class StripTilt:
     theta: float
 
 
-def pack_residual(m: float, n: int, theta: float) -> float:
-    """n*cos(t) + sin(t) - m, written so every term is O(1).
+def _residual(m: float, n: int, theta: float, sign: float) -> float:
+    """n*cos(t) + sign*sin(t) - m, written so every term is O(1).
 
     The naive form loses the whole tolerance budget to cancellation once m
     is large: n*cos(t) carries an eps*m rounding error. Using
@@ -46,13 +46,17 @@ def pack_residual(m: float, n: int, theta: float) -> float:
     machine precision at any width (n - m is an exact IEEE subtraction).
     """
     s = math.sin(theta / 2.0)
-    return (n - m) - 2.0 * n * s * s + math.sin(theta)
+    return (n - m) - 2.0 * n * s * s + sign * math.sin(theta)
+
+
+def pack_residual(m: float, n: int, theta: float) -> float:
+    """n*cos(t) + sin(t) - m in cancellation-free form."""
+    return _residual(m, n, theta, 1.0)
 
 
 def cover_residual(m: float, n: int, theta: float) -> float:
-    """n*cos(t) - sin(t) - m in the same cancellation-free form."""
-    s = math.sin(theta / 2.0)
-    return (n - m) - 2.0 * n * s * s - math.sin(theta)
+    """n*cos(t) - sin(t) - m in cancellation-free form."""
+    return _residual(m, n, theta, -1.0)
 
 
 def _solve(m: float, kind: str) -> StripTilt:
@@ -62,26 +66,18 @@ def _solve(m: float, kind: str) -> StripTilt:
     if frac_guard(m) <= 1e-12:
         return StripTilt(n=int(round(m)), theta=0.0)
 
-    phase = math.atan2(1.0, n)
-    ratio = m / math.sqrt(n * n + 1.0)
-    ratio = min(1.0, max(-1.0, ratio))
-    if kind == "pack":
-        theta = phase + math.acos(ratio)
-        resid, dresid = pack_residual, lambda t: -n * math.sin(t) + math.cos(t)
-    else:
-        theta = math.acos(ratio) - phase
-        resid, dresid = cover_residual, lambda t: -n * math.sin(t) - math.cos(t)
-
+    sign = 1.0 if kind == "pack" else -1.0
+    ratio = min(1.0, max(-1.0, m / math.sqrt(n * n + 1.0)))
+    theta = sign * math.atan2(1.0, n) + math.acos(ratio)
     for _ in range(3):
-        f = resid(m, n, theta)
-        df = dresid(theta)
+        df = -n * math.sin(theta) + sign * math.cos(theta)
         if abs(df) < 1e-6:
             break
-        theta -= f / df
+        theta -= _residual(m, n, theta, sign) / df
 
     if theta < 0.0 and theta > -1e-13:
         theta = 0.0
-    f = resid(m, n, theta)
+    f = _residual(m, n, theta, sign)
     if not (0.0 <= theta < math.pi / 2) or abs(f) > RESIDUAL_TOL:
         raise TiltError(f"tilt solve failed for m={m} kind={kind}: theta={theta} residual={f}")
     return StripTilt(n=n, theta=theta)

@@ -140,6 +140,23 @@ def test_verify_rejects_unknown_plan_kind(tmp_path, capsys, kind):
     assert "plan kind must be 'pack' or 'cover'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("node_kind", ["Grid", "tile", ""])
+def test_plans_with_an_unknown_node_kind_are_refused(tmp_path, capsys, node_kind):
+    # the same overlapping extra square: under a kind outside the node kinds
+    # it must not load as a node that holds no squares and pass
+    plan = pack_square(50.0)
+    extra = grid_node(rect_region(1.0, 1.0, Pose(0.5, 0.5, 0.0)), (0.5, 0.5), 1, 1)
+    plan.root = split_node(None, [plan.root, extra], area=plan.root.area + extra.area)
+    data = json.loads(plan_to_json(plan))
+    data["root"]["children"][1]["kind"] = node_kind
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(data))
+    for argv in (["verify", plan_path], ["render", plan_path, "--out", tmp_path / "p.svg"]):
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert f"unknown node kind {node_kind!r}" in capsys.readouterr().err
+
+
 def test_verify_count_mismatch_is_input_error(tmp_path, capsys):
     # a grid with negative rows holds no squares but counts negative ones:
     # reading its lattices fails before any geometry is checked

@@ -172,6 +172,10 @@ PLAN_CASES = {
     "shelf 1e4": ("shelf", 1e4, 50.0, _tilt(1e4, 1.0)),
     "shelf 1e6": ("shelf", 1e6, 500.0, _tilt(1e6, 0.3)),
     "shelf 1e8 flat": ("shelf", 1e8, 150.0, 0.0),
+    # pack plans that grid a band: under the overhang of the stacks above,
+    # and between two stack families (the lower one anchors on a flat seam)
+    "shelf 2e3 fallback": ("shelf", 2e3, 30.0, _tilt(2e3, 0.9)),
+    "shelf 150 grid seam": ("shelf", 150.0, 15.0, _tilt(150.0, 1.05)),
 }
 
 # the PLAN_CASES entries that enumerate more than 2M squares
@@ -211,6 +215,10 @@ PLAN_DIGESTS = {
     ("pack", "shelf 1e4"): "a97361e59d81f87a7ef03df7458b9525d8a4ec5d46c6c99dd4a472d144c8d735",
     ("pack", "shelf 1e6"): "57a590d7bfd1dc5217bfe5e32b4193862c783a9d40beb18c22da9bb4cfb530b9",
     ("pack", "shelf 1e8 flat"): "976e46e261cdbac7a963105976af8b91d61e5cc78791918d60b987798da5fc7d",
+    ("pack", "shelf 2e3 fallback"):
+        "fe94abbf1d4ad929b497617d58f9ce750be11900145562b42d5f5f602901d26b",
+    ("pack", "shelf 150 grid seam"):
+        "9b0d10cb5174fda218585629f2e8cf46ae5ff679bcf32c4bb8206c9827581a77",
     ("cover", "square 0.5"): "e2f2924d8f7736ec47c5a101e6fa34fdd5f0ef8f10b4e65b254639831ec9c19f",
     ("cover", "square 1"): "96af06067ef399222cbdd9d8f469b0147bada070c622afdfde1757d73673e4e2",
     ("cover", "square 50.5"): "97baabae99b92a2a3fa419886233a59c46b2f46516dc4b7b7d92f3fe1e68bf0b",
@@ -233,6 +241,10 @@ PLAN_DIGESTS = {
     ("cover", "shelf 1e4"): "2ac80cfc51fe174dbb0ca5aedf4bb4a90a42305a606d48c6fb49ecda4e6eddd7",
     ("cover", "shelf 1e6"): "773661fc89a1f1c219e9d0f3efeb5138e4f2256ca91552e4a84f234f5c4a1bd0",
     ("cover", "shelf 1e8 flat"): "3149955fd76746742d6e895f44c231613adecc9bff1b1fc7b80bccf32538943e",
+    ("cover", "shelf 2e3 fallback"):
+        "d5169b86f33b7f90f9430e76dc54b90cc259994f28d5d2126aee2f0d920a662a",
+    ("cover", "shelf 150 grid seam"):
+        "499719486059436b2693c2e2015cd3dc9300109c0813b147b3669b2128a701ee",
 }
 
 
@@ -240,6 +252,19 @@ PLAN_DIGESTS = {
 def test_plan_bytes_are_pinned(kind, case):
     text = plan_to_json(_build_case(kind, case))
     assert hashlib.sha256(text.encode()).hexdigest() == PLAN_DIGESTS[(kind, case)]
+
+
+@pytest.mark.parametrize("case,labels", [
+    ("shelf 2e3 fallback", ["top band", "band 1", "band 2 grid"]),
+    ("shelf 150 grid seam", ["top band", "band 1 grid", "band 2", "band 3 grid"]),
+])
+def test_pinned_pack_chains_grid_a_band(case, labels):
+    """The pinned grid-band cases keep reaching the packing chain's grid
+    band, its overhang row count and the stack family on a flat seam."""
+    plan = _build_case("pack", case)
+    assert plan.meta["stats"]["fallback_bands"] == 1
+    chain = next(n for n in _walk(plan.root) if n.label == "stack bands")
+    assert [r.label for r in chain.runs] == labels
 
 
 @pytest.mark.parametrize("kind", ["pack", "cover"])
