@@ -2,21 +2,21 @@
 
 The verifier sees a plan only through its target region and its lattices
 (`plan_lattices`), and never lists a lattice: `_near_squares` solves them
-near points. Every plan is checked in full, at a cost set by perimeters.
+near points. Every plan is checked in full, packing at a cost set by lattices.
 
 A lattice is *solid* when, in its square frame, its step is a unit step
 along a square axis and its pitch moves at most 1 across and 1 along it (to
 within TAU): its columns (runs along the step) are 1 wide and each meets or
 overlaps the next, so the boundary of its union lies on its ring, the first
-and last row and column, even where it overlaps itself. Solid lattices at
-least 3 long each way are probed on the ring, others in full.
+and last row and column, even where it overlaps itself. Covering probes
+solid lattices at least 3 long each way on the ring, others in full.
 
 Packing: the target is convex, so each lattice's four extreme squares prove
-containment. Where two solid lattices that do not overlap themselves
-overlap, a ring square of one overlaps a square of the other; the probes
-(0, 0) and (0, repeat - 1) meet every index offset. After an overlap, each
-self-overlapping lattice and the smaller of each overlapping pair are
-probed in full once more.
+containment and span its hull. Hulls overlapping by at most 2*TAU on a square
+axis, step or pitch normal of either hold no squares overlapping deeper there,
+so on an axis of their own (`_overlap_mask`); one SAT per index offset clears
+a lattice against itself. Other lattices are probed near the hulls they meet,
+and after an overlap the smaller of each overlapping pair is probed in full.
 
 Covering: an uncovered patch of the target has a convex corner where two
 edges cross, each of the target or of a lattice's union, so of a probe.
@@ -50,7 +50,9 @@ _REACH = math.sqrt(0.5)  # squares meet only if each centre is in the other infl
 @dataclass
 class VerifyReport:
     """`status` is "failed" when a violation was found, else "passed"; `partial` is
-    always False. `sampled_points` counts the covering candidate points tested."""
+    always False. `sampled_points` counts the covering candidate points tested. In
+    `runtime_stats`, `candidate_pairs` counts the square pairs tested; packing adds the lattice
+    pairs (`hull_pairs`) and index `offsets` tested and the `fallback_lattices` probed."""
 
     kind: str
     square_count: int
@@ -115,66 +117,144 @@ def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     notes); pairs are flat indices in `enumerate_placements` order."""
     t0 = time.perf_counter()
     lat, report, table, first, full = _setup(plan, "pack")
-    n, m, sizes = lat.count, lat.repeat, lat.sizes()
+    n, m, size = lat.count, lat.repeat, len(lat)
 
     # containment: the corners of the extreme squares, each square once
-    k = np.repeat(np.arange(len(lat)), 4)
+    k = np.repeat(np.arange(size), 4)
     i = np.stack([0 * n, n - 1] * 2, axis=1).ravel()
     j = np.stack([0 * m, 0 * m, m - 1, m - 1], axis=1).ravel()
+    sq = corners(np.stack([*_square_at(table, k, i, j), table["ang"][k]], axis=1))
     _, pick = np.unique(first[k] + j * n[k] + i, return_index=True)
-    poses = np.stack([*_square_at(table, k[pick], i[pick], j[pick]), table["ang"][k[pick]]], axis=1)
-    inside = points_in_region(plan.region, corners(poses).reshape(-1, 2), TAU)
-    report.add_violations("escape", poses[~inside.reshape(-1, 4).all(axis=1), :2])
+    inside = points_in_region(plan.region, sq[pick].reshape(-1, 2), TAU).reshape(-1, 4)
+    report.add_violations("escape", sq[pick][~inside.all(axis=1), 0])
 
-    probes, tests, found, listed, links = _overlaps(table, lat, first, full)
-    if found:
-        for a, b in links:
-            full[min(a, b, key=sizes.__getitem__)] = True
-        probes, more, found, listed, _ = _overlaps(table, lat, first, full)
-        tests += more
+    # rows of ka within _REACH < 1 of kb's box where hulls meet; all of ka == kb that meets itself
+    hull = sq.reshape(size, 16, 2)
+    (lo, hi), (self_hit, offsets) = (hull.min(axis=1), hull.max(axis=1)), _self_overlapping(table)
+    pa, pb, tested = _meeting_hulls(table, hull, lo, hi)
+    ka, kb = (np.concatenate([u, v, np.flatnonzero(self_hit)]) for u, v in ((pa, pb), (pb, pa)))
+    rows = _near_rows(table, lat, ka, lo[kb] - 1.0, hi[kb] + 1.0)
+    probes, tests, found, listed = _overlaps(table, lat, first, full | self_hit, rows,
+                                             np.unique(ka * size + kb))
     for (a, b), (x, y, d) in zip(*listed):
         report.violations.append({"type": "overlap", "location": [float(x), float(y)],
                                   "magnitude": float(d), "pair": [int(a), int(b)]})
-    report.runtime_stats.update(lattices=len(lat), probes=probes, candidate_pairs=tests,
-                                overlap_pairs=found, seconds=round(time.perf_counter() - t0, 3))
+    report.runtime_stats.update(lattices=size, probes=probes, candidate_pairs=tests,
+                                overlap_pairs=found, hull_pairs=tested, offsets=offsets,
+                                fallback_lattices=len(np.unique(ka)),
+                                seconds=round(time.perf_counter() - t0, 3))
     return report.finish()
 
 
-def _overlaps(table, lat: Lattices, first: np.ndarray, full: np.ndarray):
-    """The SAT on every probe pair (a pair of probes at its lower flat index): the
-    numbers of probes, pairs and overlapping pairs, the first _LISTED of those as
-    pairs a < b with (x, y, distance) between centres, and the lattice pairs."""
-    probes = tests = found = 0
-    pairs, where, links = np.empty((0, 2), np.int64), np.empty((0, 3)), set()
-    for ka, a, cx, cy, kb, i, j, bx, by in _probe_pairs(table, lat, first, full):
-        ca, cb, sa, sb = (table[f][k] for f in ("c", "s") for k in (ka, kb))
-        dx, dy = bx + (cb - sb) / 2.0 - cx, by + (sb + cb) / 2.0 - cy
-        hit, tests = _overlap_mask(dx, dy, ca, sa, cb, sb, TAU), tests + len(a)
-        ka, a, kb, cx, cy, dx, dy = ka[hit], a[hit], kb[hit], cx[hit], cy[hit], dx[hit], dy[hit]
-        b, ring = _index(lat, first, full, kb, i[hit], j[hit])  # each probe hits itself once
-        keep, probes = (a != b) & ((a < b) | ~ring), probes + int((a == b).sum())
-        found += int(keep.sum())
-        links.update(zip(ka[keep].tolist(), kb[keep].tolist()))
-        a, b, cx, cy, dx, dy = a[keep], b[keep], cx[keep], cy[keep], dx[keep], dy[keep]
-        pairs = np.concatenate([pairs, np.stack([np.minimum(a, b), np.maximum(a, b)], 1)])
-        where = np.concatenate([where, np.stack([cx, cy, np.hypot(dx, dy)], 1)])
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))[:_LISTED]
-        pairs, where = pairs[order], where[order]
-    return probes, tests, found, (pairs, where), links
+def _meeting_hulls(table, hull: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Lattice pairs a, b whose hulls (corners `hull`, boxes [lo, hi]) overlap by more than
+    2*TAU on every axis of both, and how many box pairs do, swept along x in slabs of y."""
+    h = max(float((hi - lo)[:, 1].sum()) / max(len(lo), 1), 1.0)
+    s0, s1 = (np.floor(v[:, 1] / h).astype(np.int64) for v in (lo, hi))
+    box = np.repeat(np.arange(len(lo)), s1 - s0 + 1)
+    slab, xs, w = s0[box] + _ramp(s1 - s0 + 1), np.sort(lo[box, 0]), len(box) + 1
+    key = np.unique(slab, return_inverse=True)[1] * w + np.searchsorted(xs, lo[box, 0], "left")
+    order = np.argsort(key)  # by the slab's rank among slabs, then the left edge's
+    box, slab, key = box[order], slab[order], key[order]
+    count = np.searchsorted(key, key - key % w + np.searchsorted(xs, hi[box, 0], "right"))
+    count -= np.arange(1, len(box) + 1)  # the later boxes up to this right edge
+    at = np.repeat(np.arange(len(box)), count)
+    a, b = box[at], box[at + 1 + _ramp(count)]
+    keep = (np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]) > 2.0 * TAU).all(axis=1)
+    a, b = (v[keep & (slab[at] == np.maximum(s0[a], s0[b]))] for v in (a, b))
+    # SAT on the hulls' 16 corners, along axes of length r; a zero step or pitch has none
+    c, s, ux, uy, px, py = (table[f] for f in ("c", "s", "ux", "uy", "px", "py"))
+    axes = np.stack([[c, -s, -uy, -py], [s, c, ux, px]]).transpose(2, 0, 1)  # (L, 2, 4)
+    norm, meet = np.hypot(axes[:, 0], axes[:, 1]), np.empty(len(a), dtype=bool)
+    for at in np.array_split(np.arange(len(a)), 1 + len(a) * 16 // _POINT_CHUNK):  # corners a batch
+        ax, r = (np.concatenate([v[a[at]], v[b[at]]], axis=-1) for v in (axes, norm))
+        ra, rb = (hull[k, :, :1] * ax[:, :1] + hull[k, :, 1:] * ax[:, 1:] for k in (a[at], b[at]))
+        depth = np.minimum(ra.max(axis=1) - rb.min(axis=1), rb.max(axis=1) - ra.min(axis=1))
+        meet[at] = ((depth > 2.0 * TAU * r) | (r == 0.0)).all(axis=1)
+    return a[meet], b[meet], len(a)
 
 
-def _probe_pairs(table, lat: Lattices, first: np.ndarray, full: np.ndarray):
-    """Yield in chunks (ka, a, cx, cy, kb, i, j, bx, by): probe a (flat index; of
-    lattice ka, centre (cx, cy)) and each square (i, j) of lattice kb, base (bx,
-    by), within reach, itself once. Probes: all of `full` lattices, else the ring."""
+def _self_overlapping(table) -> tuple[np.ndarray, int]:
+    """Which lattices overlap themselves, and the offsets tested: a SAT for each
+    (di, dj), dj > 0 or dj == 0 < di, whose centres may be within r = 1.5."""
+    n, m, ux, uy, px, py, r = (*(table[f] for f in ("n", "m", "ux", "uy", "px", "py")), 1.5)
+    # |U x (di*U + dj*P)| = dj*|U x P| <= |U|*r
+    _, nj = _index_range(table["jw"], -np.hypot(ux, uy) * r, np.hypot(ux, uy) * r, m)
+    k, dj = np.repeat(np.arange(len(n)), nj), _ramp(nj)
+    # along the longer axis of U: di*uk + dj*pk in [-r, r], di + n - 1 in [0, 2n - 1)
+    mid = (n[k] - 1.0) * table["uk"][k] - dj * table["pk"][k]
+    first, ni = _index_range(table["uk"][k], mid - r, mid + r, 2.0 * n[k] - 1.0)
+    e = np.repeat(np.arange(len(k)), ni)
+    k, dj, di = k[e], dj[e], first[e] + _ramp(ni) - (n[k[e]] - 1.0)
+    k, di, dj = (v[(dj > 0) | (di > 0)] for v in (k, di, dj))
+    cs = [table["c"][k], table["s"][k]]
+    hit = _overlap_mask(di * ux[k] + dj * px[k], di * uy[k] + dj * py[k], *cs, *cs, TAU)
+    return np.bincount(k[hit], minlength=len(n)) > 0, len(k)
+
+
+def _near_rows(table, lat: Lattices, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Rows (lattice, row, i from, i to) of the squares of lattice k[e] centred
+    in [lo[e], hi[e]]: in each row, the hull of the boxes' intervals."""
+    c, s, ux, uy, px, py = (table[f][k] for f in ("c", "s", "ux", "uy", "px", "py"))
+    cx, cy = table["bx"][k] + (c - s) / 2.0, table["by"][k] + (s + c) / 2.0  # of square (0, 0)
+    # rows j: along the normal (-uy, ux) of the step, j*P reaches the box
+    across = [ux * (y - cy) - uy * (x - cx) for x in (lo[:, 0], hi[:, 0])
+              for y in (lo[:, 1], hi[:, 1])]
+    jf, nj = _index_range(ux * py - uy * px, np.min(across, 0), np.max(across, 0), lat.repeat[k])
+    e = np.repeat(np.arange(len(k)), nj)
+    k, j = k[e], jf[e].astype(np.int64) + _ramp(nj)
+    rx, ry = cx[e] + j * px[e], cy[e] + j * py[e]
+    fx, nx = _index_range(ux[e], lo[e, 0] - rx, hi[e, 0] - rx, lat.count[k])
+    fy, ny = _index_range(uy[e], lo[e, 1] - ry, hi[e, 1] - ry, lat.count[k])
+    i0, i1 = np.maximum(fx, fy).astype(np.int64), np.minimum(fx + nx, fy + ny).astype(np.int64)
+    order = np.flatnonzero(i1 > i0)[np.lexsort((j[i1 > i0], k[i1 > i0]))]
+    k, j, i0, i1 = k[order], j[order], i0[order], i1[order]
+    row = np.flatnonzero(np.diff(k, prepend=-1) | np.diff(j, prepend=-1))
+    return k[row], j[row], np.minimum.reduceat(i0, row), np.maximum.reduceat(i1, row)
+
+
+def _overlaps(table, lat: Lattices, first: np.ndarray, full: np.ndarray, rows=None, allowed=None):
+    """The SAT on every probe pair (a pair of probes at its lower flat index; only of lattices
+    ka, kb with ka * len(lat) + kb in `allowed`, if given), again after an overlap with the
+    smaller of each overlapping pair of lattices in `full`: the numbers of probes, pairs (both
+    passes) and overlaps, the first _LISTED of those as a < b with (x, y, centre distance)."""
+    tests, sizes = 0, lat.sizes()
+    for again in (False, True):
+        probes = found = 0
+        pairs, where, links = np.empty((0, 2), np.int64), np.empty((0, 3)), set()
+        for ka, a, cx, cy, kb, i, j, bx, by in _probe_pairs(table, lat, first, full, rows):
+            ca, cb, sa, sb = (table[f][k] for f in ("c", "s") for k in (ka, kb))
+            dx, dy = bx + (cb - sb) / 2.0 - cx, by + (sb + cb) / 2.0 - cy
+            hit, tests = _overlap_mask(dx, dy, ca, sa, cb, sb, TAU), tests + len(a)
+            ka, a, kb, cx, cy, dx, dy = ka[hit], a[hit], kb[hit], cx[hit], cy[hit], dx[hit], dy[hit]
+            b, ring = _index(lat, first, full, kb, i[hit], j[hit])  # each probe hits itself once
+            keep, probes = (a != b) & ((a < b) | ~ring), probes + int((a == b).sum())
+            keep &= True if allowed is None else np.isin(ka * len(lat) + kb, allowed)
+            found += int(keep.sum())
+            links.update(zip(ka[keep].tolist(), kb[keep].tolist()))
+            a, b, cx, cy, dx, dy = a[keep], b[keep], cx[keep], cy[keep], dx[keep], dy[keep]
+            pairs = np.concatenate([pairs, np.stack([np.minimum(a, b), np.maximum(a, b)], 1)])
+            where = np.concatenate([where, np.stack([cx, cy, np.hypot(dx, dy)], 1)])
+            order = np.lexsort((pairs[:, 1], pairs[:, 0]))[:_LISTED]
+            pairs, where = pairs[order], where[order]
+        if again or not found:
+            return probes, tests, found, (pairs, where)
+        full[[min(a, b, key=sizes.__getitem__) for a, b in links]] = True
+
+
+def _probe_pairs(table, lat: Lattices, first: np.ndarray, full: np.ndarray, rows=None):
+    """Yield in chunks (ka, a, cx, cy, kb, i, j, bx, by): probe a (flat index; of lattice ka,
+    centre (cx, cy)) and each square (i, j) of lattice kb, base (bx, by), within reach, itself
+    once. Probes: in `rows` (lattice, row, i from, i to; default all), every square of `full`
+    lattices and of rows 0 and m - 1, else squares 0 and n - 1."""
     n, m, c, s = lat.count, lat.repeat, table["c"], table["s"]
-    # probe runs within a row: whole rows of full lattices and rows 0 and
-    # m - 1 of the others, else the first and the last square of the row
-    rk, rj = np.repeat(np.arange(len(lat)), m), _ramp(m)
-    split = ~full[rk] & (rj > 0) & (rj < m[rk] - 1)
-    sk, sj = np.concatenate([rk, rk[split]]), np.concatenate([rj, rj[split]])
-    si = np.concatenate([0 * rk, n[rk[split]] - 1])
-    run = np.concatenate([np.where(split, 1, n[rk]), 0 * rk[split] + 1])
+    rk = np.repeat(np.arange(len(lat)), m) if rows is None else rows[0]
+    rj, i0, i1 = (_ramp(m), 0 * rk, n[rk]) if rows is None else rows[1:]
+    whole = full[rk] | (rj == 0) | (rj == m[rk] - 1)
+    lead, tail = whole | (i0 == 0), ~whole & (i1 == n[rk])
+    sk, sj = np.concatenate([rk[lead], rk[tail]]), np.concatenate([rj[lead], rj[tail]])
+    si = np.concatenate([i0[lead], n[rk[tail]] - 1])
+    run = np.concatenate([np.where(whole, i1 - i0, 1)[lead], 0 * rk[tail] + 1])
     for e, t in _chunks(run, _PROBE_CHUNK):
         pk, pj, pi = sk[e], sj[e], si[e] + t
         (tx, ty), flat = _square_at(table, pk, pi, pj), first[pk] + pj * n[pk] + pi

@@ -9,7 +9,9 @@ lattice list, and KD-tree searches over every enumerated square instead of
 the verifier's lattice solves: a point join for coverage, and for packing
 every pair of centres within sqrt(2), tested with the verifier's SAT.
 Covering is checked by dense uniform samples of the target, or of a
-suspect part of it, instead of the verifier's crossing points.
+suspect part of it, instead of the verifier's crossing points. Packing is
+also checked by ring probes of every lattice, without the verifier's hull
+and offset certificates.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from sqpack.geometry import corners, fold_square_pose, points_in_region
 from sqpack.plan import enumerate_placements
+from sqpack import verifier
 from sqpack.verifier import _overlap_mask
 
 
@@ -245,3 +248,14 @@ def packing_by_kd_pairs(plan, tau: float) -> tuple[np.ndarray, np.ndarray]:
     hits = pairs.reshape(-1, 2)[_overlap_mask(d[:, 0], d[:, 1], c[ii], s[ii], c[jj], s[jj], tau)]
     hits = hits[np.lexsort((hits[:, 1], hits[:, 0]))]
     return np.nonzero(~inside.reshape(-1, 4).all(axis=1))[0], hits
+
+
+def packing_by_ring_probes(plan) -> tuple[int, np.ndarray]:
+    """The packing check by probes of every lattice through the verifier's own
+    probe helpers, with no certificate: the ring of each solid lattice at
+    least 3 long each way, all of the others, and after an overlap once more
+    with the smaller lattice of each overlapping pair in full. The number of
+    overlapping pairs and the (N, 2) pairs a report lists."""
+    lat, _, table, first, full = verifier._setup(plan, "pack")
+    _, _, found, (pairs, _) = verifier._overlaps(table, lat, first, full)
+    return found, pairs

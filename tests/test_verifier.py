@@ -20,8 +20,8 @@ from sqpack.planner import cover_square, cover_strip, pack_square, pack_strip
 from sqpack import verifier
 from sqpack.verifier import _points_covered, verify_covering, verify_packing
 from oracles import (
-    covered_by_kd_join, enumerate_by_node, packing_by_kd_pairs, point_in_quad, quads_disjoint,
-    sample_quad, uncovered_samples,
+    covered_by_kd_join, enumerate_by_node, packing_by_kd_pairs, packing_by_ring_probes,
+    point_in_quad, quads_disjoint, sample_quad, uncovered_samples,
 )
 from test_graft import HUGE_CASES, PLAN_CASES, _build_case
 
@@ -477,6 +477,81 @@ def test_packing_finds_gapped_lattices_crossing_at_their_centres():
     plan = Plan(kind="pack", x=12.0, region=region, root=stacks_node(region, [rows, cols]))
     _, pairs = _assert_matches_kd_oracle(plan)
     assert pairs.tolist() == [[4, 13]]
+
+
+def _assert_matches_ring_oracle(plan: Plan):
+    """The verifier's overlap verdict, pair count and listed pairs equal those
+    of ring probes over every lattice."""
+    report = verify_packing(plan, cfg=CFG)
+    found, pairs = packing_by_ring_probes(plan)
+    assert report.runtime_stats["overlap_pairs"] == found
+    assert _listed_pairs(report) == pairs.tolist()
+    assert any(v["type"] == "overlap" for v in report.violations) == (found > 0)
+    return report
+
+
+@pytest.mark.parametrize("case", list(PLAN_CASES))
+def test_packing_matches_ring_oracle_on_plans(case):
+    assert _assert_matches_ring_oracle(_build_case("pack", case)).passed
+
+
+@pytest.mark.parametrize("name", ["nudged square", "shifted grid", "grid inside grid",
+                                  "shrunk pitch", "zero step", "flush in gap", "shifted in gap",
+                                  "random 7", "random 8"])
+def test_packing_matches_ring_oracle_on_failing_plans(name):
+    if name.startswith("random"):
+        lattices = _random_lattice_plan(int(name[-1]))
+        plan = Plan(kind="pack", x=lattices.x, region=lattices.region, root=lattices.root)
+    else:
+        plan = _mutated_plan(name)
+    assert _assert_matches_ring_oracle(plan).passed == (name == "flush in gap")
+
+
+def _runs_plan(*runs: StackRun) -> Plan:
+    region = rect_region(40.0, 40.0)
+    return Plan(kind="pack", x=40.0, region=region, root=stacks_node(region, list(runs)))
+
+
+def test_flush_rows_inside_each_others_hull_pass():
+    # rows 2 apart, the second set one row up: hull inside hull, so both
+    # lattices are probed, and every pair of squares only touches
+    plan = _runs_plan(*(StackRun(base=Pose(1.0, y, 0.0), step=(1.0, 0.0), count=5, repeat=repeat,
+                                 pitch=(0.0, 2.0)) for y, repeat in ((1.0, 3), (2.0, 2))))
+    report, pairs = _assert_matches_kd_oracle(plan)
+    assert report.passed and len(pairs) == 0
+    stats = report.runtime_stats
+    assert stats["hull_pairs"] == 1 and stats["fallback_lattices"] == 2
+
+
+def test_nearly_collinear_lattice_reports_every_self_overlap():
+    # step and pitch 0.033 rad apart: every row up to dj = 36 has squares
+    # within sqrt(2) of square (0, 0), so far more than O(1) offsets are tested
+    run = StackRun(base=Pose(1.0, 1.0, 0.0), step=(1.0, 0.0), count=12, repeat=60,
+                   pitch=(0.3, 0.01))
+    report, pairs = _assert_matches_kd_oracle(_runs_plan(run))
+    assert len(pairs) > 10_000 and report.runtime_stats["offsets"] > 100
+    assert report.runtime_stats["fallback_lattices"] == 1
+
+
+def test_lattice_overlapping_itself_through_one_offset():
+    # only offset (di, dj) = (-3, 1) brings two squares within reach: squares
+    # (3, j) and (0, j + 1) overlap by half a unit each way
+    run = StackRun(base=Pose(1.0, 1.0, 0.0), step=(1.0, 0.0), count=4, repeat=3,
+                   pitch=(3.5, 0.5))
+    report, pairs = _assert_matches_kd_oracle(_runs_plan(run))
+    assert pairs.tolist() == [[3, 4], [7, 8]]
+    assert report.runtime_stats["fallback_lattices"] == 1
+
+
+def test_failing_large_packing_probes_near_the_overlap():
+    # the 18318 x 18318 core shifted 0.5 up into the strip: only the lattices
+    # whose hulls meet are probed, and only near each other's hulls
+    plan = pack_square(20000.5)
+    core = max((n for n in _nodes(plan.root) if n.kind == "grid"), key=lambda n: n.rows * n.cols)
+    core.origin = (core.origin[0], core.origin[1] + 0.5)
+    report = verify_packing(plan, cfg=CFG)
+    assert report.status == "failed" and report.runtime_stats["overlap_pairs"] > 18318
+    assert report.runtime_stats["probes"] < report.square_count // 1000
 
 
 def _uncovered(report) -> np.ndarray:
