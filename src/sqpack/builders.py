@@ -204,7 +204,7 @@ def build_rect(w: float, h: float, depth: int, stats: BuildStats, kind: str):
     """General rectangle router: grid at small scale, panel when the aspect
     fits, otherwise chopped into compliant panels."""
     _bump(stats, depth)
-    if min(w, h) <= BASE_CUTOFF or min(w, h) < 2.0:
+    if min(w, h) <= BASE_CUTOFF:
         return grid_fill(w, h, kind, label="grid")
     length, width = (w, h) if w <= h else (h, w)
     if width <= ASPECT_LIMIT * length:
@@ -230,7 +230,8 @@ def build_panel(spec: PanelSpec, depth: int, stats: BuildStats, kind: str):
     m2 = length - core_l and m1 = width - core_w both lie in [s, s + 1)
     for s = length**(3/4). The corner arrangement guarantees every strip
     of integer width also has integer length (a fractional length would
-    concede a full-width sliver).
+    concede a full-width sliver). A panel narrower than s + 1 has no core
+    and is one strip.
     """
     _bump(stats, depth)
     spec.validate()
@@ -242,11 +243,8 @@ def build_panel(spec: PanelSpec, depth: int, stats: BuildStats, kind: str):
     m_target = length ** 0.75
     core_l = floor_guard(length - m_target)
     core_w = floor_guard(width - m_target)
-    if core_l <= 0 or core_w <= 0:
-        if width <= length:
-            return build_strip(width, length, depth + 1, stats, kind)
-        return _graft(build_strip(length, width, depth + 1, stats, kind),
-                      Pose(length, 0.0, math.pi / 2))
+    if core_w <= 0:
+        return build_strip(width, length, depth + 1, stats, kind)
 
     m2 = length - core_l
     m1 = width - core_w
@@ -335,7 +333,8 @@ def build_strip(m: float, L: float, depth: int, stats: BuildStats, kind: str):
 # wedges
 
 def build_wedge(spec: WedgeSpec, depth: int, stats: BuildStats, kind: str):
-    """Tall right trapezoid: bands of integer height, each panel + shelf."""
+    """Tall right trapezoid: bands of integer height, each panel + shelf.
+    A flat wedge is a rectangle, of any width."""
     _bump(stats, depth)
     spec.validate()
     height, top, theta = spec.height, spec.top, spec.tilt
@@ -344,8 +343,6 @@ def build_wedge(spec: WedgeSpec, depth: int, stats: BuildStats, kind: str):
     region = trap_region(height, top, a_bot)
 
     if theta <= EPS:
-        if top < 1.0:
-            return waste_node(region, "sliver wedge")
         return build_rect(top, height, depth, stats, kind)
     if height <= BASE_CUTOFF or top < 1.0:
         return sliced_trap_fill(height, top, a_bot, kind, label="wedge rows")
@@ -389,18 +386,9 @@ def _wedge_band(spec: WedgeSpec, a_len: int, w_top: float, y: float, h_band: flo
     """One wedge band of top width w_top: its rectangle in the band's frame,
     then its shelf against the slant, grafted at height y."""
     a = w_top - a_len
-    rect = _band_rect(a, h_band, depth + 1, stats, kind)
+    rect = build_rect(a, h_band, depth + 1, stats, kind)
     shelf = build_shelf(ShelfSpec(spec.height, h_band, a_len, spec.tilt), depth + 1, stats, kind)
     return rect, _graft(shelf, Pose(a, y, 0.0))
-
-
-def _band_rect(a_i: float, h_band: float, depth: int, stats: BuildStats, kind: str):
-    """Rectangular left part of a wedge band."""
-    if a_i < 1.0:
-        if kind == "pack":
-            return waste_node(rect_region(a_i, h_band), "band sliver")
-        return grid_fill(a_i, h_band, "cover", label="band sliver")
-    return build_rect(a_i, h_band, depth, stats, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -636,13 +624,6 @@ def _joint_gap_area(seam, c: float, d: float, y0: float, p: float, tan_a: float,
     return max(step, 0.0) + sliver
 
 
-def _seam_top(seam, x: float) -> float:
-    """Height of the covering slab-top line from the family below at x."""
-    if seam["type"] == "flat":
-        return seam["y"]
-    return seam["y"] - (x - seam["ax"]) * seam["tan"]
-
-
 def _shelf_cover(bands: list[dict], height: float, h1: int, h2: float, tan_t: float,
                  scale: float, depth: int, stats: BuildStats):
     """The covering chain ascends. Each family hands off once its guaranteed
@@ -656,65 +637,60 @@ def _shelf_cover(bands: list[dict], height: float, h1: int, h2: float, tan_t: fl
     leftovers: list = []
     area = 0.0
     ledger: dict = {"band_ends": [], "joints": []}
-    seam = None  # slab-top line of the family below
+    seam = None  # slab-top line (ax, y, tan) of the family below
     for idx in range(t - 1, -1, -1):
         b = bands[idx]
         k, c, d, yt, yb = b["k"], float(b["c"]), b["d"], b["yt"], b["yb"]
         area += region_area(trap_region(h1, d - h1 * tan_t, d, Pose(c, yb, 0.0)))
-        stacked = _takes_stacks(d)
-        placed = False
-        if stacked:
-            alpha, n, tan_a, sin_a, cos_a, p = _stack_family(d, "cover")
-            ax = c - sin_a
-            y0 = None
-            if k == t:
-                tau = _top_gap(d, h1, tan_a, p)
-                if tau >= 1.0:
-                    y0 = h2 + tau + (d + sin_a) * tan_a
-                    leftovers.append(_graft(
-                        build_wedge(WedgeSpec(d, tau, alpha), depth + 1, stats, "cover"),
-                        Pose(c, h2, -math.pi / 2), mirror=True))
-            else:
-                below = bands[idx + 1]
-                dc = int(below["c"] - b["c"])
-                x_hi = below["c"] + below["d"]
-                y0 = min(_seam_top(seam, x) + (x - ax) * tan_a
-                         for x in (float(below["c"]), x_hi))
-                gap = (y0 - sin_a * tan_a) - yb
-                rows = ceil_guard(gap) if gap > 1e-9 else 0
-                if dc >= 1 and rows >= 1:
-                    runs.append(StackRun(
-                        base=Pose(c, yb, 0.0), step=(1.0, 0.0), count=dc,
-                        repeat=rows, pitch=(0.0, 1.0), label=f"joint {k}"))
-                    ledger["joints"].append(dc * rows - dc * max(gap - dc * tan_a / 2, 0))
-            if y0 is not None:
-                stats.band_tilts.append((scale, k, d, alpha))
-                if k >= 2:
-                    above = bands[idx - 1]
-                    px = above["c"] + above["d"]
-                    need = (yt - p - y0 + (px - ax) * tan_a) / p
-                    n_stacks = max(1, ceil_guard(need) + 1)
-                else:
-                    target = height - cos_a - WEDGE_TOP * math.sqrt(d)
-                    n_stacks = max(1, floor_guard((target - y0) / p) + 1)
-                runs.append(StackRun(
-                    base=Pose(ax, y0, -alpha), step=(cos_a, -sin_a), count=n,
-                    repeat=n_stacks, pitch=(0.0, p), label=f"band {k}"))
-                ledger["band_ends"].append(n_stacks * tan_a)
-                y_last = y0 + (n_stacks - 1) * p
-                if k == 1:
-                    tau_top = height - y_last - cos_a
-                    if tau_top > 1e-9:
-                        leftovers.append(_graft(
-                            build_wedge(WedgeSpec(d, tau_top, alpha), depth + 1, stats,
-                                        "cover"),
-                            Pose(c + d, height, math.pi / 2), mirror=True))
-                seam = {"type": "stack", "ax": ax, "y": y_last + p, "tan": tan_a}
-                placed = True
-        if not placed:
-            runs.append(StackRun(base=Pose(c, yb, 0.0), step=(1.0, 0.0), count=ceil_guard(d),
-                                 repeat=h1, pitch=(0.0, 1.0), label=f"band {k} grid"))
-            if stacked:
+        alpha, n, tan_a, sin_a, cos_a, p = _stack_family(d, "cover")
+        ax = c - sin_a
+        if k == t:
+            tau = _top_gap(d, h1, tan_a, p)
+            if tau < 1.0:
+                # no room for the wedge: the band grids. Only a lone band can,
+                # since two bands need h1 >= 6, which leaves tau >= 1
+                runs.append(StackRun(base=Pose(c, yb, 0.0), step=(1.0, 0.0),
+                                     count=ceil_guard(d), repeat=h1, pitch=(0.0, 1.0),
+                                     label=f"band {k} grid"))
                 stats.fallback_bands += 1
-            seam = {"type": "flat", "y": yt}
+                continue
+            y0 = h2 + tau + (d + sin_a) * tan_a
+            leftovers.append(_graft(
+                build_wedge(WedgeSpec(d, tau, alpha), depth + 1, stats, "cover"),
+                Pose(c, h2, -math.pi / 2), mirror=True))
+        else:
+            below = bands[idx + 1]
+            dc = int(below["c"] - b["c"])
+            x_hi = below["c"] + below["d"]
+            sx, sy, s_tan = seam
+            y0 = min(sy - (x - sx) * s_tan + (x - ax) * tan_a
+                     for x in (float(below["c"]), x_hi))
+            gap = (y0 - sin_a * tan_a) - yb
+            rows = ceil_guard(gap) if gap > 1e-9 else 0
+            if dc >= 1 and rows >= 1:
+                runs.append(StackRun(
+                    base=Pose(c, yb, 0.0), step=(1.0, 0.0), count=dc,
+                    repeat=rows, pitch=(0.0, 1.0), label=f"joint {k}"))
+                ledger["joints"].append(dc * rows - dc * max(gap - dc * tan_a / 2, 0))
+        stats.band_tilts.append((scale, k, d, alpha))
+        if k >= 2:
+            above = bands[idx - 1]
+            px = above["c"] + above["d"]
+            need = (yt - p - y0 + (px - ax) * tan_a) / p
+            n_stacks = max(1, ceil_guard(need) + 1)
+        else:
+            target = height - cos_a - WEDGE_TOP * math.sqrt(d)
+            n_stacks = max(1, floor_guard((target - y0) / p) + 1)
+        runs.append(StackRun(
+            base=Pose(ax, y0, -alpha), step=(cos_a, -sin_a), count=n,
+            repeat=n_stacks, pitch=(0.0, p), label=f"band {k}"))
+        ledger["band_ends"].append(n_stacks * tan_a)
+        y_last = y0 + (n_stacks - 1) * p
+        if k == 1:
+            tau_top = height - y_last - cos_a
+            if tau_top > 1e-9:
+                leftovers.append(_graft(
+                    build_wedge(WedgeSpec(d, tau_top, alpha), depth + 1, stats, "cover"),
+                    Pose(c + d, height, math.pi / 2), mirror=True))
+        seam = (ax, y_last + p, tan_a)
     return runs, leftovers, area, ledger

@@ -71,13 +71,13 @@ class VerifyReport:
         return self
 
     def add_violations(self, kind: str, locations: np.ndarray) -> None:
-        """The first 100 violations of `kind` at (N, 2) `locations`, then one
+        """The first _LISTED violations of `kind` at (N, 2) `locations`, then one
         entry that counts the rest."""
         self.violations += [{"type": kind, "location": [float(x), float(y)], "magnitude": 1.0}
-                            for x, y in locations[:100]]
-        if len(locations) > 100:
+                            for x, y in locations[:_LISTED]]
+        if len(locations) > _LISTED:
             self.violations.append({"type": kind, "location": None,
-                                    "magnitude": float(len(locations) - 100)})
+                                    "magnitude": float(len(locations) - _LISTED)})
 
     def to_dict(self, include_runtime: bool = True) -> dict:
         d = {"kind": self.kind, "square_count": self.square_count,
@@ -312,7 +312,8 @@ def verify_covering(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
         found.append(_nudged(at, da[row, ea], db[row, eb], nu))
         if sum(map(len, found)) >= _PROBE_CHUNK:
             test()
-    test()
+    if found:
+        test()
     report.add_violations("uncovered", np.concatenate(gaps))
     stats["seconds"] = round(time.perf_counter() - t0, 3)
     return report.finish()

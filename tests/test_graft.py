@@ -3,13 +3,17 @@ and accounting that does not depend on frames."""
 
 from __future__ import annotations
 
+import ast
 import gc
 import hashlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqpack.builders as builders
 import sqpack.plan as plan_mod
 from sqpack.builders import (
     PanelSpec, ShelfSpec, WedgeSpec, _graft, shelf_top_len, sliced_trap_fill,
@@ -162,6 +166,9 @@ PLAN_CASES = {
     "rect 300.25x500.5": ("rect", 300.25, 500.5),
     "rect 150x2000": ("rect", 150.0, 2000.0),
     "rect 2000x150": ("rect", 2000.0, 150.0),
+    "panel 50x50.5": ("panel", PanelSpec(50.0, 50.5)),
+    # too narrow for an integer core: one strip
+    "panel 1000x178.5": ("panel", PanelSpec(1000.0, 178.5)),
     "panel 1024x900.5": ("panel", PanelSpec(1024.0, 900.5)),
     "panel 4096x4096.2": ("panel", PanelSpec(4096.0, 4096.2)),
     "strip 10.5x100": ("strip", 10.5, 100.0),
@@ -169,13 +176,20 @@ PLAN_CASES = {
     "wedge 400": ("wedge", WedgeSpec(400.0, 40.0, _tilt(400.0, 0.3))),
     "wedge 1e4": ("wedge", WedgeSpec(1e4, 200.0, _tilt(1e4, 1.0))),
     "wedge 150x300 flat": ("wedge", WedgeSpec(150.0, 300.0, 0.0)),
+    # a flat wedge under unit width: one column covers it, a packing holds none
+    "wedge 200x0.5 flat": ("wedge", WedgeSpec(200.0, 0.5, 0.0)),
+    # a top edge too narrow for the bands: rows
+    "wedge 110 narrow top": ("wedge", WedgeSpec(110.0, 1.5, _tilt(110.0, 0.5))),
     "shelf 1e4": ("shelf", 1e4, 50.0, _tilt(1e4, 1.0)),
     "shelf 1e6": ("shelf", 1e6, 500.0, _tilt(1e6, 0.3)),
     "shelf 1e8 flat": ("shelf", 1e8, 150.0, 0.0),
+    "shelf 100 rows": ("shelf", 100.0, 5.0, _tilt(100.0, 0.875)),
     # pack plans that grid a band: under the overhang of the stacks above,
     # and between two stack families (the lower one anchors on a flat seam)
     "shelf 2e3 fallback": ("shelf", 2e3, 30.0, _tilt(2e3, 0.9)),
     "shelf 150 grid seam": ("shelf", 150.0, 15.0, _tilt(150.0, 1.05)),
+    # a cover plan whose lone band is too short for its wedge, so it grids
+    "shelf 835 grid band": ("shelf", 835.0, 4.0, _tilt(835.0, 1.7)),
 }
 
 # the PLAN_CASES entries that enumerate more than 2M squares
@@ -191,7 +205,10 @@ def _build_case(kind, case):
 
 
 # sha256 of plan_to_json(plan), taken before the packing and covering wrappers
-# became one planner; a change that claims no behaviour change keeps them
+# became one planner; a change that claims no behaviour change keeps them. The
+# entries from "panel 50x50.5" on were taken before the unreachable builder
+# branches were deleted, and "wedge 200x0.5 flat" once a flat wedge under unit
+# width stopped declaring waste
 PLAN_DIGESTS = {
     ("pack", "square 0.5"): "1058950043a45a2338944b2babffd179b74ef5faf07067b5a95553fd9ea0171e",
     ("pack", "square 1"): "475218f3f56484ee8c12b6441b2ec2b4bb9b87acc1639d60e784fc274125dce9",
@@ -219,6 +236,18 @@ PLAN_DIGESTS = {
         "fe94abbf1d4ad929b497617d58f9ce750be11900145562b42d5f5f602901d26b",
     ("pack", "shelf 150 grid seam"):
         "9b0d10cb5174fda218585629f2e8cf46ae5ff679bcf32c4bb8206c9827581a77",
+    ("pack", "panel 50x50.5"):
+        "45bd1a6d7faaf218a2a7fff02c67fed973fef700593d27104370feac76868870",
+    ("pack", "panel 1000x178.5"):
+        "ea054c22ec26a0efd574a5a7f2c96ad145a188cb866a2c1202a0ef75a8745f14",
+    ("pack", "wedge 200x0.5 flat"):
+        "657ebb84090ada99b63d0827ba17bb8fa334d34790789cfb58aaeabd09a8768e",
+    ("pack", "wedge 110 narrow top"):
+        "c09421064d2221edd2f109a51c1381016386e9c6656a1a62a4f1513a5c5e8fb7",
+    ("pack", "shelf 100 rows"):
+        "68d143ae98c435681c8331ed986332c228ca37ad7b37b613020be67c86eab1ab",
+    ("pack", "shelf 835 grid band"):
+        "8ad642932876a0d9ce358583855d72cab4232ac8cd3503fabc71b1e0ece84536",
     ("cover", "square 0.5"): "e2f2924d8f7736ec47c5a101e6fa34fdd5f0ef8f10b4e65b254639831ec9c19f",
     ("cover", "square 1"): "96af06067ef399222cbdd9d8f469b0147bada070c622afdfde1757d73673e4e2",
     ("cover", "square 50.5"): "97baabae99b92a2a3fa419886233a59c46b2f46516dc4b7b7d92f3fe1e68bf0b",
@@ -245,6 +274,18 @@ PLAN_DIGESTS = {
         "d5169b86f33b7f90f9430e76dc54b90cc259994f28d5d2126aee2f0d920a662a",
     ("cover", "shelf 150 grid seam"):
         "499719486059436b2693c2e2015cd3dc9300109c0813b147b3669b2128a701ee",
+    ("cover", "panel 50x50.5"):
+        "59d7c6ddc3890e157db4d0d479424aa35d9ee27c8cbf86ae80c3a017c4ac870b",
+    ("cover", "panel 1000x178.5"):
+        "c0ae07453d5215af4ffb36d16830e2f9ff41bb8d7f1ed7f339cbbaef2d956a69",
+    ("cover", "wedge 200x0.5 flat"):
+        "4ed266d8b7e862057e785bd5201823413b600526bf0fa74a0863b8b91c45ba4f",
+    ("cover", "wedge 110 narrow top"):
+        "8d0525da8006277faa767d981b979b040af2b67e21ed71e8566a7d496c2df715",
+    ("cover", "shelf 100 rows"):
+        "e849d83b79c3fd3d6e1720b92009725960ec759c30fd9ae3b04003a7fbbee53e",
+    ("cover", "shelf 835 grid band"):
+        "6d88ff54571cc1e02fcc88e412261791ffcb14fb13fcad15c971f19385a27e83",
 }
 
 
@@ -261,10 +302,66 @@ def test_plan_bytes_are_pinned(kind, case):
 def test_pinned_pack_chains_grid_a_band(case, labels):
     """The pinned grid-band cases keep reaching the packing chain's grid
     band, its overhang row count and the stack family on a flat seam."""
-    plan = _build_case("pack", case)
+    assert _chain_labels("pack", case) == labels
+
+
+def test_pinned_cover_chain_grids_its_band():
+    """The covering chain grids a band only when it is the lone band and too
+    short for its wedge; the pinned case keeps reaching that branch."""
+    assert _chain_labels("cover", "shelf 835 grid band") == ["band 1 grid"]
+
+
+def _chain_labels(kind, case):
+    """The run labels of the case's band chain; the case grids one band."""
+    plan = _build_case(kind, case)
     assert plan.meta["stats"]["fallback_bands"] == 1
     chain = next(n for n in _walk(plan.root) if n.label == "stack bands")
-    assert [r.label for r in chain.runs] == labels
+    return [r.label for r in chain.runs]
+
+
+def _statement_lines(path) -> set[int]:
+    """The first line of every statement inside a function of `path`, less
+    docstrings and `raise` statements."""
+    lines = set()
+
+    def visit(body):
+        for stmt in body:
+            if isinstance(stmt, ast.Raise) or (isinstance(stmt, ast.Expr)
+                                               and isinstance(stmt.value, ast.Constant)):
+                continue
+            lines.add(stmt.lineno)
+            visit(getattr(stmt, "body", []))
+            visit(getattr(stmt, "orelse", []))
+
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.FunctionDef):
+            visit(node.body)
+    return lines
+
+
+def test_plan_cases_run_every_builder_statement():
+    """Every construction branch is pinned: building each case of both kinds
+    runs every statement of `builders.py` that does not raise."""
+    path = builders.__file__
+    ran = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename == path else None
+
+    before = sys.gettrace()
+    sys.settrace(call)
+    try:
+        for kind in ("pack", "cover"):
+            for case in PLAN_CASES:
+                _build_case(kind, case)
+    finally:
+        sys.settrace(before)
+    assert sorted(_statement_lines(path) - ran) == []
 
 
 @pytest.mark.parametrize("kind", ["pack", "cover"])

@@ -98,6 +98,35 @@ def test_split_requires_area_tiling():
         split_node(rect_region(10, 10), [waste_node(rect_region(1, 1), "w")])
 
 
+def _waste_in_a_covering():  # what a flat wedge under unit width used to build
+    return _plan_of(waste_node(rect_region(0.5, 200.0), "sliver wedge"), kind="cover", x=200.0)
+
+
+def _split_missing_a_child():
+    plan = pack_square(150.5)
+    plan.root.children.pop()
+    return plan
+
+
+def _grid_given_a_row():
+    plan = pack_square(150.5)
+    node = plan.root
+    while node.kind != "grid":
+        node = node.children[0]
+    node.rows += 1
+    return plan
+
+
+@pytest.mark.parametrize("edited,refusal", [
+    (_waste_in_a_covering, "covering plans cannot declare waste nodes"),
+    (_split_missing_a_child, "split children areas"),
+    (_grid_given_a_row, "packing node holds"),
+])
+def test_account_refuses_hand_edited_plans(edited, refusal):
+    with pytest.raises(PlanError, match=refusal):
+        account(edited())
+
+
 def test_account_additivity_and_conservation():
     plan = pack_square(400.5)
     rep = account(plan)

@@ -138,6 +138,15 @@ def test_covering_clean():
     assert report.runtime_stats["point_tests"] >= report.sampled_points > 0
 
 
+@pytest.mark.parametrize("chunk", [1, 16])
+def test_covering_report_does_not_depend_on_the_batch_size(chunk, monkeypatch):
+    # a batch flushed inside the probe loop can leave no points for the last one
+    plan = cover_square(50.5)
+    expected = verify_covering(plan, cfg=CFG).to_dict(include_runtime=False)
+    monkeypatch.setattr(verifier, "_PROBE_CHUNK", chunk)
+    assert verify_covering(plan, cfg=CFG).to_dict(include_runtime=False) == expected
+
+
 def test_covering_detects_deleted_leaf():
     plan = cover_square(400.5)
     mutated = copy.deepcopy(plan)
