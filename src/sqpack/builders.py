@@ -24,11 +24,12 @@ solvers), `_wedge_band` builds one wedge band, and `build_shelf` holds the
 shelf scaffold around the two band chains, `_shelf_pack` (descending) and
 `_shelf_cover` (ascending, with joint grids).
 
-Every builder works in its own local frame and returns a node that keeps
-its own seam segments in that frame. A parent grafts a child by composing
-the child's local-to-parent (frame, mirror) map into the child's pending
-graft in O(1), possibly mirrored (the stack-band leftover wedges have the
-opposite chirality); nothing is mapped during the build. The planner then
+Every builder works in its own local frame and returns its node in that
+frame. A parent grafts a child by composing the child's local-to-parent
+(frame, mirror) map into the child's pending graft in O(1), possibly
+mirrored (the stack-band leftover wedges have the opposite chirality);
+nothing is mapped during the build. Nodes hold only what accounting and
+verification read: regions, areas, squares and ledgers. The planner then
 resolves the whole tree once, top-down (`plan.resolve_grafts`). All
 construction frames are quarter-turn rotations; only square poses carry
 irrational angles.
@@ -98,7 +99,9 @@ class WedgeSpec:
     tilt: float
 
     def validate(self) -> None:
-        if not (self.height >= 1.0 and 0.0 <= self.top < math.inf and self.tilt >= 0.0):
+        # a wedge of zero top and zero tilt is empty
+        if not (self.height >= 1.0 and 0.0 <= self.top < math.inf and self.tilt >= 0.0
+                and self.top + self.tilt > 0.0):
             raise InvalidSpec(f"bad wedge {self}")
         limit = _tilt_limit(self.height)
         if self.tilt >= limit:
@@ -311,22 +314,13 @@ def build_strip(m: float, L: float, depth: int, stats: BuildStats, kind: str):
     run = StackRun(base=Pose(x_start, y0, theta), step=(-sin_t, cos_t),
                    count=n, repeat=n_stacks, pitch=(p, 0.0), label="strip")
     right_bot = L - x_start - n_stacks * p - tan_t * y0
-    seam_lx = x_start + tan_t * y0
-    overshoot = [] if kind == "pack" else [
-        rect_region(n_stacks * p + 1.0, sin_t, Pose(x_start - 1.0, y0, 0.0)),
-        rect_region(n_stacks * p + 1.0, sin_t, Pose(seam_lx - m * tan_t - 1.0, m, 0.0)),
-    ]
     children = [
         build_wedge(WedgeSpec(m, top_target, theta), depth + 1, stats, kind),
         _graft(build_wedge(WedgeSpec(m, right_bot, theta), depth + 1, stats, kind),
                Pose(L, m, math.pi)),
     ]
-    node = stacks_node(region, [run], leftovers=children, label="strip",
-                       overshoot=overshoot,
+    return stacks_node(region, [run], leftovers=children, label="strip",
                        ledger={"stack_end_balance": n_stacks * tan_t})
-    node.seams = [(seam_lx, 0.0, seam_lx - m * tan_t, m),
-                  (seam_lx + n_stacks * p, 0.0, seam_lx + n_stacks * p - m * tan_t, m)]
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +350,11 @@ def build_wedge(spec: WedgeSpec, depth: int, stats: BuildStats, kind: str):
     rem = _clamp(height - s_full * h_int)
 
     children: list = []
-    seams: list = []
     for i in range(s_full):
         y_bot = height - (i + 1) * h_int
         rect, shelf = _wedge_band(spec, a_len, top + i * h_int * tan_t, y_bot, float(h_int),
                                   depth, stats, kind)
         children += [_graft(rect, Pose(0.0, y_bot, 0.0)), shelf]
-        seams.append((0.0, y_bot, top + (i + 1) * h_int * tan_t, y_bot))
     if rem > 0.0:
         w_rem_top = top + s_full * h_int * tan_t
         if rem >= 1.0:
@@ -376,9 +368,7 @@ def build_wedge(spec: WedgeSpec, depth: int, stats: BuildStats, kind: str):
         else:
             children.append(sliced_trap_fill(rem, w_rem_top, a_bot, "cover",
                                              label="wedge remainder"))
-    node = split_node(region, children, label="wedge")
-    node.seams = seams
-    return node
+    return split_node(region, children, label="wedge")
 
 
 def _wedge_band(spec: WedgeSpec, a_len: int, w_top: float, y: float, h_band: float,
@@ -398,7 +388,7 @@ def build_shelf(spec: ShelfSpec, depth: int, stats: BuildStats, kind: str):
     """Shallow trapezoid with integer top edge: integer grid columns on the
     left, a chain of tilted stack bands against the slant, floor zone at the
     bottom. A packing concedes each band's slant sliver, a covering
-    overshoots it."""
+    overshoots it; the ledger holds the total either way."""
     _bump(stats, depth)
     spec.validate()
     scale, height, a_len, theta = spec.scale, spec.height, spec.top_len, spec.tilt
@@ -419,24 +409,18 @@ def build_shelf(spec: ShelfSpec, depth: int, stats: BuildStats, kind: str):
     nb = len(bands)
     h2 = _clamp(height - nb * h1)
     children: list = []
-    seams: list = []
 
     if nb > 0:
         band_children: list = []
-        overshoot: list = []
         for b in bands:
             if kind == "pack":
                 band_children.append(waste_node(
                     tri_region(h1 * tan_t, h1, Pose(b["c"] + b["d"], b["yb"], 0.0)),
                     "slant sliver"))
-            else:
-                overshoot.append(tri_region(h1 * tan_t, h1,
-                                            Pose(b["c"] + b["d"], b["yt"], math.pi)))
             if b["k"] >= 1 and b["c"] >= 1:
                 band_children.append(grid_node(
                     rect_region(b["c"], h1, Pose(0.0, b["yb"], 0.0)),
                     (0.0, b["yb"]), h1, int(b["c"]), label="grid column"))
-            seams.append((0.0, b["yb"], a_len + (height - b["yb"]) * tan_t, b["yb"]))
         if kind == "pack":
             runs, leftovers, area, ledger = _shelf_pack(bands, a_len, h1, h2, scale, depth,
                                                         stats)
@@ -446,8 +430,7 @@ def build_shelf(spec: ShelfSpec, depth: int, stats: BuildStats, kind: str):
         balance = "slant_sliver_balance" if kind == "pack" else "overshoot_balance"
         ledger[balance] = nb * 0.5 * h1 * h1 * tan_t
         band_children.append(stacks_node(
-            None, runs, leftovers=leftovers, label="stack bands", area=area,
-            overshoot=overshoot, ledger=ledger))
+            None, runs, leftovers=leftovers, label="stack bands", area=area, ledger=ledger))
         children.append(split_node(
             trap_region(nb * h1, a_len, a_len + nb * h1 * tan_t, Pose(0.0, h2, 0.0)),
             band_children, label="band block"))
@@ -459,9 +442,7 @@ def build_shelf(spec: ShelfSpec, depth: int, stats: BuildStats, kind: str):
             children += _floor_zone_pack(f_top, h2, x13, tan_t, depth, stats)
         else:
             children.append(_floor_zone_cover(f_top, a_bot, h2, x13, depth, stats))
-    node = split_node(region, children, label="shelf")
-    node.seams = seams
-    return node
+    return split_node(region, children, label="shelf")
 
 
 def _shelf_bands(scale: float, a_len: int, h1: int, height: float, tan_t: float,
@@ -540,7 +521,8 @@ def _shelf_pack(bands: list[dict], a_len: int, h1: int, h2: float, scale: float,
                 y_stop = yb + (bands[k + 1]["c"] - c) * tan_a
             else:
                 y_stop = yb + n * sin_a
-            if y0 is not None and y0 >= y_stop:
+            # a family tilted past the wedge limit grids, like one that does not fit
+            if y0 is not None and y0 >= y_stop and alpha < _tilt_limit(d):
                 n_stacks = floor_guard((y0 - y_stop) / p) + 1
                 stats.band_tilts.append((scale, k, d, alpha))
                 if top_gap is not None:

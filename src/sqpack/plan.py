@@ -18,9 +18,12 @@ Stack runs are arithmetic families: `count` squares step apart along the
 stack, repeated `repeat` times `pitch` apart. A single run is repeat == 1.
 
 Builders work in local frames. While a plan is built, a node may carry a
-pending `graft` (its local-to-parent map) and its own `seams` in local
-coordinates; `resolve_grafts` maps every node into world coordinates
-once, top-down, and clears both.
+pending `graft` (its local-to-parent map); `resolve_grafts` maps every node
+into world coordinates once, top-down, and clears it.
+
+Plan files are format version 2. Version 1 also held seam segments and
+per-node overshoot regions, which nothing read; the reader still accepts
+it and drops them.
 """
 
 from __future__ import annotations
@@ -92,10 +95,8 @@ class PlanNode:
     cols: int = 0
     runs: list[StackRun] = field(default_factory=list)
     reason: str = ""
-    overshoot: list[Region] = field(default_factory=list)  # cover plans: conceded outside area
     ledger: dict = field(default_factory=dict)
     graft: tuple[Pose, bool] | None = None  # pending (frame, mirror) into the parent
-    seams: list = field(default_factory=list)  # own seam segments, local, while building
 
     def own_count(self) -> int:
         if self.kind == "grid":
@@ -128,12 +129,11 @@ def grid_node(region: Region, origin: tuple[float, float], rows: int, cols: int,
 
 def stacks_node(region: Region | None, runs: list[StackRun],
                 leftovers: list[PlanNode] | None = None, label: str = "",
-                area: float | None = None, overshoot: list[Region] | None = None,
-                ledger: dict | None = None) -> PlanNode:
+                area: float | None = None, ledger: dict | None = None) -> PlanNode:
     a = region_area(region) if region is not None else float(area)
     return PlanNode(kind="stacks", region=region, area=a, label=label,
                     children=list(leftovers or []), runs=list(runs),
-                    overshoot=list(overshoot or []), ledger=dict(ledger or {}))
+                    ledger=dict(ledger or {}))
 
 
 def waste_node(region: Region, reason: str, label: str = "") -> PlanNode:
@@ -147,7 +147,6 @@ class Plan:
     x: float                  # nominal scale of the target
     region: Region            # the target region
     root: PlanNode
-    seams: list[tuple[float, float, float, float]] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
 
@@ -372,26 +371,18 @@ def map_node(node: PlanNode, frame: Pose, mirror: bool) -> None:
                                  (c * ux - s * uy, s * ux + c * uy), r.count, r.repeat,
                                  (c * px - s * py, s * px + c * py), r.label))
         node.runs = runs
-        node.overshoot = [_map_region(r, frame, c, s, mirror) for r in node.overshoot]
-    node.seams = [(tx + (c * (sx * x1) - s * y1), ty + (s * (sx * x1) + c * y1),
-                   tx + (c * (sx * x2) - s * y2), ty + (s * (sx * x2) + c * y2))
-                  for x1, y1, x2, y2 in node.seams]
 
 
-def resolve_grafts(root: PlanNode) -> list[tuple[float, float, float, float]]:
+def resolve_grafts(root: PlanNode) -> None:
     """Map every node into world coordinates exactly once, top-down, and
-    return all seam segments in pre-order. Clears the pending grafts and
-    the per-node seams."""
-    seams: list = []
+    clear the pending grafts."""
     stack = [(root, (IDENTITY, False))]
     while stack:
         node, outer = stack.pop()
         frame = outer if node.graft is None else compose_graft(outer, node.graft)
         map_node(node, *frame)
-        seams.extend(node.seams)
-        node.graft, node.seams = None, []
+        node.graft = None
         stack.extend((c, frame) for c in reversed(node.children))
-    return seams
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +427,6 @@ def _node_to_dict(n: PlanNode) -> dict:
     elif n.kind == "stacks":
         d["runs"] = [_run_to_list(r) for r in n.runs]
         d["leftovers"] = [_node_to_dict(c) for c in n.children]
-        d["overshoot"] = [_region_to_dict(r) for r in n.overshoot]
         d["ledger"] = n.ledger
     elif n.kind == "waste":
         d["reason"] = n.reason
@@ -456,7 +446,6 @@ def _node_from_dict(d: dict) -> PlanNode:
     elif kind == "stacks":
         node.runs = [_run_from_list(v) for v in d["runs"]]
         node.children = [_node_from_dict(c) for c in d["leftovers"]]
-        node.overshoot = [_region_from_dict(r) for r in d["overshoot"]]
         node.ledger = d["ledger"]
     elif kind == "waste":
         node.reason = d["reason"]
@@ -467,24 +456,22 @@ def _node_from_dict(d: dict) -> PlanNode:
 
 def plan_to_dict(plan: Plan) -> dict:
     return {
-        "version": 1,
+        "version": 2,
         "kind": plan.kind,
         "x": plan.x,
         "region": _region_to_dict(plan.region),
-        "seams": [list(s) for s in plan.seams],
         "meta": plan.meta,
         "root": _node_to_dict(plan.root),
     }
 
 
 def plan_from_dict(d: dict) -> Plan:
-    if d.get("version") != 1:
+    if d.get("version") not in (1, 2):
         raise PlanError(f"unsupported plan version {d.get('version')!r}")
     if d.get("kind") not in ("pack", "cover"):
         raise PlanError(f"plan kind must be 'pack' or 'cover', got {d.get('kind')!r}")
     return Plan(kind=d["kind"], x=d["x"], region=_region_from_dict(d["region"]),
-                root=_node_from_dict(d["root"]),
-                seams=[tuple(s) for s in d["seams"]], meta=d["meta"])
+                root=_node_from_dict(d["root"]), meta=d["meta"])
 
 
 def dumps_stable(obj) -> str:

@@ -59,13 +59,13 @@ def build_plan(kind: str, shape: str, *dims) -> Plan:
     stats = BuildStats()
     with gc_paused():
         root = build(*dims, 0, stats, kind)
-        seams = resolve_grafts(root)
+        resolve_grafts(root)
     meta = {"stats": {"max_depth": stats.max_depth,
                       "fallback_bands": stats.fallback_bands,
                       "joint_max": stats.joint_max},
             "band_tilts": [list(t) for t in stats.band_tilts]}
     target = root.region if region is None else region(*dims)
-    return Plan(kind=kind, x=scale(*dims), region=target, root=root, seams=seams, meta=meta)
+    return Plan(kind=kind, x=scale(*dims), region=target, root=root, meta=meta)
 
 
 pack_square = partial(build_plan, "pack", "square")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ def test_pack_command_writes_plan_and_report(tmp_path):
     rc = run(["pack", "--x", 400.5, "--out", out])
     assert rc == 0
     data = json.loads(out.read_text())
-    assert data["kind"] == "pack" and data["version"] == 1
+    assert data["kind"] == "pack" and data["version"] == 2
     report = json.loads((tmp_path / "plan.json.report.json").read_text())
     assert report["passed"] is True
     assert report["waste_or_excess"] <= 2566
@@ -58,6 +59,13 @@ def test_verify_command_roundtrip(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", plan_path]) == 0
     assert "verify pack: passed, checked 14383 of 14383 squares" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+def test_verify_command_accepts_a_v1_plan(kind, capsys):
+    plan_path = Path(__file__).parent / "data" / f"v1_{kind}_150.5.json"
+    assert run(["verify", plan_path]) == 0
+    assert f"verify {kind}: passed" in capsys.readouterr().out
 
 
 def test_verify_command_corrupt_plan(tmp_path):

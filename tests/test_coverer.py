@@ -130,7 +130,6 @@ def test_cover_shelf_overshoot_ledger():
     block = next(c for c in plan.root.children if c.label == "band block")
     chain = next(c for c in block.children if c.label == "stack bands")
     assert chain.ledger["overshoot_balance"] <= 0.25 * x ** (1 / 3) * 1.01
-    assert chain.overshoot, "overshoot corridors recorded"
 
 
 def test_cover_joint_grid_rows_match_gap():

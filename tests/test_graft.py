@@ -19,7 +19,7 @@ from sqpack.builders import (
     PanelSpec, ShelfSpec, WedgeSpec, _graft, shelf_top_len, sliced_trap_fill,
 )
 from sqpack.geometry import (
-    Pose, ceil_guard, floor_guard, rect_region, square_corners, trap_region, tri_region,
+    Pose, ceil_guard, floor_guard, rect_region, square_corners, trap_region,
 )
 from sqpack.plan import (
     StackRun, account, dumps_stable, enumerate_placements, grid_node, plan_from_json,
@@ -36,17 +36,14 @@ def _walk(node):
 
 
 def _subtree():
-    """A small local subtree: tilted runs, overshoot, seams and a grid leaf."""
+    """A small local subtree: tilted runs, a mirrored region and a grid leaf."""
     a = 0.25
     run = StackRun(base=Pose(0.3, 0.2, a), step=(-math.sin(a), math.cos(a)), count=3,
                    repeat=2, pitch=(1.0 / math.cos(a), 0.0))
     grid = grid_node(rect_region(3.0, 2.0, Pose(1.0, 4.0, 0.0)), (1.0, 4.0), 2, 3)
-    grid.seams = [(1.0, 4.0, 4.0, 4.0)]
     leaf = stacks_node(trap_region(5.0, 2.0, 4.0, Pose(1.0, 2.0, math.pi / 2), mirror=True),
-                       [run], overshoot=[tri_region(1.0, 2.0, Pose(0.5, 0.0, 0.0))])
-    root = stacks_node(rect_region(10.0, 10.0), [run], leftovers=[leaf, grid])
-    root.seams = [(0.0, 0.0, 2.5, 7.0)]
-    return root
+                       [run])
+    return stacks_node(rect_region(10.0, 10.0), [run], leftovers=[leaf, grid])
 
 
 def _square_set(node) -> np.ndarray:
@@ -69,20 +66,17 @@ def test_two_grafts_equal_one_composed_graft():
         # one after the other: map by the inner graft, then by the outer one
         seq = _subtree()
         seq.graft = (f2, m2)
-        seq.seams = resolve_grafts(seq)
+        resolve_grafts(seq)
         seq.graft = (f1, m1)
-        seq_seams = resolve_grafts(seq)
+        resolve_grafts(seq)
         # composed: both grafts recorded, the tree mapped once
         one = _graft(_graft(_subtree(), f2, m2), f1, m1)
-        one_seams = resolve_grafts(one)
+        resolve_grafts(one)
 
         assert np.allclose(_square_set(seq), _square_set(one), atol=1e-9)
-        assert np.allclose(seq_seams, one_seams, atol=1e-9)
         for a, b in zip(_walk(seq), _walk(one)):
             assert a.region.mirror == b.region.mirror
             assert np.allclose(a.region.polygon(), b.region.polygon(), atol=1e-9)
-            for ra, rb in zip(a.overshoot, b.overshoot):
-                assert np.allclose(ra.polygon(), rb.polygon(), atol=1e-9)
             if a.kind == "grid":
                 assert (a.rows, a.cols) == (b.rows, b.cols)
                 assert np.allclose(a.origin, b.origin, atol=1e-9)
@@ -104,8 +98,7 @@ def test_every_node_is_mapped_exactly_once(monkeypatch):
         assert len(nodes) > 100
         assert sorted(calls) == sorted(id(n) for n in nodes)
         assert set(calls.values()) == {1}
-        assert all(n.graft is None and not n.seams for n in nodes)
-        assert plan.seams
+        assert all(n.graft is None for n in nodes)
 
 
 @pytest.mark.parametrize("kind", ["pack", "cover"])
@@ -190,6 +183,8 @@ PLAN_CASES = {
     "shelf 150 grid seam": ("shelf", 150.0, 15.0, _tilt(150.0, 1.05)),
     # a cover plan whose lone band is too short for its wedge, so it grids
     "shelf 835 grid band": ("shelf", 835.0, 4.0, _tilt(835.0, 1.7)),
+    # a packing band family too steep for its wedges grids instead
+    "shelf 984 steep": ("shelf", 984.0, 62.0, _tilt(984.0, 0.55)),
 }
 
 # the PLAN_CASES entries that enumerate more than 2M squares
@@ -204,88 +199,96 @@ def _build_case(kind, case):
     return build_plan(kind, shape, *dims)
 
 
-# sha256 of plan_to_json(plan), taken before the packing and covering wrappers
-# became one planner; a change that claims no behaviour change keeps them. The
-# entries from "panel 50x50.5" on were taken before the unreachable builder
-# branches were deleted, and "wedge 200x0.5 flat" once a flat wedge under unit
-# width stopped declaring waste
+# sha256 of plan_to_json(plan); a change that claims no behaviour change keeps
+# them. All but one were derived from version 1 plans: the v1 plan_to_dict less
+# its top-level "seams" and every node's "overshoot", with "version" set to 2,
+# through dumps_stable. Those v1 plans match the v1 pins, taken before the
+# packing and covering wrappers became one planner ("panel 50x50.5" on: before
+# the unreachable builder branches were deleted; "wedge 200x0.5 flat": once a
+# flat wedge under unit width stopped declaring waste). The pack "shelf 984
+# steep" raised in v1, before a family too steep for its wedges gridded, and is
+# pinned from v2.
 PLAN_DIGESTS = {
-    ("pack", "square 0.5"): "1058950043a45a2338944b2babffd179b74ef5faf07067b5a95553fd9ea0171e",
-    ("pack", "square 1"): "475218f3f56484ee8c12b6441b2ec2b4bb9b87acc1639d60e784fc274125dce9",
-    ("pack", "square 50.5"): "f94e61926f303e5b72754e70962e2295b5fd34e887e6dc6554af079eb26e4a00",
-    ("pack", "square 150.5"): "5bf0df26acc0467487bda5c52b5964a30f168c7b68bac565da53a537916982ef",
-    ("pack", "square 1000.25"): "46761870bfa6f2ad02886ee164bf844514f2a3aca061204f9bd9b27d2089e207",
-    ("pack", "square 20000.5"): "1b7a5b2ba9105b43f6d7b8197e3da4a885d728d8aae885a31c3bf264d9217c5e",
-    ("pack", "rect 80x60.3"): "e277e573138b352eb69ddba98a6f265ec2962969ac3777b62f389624a3be65f9",
-    ("pack", "rect 60.3x80"): "bd4fe368f9239c4d4a05433d548b83a151045b2c0d5ba206f207dc925dd3f44d",
-    ("pack", "rect 500.5x300.25"): "5d59e1f75095223600e0ac12f75aa64a64ffcbf863508048fc6b8f43241e0dca",
-    ("pack", "rect 300.25x500.5"): "558b172d2d45ee20edb8bb6f87a2f1adeee43525e1148e0685c96bcdf6486078",
-    ("pack", "rect 150x2000"): "1edfaaa2af5f4b42d7f9f3740d860ccb0f59217b0b9443a4da315d1abcfde2e2",
-    ("pack", "rect 2000x150"): "55f2f6f18f04e35ca037c12a9ff6187e08e035a52d21360abf603c16e468b3b3",
-    ("pack", "panel 1024x900.5"): "4720fd757b4fe9e712c75a0a947c4d6c3529bcfd18ed9fb2870e8506258f2e60",
-    ("pack", "panel 4096x4096.2"): "9fa7e62b1d679d51be3e78a5ac8d10e6ef6b99dfe8773f802327fd0c9be09cfe",
-    ("pack", "strip 10.5x100"): "8b3dc94a4e9d384427a0bfc14d33685fa39ce951cc515b91ad4846e269a7ee4c",
-    ("pack", "strip 150.7x9000"): "85556955d2e63179d135f45453ccbc916fdabb3b63f5e742a899b1ef5b85cec6",
-    ("pack", "wedge 400"): "306c14a32229b72f1218518d963eb9aef6e4864a133a94e0c10b929709323068",
-    ("pack", "wedge 1e4"): "f32d4d47f3f765cf3642ccf7654a5dd04ee0295208a13cc9e68c1b0065ee408c",
-    ("pack", "wedge 150x300 flat"): "108eb92754e134e89e91eabff6346a0dbc3262ef95afc334284332f7ec07bdb5",
-    ("pack", "shelf 1e4"): "a97361e59d81f87a7ef03df7458b9525d8a4ec5d46c6c99dd4a472d144c8d735",
-    ("pack", "shelf 1e6"): "57a590d7bfd1dc5217bfe5e32b4193862c783a9d40beb18c22da9bb4cfb530b9",
-    ("pack", "shelf 1e8 flat"): "976e46e261cdbac7a963105976af8b91d61e5cc78791918d60b987798da5fc7d",
+    ("pack", "square 0.5"): "e1ea983300a1f9183d4ecc39d90794f6e8ec73ec71f079731137156b4210e983",
+    ("pack", "square 1"): "2818ce00c7d94c6fe50ae88bf2802a0d1621be9d5872d7ef9ddf8a6e794b3c1a",
+    ("pack", "square 50.5"): "37ca3b376b3c03ee391fab09ca3334f4e6f51dc457fcbcc6f82c073709461e47",
+    ("pack", "square 150.5"): "4a84547d465c2f694cad86dd7771303accfa79851a873609231f11ae4f937196",
+    ("pack", "square 1000.25"): "d87f42d49c6625c126d0e82cb2e7ac7c58314ae62dd429938caabb30728e6a8a",
+    ("pack", "square 20000.5"): "ee18bbd18d1afca35df59c65968c49f48349ca0a884fda9d33e6b067ad2bb3bf",
+    ("pack", "rect 80x60.3"): "5e5db46ad788c97c42a1660f762df813e79649ddd1cc844ff98f121205600df5",
+    ("pack", "rect 60.3x80"): "933092b59eb7954780558e6efb6ea2e9e46cb4b6f6d10b69b186f22f09a597ad",
+    ("pack", "rect 500.5x300.25"): "f97b9e724ced26253b10f01cfdedbf75a74bad264ee3ef7cde8dffab130ca7cf",
+    ("pack", "rect 300.25x500.5"): "40dfa9de89a3b3664ae992e62d1eecbf86b296148d23f0bb58483b934fd0d63e",
+    ("pack", "rect 150x2000"): "e65b47ba7483d884278ed1b98816f5f4fc4475518334f284d7d1a909711be08f",
+    ("pack", "rect 2000x150"): "e31cd6c72b23abd727cc187f36619c5cce7a9e8e869e3ba033f3aac34ee94c26",
+    ("pack", "panel 1024x900.5"): "34a3bb679016df4e3f2dda4e4c16e7c290d557d1b6fb9b8ad4da4e5768a7d0e1",
+    ("pack", "panel 4096x4096.2"): "d6fe62dac0c57c26b160d9d000da396470bbe43ed2c19c344056e07f8f9a1056",
+    ("pack", "strip 10.5x100"): "d5e1df4cefe04e4005acd89b975fc55fa92e4214dfafbaa745f4d7c59546f761",
+    ("pack", "strip 150.7x9000"): "ee8355d0ddebd5cc69bd378e6a1dbe2c23ab12c289425cc23e462a5ca2368843",
+    ("pack", "wedge 400"): "f2d5fa05b3f31559f5f95fb3281415b623c228e921d7c2a50f5f671df3f6eace",
+    ("pack", "wedge 1e4"): "ee7978361587597fe458283f07ab6b59f8614457d5835f68fb8a122f086afeff",
+    ("pack", "wedge 150x300 flat"): "3781e8fd577de8d3a701a3e7dbb1f1cae3252006042113eea7a13e94c464c14a",
+    ("pack", "shelf 1e4"): "b789067eec624b44a1a216a4635e99691c54035fc26a6466f81c34cd329bca46",
+    ("pack", "shelf 1e6"): "11ac1da33836841a9b15ae076a857632d4a72e8b07ba24adabdfa705e8479707",
+    ("pack", "shelf 1e8 flat"): "a6d6eb858c0feda1111d8a82c0909fcbd8269f4cc4c53a277c8a6d756bc3ca21",
     ("pack", "shelf 2e3 fallback"):
-        "fe94abbf1d4ad929b497617d58f9ce750be11900145562b42d5f5f602901d26b",
+        "7438cbc933e8d8ce02aa119084398e8e54b97d68c1447b74f181d8b61c3b0ac7",
     ("pack", "shelf 150 grid seam"):
-        "9b0d10cb5174fda218585629f2e8cf46ae5ff679bcf32c4bb8206c9827581a77",
+        "91d3499dd52ea54dba2a23ddeb101cf00d2f0f1ca5e3f5353c5d8bbedd13b639",
     ("pack", "panel 50x50.5"):
-        "45bd1a6d7faaf218a2a7fff02c67fed973fef700593d27104370feac76868870",
+        "c1181936c7d45320c698fb0cb15177b0cbcca1b47fdf9996cc44c44f3482c005",
     ("pack", "panel 1000x178.5"):
-        "ea054c22ec26a0efd574a5a7f2c96ad145a188cb866a2c1202a0ef75a8745f14",
+        "dc252dc17c5ed83bf33f990725bdf195f34f086151701e381a04c2913048f009",
     ("pack", "wedge 200x0.5 flat"):
-        "657ebb84090ada99b63d0827ba17bb8fa334d34790789cfb58aaeabd09a8768e",
+        "b9d9165640f113a158ede7d7fe3647cf5f3a11b4eec50b63bf608098ecb76526",
     ("pack", "wedge 110 narrow top"):
-        "c09421064d2221edd2f109a51c1381016386e9c6656a1a62a4f1513a5c5e8fb7",
+        "d873769d032747a527b53b82b609424146fe488b6d0c31891395bb0119df40e1",
     ("pack", "shelf 100 rows"):
-        "68d143ae98c435681c8331ed986332c228ca37ad7b37b613020be67c86eab1ab",
+        "7b0496465fd04b3a19ab95c0ed0352ba1a96ff2b4d019c4d127a92b900e6012e",
     ("pack", "shelf 835 grid band"):
-        "8ad642932876a0d9ce358583855d72cab4232ac8cd3503fabc71b1e0ece84536",
-    ("cover", "square 0.5"): "e2f2924d8f7736ec47c5a101e6fa34fdd5f0ef8f10b4e65b254639831ec9c19f",
-    ("cover", "square 1"): "96af06067ef399222cbdd9d8f469b0147bada070c622afdfde1757d73673e4e2",
-    ("cover", "square 50.5"): "97baabae99b92a2a3fa419886233a59c46b2f46516dc4b7b7d92f3fe1e68bf0b",
-    ("cover", "square 150.5"): "1642a9e7d1c2d1664b02bb52c95fe7d154ef448fed25c6d366f77ca3a3078bf9",
-    ("cover", "square 1000.25"): "d0acd63b65cb9617770ca1e002623111e6d2fa62629b858aa2b5ac3e26a43cc0",
-    ("cover", "square 20000.5"): "728db444e7d21f155a1a68ea94ee976cc66b18b8cc0e29ca1397974604fbe261",
-    ("cover", "rect 80x60.3"): "e5becfc419ec0db0bcce3066525a5cce424ce0d3845c20d39399436ddc3d6e82",
-    ("cover", "rect 60.3x80"): "7854b76d74459abea708728a07fd2112ae71a9b8ccbb1d2667cdde77543df4cd",
-    ("cover", "rect 500.5x300.25"): "d5158211d176b1a573084f75c2c8276940eb4239669bff2742bd91e10f6a41ce",
-    ("cover", "rect 300.25x500.5"): "56ae88223a3167572d5d87916f0496cfe95686f9241644d51cd78af72bff7c66",
-    ("cover", "rect 150x2000"): "a4e161e8888e95ce40e06de834b70bcfbcd2a927541147a4ebdc4cb1aa36bf16",
-    ("cover", "rect 2000x150"): "707078af62fffd0d3355821be73e39b0affe8474539412f0c9783f2384a81805",
-    ("cover", "panel 1024x900.5"): "99515014d125f72dcf83334c313f81e703eb0e9e32846108a59e2949bd0b303b",
-    ("cover", "panel 4096x4096.2"): "11b4d99f939dd1bc9952bffaac615f850e2ff06cf97e968ef8b863b16dc73837",
-    ("cover", "strip 10.5x100"): "5d2f68cefbf9370e838b4e46468bbace7cc0cdeff6b6538dc5b97868d513c4cd",
-    ("cover", "strip 150.7x9000"): "a1f45ceb4fa6f3c4b6734034e8aed9d80fb7a08146021162a5209675a81332fc",
-    ("cover", "wedge 400"): "834b7337eb4fc97901b36adeb3e39bbba10ccd9543ec50ce5f1287d2477d61ab",
-    ("cover", "wedge 1e4"): "5e65695cba5496e1b44be5d22442bf57662776f0c434cb61a4abeb5b01fae1a2",
-    ("cover", "wedge 150x300 flat"): "48bde8fc40a0eaa861c21032e712ca33e5329f54426e1c1a207b244afd5304db",
-    ("cover", "shelf 1e4"): "2ac80cfc51fe174dbb0ca5aedf4bb4a90a42305a606d48c6fb49ecda4e6eddd7",
-    ("cover", "shelf 1e6"): "773661fc89a1f1c219e9d0f3efeb5138e4f2256ca91552e4a84f234f5c4a1bd0",
-    ("cover", "shelf 1e8 flat"): "3149955fd76746742d6e895f44c231613adecc9bff1b1fc7b80bccf32538943e",
+        "d5c0ddb5af7aec593ef973e7891c638b11dd19e04fb11c59c8e7a6670eb4f434",
+    ("pack", "shelf 984 steep"):
+        "9636ac1d83c19e90e5ec9e749827347d0a0951177c30ebcafd833af66d3d659f",
+    ("cover", "square 0.5"): "b64f1305c66da65b7d18d7c75f2f871a54f35ba6e2d2748b98eefa68defd94aa",
+    ("cover", "square 1"): "6ae3861ae1103879949e31b3c3cba87ceaf23e61014cfc126431a0c9465fab31",
+    ("cover", "square 50.5"): "f35291fd77e2415b7ff47baa63c8ab04d8b255e9a7637472fbce323715b26108",
+    ("cover", "square 150.5"): "57422dcc173eb0d5a3d787beb4e5a155d0f5fd98474efeb5205b8f37f2335ecc",
+    ("cover", "square 1000.25"): "3ebbc41ff4dc6e1ea4903a458135392efa855d5903f903fb0d8a611a6bff1cc5",
+    ("cover", "square 20000.5"): "4d9039b7ad57245256569fff5cfb2fca29402f22954f56a7380d5bd62a552909",
+    ("cover", "rect 80x60.3"): "b7b730652207dd560c1bb244566fa124efc694e4d20de3ff6443ef7c4d244e3f",
+    ("cover", "rect 60.3x80"): "bc1c1091b79aa7eed9d94cd5ef8d2ef571f624dde3225e071947c807899abcf1",
+    ("cover", "rect 500.5x300.25"): "56e8094fa67454443638fd901d3c8b442e40ef90b07e7418d9fa371c8a6e3a85",
+    ("cover", "rect 300.25x500.5"): "29de544573528131ee3af97447e96dcf19ee9137a306c50cf568d5df91553486",
+    ("cover", "rect 150x2000"): "b801459f22d04eea56572baa51b4abbef65950943925bfd9c40627a0d6593da5",
+    ("cover", "rect 2000x150"): "389f502675ce49c5165e25fd0d144523495cec99da7ed6b254f24ba7ffd8095a",
+    ("cover", "panel 1024x900.5"): "9f83ebd48dff6bb47479c3dc961e37d3d414b53eb3cfec7e59cfe825bfdd535b",
+    ("cover", "panel 4096x4096.2"): "24b49d46fe2b0c66064bf4dd35359fd8e631e6fe6c1f83834d2b2fe3b0de2b24",
+    ("cover", "strip 10.5x100"): "3dfc19b02be16ffbc4a817aa0e232ff728a714b6fe988ca778d3daca7a008cc2",
+    ("cover", "strip 150.7x9000"): "1543b98b9b2da85c3e7b8986fcbfe7ad6b866f597a02b0cac47be8e8367abe88",
+    ("cover", "wedge 400"): "fff637e76fe90c134cca4d232e1a271f2b80883323eeae61bf4004161ee070bf",
+    ("cover", "wedge 1e4"): "8c5c69e1a7b42a02991bc103773ad404e09e51cb4a47aa35593a44f8959f1b20",
+    ("cover", "wedge 150x300 flat"): "508e3420134414059fa91180dbff1351016eb6650722541631618cae96f3733c",
+    ("cover", "shelf 1e4"): "56483be45a0b3bb553d4d550fefd9b5755ca52873486cac0154c22688c4481c9",
+    ("cover", "shelf 1e6"): "ad2bc5314e31bbdf22c43a029c296c5e68ae28d95d49b92cc2469c9bffa90067",
+    ("cover", "shelf 1e8 flat"): "511743dcd1a6d78a750c0ce89d304ef06c99d75dd8de61e6368ba1909c8dfb79",
     ("cover", "shelf 2e3 fallback"):
-        "d5169b86f33b7f90f9430e76dc54b90cc259994f28d5d2126aee2f0d920a662a",
+        "e10187b4df751320f35593d5ea6a8a3c89669e499eac91719280f5e630209a2e",
     ("cover", "shelf 150 grid seam"):
-        "499719486059436b2693c2e2015cd3dc9300109c0813b147b3669b2128a701ee",
+        "35d16d860051cf0a6b9588f14b454fb6c71ff1c360054b729ca46e8836e13dbe",
     ("cover", "panel 50x50.5"):
-        "59d7c6ddc3890e157db4d0d479424aa35d9ee27c8cbf86ae80c3a017c4ac870b",
+        "41030c388182cab0470d6958c9f78eeadc9c901c39dd8ad0ff8ec2edcd1139ec",
     ("cover", "panel 1000x178.5"):
-        "c0ae07453d5215af4ffb36d16830e2f9ff41bb8d7f1ed7f339cbbaef2d956a69",
+        "a68c1accbf56670d71a3757077d15f78667c4b1ffe886369e37a115ed51b3cd5",
     ("cover", "wedge 200x0.5 flat"):
-        "4ed266d8b7e862057e785bd5201823413b600526bf0fa74a0863b8b91c45ba4f",
+        "c0f3bdd5e8a593b8454d4aac0d4fc6b0c457240d042d97fd6c3c1bcdfdd03265",
     ("cover", "wedge 110 narrow top"):
-        "8d0525da8006277faa767d981b979b040af2b67e21ed71e8566a7d496c2df715",
+        "cb770fb78c3aae5aadf215980d224cc7d1d8a8ffc1afcb53f26e70ad9001a37f",
     ("cover", "shelf 100 rows"):
-        "e849d83b79c3fd3d6e1720b92009725960ec759c30fd9ae3b04003a7fbbee53e",
+        "c98c7033bf6e4972c5972e50252a7016967420f5e76c28d9904d12f1e9c494f5",
     ("cover", "shelf 835 grid band"):
-        "6d88ff54571cc1e02fcc88e412261791ffcb14fb13fcad15c971f19385a27e83",
+        "1f23cfc97d9d3590ba9b4b6bd34fa1f348f5989e0eeb401193047fd6f97a0201",
+    ("cover", "shelf 984 steep"):
+        "33c410a3dddd983b5abc5432657b4ce0bbd1a38b5237676a9c73eecb66887cb1",
 }
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +183,18 @@ def test_plan_json_round_trip_byte_identical():
     assert text == again
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+def test_v1_plan_files_load_and_rewrite_as_v2(kind):
+    """A version 1 file, written with seams and overshoot regions, loads and
+    is re-written as the version 2 plan of the same case."""
+    text = (DATA / f"v1_{kind}_150.5.json").read_text()
+    assert json.loads(text)["version"] == 1
+    assert plan_to_json(plan_from_json(text)) == plan_to_json(build_plan(kind, "square", 150.5))
+
+
 def test_plan_json_rejects_unknown_version():
     with pytest.raises(PlanError):
         plan_from_json(dumps_stable({"version": 99}))
@@ -213,7 +227,7 @@ def test_collector_is_paused_and_restored(enabled, monkeypatch):
         plan_from_json(text)
         assert gc.isenabled() is enabled
         with pytest.raises(PlanError):
-            plan_from_json(dumps_stable({"version": 2}))
+            plan_from_json(dumps_stable({"version": 3}))
         assert gc.isenabled() is enabled
         with pytest.raises(InvalidSpec):
             build_plan("pack", "shelf", steep)

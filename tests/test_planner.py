@@ -62,12 +62,13 @@ NAN, INF = float("nan"), float("inf")
     ("wedge", (WedgeSpec(1e4, NAN, 0.01),)),
     ("wedge", (WedgeSpec(1e4, INF, 0.01),)),
     ("wedge", (WedgeSpec(1e4, 200.0, NAN),)),
+    ("wedge", (WedgeSpec(200.0, 0.0, 0.0),)),
     ("shelf", (ShelfSpec(1e6, NAN, 114, 1e-3),)),
     ("shelf", (ShelfSpec(1e6, 500.0, 114, NAN),)),
     ("shelf", (ShelfSpec(1e6, 500.0, INF, 1e-3),)),
     ("shelf", (ShelfSpec(1e6, 500.0, 114.5, 1e-3),)),
 ], ids=["rect-nan", "rect-inf", "panel-nan", "strip-nan", "strip-inf",
-        "wedge-nan-height", "wedge-nan-top", "wedge-inf-top", "wedge-nan-tilt",
+        "wedge-nan-height", "wedge-nan-top", "wedge-inf-top", "wedge-nan-tilt", "wedge-empty",
         "shelf-nan-height", "shelf-nan-tilt", "shelf-inf-top", "shelf-fractional-top"])
 def test_dims_outside_the_domain_raise_invalid_spec(kind, shape, dims):
     with pytest.raises(InvalidSpec):
