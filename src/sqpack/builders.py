@@ -12,11 +12,12 @@ strip -- long rectangle of real width m, filled with tilted 1 x ceil(m)
 wedge -- tall right trapezoid (vertical left side, slant at a small angle
          off vertical); sliced into near-equal integer-height bands, each
          band splitting into a panel and a shelf flush against the slant.
-shelf -- shallow right trapezoid whose top edge is an exact integer;
-         sliced into bands of height h1 = floor(scale**(-1/6)/tan(tilt)):
-         an integer grid column on the left, a tilted stack band, and a
-         slant sliver per band (conceded by a packing, overshot by a
-         covering), plus a floor zone at the bottom.
+shelf -- shallow right trapezoid whose top edge is the exact integer
+         shelf_top_len(scale, kind); sliced into bands of height
+         h1 = floor(scale**(-1/6)/tan(tilt)): an integer grid column on the
+         left, a tilted stack band, and a slant sliver per band (conceded by
+         a packing, overshot by a covering), plus a floor zone at the bottom.
+         A shelf of either kind whose band table runs out fills by rows.
 
 Each step is written once for both kinds: `_stack_family` sets up tilted
 stacks of ceil(m) squares for a width m (and is the only caller of the tilt
@@ -110,14 +111,12 @@ class WedgeSpec:
 
 @dataclass(frozen=True)
 class ShelfSpec:
-    scale: float                 # anchor scale
+    scale: float                 # anchor scale; the top edge is shelf_top_len(scale, kind)
     height: float                # about sqrt(scale)/2
-    top_len: int                 # exact integer top edge
     tilt: float
 
     def validate(self) -> None:
-        if not (self.height >= 1.0 and self.top_len >= 1 and self.tilt >= 0.0
-                and float(self.top_len).is_integer()):
+        if not (self.height >= 1.0 and self.tilt >= 0.0):
             raise InvalidSpec(f"bad shelf {self}")
         limit = _tilt_limit(self.scale)
         if self.tilt >= limit:
@@ -377,7 +376,7 @@ def _wedge_band(spec: WedgeSpec, a_len: int, w_top: float, y: float, h_band: flo
     then its shelf against the slant, grafted at height y."""
     a = w_top - a_len
     rect = build_rect(a, h_band, depth + 1, stats, kind)
-    shelf = build_shelf(ShelfSpec(spec.height, h_band, a_len, spec.tilt), depth + 1, stats, kind)
+    shelf = build_shelf(ShelfSpec(spec.height, h_band, spec.tilt), depth + 1, stats, kind)
     return rect, _graft(shelf, Pose(a, y, 0.0))
 
 
@@ -391,7 +390,10 @@ def build_shelf(spec: ShelfSpec, depth: int, stats: BuildStats, kind: str):
     overshoots it; the ledger holds the total either way."""
     _bump(stats, depth)
     spec.validate()
-    scale, height, a_len, theta = spec.scale, spec.height, spec.top_len, spec.tilt
+    scale, height, theta = spec.scale, spec.height, spec.tilt
+    a_len = shelf_top_len(scale, kind)
+    if a_len < 1:
+        raise InvalidSpec(f"{kind} shelf at scale {scale} has top edge {a_len} < 1")
     tan_t = math.tan(theta)
     a_bot = a_len + height * tan_t
     region = trap_region(height, a_len, a_bot)
@@ -401,11 +403,9 @@ def build_shelf(spec: ShelfSpec, depth: int, stats: BuildStats, kind: str):
     if scale <= BASE_CUTOFF or a_len < 2:
         return sliced_trap_fill(height, a_len, a_bot, kind, label="shelf rows")
     h1 = floor_guard(scale ** (-1.0 / 6.0) / tan_t)
-    if h1 < 1:
-        raise InvalidSpec(f"tilt {theta} too large for band construction at scale {scale}")
     bands = _shelf_bands(scale, a_len, h1, height, tan_t, kind)
-    if kind == "cover" and any(b["base"] < 2 for b in bands):
-        return sliced_trap_fill(height, a_len, a_bot, "cover", label="shelf rows")
+    if any(b["base"] < 2 for b in bands):  # the band table has run out
+        return sliced_trap_fill(height, a_len, a_bot, kind, label="shelf rows")
     nb = len(bands)
     h2 = _clamp(height - nb * h1)
     children: list = []
@@ -467,7 +467,7 @@ def _floor_zone_pack(f1: float, h2: float, x13: float, tan_t: float, depth: int,
     """Packing floor zone under the band block: top width f1, height h2 > 0."""
     if h2 < 1.0:
         return [waste_node(trap_region(h2, f1, f1 + h2 * tan_t), "floor sliver")]
-    if h2 <= x13 or f1 < 2.0:
+    if h2 <= x13:
         fill = grid_fill(f1, h2, "pack", label="floor grid")
     else:
         fill = _graft(build_strip(f1, h2, depth + 1, stats, "pack"),
@@ -478,7 +478,7 @@ def _floor_zone_pack(f1: float, h2: float, x13: float, tan_t: float, depth: int,
 def _floor_zone_cover(f_top: float, f1: float, h2: float, x13: float, depth: int,
                       stats: BuildStats) -> PlanNode:
     """Covering floor zone: the trapezoid of height h2 > 0 from f_top to f1."""
-    if h2 <= x13 or f1 < 2.0 or h2 < 2.0 * ceil_guard(f1):
+    if h2 <= x13 or h2 < 2.0 * ceil_guard(f1):
         return grid_node(trap_region(h2, f_top, f1), (0.0, 0.0), ceil_guard(h2),
                          ceil_guard(f1), label="floor grid")
     # the strip stands on its side and overshoots the floor trapezoid; the
@@ -551,9 +551,8 @@ def _shelf_pack(bands: list[dict], a_len: int, h1: int, h2: float, scale: float,
                 placed = True
         if not placed:
             rows = _safe_rows(seam, c, d, h1, yb)
-            cols = floor_guard(d)
-            if rows >= 1 and cols >= 1:
-                runs.append(StackRun(base=Pose(c, yb, 0.0), step=(1.0, 0.0), count=cols,
+            if rows >= 1:
+                runs.append(StackRun(base=Pose(c, yb, 0.0), step=(1.0, 0.0), count=floor_guard(d),
                                      repeat=rows, pitch=(0.0, 1.0), label=f"band {k} grid"))
             if rows < h1:
                 stats.fallback_bands += 1

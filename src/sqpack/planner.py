@@ -69,14 +69,4 @@ def build_plan(kind: str, shape: str, *dims) -> Plan:
 
 
 pack_square = partial(build_plan, "pack", "square")
-pack_rect = partial(build_plan, "pack", "rect")
-pack_panel = partial(build_plan, "pack", "panel")
-pack_strip = partial(build_plan, "pack", "strip")
-pack_wedge = partial(build_plan, "pack", "wedge")
-pack_shelf = partial(build_plan, "pack", "shelf")
 cover_square = partial(build_plan, "cover", "square")
-cover_rect = partial(build_plan, "cover", "rect")
-cover_panel = partial(build_plan, "cover", "panel")
-cover_strip = partial(build_plan, "cover", "strip")
-cover_wedge = partial(build_plan, "cover", "wedge")
-cover_shelf = partial(build_plan, "cover", "shelf")

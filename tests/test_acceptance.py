@@ -15,11 +15,11 @@ import time
 import numpy as np
 import pytest
 
-from sqpack.builders import ShelfSpec, WedgeSpec, shelf_top_len
+from sqpack.builders import ShelfSpec, WedgeSpec
 from sqpack.cli import run_series, series_csv
 from sqpack.config import PackConfig
 from sqpack.plan import account, dumps_stable, enumerate_placements, plan_to_json
-from sqpack.planner import cover_shelf, cover_square, pack_shelf, pack_square, pack_wedge
+from sqpack.planner import build_plan, cover_square, pack_square
 from sqpack.tilt import cover_residual, pack_residual, solve_cover_tilt, solve_pack_tilt
 from sqpack.verifier import verify_covering, verify_packing
 from oracles import bisect_tilt
@@ -67,9 +67,8 @@ def shelf_instances():
     for x in (1e4, 1e6):
         for f in (0.3, 1.0):
             theta = f * SQRT2 * x ** -0.5
-            spec = ShelfSpec(x, float(round(0.5 * math.sqrt(x))),
-                             shelf_top_len(x, "pack"), theta)
-            out.append((x, theta, pack_shelf(spec)))
+            spec = ShelfSpec(x, float(round(0.5 * math.sqrt(x))), theta)
+            out.append((x, theta, build_plan("pack", "shelf", spec)))
     return out
 
 
@@ -79,9 +78,8 @@ def cover_shelf_instances():
     for x in (1e4, 1e6):
         for f in (0.3, 1.0):
             theta = f * SQRT2 * x ** -0.5
-            spec = ShelfSpec(x, float(round(0.5 * math.sqrt(x))),
-                             shelf_top_len(x, "cover"), theta)
-            out.append((x, theta, cover_shelf(spec)))
+            spec = ShelfSpec(x, float(round(0.5 * math.sqrt(x))), theta)
+            out.append((x, theta, build_plan("cover", "shelf", spec)))
     return out
 
 
@@ -165,7 +163,7 @@ def test_criterion_05_per_type_bounds(shelf_instances):
     details = []
     for x in (1e4, 1e5):
         theta = 0.7 * SQRT2 * x ** -0.5
-        plan = pack_wedge(WedgeSpec(x, 2.0 * math.sqrt(x), theta))
+        plan = build_plan("pack", "wedge", WedgeSpec(x, 2.0 * math.sqrt(x), theta))
         report = account(plan)
         bound = WEDGE_COEFF * x ** (5 / 6)
         details.append(f"wedge {x:.0e}: {report.waste_or_excess:.0f}/{bound:.0f}")

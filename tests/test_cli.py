@@ -8,7 +8,7 @@ import pytest
 from sqpack.cli import main, run_series, series_csv
 from sqpack.geometry import Pose, rect_region
 from sqpack.render import plan_to_svg
-from sqpack.planner import pack_square, pack_strip
+from sqpack.planner import build_plan, pack_square
 from sqpack.plan import grid_node, plan_to_json, split_node
 
 
@@ -72,6 +72,18 @@ def test_verify_command_corrupt_plan(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": 1, "kind": "pack"')
     assert run(["verify", bad]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize("mangle", [lambda data: [1, 2], lambda data: {**data, "root": []}],
+                         ids=["list", "root-list"])
+def test_malformed_plans_are_input_errors(tmp_path, capsys, command, mangle):
+    # valid JSON of the wrong shape: a list for the plan, or for its root node
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(mangle(json.loads(plan_to_json(pack_square(50.5))))))
+    argv = [command, plan_path] + (["--out", tmp_path / "p.svg"] if command == "render" else [])
+    assert run(argv) == 2
+    assert "cannot read plan" in capsys.readouterr().err
 
 
 def test_verify_command_detects_fault(tmp_path):
@@ -225,7 +237,7 @@ def test_render_over_limit_requires_outline(tmp_path):
 
 
 def test_render_deterministic_bytes():
-    plan = pack_strip(10.5, 100.0)
+    plan = build_plan("pack", "strip", 10.5, 100.0)
     assert plan_to_svg(plan) == plan_to_svg(plan)
 
 

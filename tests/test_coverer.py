@@ -8,9 +8,7 @@ import pytest
 from sqpack.builders import InvalidSpec, PanelSpec, ShelfSpec, WedgeSpec, shelf_top_len
 from sqpack.config import PackConfig
 from sqpack.geometry import trap_region
-from sqpack.planner import (
-    cover_panel, cover_shelf, cover_square, cover_strip, cover_wedge,
-)
+from sqpack.planner import build_plan, cover_square
 from sqpack.plan import account, check_bound
 from sqpack.tilt import solve_cover_tilt
 from sqpack.verifier import verify_covering
@@ -41,13 +39,13 @@ def test_cover_square_recursive_verifies():
 
 
 def test_cover_strip_integer_width():
-    rep = account(cover_strip(5.0, 100.0))
+    rep = account(build_plan("cover", "strip", 5.0, 100.0))
     assert rep.square_count == 500 and rep.waste_or_excess == 0.0
 
 
 def test_cover_strip_tilted_covers():
     m, L = 10.5, 1000.0
-    plan = cover_strip(m, L)
+    plan = build_plan("cover", "strip", m, L)
     theta = solve_cover_tilt(m).theta
     assert plan.root.runs[0].base.angle == pytest.approx(theta)
     vr = verify_covering(plan, cfg=CFG)
@@ -56,13 +54,13 @@ def test_cover_strip_tilted_covers():
 
 def test_cover_strip_excess_ratio():
     m, L = 100.5, 10000.0
-    rep = account(cover_strip(m, L))
+    rep = account(build_plan("cover", "strip", m, L))
     assert rep.waste_or_excess >= 0
     assert rep.waste_or_excess / (m * L) < 0.01
 
 
 def test_cover_panel_mirrors_packing_partition():
-    plan = cover_panel(PanelSpec(1024.0, 900.5))
+    plan = build_plan("cover", "panel", PanelSpec(1024.0, 900.5))
     rep = account(plan)
     assert check_bound(rep, "panel").passed
     assert verify_covering(plan, cfg=CFG).passed
@@ -71,7 +69,7 @@ def test_cover_panel_mirrors_packing_partition():
 def test_cover_wedge_meets_growth_bound():
     x = 1e4
     theta = 0.7 * SQRT2 * x ** -0.5
-    plan = cover_wedge(WedgeSpec(x, 2.0 * math.sqrt(x), theta))
+    plan = build_plan("cover", "wedge", WedgeSpec(x, 2.0 * math.sqrt(x), theta))
     rep = account(plan)
     assert check_bound(rep, "wedge").passed
 
@@ -87,7 +85,7 @@ def test_cover_shelf_million_example_values():
 
 
 def test_cover_shelf_zero_tilt_routes_to_rect():
-    plan = cover_shelf(ShelfSpec(1e4, 50.0, shelf_top_len(1e4, "cover"), 0.0))
+    plan = build_plan("cover", "shelf", ShelfSpec(1e4, 50.0, 0.0))
     rep = account(plan)
     assert rep.waste_or_excess >= 0
     assert verify_covering(plan, cfg=CFG).passed
@@ -101,11 +99,11 @@ def _same_outline(r1, r2):
 def test_cover_zero_tilt_panel_route_keeps_world_region():
     # the rect router grafts a turned panel into the root: the plan region
     # must be the mapped one, or coverage is checked on the wrong outline
-    plan = cover_wedge(WedgeSpec(150.0, 300.0, 0.0))
+    plan = build_plan("cover", "wedge", WedgeSpec(150.0, 300.0, 0.0))
     assert _same_outline(plan.region, trap_region(150.0, 300.0, 300.0))
     assert verify_covering(plan, cfg=CFG).passed
     top = shelf_top_len(1e8, "cover")
-    plan = cover_shelf(ShelfSpec(1e8, 150.0, top, 0.0))
+    plan = build_plan("cover", "shelf", ShelfSpec(1e8, 150.0, 0.0))
     assert 150.0 < top <= 7 * 150.0
     assert _same_outline(plan.region, trap_region(150.0, top, top))
     assert verify_covering(plan, cfg=CFG).passed
@@ -114,9 +112,8 @@ def test_cover_zero_tilt_panel_route_keeps_world_region():
 def test_cover_shelf_bound_and_coverage():
     for x, f in ((1e4, 1.0), (1e6, 1.0), (1e6, 0.3)):
         theta = f * SQRT2 * x ** -0.5
-        spec = ShelfSpec(x, float(round(0.5 * math.sqrt(x))),
-                         shelf_top_len(x, "cover"), theta)
-        plan = cover_shelf(spec)
+        spec = ShelfSpec(x, float(round(0.5 * math.sqrt(x))), theta)
+        plan = build_plan("cover", "shelf", spec)
         rep = account(plan)
         assert check_bound(rep, "shelf").passed
         assert verify_covering(plan, cfg=CFG).passed
@@ -125,8 +122,8 @@ def test_cover_shelf_bound_and_coverage():
 def test_cover_shelf_overshoot_ledger():
     x = 1e6
     theta = SQRT2 * x ** -0.5
-    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "cover"), theta)
-    plan = cover_shelf(spec)
+    spec = ShelfSpec(x, 500.0, theta)
+    plan = build_plan("cover", "shelf", spec)
     block = next(c for c in plan.root.children if c.label == "band block")
     chain = next(c for c in block.children if c.label == "stack bands")
     assert chain.ledger["overshoot_balance"] <= 0.25 * x ** (1 / 3) * 1.01
@@ -164,8 +161,8 @@ def test_cover_shelf_floor_strip_keeps_its_trapezoid_in_place():
     # zone tall enough to be filled by a strip stood on its side
     a_len = shelf_top_len(10000.0, "cover")
     tan_t = 0.004
-    spec = ShelfSpec(10000.0, 40.0, a_len, math.atan(tan_t))
-    plan = cover_shelf(spec)
+    spec = ShelfSpec(10000.0, 40.0, math.atan(tan_t))
+    plan = build_plan("cover", "shelf", spec)
     floor = plan.root.children[-1]
     assert floor.label == "strip"
     expected = trap_region(40.0, a_len, a_len + 40.0 * tan_t).polygon()

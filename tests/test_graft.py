@@ -16,7 +16,7 @@ import pytest
 import sqpack.builders as builders
 import sqpack.plan as plan_mod
 from sqpack.builders import (
-    PanelSpec, ShelfSpec, WedgeSpec, _graft, shelf_top_len, sliced_trap_fill,
+    PanelSpec, ShelfSpec, WedgeSpec, _graft, sliced_trap_fill,
 )
 from sqpack.geometry import (
     Pose, ceil_guard, floor_guard, rect_region, square_corners, trap_region,
@@ -145,7 +145,7 @@ def _tilt(scale, f):
     return f * math.sqrt(2.0) * scale ** -0.5
 
 
-# one case per shape and size: (shape, *dims); a shelf is (scale, height, tilt)
+# one case per shape and size: (shape, *dims)
 PLAN_CASES = {
     "square 0.5": ("square", 0.5),
     "square 1": ("square", 1.0),
@@ -173,18 +173,22 @@ PLAN_CASES = {
     "wedge 200x0.5 flat": ("wedge", WedgeSpec(200.0, 0.5, 0.0)),
     # a top edge too narrow for the bands: rows
     "wedge 110 narrow top": ("wedge", WedgeSpec(110.0, 1.5, _tilt(110.0, 0.5))),
-    "shelf 1e4": ("shelf", 1e4, 50.0, _tilt(1e4, 1.0)),
-    "shelf 1e6": ("shelf", 1e6, 500.0, _tilt(1e6, 0.3)),
-    "shelf 1e8 flat": ("shelf", 1e8, 150.0, 0.0),
-    "shelf 100 rows": ("shelf", 100.0, 5.0, _tilt(100.0, 0.875)),
+    "shelf 1e4": ("shelf", ShelfSpec(1e4, 50.0, _tilt(1e4, 1.0))),
+    "shelf 1e6": ("shelf", ShelfSpec(1e6, 500.0, _tilt(1e6, 0.3))),
+    "shelf 1e8 flat": ("shelf", ShelfSpec(1e8, 150.0, 0.0)),
+    "shelf 100 rows": ("shelf", ShelfSpec(100.0, 5.0, _tilt(100.0, 0.875))),
     # pack plans that grid a band: under the overhang of the stacks above,
     # and between two stack families (the lower one anchors on a flat seam)
-    "shelf 2e3 fallback": ("shelf", 2e3, 30.0, _tilt(2e3, 0.9)),
-    "shelf 150 grid seam": ("shelf", 150.0, 15.0, _tilt(150.0, 1.05)),
+    "shelf 2e3 fallback": ("shelf", ShelfSpec(2e3, 30.0, _tilt(2e3, 0.9))),
+    "shelf 5000 grid seam": ("shelf", ShelfSpec(5000.0, 32.0, _tilt(5000.0, 1.4))),
+    # band 4 is exactly 5 + 4*7/28 = 6 wide and grids, so the packing's band 3
+    # stops its stacks n*sin(alpha) above its bottom
+    "shelf 4000 integer band": ("shelf", ShelfSpec(4000.0, 35.0, math.atan(1 / 28))),
     # a cover plan whose lone band is too short for its wedge, so it grids
-    "shelf 835 grid band": ("shelf", 835.0, 4.0, _tilt(835.0, 1.7)),
-    # a packing band family too steep for its wedges grids instead
-    "shelf 984 steep": ("shelf", 984.0, 62.0, _tilt(984.0, 0.55)),
+    "shelf 835 grid band": ("shelf", ShelfSpec(835.0, 4.0, _tilt(835.0, 1.7))),
+    # packings whose band table runs out (lowest base -1 and 1): rows
+    "shelf 150 grid seam": ("shelf", ShelfSpec(150.0, 15.0, _tilt(150.0, 1.05))),
+    "shelf 984 steep": ("shelf", ShelfSpec(984.0, 62.0, _tilt(984.0, 0.55))),
 }
 
 # the PLAN_CASES entries that enumerate more than 2M squares
@@ -192,11 +196,7 @@ HUGE_CASES = {"square 20000.5", "panel 4096x4096.2", "wedge 1e4"}
 
 
 def _build_case(kind, case):
-    shape, *dims = PLAN_CASES[case]
-    if shape == "shelf":  # its integer top edge follows the kind
-        scale, height, tilt = dims
-        dims = [ShelfSpec(scale, height, shelf_top_len(scale, kind), tilt)]
-    return build_plan(kind, shape, *dims)
+    return build_plan(kind, *PLAN_CASES[case])
 
 
 # sha256 of plan_to_json(plan); a change that claims no behaviour change keeps
@@ -205,9 +205,9 @@ def _build_case(kind, case):
 # through dumps_stable. Those v1 plans match the v1 pins, taken before the
 # packing and covering wrappers became one planner ("panel 50x50.5" on: before
 # the unreachable builder branches were deleted; "wedge 200x0.5 flat": once a
-# flat wedge under unit width stopped declaring waste). The pack "shelf 984
-# steep" raised in v1, before a family too steep for its wedges gridded, and is
-# pinned from v2.
+# flat wedge under unit width stopped declaring waste). The pack "shelf 150 grid
+# seam" and "shelf 984 steep" are pinned from v2 once a packing shelf whose band
+# table runs out filled by rows, like a covering one.
 PLAN_DIGESTS = {
     ("pack", "square 0.5"): "e1ea983300a1f9183d4ecc39d90794f6e8ec73ec71f079731137156b4210e983",
     ("pack", "square 1"): "2818ce00c7d94c6fe50ae88bf2802a0d1621be9d5872d7ef9ddf8a6e794b3c1a",
@@ -234,7 +234,11 @@ PLAN_DIGESTS = {
     ("pack", "shelf 2e3 fallback"):
         "7438cbc933e8d8ce02aa119084398e8e54b97d68c1447b74f181d8b61c3b0ac7",
     ("pack", "shelf 150 grid seam"):
-        "91d3499dd52ea54dba2a23ddeb101cf00d2f0f1ca5e3f5353c5d8bbedd13b639",
+        "4f145e4c20d850fa3f28ea7e995780e5e02ee3ee506d133b965ae56932a8282e",
+    ("pack", "shelf 5000 grid seam"):
+        "6a7ebad52686e6a6afefdf16122599a850a4a25eb459870ef78b257d270ef090",
+    ("pack", "shelf 4000 integer band"):
+        "838b6d250a56b585a1c04e0ee8b81fbe8223bbf5bd0003c30055af60d271f9ef",
     ("pack", "panel 50x50.5"):
         "c1181936c7d45320c698fb0cb15177b0cbcca1b47fdf9996cc44c44f3482c005",
     ("pack", "panel 1000x178.5"):
@@ -248,7 +252,7 @@ PLAN_DIGESTS = {
     ("pack", "shelf 835 grid band"):
         "d5c0ddb5af7aec593ef973e7891c638b11dd19e04fb11c59c8e7a6670eb4f434",
     ("pack", "shelf 984 steep"):
-        "9636ac1d83c19e90e5ec9e749827347d0a0951177c30ebcafd833af66d3d659f",
+        "b37ee7870b388144de16acf13a0868e1b3413e129a0e8c3608bf5fb308111c4f",
     ("cover", "square 0.5"): "b64f1305c66da65b7d18d7c75f2f871a54f35ba6e2d2748b98eefa68defd94aa",
     ("cover", "square 1"): "6ae3861ae1103879949e31b3c3cba87ceaf23e61014cfc126431a0c9465fab31",
     ("cover", "square 50.5"): "f35291fd77e2415b7ff47baa63c8ab04d8b255e9a7637472fbce323715b26108",
@@ -275,6 +279,10 @@ PLAN_DIGESTS = {
         "e10187b4df751320f35593d5ea6a8a3c89669e499eac91719280f5e630209a2e",
     ("cover", "shelf 150 grid seam"):
         "35d16d860051cf0a6b9588f14b454fb6c71ff1c360054b729ca46e8836e13dbe",
+    ("cover", "shelf 5000 grid seam"):
+        "cc813f78e069e53d2e731485e7029989e80f18e8355115be2048dcf7f34f1380",
+    ("cover", "shelf 4000 integer band"):
+        "3611e2f3166b64179a4c3ebb666945044eba6305a7b2bf74339dc09873d6818c",
     ("cover", "panel 50x50.5"):
         "41030c388182cab0470d6958c9f78eeadc9c901c39dd8ad0ff8ec2edcd1139ec",
     ("cover", "panel 1000x178.5"):
@@ -300,7 +308,7 @@ def test_plan_bytes_are_pinned(kind, case):
 
 @pytest.mark.parametrize("case,labels", [
     ("shelf 2e3 fallback", ["top band", "band 1", "band 2 grid"]),
-    ("shelf 150 grid seam", ["top band", "band 1 grid", "band 2", "band 3 grid"]),
+    ("shelf 5000 grid seam", ["top band", "band 1 grid", "band 2", "band 3 grid"]),
 ])
 def test_pinned_pack_chains_grid_a_band(case, labels):
     """The pinned grid-band cases keep reaching the packing chain's grid

@@ -10,9 +10,7 @@ from sqpack.builders import (
 )
 from sqpack.config import PackConfig
 from sqpack.geometry import trap_region
-from sqpack.planner import (
-    pack_panel, pack_rect, pack_shelf, pack_square, pack_strip, pack_wedge,
-)
+from sqpack.planner import build_plan, pack_square
 from sqpack.plan import account, check_bound
 from sqpack.tilt import solve_pack_tilt
 from sqpack.verifier import verify_packing
@@ -77,7 +75,7 @@ def test_integer_inputs_give_zero_waste():
 def partition_panel(spec: PanelSpec):
     """(m1, m2, core_l, core_w) read off the built panel: the widths of its
     top and side border strips, and the columns and rows of its core grid."""
-    core, top, side = pack_panel(spec).root.children
+    core, top, side = build_plan("pack", "panel", spec).root.children
     assert core.label == "core" and core.kind == "grid"
     return top.region.dims[1], side.region.dims[1], core.cols, core.rows
 
@@ -112,7 +110,7 @@ def test_panel_integer_width_strips_fill_exactly():
     # one side integer: the integer-width strip must land on an integer
     # length and fill perfectly, whichever side carries the fraction
     for length, width in ((1024.0, 900.5), (1024.5, 900.0)):
-        plan = pack_panel(PanelSpec(length, width))
+        plan = build_plan("pack", "panel", PanelSpec(length, width))
         rep = account(plan)
         strip_balances = [e["balance"] for e in rep.per_region
                           if e["label"] == "strip grid"]
@@ -125,13 +123,13 @@ def test_panel_integer_width_strips_fill_exactly():
 # strips
 
 def test_strip_integer_width_is_grid():
-    rep = account(pack_strip(5.0, 100.0))
+    rep = account(build_plan("pack", "strip", 5.0, 100.0))
     assert rep.square_count == 500 and rep.waste_or_excess == 0.0
 
 
 def test_strip_tilted_count_and_validity():
     m, L = 10.5, 1000.0
-    plan = pack_strip(m, L)
+    plan = build_plan("pack", "strip", m, L)
     theta = solve_pack_tilt(m).theta
     run = plan.root.runs[0]
     assert run.count == 11
@@ -143,7 +141,7 @@ def test_strip_tilted_count_and_validity():
 
 def test_strip_leftover_wedges_sized_to_target():
     m, L = 100.5, 10000.0
-    plan = pack_strip(m, L)
+    plan = build_plan("pack", "strip", m, L)
     rep = account(plan)
     assert rep.waste_or_excess / (m * L) < 0.01
     tops = [child.region.dims[1] for child in plan.root.children]
@@ -152,7 +150,7 @@ def test_strip_leftover_wedges_sized_to_target():
 
 
 def test_strip_too_short_falls_back_to_grid():
-    plan = pack_strip(10.5, 12.0)
+    plan = build_plan("pack", "strip", 10.5, 12.0)
     assert plan.root.kind == "grid"
     assert verify_packing(plan, cfg=CFG).passed
 
@@ -161,7 +159,7 @@ def test_strip_too_short_falls_back_to_grid():
 # wedges
 
 def test_wedge_degenerate_tilt_routes_to_rect():
-    plan = pack_wedge(WedgeSpec(400.0, 40.0, 0.0))
+    plan = build_plan("pack", "wedge", WedgeSpec(400.0, 40.0, 0.0))
     rep = account(plan)
     assert rep.square_count > 0
     assert verify_packing(plan, cfg=CFG).passed
@@ -175,11 +173,11 @@ def _same_outline(r1, r2):
 def test_zero_tilt_panel_route_keeps_world_region():
     # top > height > base_cutoff: the rect router grafts a turned panel into
     # the root, so the plan region must be read after the grafts are mapped
-    plan = pack_wedge(WedgeSpec(150.0, 300.0, 0.0))
+    plan = build_plan("pack", "wedge", WedgeSpec(150.0, 300.0, 0.0))
     assert _same_outline(plan.region, trap_region(150.0, 300.0, 300.0))
     assert verify_packing(plan, cfg=CFG).passed
     top = shelf_top_len(1e8, "pack")
-    plan = pack_shelf(ShelfSpec(1e8, 150.0, top, 0.0))
+    plan = build_plan("pack", "shelf", ShelfSpec(1e8, 150.0, 0.0))
     assert 150.0 < top <= 7 * 150.0
     assert _same_outline(plan.region, trap_region(150.0, top, top))
     assert verify_packing(plan, cfg=CFG).passed
@@ -199,7 +197,7 @@ def test_wedge_band_widths_stay_in_interval():
 
 def test_wedge_small_scale_sliced_fill():
     spec = WedgeSpec(23.2, 9.6, 0.31)
-    plan = pack_wedge(spec)
+    plan = build_plan("pack", "wedge", spec)
     rep = account(plan)
     area = rep.area
     assert rep.waste_or_excess < 0.15 * area
@@ -209,7 +207,7 @@ def test_wedge_small_scale_sliced_fill():
 def test_wedge_meets_growth_bound():
     for x in (1e4,):
         theta = 0.7 * SQRT2 * x ** -0.5
-        plan = pack_wedge(WedgeSpec(x, 2.0 * math.sqrt(x), theta))
+        plan = build_plan("pack", "wedge", WedgeSpec(x, 2.0 * math.sqrt(x), theta))
         rep = account(plan)
         chk = check_bound(rep, "wedge")
         assert chk.passed
@@ -220,7 +218,7 @@ def test_wedge_small_instance_all_grids():
     # at height 400 every band bottoms out in grids and the bound still holds
     x = 400.0
     theta = 0.5 * SQRT2 * x ** -0.5
-    plan = pack_wedge(WedgeSpec(x, 2.0 * math.sqrt(x), theta))
+    plan = build_plan("pack", "wedge", WedgeSpec(x, 2.0 * math.sqrt(x), theta))
     rep = account(plan)
     assert check_bound(rep, "wedge").passed
     assert verify_packing(plan, cfg=CFG).passed
@@ -234,7 +232,7 @@ def test_shelf_partition_million_example():
     x, theta = 1e6, 1e-3
     a = shelf_top_len(x, "pack")
     assert a == 114
-    plan = pack_shelf(ShelfSpec(x, 500.0, a, theta))
+    plan = build_plan("pack", "shelf", ShelfSpec(x, 500.0, theta))
     band_block = plan.root.children[0]
     top_band = band_block.children[-1].runs[0]
     assert top_band.label == "top band" and top_band.count == a
@@ -256,8 +254,8 @@ def test_shelf_partition_million_example():
 def test_shelf_builds_and_verifies_at_million():
     x = 1e6
     theta = SQRT2 * x ** -0.5
-    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta)
-    plan = pack_shelf(spec)
+    spec = ShelfSpec(x, 500.0, theta)
+    plan = build_plan("pack", "shelf", spec)
     rep = account(plan)
     assert check_bound(rep, "shelf").passed
     assert verify_packing(plan, cfg=CFG).passed
@@ -268,8 +266,8 @@ def test_shelf_no_bands_when_h1_exceeds_height():
     # tiny tilt: h1 > height, so only the floor zone remains
     x = 1e6
     theta = 0.5 * x ** (-2 / 3)
-    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta)
-    plan = pack_shelf(spec)
+    spec = ShelfSpec(x, 500.0, theta)
+    plan = build_plan("pack", "shelf", spec)
     assert len(plan.meta["band_tilts"]) == 0
     rep = account(plan)
     assert check_bound(rep, "shelf").passed
@@ -280,8 +278,8 @@ def test_shelf_integer_band_correction_when_r_prime_zero():
     # pick a tilt making x**(-1/6)/tan(theta) an exact integer
     x = 1e6
     theta = math.atan(x ** (-1 / 6) / 100.0)
-    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta)
-    plan = pack_shelf(spec)
+    spec = ShelfSpec(x, 500.0, theta)
+    plan = build_plan("pack", "shelf", spec)
     assert verify_packing(plan, cfg=CFG).passed
     assert check_bound(account(plan), "shelf").passed
 
@@ -298,8 +296,8 @@ def test_shelf_slant_sliver_ledger():
     for f in (0.3, 1.0):
         x = 1e6
         theta = f * SQRT2 * x ** -0.5
-        spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta)
-        plan = pack_shelf(spec)
+        spec = ShelfSpec(x, 500.0, theta)
+        plan = build_plan("pack", "shelf", spec)
         total = _top_chain_ledger(plan)["slant_sliver_balance"]
         assert total <= 0.25 * x ** (1 / 3) * 1.01
 
@@ -307,8 +305,8 @@ def test_shelf_slant_sliver_ledger():
 def test_shelf_stack_end_ledger():
     x = 1e6
     theta = SQRT2 * x ** -0.5
-    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta)
-    plan = pack_shelf(spec)
+    spec = ShelfSpec(x, 500.0, theta)
+    plan = build_plan("pack", "shelf", spec)
     h1 = math.floor(x ** (-1 / 6) / math.tan(theta))
     total = sum(h1 * math.tan(a) for (_, _, _, a) in plan.meta["band_tilts"])
     assert total <= (SQRT2 / 2) * x ** (1 / 3) * 1.05
@@ -317,8 +315,8 @@ def test_shelf_stack_end_ledger():
 def test_shelf_joint_ledger_within_budget():
     x = 1e6
     theta = SQRT2 * x ** -0.5
-    spec = ShelfSpec(x, 500.0, shelf_top_len(x, "pack"), theta)
-    plan = pack_shelf(spec)
+    spec = ShelfSpec(x, 500.0, theta)
+    plan = build_plan("pack", "shelf", spec)
     assert plan.meta["stats"]["joint_max"] <= (2.5 + 2 * SQRT2) * x ** (1 / 6)
 
 
@@ -333,14 +331,14 @@ def test_recursion_depth_stays_shallow():
 
 
 def test_pack_rect_chops_extreme_aspect():
-    plan = pack_rect(150.0, 2000.0)
+    plan = build_plan("pack", "rect", 150.0, 2000.0)
     rep = account(plan)
     assert rep.waste_or_excess < 0.02 * rep.area
     assert verify_packing(plan, cfg=CFG).passed
 
 
 def test_pack_rect_base_example():
-    rep = account(pack_rect(80.0, 60.3))
+    rep = account(build_plan("pack", "rect", 80.0, 60.3))
     assert rep.square_count == 80 * 60
     assert rep.waste_or_excess == pytest.approx(80 * 0.3)
     assert rep.waste_or_excess <= (1 + 7) * 80
@@ -384,9 +382,8 @@ def test_random_sizes_build_verify_and_meet_bound():
 def test_band_tilt_increment_at_intermediate_scale():
     x = 1e5
     theta = SQRT2 * x ** -0.5
-    spec = ShelfSpec(x, float(round(0.5 * math.sqrt(x))),
-                     shelf_top_len(x, "pack"), theta)
-    plan = pack_shelf(spec)
+    spec = ShelfSpec(x, float(round(0.5 * math.sqrt(x))), theta)
+    plan = build_plan("pack", "shelf", spec)
     tilts = {k: a for (s, k, d, a) in plan.meta["band_tilts"] if s == x}
     assert len(tilts) >= 2
     for k in tilts:

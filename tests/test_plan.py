@@ -10,7 +10,7 @@ import pytest
 
 import sqpack.plan as plan_mod
 import sqpack.planner as planner_mod
-from sqpack.builders import InvalidSpec, ShelfSpec, _tilt_limit, shelf_top_len
+from sqpack.builders import InvalidSpec, ShelfSpec, _tilt_limit
 from sqpack.geometry import Pose, rect_region, tri_region
 from sqpack.planner import build_plan, pack_square
 from sqpack.plan import (
@@ -216,7 +216,7 @@ def test_collector_is_paused_and_restored(enabled, monkeypatch):
     monkeypatch.setattr(plan_mod, "plan_to_dict", recording(plan_mod.plan_to_dict))
     monkeypatch.setattr(plan_mod, "plan_from_dict", recording(plan_mod.plan_from_dict))
     # a shelf tilted to its limit passes check_side and fails inside the build
-    steep = ShelfSpec(1e4, 50.0, shelf_top_len(1e4, "pack"), _tilt_limit(1e4))
+    steep = ShelfSpec(1e4, 50.0, _tilt_limit(1e4))
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()

@@ -16,7 +16,7 @@ from sqpack.plan import (
     OverLimit, Plan, StackRun, dumps_stable, enumerate_placements, grid_node, plan_lattices,
     stacks_node,
 )
-from sqpack.planner import cover_square, cover_strip, pack_square, pack_strip
+from sqpack.planner import build_plan, cover_square, pack_square
 from sqpack import verifier
 from sqpack.verifier import _points_covered, verify_covering, verify_packing
 from oracles import (
@@ -60,7 +60,7 @@ def test_escape_reported():
 
 
 def test_flush_edges_are_not_violations():
-    plan = pack_strip(10.5, 300.0)
+    plan = build_plan("pack", "strip", 10.5, 300.0)
     report = verify_packing(plan, cfg=CFG)
     assert report.passed, report.violations[:5]
 
@@ -166,7 +166,7 @@ def test_covering_detects_deleted_leaf():
 
 
 def test_covering_detects_deleted_stack_run():
-    plan = cover_strip(10.5, 200.0)
+    plan = build_plan("cover", "strip", 10.5, 200.0)
     mutated = copy.deepcopy(plan)
     run = mutated.root.runs[0]
     mutated.root.runs[0] = StackRun(base=run.base, step=run.step, count=run.count,
