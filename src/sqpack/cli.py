@@ -2,12 +2,15 @@
 
 Exit codes: 0 success (and bound/verify passed where applicable),
 1 a check failed, 2 usage or input errors. No subcommand takes settings.
-`verify` checks every square of a plan of any size: a packing for
-containment and overlaps, a covering at every crossing of square and
-target edges, each tested at the point nu = 2*(1e-9 + 2e-12*S) outside
-both edges, S the largest lattice extent. A covering passes only when
-each such point lies in a square, so no gap wider than about nu at its
-corners is left.
+`verify` checks every square of a plan of fewer than 2**63 squares (a
+square target below a side of about 3.03e9; a larger plan is an input
+error, as is a file with a non-finite number or a region its kind's
+constructor refuses): a packing for containment and overlaps, a covering
+at every crossing of square and target edges, each tested at the point
+nu = 2*(1e-9 + 2e-12*S) outside both edges, S the largest extent of the
+lattices whose box meets the target's grown by 1 (the others cover none
+of it and are left out). A covering passes only when each such point
+lies in a square, so no gap wider than about nu at its corners is left.
 """
 
 from __future__ import annotations

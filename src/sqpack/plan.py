@@ -37,7 +37,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import ASPECT_LIMIT
-from .geometry import IDENTITY, Pose, Region, compose_graft, fold_square_pose, region_area
+from .geometry import (
+    IDENTITY, Pose, Region, compose_graft, fold_square_pose, rect_region, region_area,
+    trap_region, tri_region,
+)
 
 NODE_KINDS = ("split", "grid", "stacks", "waste")
 AREA_RTOL = 1e-6
@@ -280,7 +283,8 @@ class Lattices:
         return poses
 
 
-def _collect_lattices(node: PlanNode, out: list[tuple]) -> None:
+def _collect_lattices(node: PlanNode, out: list[tuple]) -> int:
+    """Append the lattices of `node` and below to `out`; return their analytic count."""
     if node.kind == "grid" and node.rows > 0 and node.cols > 0:
         ox, oy = node.origin
         out.append((ox, oy, 0.0, 1.0, 0.0, node.cols, 0.0, 1.0, node.rows))
@@ -289,17 +293,14 @@ def _collect_lattices(node: PlanNode, out: list[tuple]) -> None:
             if run.count > 0 and run.repeat > 0:
                 b = fold_square_pose(run.base)
                 out.append((b.tx, b.ty, b.angle, *run.step, run.count, *run.pitch, run.repeat))
-    for c in node.children:
-        _collect_lattices(c, out)
+    return node.own_count() + sum(_collect_lattices(c, out) for c in node.children)
 
 
 def plan_lattices(plan: Plan | PlanNode) -> Lattices:
     """The lattices of `plan`, at any square count; their sizes add up to
     the analytic count exactly, or PlanError is raised."""
-    root = plan.root if isinstance(plan, Plan) else plan
-    count = root.total_count()
     rows: list[tuple] = []
-    _collect_lattices(root, rows)
+    count = _collect_lattices(plan.root if isinstance(plan, Plan) else plan, rows)
     table = np.array(rows, dtype=float).reshape(-1, 9)
     lat = Lattices(table[:, 0:3], table[:, 3:5], table[:, 5].astype(np.int64),
                    table[:, 6:8], table[:, 8].astype(np.int64))
@@ -402,7 +403,10 @@ def _region_to_dict(r: Region | None):
 def _region_from_dict(d) -> Region | None:
     if d is None:
         return None
-    return Region(d["kind"], tuple(d["dims"]), Pose(*d["frame"]), bool(d["mirror"]))
+    make = {"rect": rect_region, "trap": trap_region, "tri": tri_region}.get(d["kind"])
+    if make is None:
+        raise PlanError(f"unknown region kind {d['kind']!r}")
+    return make(*d["dims"], Pose(*d["frame"]), bool(d["mirror"]))
 
 
 def _run_to_list(r: StackRun) -> list:
@@ -484,6 +488,11 @@ def plan_to_json(plan: Plan) -> str:
         return dumps_stable(plan_to_dict(plan))
 
 
+def _non_finite(name: str):
+    raise PlanError(f"non-finite number {name} in plan")
+
+
 def plan_from_json(text: str) -> Plan:
+    """The plan of `text`; NaN and infinities are refused, as the writer refuses them."""
     with gc_paused():
-        return plan_from_dict(json.loads(text))
+        return plan_from_dict(json.loads(text, parse_constant=_non_finite))

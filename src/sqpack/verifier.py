@@ -18,8 +18,9 @@ so on an axis of their own (`_overlap_mask`); one SAT per index offset clears
 a lattice against itself. Other lattices are probed near the hulls they meet,
 and after an overlap the smaller of each overlapping pair is probed in full.
 
-Covering: an uncovered patch of the target has a convex corner where two
-edges cross, each of the target or of a lattice's union, so of a probe.
+Covering: lattices whose box misses the target's grown by 1 cover none of it
+and are left out. An uncovered patch of the target has a convex corner where
+two edges cross, each of the target or of a lattice's union, so of a probe.
 Each crossing is tested at the point nu outside both edges (inside, for a
 target edge), nu = 2 * (TAU + 2 * _SLACK * max scale) being twice the widest
 widening the point test gives near a square. So `passed` means no gap is
@@ -31,13 +32,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
 from .config import TAU, PackConfig
 from .geometry import corners, points_in_region
-from .plan import Lattices, Plan, plan_lattices
+from .plan import Lattices, Plan, PlanError, plan_lattices
 
 _POINT_CHUNK = 1 << 15  # point-lattice pairs per narrow-phase batch; small batches stay in cache
 _PROBE_CHUNK = 1 << 18  # probe squares per broad phase
@@ -104,37 +104,33 @@ def _square_at(table, k, i, j) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _setup(plan: Plan, kind: str):
-    """Lattices, empty report, lattice table, first flat indices, full probes."""
+    """Lattice table, empty report, lattices probed in full; flat indices are int64."""
     lat = plan_lattices(plan)
-    sizes, table = lat.sizes(), _lattice_table(lat)
-    first = np.array(list(accumulate([0] + sizes))[:-1], dtype=np.int64)
-    full = ~table["solid"] | (np.minimum(lat.count, lat.repeat) <= 2)
-    return lat, VerifyReport(kind=kind, square_count=sum(sizes)), table, first, full
+    if (total := sum(lat.sizes())) >= 2 ** 63:
+        raise PlanError(f"plan holds {total} squares; verify takes fewer than 2**63")
+    table = _lattice_table(lat)
+    full = ~table["solid"] | (np.minimum(table["count"], table["repeat"]) <= 2)
+    return table, VerifyReport(kind=kind, square_count=total), full
 
 
 def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     """Every square lies in `plan.region` and no two overlap (see the module
     notes); pairs are flat indices in `enumerate_placements` order."""
     t0 = time.perf_counter()
-    lat, report, table, first, full = _setup(plan, "pack")
-    n, m, size = lat.count, lat.repeat, len(lat)
+    table, report, full = _setup(plan, "pack")
+    hull, size = table["hull"], len(table["n"])
 
     # containment: the corners of the extreme squares, each square once
-    k = np.repeat(np.arange(size), 4)
-    i = np.stack([0 * n, n - 1] * 2, axis=1).ravel()
-    j = np.stack([0 * m, 0 * m, m - 1, m - 1], axis=1).ravel()
-    sq = corners(np.stack([*_square_at(table, k, i, j), table["ang"][k]], axis=1))
-    _, pick = np.unique(first[k] + j * n[k] + i, return_index=True)
-    inside = points_in_region(plan.region, sq[pick].reshape(-1, 2), TAU).reshape(-1, 4)
-    report.add_violations("escape", sq[pick][~inside.all(axis=1), 0])
+    sq = hull.reshape(-1, 4, 2)[np.unique(table["ends"], return_index=True)[1]]
+    inside = points_in_region(plan.region, sq.reshape(-1, 2), TAU).reshape(-1, 4)
+    report.add_violations("escape", sq[~inside.all(axis=1), 0])
 
     # rows of ka within _REACH < 1 of kb's box where hulls meet; all of ka == kb that meets itself
-    hull = sq.reshape(size, 16, 2)
     (lo, hi), (self_hit, offsets) = (hull.min(axis=1), hull.max(axis=1)), _self_overlapping(table)
-    pa, pb, tested = _meeting_hulls(table, hull, lo, hi)
+    pa, pb, tested = _meeting_hulls(table, lo, hi)
     ka, kb = (np.concatenate([u, v, np.flatnonzero(self_hit)]) for u, v in ((pa, pb), (pb, pa)))
-    rows = _near_rows(table, lat, ka, lo[kb] - 1.0, hi[kb] + 1.0)
-    probes, tests, found, listed = _overlaps(table, lat, first, full | self_hit, rows,
+    rows = _near_rows(table, ka, lo[kb] - 1.0, hi[kb] + 1.0)
+    probes, tests, found, listed = _overlaps(table, full | self_hit, rows,
                                              np.unique(ka * size + kb))
     for (a, b), (x, y, d) in zip(*listed):
         report.violations.append({"type": "overlap", "location": [float(x), float(y)],
@@ -146,7 +142,7 @@ def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     return report.finish()
 
 
-def _meeting_hulls(table, hull: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _meeting_hulls(table, lo: np.ndarray, hi: np.ndarray):
     """Lattice pairs a, b whose hulls (corners `hull`, boxes [lo, hi]) overlap by more than
     2*TAU on every axis of both, and how many box pairs do, swept along x in slabs of y."""
     h = max(float((hi - lo)[:, 1].sum()) / max(len(lo), 1), 1.0)
@@ -163,7 +159,7 @@ def _meeting_hulls(table, hull: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     keep = (np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]) > 2.0 * TAU).all(axis=1)
     a, b = (v[keep & (slab[at] == np.maximum(s0[a], s0[b]))] for v in (a, b))
     # SAT on the hulls' 16 corners, along axes of length r; a zero step or pitch has none
-    c, s, ux, uy, px, py = (table[f] for f in ("c", "s", "ux", "uy", "px", "py"))
+    c, s, ux, uy, px, py, hull = (table[f] for f in ("c", "s", "ux", "uy", "px", "py", "hull"))
     axes = np.stack([[c, -s, -uy, -py], [s, c, ux, px]]).transpose(2, 0, 1)  # (L, 2, 4)
     norm, meet = np.hypot(axes[:, 0], axes[:, 1]), np.empty(len(a), dtype=bool)
     for at in np.array_split(np.arange(len(a)), 1 + len(a) * 16 // _POINT_CHUNK):  # corners a batch
@@ -192,7 +188,7 @@ def _self_overlapping(table) -> tuple[np.ndarray, int]:
     return np.bincount(k[hit], minlength=len(n)) > 0, len(k)
 
 
-def _near_rows(table, lat: Lattices, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _near_rows(table, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Rows (lattice, row, i from, i to) of the squares of lattice k[e] centred
     in [lo[e], hi[e]]: in each row, the hull of the boxes' intervals."""
     c, s, ux, uy, px, py = (table[f][k] for f in ("c", "s", "ux", "uy", "px", "py"))
@@ -200,12 +196,12 @@ def _near_rows(table, lat: Lattices, k: np.ndarray, lo: np.ndarray, hi: np.ndarr
     # rows j: along the normal (-uy, ux) of the step, j*P reaches the box
     across = [ux * (y - cy) - uy * (x - cx) for x in (lo[:, 0], hi[:, 0])
               for y in (lo[:, 1], hi[:, 1])]
-    jf, nj = _index_range(ux * py - uy * px, np.min(across, 0), np.max(across, 0), lat.repeat[k])
+    jf, nj = _index_range(ux * py - uy * px, np.min(across, 0), np.max(across, 0), table["m"][k])
     e = np.repeat(np.arange(len(k)), nj)
     k, j = k[e], jf[e].astype(np.int64) + _ramp(nj)
     rx, ry = cx[e] + j * px[e], cy[e] + j * py[e]
-    fx, nx = _index_range(ux[e], lo[e, 0] - rx, hi[e, 0] - rx, lat.count[k])
-    fy, ny = _index_range(uy[e], lo[e, 1] - ry, hi[e, 1] - ry, lat.count[k])
+    fx, nx = _index_range(ux[e], lo[e, 0] - rx, hi[e, 0] - rx, table["n"][k])
+    fy, ny = _index_range(uy[e], lo[e, 1] - ry, hi[e, 1] - ry, table["n"][k])
     i0, i1 = np.maximum(fx, fy).astype(np.int64), np.minimum(fx + nx, fy + ny).astype(np.int64)
     order = np.flatnonzero(i1 > i0)[np.lexsort((j[i1 > i0], k[i1 > i0]))]
     k, j, i0, i1 = k[order], j[order], i0[order], i1[order]
@@ -213,23 +209,22 @@ def _near_rows(table, lat: Lattices, k: np.ndarray, lo: np.ndarray, hi: np.ndarr
     return k[row], j[row], np.minimum.reduceat(i0, row), np.maximum.reduceat(i1, row)
 
 
-def _overlaps(table, lat: Lattices, first: np.ndarray, full: np.ndarray, rows=None, allowed=None):
+def _overlaps(table, full: np.ndarray, rows=None, allowed=None):
     """The SAT on every probe pair (a pair of probes at its lower flat index; only of lattices
-    ka, kb with ka * len(lat) + kb in `allowed`, if given), again after an overlap with the
-    smaller of each overlapping pair of lattices in `full`: the numbers of probes, pairs (both
-    passes) and overlaps, the first _LISTED of those as a < b with (x, y, centre distance)."""
-    tests, sizes = 0, lat.sizes()
+    ka, kb with ka * len(full) + kb in `allowed`, if given), again after an overlap with the
+    smaller of each overlapping pair of lattices in `full`: the numbers of probes (each hits
+    itself once), pairs (both passes) and overlaps, the first _LISTED of those as a < b with
+    (x, y, centre distance)."""
+    tests, size = 0, table["count"] * table["repeat"]
     for again in (False, True):
         probes = found = 0
         pairs, where, links = np.empty((0, 2), np.int64), np.empty((0, 3)), set()
-        for ka, a, cx, cy, kb, i, j, bx, by in _probe_pairs(table, lat, first, full, rows):
+        for ka, a, cx, cy, kb, b, ring, bx, by in _probe_pairs(table, full, rows):
             ca, cb, sa, sb = (table[f][k] for f in ("c", "s") for k in (ka, kb))
             dx, dy = bx + (cb - sb) / 2.0 - cx, by + (sb + cb) / 2.0 - cy
             hit, tests = _overlap_mask(dx, dy, ca, sa, cb, sb, TAU), tests + len(a)
-            ka, a, kb, cx, cy, dx, dy = ka[hit], a[hit], kb[hit], cx[hit], cy[hit], dx[hit], dy[hit]
-            b, ring = _index(lat, first, full, kb, i[hit], j[hit])  # each probe hits itself once
-            keep, probes = (a != b) & ((a < b) | ~ring), probes + int((a == b).sum())
-            keep &= True if allowed is None else np.isin(ka * len(lat) + kb, allowed)
+            keep, probes = hit & (a != b) & ((a < b) | ~ring), probes + int((hit & (a == b)).sum())
+            keep[keep] = allowed is None or np.isin(ka[keep] * len(full) + kb[keep], allowed)
             found += int(keep.sum())
             links.update(zip(ka[keep].tolist(), kb[keep].tolist()))
             a, b, cx, cy, dx, dy = a[keep], b[keep], cx[keep], cy[keep], dx[keep], dy[keep]
@@ -239,16 +234,16 @@ def _overlaps(table, lat: Lattices, first: np.ndarray, full: np.ndarray, rows=No
             pairs, where = pairs[order], where[order]
         if again or not found:
             return probes, tests, found, (pairs, where)
-        full[[min(a, b, key=sizes.__getitem__) for a, b in links]] = True
+        full[[min(a, b, key=size.__getitem__) for a, b in links]] = True
 
 
-def _probe_pairs(table, lat: Lattices, first: np.ndarray, full: np.ndarray, rows=None):
-    """Yield in chunks (ka, a, cx, cy, kb, i, j, bx, by): probe a (flat index; of lattice ka,
-    centre (cx, cy)) and each square (i, j) of lattice kb, base (bx, by), within reach, itself
-    once. Probes: in `rows` (lattice, row, i from, i to; default all), every square of `full`
-    lattices and of rows 0 and m - 1, else squares 0 and n - 1."""
-    n, m, c, s = lat.count, lat.repeat, table["c"], table["s"]
-    rk = np.repeat(np.arange(len(lat)), m) if rows is None else rows[0]
+def _probe_pairs(table, full: np.ndarray, rows=None):
+    """Yield in chunks (ka, a, cx, cy, kb, b, ring, bx, by): probe a (flat index; of lattice ka,
+    centre (cx, cy)) and each square b (of lattice kb, base (bx, by); a probe where `ring`) within
+    reach, itself once (a == b). Probes: in `rows` (lattice, row, i from, i to; default all),
+    every square of `full` lattices and of rows 0 and m - 1, else squares 0 and n - 1."""
+    n, m, c, s, first = (table[f] for f in ("count", "repeat", "c", "s", "first"))
+    rk = np.repeat(np.arange(len(n)), m) if rows is None else rows[0]
     rj, i0, i1 = (_ramp(m), 0 * rk, n[rk]) if rows is None else rows[1:]
     whole = full[rk] | (rj == 0) | (rj == m[rk] - 1)
     lead, tail = whole | (i0 == 0), ~whole & (i1 == n[rk])
@@ -260,54 +255,52 @@ def _probe_pairs(table, lat: Lattices, first: np.ndarray, full: np.ndarray, rows
         (tx, ty), flat = _square_at(table, pk, pi, pj), first[pk] + pj * n[pk] + pi
         cx, cy = tx + (c[pk] - s[pk]) / 2.0, ty + (s[pk] + c[pk]) / 2.0
         for q, k, i, j, bx, by in _near_squares(np.stack([cx, cy], axis=1), table, _REACH):
-            yield pk[q], flat[q], cx[q], cy[q], k, i, j, bx, by
-
-
-def _index(lat: Lattices, first: np.ndarray, full: np.ndarray, k, i, j):
-    """Flat index of square (i, j) of lattice k, and whether it is a probe."""
-    n, m, i, j = lat.count[k], lat.repeat[k], i.astype(np.int64), j.astype(np.int64)
-    return first[k] + j * n + i, full[k] | (i == 0) | (i == n - 1) | (j == 0) | (j == m - 1)
+            i, j = i.astype(np.int64), j.astype(np.int64)
+            ring = full[k] | (i == 0) | (i == n[k] - 1) | (j == 0) | (j == m[k] - 1)
+            yield pk[q], flat[q], cx[q], cy[q], k, first[k] + j * n[k] + i, ring, bx, by
 
 
 def verify_covering(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     """Every point of `plan.region` lies in a square, checked where probe and
     target edges cross (see the module notes). Squares may leave the region."""
     t0 = time.perf_counter()
-    lat, report, table, first, full = _setup(plan, "cover")
-    ang = table["ang"]
+    table, report, full = _setup(plan, "cover")
+    corner = np.array(plan.region.polygon())[::-1]  # clockwise; `polygon` runs counterclockwise
+    near = ((table["hull"].max(axis=1) >= corner.min(axis=0) - 1.0)
+            & (table["hull"].min(axis=1) <= corner.max(axis=0) + 1.0)).all(axis=1)
+    table, full = {f: v[near] for f, v in table.items()}, full[near]
     # a solid lattice whose columns start level has a rectangle for its union
     level = table["solid"] & ~full & (np.abs(table["pk"]) <= TAU)
     nu = 2.0 * (TAU + 2.0 * _SLACK * float(table["scale"].max(initial=0.0)))
-    corner = np.array(plan.region.polygon())[::-1]  # clockwise; `polygon` runs counterclockwise
     side = np.roll(corner, -1, axis=0) - corner
     corner, side = corner[(side != 0).any(axis=1)], side[(side != 0).any(axis=1)]
     stats, found, gaps = report.runtime_stats, [_nudged(corner, np.roll(side, 1, 0), side, nu)], []
-    stats.update(lattices=len(lat), probes=0, candidate_pairs=0, nudge=nu, point_tests=0)
+    stats.update(lattices=len(full), probes=0, candidate_pairs=0, nudge=nu, point_tests=0)
 
     def test():  # the points found so far, in batches that bound the memory used
         pts = np.concatenate(found)
         found.clear()
         with np.errstate(invalid="ignore"):  # a point at infinity is in no region
             pts = pts[points_in_region(plan.region, pts, 0.0)]
-        covered, tests = _points_covered(pts, lat, TAU)
+        covered, tests = _points_covered(pts, table, TAU)
         gaps.append(pts[~covered])
         report.sampled_points += len(pts)
         stats["point_tests"] += tests
 
-    for ka, a, cx, cy, kb, i, j, bx, by in _probe_pairs(table, lat, first, full):
-        (b, ring), ca, sa = _index(lat, first, full, kb, i, j), table["c"][ka], table["s"][ka]
+    for ka, a, cx, cy, kb, b, ring, bx, by in _probe_pairs(table, full):
+        ca, sa = table["c"][ka], table["s"][ka]
         ax, ay = cx - (ca - sa) / 2.0, cy - (sa + ca) / 2.0
         # each probe, paired with itself once, against the target's edges
         me = a == b
         stats["probes"] += int(me.sum())
-        p, d = _edges(ax[me], ay[me], ang[ka[me]])
+        p, d = _edges(ax[me], ay[me], table["ang"][ka[me]])
         (row, e, t), at = _crossings(p[:, :, None], d[:, :, None], corner, side, nu)
         found.append(_nudged(at, d[row, e], side[t], nu))
         # each pair of probes once, leaving out the pairs within a level lattice
         keep = ring & (a < b) & ((ka != kb) | ~level[ka])
         stats["candidate_pairs"] += int(keep.sum())
-        pa, da = _edges(ax[keep], ay[keep], ang[ka[keep]])
-        pb, db = _edges(bx[keep], by[keep], ang[kb[keep]])
+        pa, da = _edges(ax[keep], ay[keep], table["ang"][ka[keep]])
+        pb, db = _edges(bx[keep], by[keep], table["ang"][kb[keep]])
         (row, ea, eb), at = _crossings(pa[:, :, None], da[:, :, None], pb[:, None], db[:, None], nu)
         found.append(_nudged(at, da[row, ea], db[row, eb], nu))
         if sum(map(len, found)) >= _PROBE_CHUNK:
@@ -343,12 +336,11 @@ def _nudged(at: np.ndarray, d1: np.ndarray, d2: np.ndarray, nu: float) -> np.nda
         return at + nu * (n1 + n2) / (1.0 + (n1 * n2).sum(axis=1))[:, None]
 
 
-def _points_covered(pts: np.ndarray, lat: Lattices, tau: float) -> tuple[np.ndarray, int]:
-    """Boolean mask: point inside at least one square of `lat` (squares
-    inflated by tau); and the number of point-square tests made. Points
-    already covered are not tested again."""
+def _points_covered(pts: np.ndarray, table: dict, tau: float) -> tuple[np.ndarray, int]:
+    """Boolean mask: point inside at least one square of the lattices in `table`
+    (squares inflated by tau); and the number of point-square tests made.
+    Points already covered are not tested again."""
     covered, tests = np.zeros(len(pts), dtype=bool), 0
-    table = _lattice_table(lat)
     for q, k, _, _, tx, ty in _near_squares(pts, table, tau, covered):
         dx, dy = pts[q, 0] - tx, pts[q, 1] - ty
         c, s = table["c"][k], table["s"][k]
@@ -388,10 +380,12 @@ def _index_range(w, lo, hi, n) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lattice_table(lat: Lattices) -> dict[str, np.ndarray]:
-    """Per-lattice arrays for `_near_squares`, and which lattices are solid
-    (to within TAU)."""
+    """Every per-lattice fact the checks read, indexed by lattice along axis 0: the arrays of
+    `_near_squares` (n and m as floats), `count`, `repeat`, `solid` (to within TAU), the `first`
+    flat index, and the flat indices `ends` and 16 corners `hull` of the four extreme squares."""
     (bx, by, ang), (ux, uy), (px, py) = lat.base.T, lat.step.T, lat.pitch.T
-    n, m = lat.count.astype(float), lat.repeat.astype(float)
+    count, repeat, size = lat.count, lat.repeat, lat.count * lat.repeat
+    n, m, first = count.astype(float), repeat.astype(float), np.cumsum(size) - size
     c, s = np.cos(ang), np.sin(ang)
     scale = (np.abs(bx) + np.abs(by) + (n - 1) * (np.abs(ux) + np.abs(uy))
              + (m - 1) * (np.abs(px) + np.abs(py)) + 2.0)
@@ -406,10 +400,15 @@ def _lattice_table(lat: Lattices) -> dict[str, np.ndarray]:
     uk, pk = np.where(on1, u1, u2), np.where(on1, p1, p2)
     solid = ((np.abs(np.abs(uk) - 1.0) <= TAU) & (np.abs(np.where(on1, u2, u1)) <= TAU)
              & (np.abs(pk) <= 1.0 + TAU) & (np.abs(np.where(on1, p2, p1)) <= 1.0 + TAU))
-    return {"bx": bx, "by": by, "ang": ang, "c": c, "s": s, "ux": ux, "uy": uy,
-            "px": px, "py": py, "n": n, "m": m, "scale": scale, "u1": u1, "u2": u2,
-            "jw": u1 * p2 - u2 * p1, "norm": np.abs(u1) + np.abs(u2), "on1": on1,
-            "uk": uk, "pk": pk, "solid": solid}
+    table = {"bx": bx, "by": by, "ang": ang, "c": c, "s": s, "ux": ux, "uy": uy,
+             "px": px, "py": py, "n": n, "m": m, "scale": scale, "u1": u1, "u2": u2,
+             "jw": u1 * p2 - u2 * p1, "norm": np.abs(u1) + np.abs(u2), "on1": on1,
+             "uk": uk, "pk": pk, "solid": solid, "count": count, "repeat": repeat, "first": first}
+    k, i = np.repeat(np.arange(len(n)), 4), np.stack([0 * count, count - 1] * 2, axis=1)
+    j = np.stack([0 * repeat, 0 * repeat, repeat - 1, repeat - 1], axis=1)
+    sq = corners(np.stack([*_square_at(table, k, i.ravel(), j.ravel()), ang[k]], axis=1))
+    table.update(ends=first[:, None] + j * count[:, None] + i, hull=sq.reshape(len(n), 16, 2))
+    return table
 
 
 def _near_squares(pts: np.ndarray, table: dict, r: float, done: np.ndarray | None = None):

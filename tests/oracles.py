@@ -256,6 +256,6 @@ def packing_by_ring_probes(plan) -> tuple[int, np.ndarray]:
     least 3 long each way, all of the others, and after an overlap once more
     with the smaller lattice of each overlapping pair in full. The number of
     overlapping pairs and the (N, 2) pairs a report lists."""
-    lat, _, table, first, full = verifier._setup(plan, "pack")
-    _, _, found, (pairs, _) = verifier._overlaps(table, lat, first, full)
+    table, _, full = verifier._setup(plan, "pack")
+    _, _, found, (pairs, _) = verifier._overlaps(table, full)
     return found, pairs

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from sqpack.cli import main, run_series, series_csv
 from sqpack.geometry import Pose, rect_region
 from sqpack.render import plan_to_svg
 from sqpack.planner import build_plan, pack_square
-from sqpack.plan import grid_node, plan_to_json, split_node
+from sqpack.plan import Plan, grid_node, plan_to_json, split_node
 
 
 def run(argv):
@@ -189,6 +190,56 @@ def test_verify_count_mismatch_is_input_error(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", plan_path]) == 2
     assert "enumerated 0 != analytic -2500" in capsys.readouterr().err
+
+
+def _run_lists(node: dict):
+    """The run list of every stack node at or below `node`."""
+    if node["kind"] == "stacks":
+        yield node["runs"]
+    for child in node.get("children", []) + node.get("leftovers", []):
+        yield from _run_lists(child)
+
+
+@pytest.mark.parametrize("edit", ["nan run base", "negative width", "zero width", "nan width",
+                                  "unknown region kind"])
+def test_verify_refuses_plans_no_builder_writes(tmp_path, capsys, edit):
+    # cover_square(150.5) less its largest stack run fails; a NaN, or a side
+    # that is not positive, once made it pass, and an unknown region kind got
+    # past the reader; each is now refused as a file no builder writes
+    data = json.loads(plan_to_json(build_plan("cover", "square", 150.5)))
+    runs, i = max(((r, i) for r in _run_lists(data["root"]) for i in range(len(r))),
+                  key=lambda pair: pair[0][pair[1]][5] * pair[0][pair[1]][6])
+    del runs[i]
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(data))
+    assert run(["verify", plan_path]) == 1
+    if edit == "nan run base":
+        next(_run_lists(data["root"]))[0][0] = math.nan
+    elif edit == "unknown region kind":
+        data["region"]["kind"] = "hex"
+    else:
+        data["region"]["dims"][0] = {"negative width": -150.5, "zero width": 0.0,
+                                     "nan width": math.nan}[edit]
+    plan_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["verify", plan_path]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read plan: ")
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+def test_verify_refuses_plans_of_2_63_squares(tmp_path, capsys, kind):
+    # a 4e9 x 4e9 grid and one square: flat indices past int64
+    side = 4e9
+    big = grid_node(rect_region(side, side), (0.0, 0.0), int(side), int(side))
+    one = grid_node(rect_region(1.0, 1.0, Pose(side, 0.0, 0.0)), (side, 0.0), 1, 1)
+    region = rect_region(side + 1.0, side)
+    plan = Plan(kind=kind, x=side, region=region,
+                root=split_node(None, [big, one], area=big.area + one.area))
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(plan_to_json(plan))
+    assert run(["verify", plan_path]) == 2
+    assert ("plan holds 16000000000000000001 squares; verify takes fewer than 2**63"
+            in capsys.readouterr().err)
 
 
 def _usage_error(argv) -> int:

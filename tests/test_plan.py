@@ -195,6 +195,14 @@ def test_v1_plan_files_load_and_rewrite_as_v2(kind):
     assert plan_to_json(plan_from_json(text)) == plan_to_json(build_plan(kind, "square", 150.5))
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_plan_json_refuses_non_finite_numbers(token):
+    text = plan_to_json(pack_square(50.5))
+    assert '"x":50.5' in text
+    with pytest.raises(PlanError, match=f"non-finite number {token} in plan"):
+        plan_from_json(text.replace('"x":50.5', f'"x":{token}'))
+
+
 def test_plan_json_rejects_unknown_version():
     with pytest.raises(PlanError):
         plan_from_json(dumps_stable({"version": 99}))

@@ -14,11 +14,11 @@ from sqpack.config import TAU, PackConfig
 from sqpack.geometry import Pose, square_corners, rect_region
 from sqpack.plan import (
     OverLimit, Plan, StackRun, dumps_stable, enumerate_placements, grid_node, plan_lattices,
-    stacks_node,
+    split_node, stacks_node,
 )
 from sqpack.planner import build_plan, cover_square, pack_square
 from sqpack import verifier
-from sqpack.verifier import _points_covered, verify_covering, verify_packing
+from sqpack.verifier import _lattice_table, _points_covered, verify_covering, verify_packing
 from oracles import (
     covered_by_kd_join, enumerate_by_node, packing_by_kd_pairs, packing_by_ring_probes,
     point_in_quad, quads_disjoint, sample_quad, uncovered_samples,
@@ -319,7 +319,7 @@ def test_points_covered_matches_brute_force_on_mixed_poses():
     cs, sn = np.cos(poses[pick, 2]), np.sin(poses[pick, 2])
     edge = poses[pick, :2] + np.stack([cs * u - sn * v, sn * u + cs * v], axis=1)
     pts = np.concatenate([rng.uniform(-5.0, 115.0, size=(2500, 2)), edge], axis=0)
-    got, tests = _points_covered(pts, lat, TAU)
+    got, tests = _points_covered(pts, _lattice_table(lat), TAU)
     want = _brute_covered(pts, poses)
     assert want.any() and not want.all()
     assert np.array_equal(got, want)
@@ -370,7 +370,7 @@ def test_points_covered_matches_brute_force_on_random_lattices(seed):
     rng = np.random.RandomState(seed)
     edge = _edge_points(poses, rng, 3000)
     pts = np.concatenate([rng.uniform(-12.0, 52.0, size=(3000, 2)), edge], axis=0)
-    got, _ = _points_covered(pts, lat, TAU)
+    got, _ = _points_covered(pts, _lattice_table(lat), TAU)
     want = _brute_covered(pts, poses)
     assert want[:3000].any() and not want[:3000].all()
     assert want[3000:].any() and not want[3000:].all()
@@ -381,9 +381,9 @@ def _candidate_points(plan: Plan, monkeypatch) -> np.ndarray:
     """The points `verify_covering` hands to `_points_covered`."""
     seen = []
 
-    def record(pts, lat, tau):
+    def record(pts, table, tau):
         seen.append(pts)
-        return _points_covered(pts, lat, tau)
+        return _points_covered(pts, table, tau)
 
     monkeypatch.setattr(verifier, "_points_covered", record)
     verify_covering(plan, cfg=CFG)
@@ -399,7 +399,7 @@ def test_lattice_coverage_matches_kd_join_on_plans(kind, case, monkeypatch):
     quad = plan.region.polygon()
     pts = sample_quad(quad + quad[-1:] * (4 - len(quad)), np.random.RandomState(0), 100_000)
     pts = np.concatenate([pts, _candidate_points(plan, monkeypatch)])
-    got, _ = _points_covered(pts, plan_lattices(plan), TAU)
+    got, _ = _points_covered(pts, _lattice_table(plan_lattices(plan)), TAU)
     assert np.array_equal(got, covered_by_kd_join(pts, poses, TAU))
 
 
@@ -607,6 +607,31 @@ def test_covering_matches_sampling_oracle_on_plans(case):
     assert report.passed, report.violations[:3]
     assert report.square_count == plan.root.total_count()
     assert len(uncovered_samples(plan, 50_000, np.random.RandomState(2))) == 0
+
+
+@pytest.mark.parametrize("case", list(PLAN_CASES))
+def test_covering_checks_every_lattice_of_plans(case):
+    plan = _build_case("cover", case)
+    assert verify_covering(plan, cfg=CFG).runtime_stats["lattices"] == len(plan_lattices(plan))
+
+
+@pytest.mark.parametrize("x,listed", [(150.5, 36), (1030.7, 98)])
+def test_a_far_square_leaves_the_covering_tolerance(x, listed):
+    # cover_square(x) less its largest stack run has a real gap; one more
+    # square at 1e300, which covers nothing of the target, once widened the
+    # nudge past the target and let the covering pass
+    plan = cover_square(x)
+    node, run = max(((n, r) for n in _nodes(plan.root) if n.kind == "stacks" for r in n.runs),
+                    key=lambda pair: pair[1].total)
+    node.runs.remove(run)
+    gapped = verify_covering(plan, cfg=CFG)
+    assert gapped.status == "failed" and len(gapped.violations) == listed
+    far = _grid(1e300, 0.0, 1, 1)
+    plan.root = split_node(None, [plan.root, far], area=plan.root.area + far.area)
+    report = verify_covering(plan, cfg=CFG)
+    assert report.violations == gapped.violations
+    del report.runtime_stats["seconds"], gapped.runtime_stats["seconds"]
+    assert report.runtime_stats == gapped.runtime_stats
 
 
 @pytest.mark.parametrize("seed", [7, 8])
