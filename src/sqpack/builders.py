@@ -47,7 +47,7 @@ from .geometry import (
     Pose, ceil_guard, compose_graft, floor_guard, frac_guard,
     rect_region, region_area, trap_region, tri_region,
 )
-from .plan import PlanNode, StackRun, grid_node, split_node, stacks_node, waste_node
+from .plan import PlanNode, StackRun, copy_tree, grid_node, split_node, stacks_node, waste_node
 from .tilt import solve_cover_tilt, solve_pack_tilt
 
 SQRT2 = math.sqrt(2.0)
@@ -135,17 +135,43 @@ def shelf_top_len(scale: float, kind: str) -> int:
 
 
 @dataclass
-class BuildStats:
+class BuildStats:  # what one `build_plan` call records
     max_depth: int = 0
     fallback_bands: int = 0
     joint_max: float = 0.0
     band_tilts: list = field(default_factory=list)  # (scale, k, width, alpha)
+    built: dict = field(default_factory=dict)       # shelves and wedges, by `_memoised`
 
 
 def _bump(stats: BuildStats, depth: int) -> None:
     if depth > MAX_DEPTH:
         raise InvalidSpec(f"recursion deeper than {MAX_DEPTH}; scales not decreasing?")
     stats.max_depth = max(stats.max_depth, depth)
+
+
+def _memoised(build, spec, depth: int, stats: BuildStats, kind: str) -> PlanNode:
+    """`build(spec, depth, stats, kind)`, run once per distinct (kind, spec) of
+    a plan. Every use replays its record (band tilts in order, fallback bands,
+    largest joint, depth below entry). Later uses get a copy of the first's
+    subtree, whose top graft alone its callers set while the plan is built."""
+    key = (kind, repr(spec))  # repr tells -0.0 from 0.0, which == does not
+    entry = stats.built.get(key)
+    if entry is None:
+        outer = stats.max_depth, stats.fallback_bands, stats.joint_max, stats.band_tilts
+        stats.max_depth, stats.fallback_bands, stats.joint_max, stats.band_tilts = depth, 0, 0.0, []
+        node = build(spec, depth, stats, kind)
+        entry = stats.built[key] = (node, node.graft, stats.max_depth - depth,
+                                    stats.fallback_bands, stats.joint_max, stats.band_tilts)
+        stats.max_depth, stats.fallback_bands, stats.joint_max, stats.band_tilts = outer
+    else:
+        node = copy_tree(entry[0])
+        node.graft = entry[1]
+    _, _, below, fallback_bands, joint_max, band_tilts = entry
+    _bump(stats, depth + below)
+    stats.fallback_bands += fallback_bands
+    stats.joint_max = max(stats.joint_max, joint_max)
+    stats.band_tilts += band_tilts
+    return node
 
 
 def _graft(node: PlanNode, frame: Pose, mirror: bool = False) -> PlanNode:
@@ -328,6 +354,10 @@ def build_strip(m: float, L: float, depth: int, stats: BuildStats, kind: str):
 def build_wedge(spec: WedgeSpec, depth: int, stats: BuildStats, kind: str):
     """Tall right trapezoid: bands of integer height, each panel + shelf.
     A flat wedge is a rectangle, of any width."""
+    return _memoised(_build_wedge, spec, depth, stats, kind)
+
+
+def _build_wedge(spec: WedgeSpec, depth: int, stats: BuildStats, kind: str):
     _bump(stats, depth)
     spec.validate()
     height, top, theta = spec.height, spec.top, spec.tilt
@@ -388,6 +418,10 @@ def build_shelf(spec: ShelfSpec, depth: int, stats: BuildStats, kind: str):
     left, a chain of tilted stack bands against the slant, floor zone at the
     bottom. A packing concedes each band's slant sliver, a covering
     overshoots it; the ledger holds the total either way."""
+    return _memoised(_build_shelf, spec, depth, stats, kind)
+
+
+def _build_shelf(spec: ShelfSpec, depth: int, stats: BuildStats, kind: str):
     _bump(stats, depth)
     spec.validate()
     scale, height, theta = spec.scale, spec.height, spec.tilt

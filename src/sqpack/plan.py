@@ -33,6 +33,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -110,6 +111,15 @@ class PlanNode:
 
     def total_count(self) -> int:
         return self.own_count() + sum(c.total_count() for c in self.children)
+
+
+def copy_tree(node: PlanNode) -> PlanNode:
+    """A copy of `node` and its subtree that shares no list or dict with it."""
+    return PlanNode(node.kind, node.region, node.area, node.label,
+                    [copy_tree(c) for c in node.children], node.origin, node.rows, node.cols,
+                    list(node.runs), node.reason,
+                    {k: list(v) if isinstance(v, list) else v for k, v in node.ledger.items()},
+                    node.graft)
 
 
 def split_node(region: Region | None, children: list[PlanNode], label: str = "",
@@ -387,17 +397,114 @@ def resolve_grafts(root: PlanNode) -> None:
 
 
 # ---------------------------------------------------------------------------
-# serialization (deterministic: stable key order, repr-float round trip)
+# serialization (deterministic: stable key order, repr-float round trip).
+# `plan_to_json` writes what `dumps_stable` writes for the plan's dict, straight
+# from the tree, and formats each distinct float and string once per plan.
 
-def _pose_to_list(p: Pose) -> list[float]:
-    return [p.tx, p.ty, p.angle]
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
-def _region_to_dict(r: Region | None):
-    if r is None:
-        return None
-    return {"kind": r.kind, "dims": list(r.dims), "frame": _pose_to_list(r.frame),
-            "mirror": r.mirror}
+class _Texts(dict):
+    """The JSON text of each distinct nonzero float and string of a plan; zeros
+    and ints stay out, as 0.0 and -0.0 are one key with two texts, and 1 == 1.0."""
+
+    def __missing__(self, v) -> str:
+        if type(v) is not str and not math.isfinite(v):
+            raise ValueError("Out of range float values are not JSON compliant")
+        text = self[v] = encode_basestring_ascii(v) if type(v) is str else float.__repr__(v)
+        return text
+
+    def text(self, v) -> str:
+        t = type(v)
+        if (t is float and v) or t is str:
+            return self[v]
+        if t is bool:
+            return "true" if v else "false"
+        return float.__repr__(v) if t is float else int.__repr__(v) if t is int else _dumps(v)
+
+
+def _slots(n: int) -> str:
+    return ",".join(["%s"] * n)
+
+
+@dataclass
+class _PlanWriter:
+    """Format strings with a %s per scalar, and the scalars, filled whenever a
+    node ends with more than FILL scalars pending."""
+
+    FILL = 1 << 16
+    fmt: list = field(default_factory=list)
+    args: list = field(default_factory=list)
+    out: list = field(default_factory=list)
+    texts: _Texts = field(default_factory=_Texts)
+
+    def fill(self) -> None:
+        texts = self.texts
+        self.out.append("".join(self.fmt) % tuple(
+            [texts[v] if type(v) is float and v else texts.text(v) for v in self.args]))
+        self.fmt.clear()
+        self.args.clear()
+
+    def region(self, r: Region | None) -> None:
+        if r is None:
+            self.fmt.append("null")
+        else:
+            self.fmt.append(f'{{"dims":[{_slots(len(r.dims))}],"frame":[%s,%s,%s],"kind":%s'
+                            ',"mirror":%s}')
+            self.args += (*r.dims, r.frame.tx, r.frame.ty, r.frame.angle, r.kind, r.mirror)
+
+    def nodes(self, nodes: list[PlanNode]) -> None:
+        for i, n in enumerate(nodes):
+            self.fmt.append("," if i else "")
+            self.node(n)
+
+    def node(self, n: PlanNode) -> None:
+        """Write `n`: a split with its children, a stacks node with its leftovers."""
+        fmt, args = self.fmt, self.args
+        fmt.append('{"area":%s,')
+        args.append(n.area)
+        if n.kind == "split":
+            fmt.append('"children":[')
+            self.nodes(n.children)
+            fmt.append('],"kind":"split","label":%s,"region":')
+            args.append(n.label)
+        elif n.kind == "grid":
+            fmt.append(f'"cols":%s,"kind":"grid","label":%s,"origin":[{_slots(len(n.origin))}]'
+                       ',"region":')
+            args += (n.cols, n.label, *n.origin)
+        elif n.kind == "stacks":
+            ledger = _dumps(n.ledger).replace("%", "%%")
+            fmt.append(f'"kind":"stacks","label":%s,"ledger":{ledger},"leftovers":[')
+            args.append(n.label)
+            self.nodes(n.children)
+            fmt.append('],"region":')
+        elif n.kind == "waste":
+            fmt.append('"kind":"waste","label":%s,"reason":%s,"region":')
+            args += (n.label, n.reason)
+        else:
+            fmt.append('"kind":%s,"label":%s,"region":')
+            args += (n.kind, n.label)
+        self.region(n.region)
+        if n.kind == "grid":
+            fmt.append(',"rows":%s}')
+            args.append(n.rows)
+        elif n.kind == "stacks":
+            fmt.append(f',"runs":[{",".join(["[%s,%s,%s,%s,%s,%s,%s,%s,%s,%s]"] * len(n.runs))}]}}')
+            for r in n.runs:
+                args += (r.base.tx, r.base.ty, r.base.angle, r.step[0], r.step[1], r.count,
+                         r.repeat, r.pitch[0], r.pitch[1], r.label)
+        else:
+            fmt.append("}")
+        if len(args) > self.FILL:
+            self.fill()
+
+
+def _finite(values, what: str):
+    """`values`, all finite: a number that overflows, such as 1e400, loads as
+    inf, past `parse_constant`."""
+    if not all(map(math.isfinite, values)):
+        raise PlanError(f"non-finite number in plan {what}: {values}")
+    return values
 
 
 def _region_from_dict(d) -> Region | None:
@@ -406,35 +513,14 @@ def _region_from_dict(d) -> Region | None:
     make = {"rect": rect_region, "trap": trap_region, "tri": tri_region}.get(d["kind"])
     if make is None:
         raise PlanError(f"unknown region kind {d['kind']!r}")
-    return make(*d["dims"], Pose(*d["frame"]), bool(d["mirror"]))
-
-
-def _run_to_list(r: StackRun) -> list:
-    return [r.base.tx, r.base.ty, r.base.angle, r.step[0], r.step[1],
-            r.count, r.repeat, r.pitch[0], r.pitch[1], r.label]
+    return make(*_finite(d["dims"], "region dims"), Pose(*_finite(d["frame"], "region frame")),
+                bool(d["mirror"]))
 
 
 def _run_from_list(v) -> StackRun:
+    _finite(v[:9], "run")
     return StackRun(base=Pose(v[0], v[1], v[2]), step=(v[3], v[4]), count=int(v[5]),
                     repeat=int(v[6]), pitch=(v[7], v[8]), label=v[9])
-
-
-def _node_to_dict(n: PlanNode) -> dict:
-    d = {"kind": n.kind, "region": _region_to_dict(n.region), "area": n.area,
-         "label": n.label}
-    if n.kind == "split":
-        d["children"] = [_node_to_dict(c) for c in n.children]
-    elif n.kind == "grid":
-        d["origin"] = list(n.origin)
-        d["rows"] = n.rows
-        d["cols"] = n.cols
-    elif n.kind == "stacks":
-        d["runs"] = [_run_to_list(r) for r in n.runs]
-        d["leftovers"] = [_node_to_dict(c) for c in n.children]
-        d["ledger"] = n.ledger
-    elif n.kind == "waste":
-        d["reason"] = n.reason
-    return d
 
 
 def _node_from_dict(d: dict) -> PlanNode:
@@ -444,7 +530,7 @@ def _node_from_dict(d: dict) -> PlanNode:
     if kind == "split":
         node.children = [_node_from_dict(c) for c in d["children"]]
     elif kind == "grid":
-        node.origin = tuple(d["origin"])
+        node.origin = tuple(_finite(d["origin"], "grid origin"))
         node.rows = int(d["rows"])
         node.cols = int(d["cols"])
     elif kind == "stacks":
@@ -458,17 +544,6 @@ def _node_from_dict(d: dict) -> PlanNode:
     return node
 
 
-def plan_to_dict(plan: Plan) -> dict:
-    return {
-        "version": 2,
-        "kind": plan.kind,
-        "x": plan.x,
-        "region": _region_to_dict(plan.region),
-        "meta": plan.meta,
-        "root": _node_to_dict(plan.root),
-    }
-
-
 def plan_from_dict(d: dict) -> Plan:
     if d.get("version") not in (1, 2):
         raise PlanError(f"unsupported plan version {d.get('version')!r}")
@@ -480,12 +555,21 @@ def plan_from_dict(d: dict) -> Plan:
 
 def dumps_stable(obj) -> str:
     """Canonical JSON: sorted keys, minimal separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    return _dumps(obj) + "\n"
 
 
 def plan_to_json(plan: Plan) -> str:
     with gc_paused():
-        return dumps_stable(plan_to_dict(plan))
+        w = _PlanWriter()
+        w.fmt.append(f'{{"kind":%s,"meta":{_dumps(plan.meta).replace("%", "%%")},"region":')
+        w.args.append(plan.kind)
+        w.region(plan.region)
+        w.fmt.append(',"root":')
+        w.node(plan.root)
+        w.fmt.append(',"version":2,"x":%s}\n')
+        w.args.append(plan.x)
+        w.fill()
+        return "".join(w.out)
 
 
 def _non_finite(name: str):

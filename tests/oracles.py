@@ -11,7 +11,8 @@ every pair of centres within sqrt(2), tested with the verifier's SAT.
 Covering is checked by dense uniform samples of the target, or of a
 suspect part of it, instead of the verifier's crossing points. Packing is
 also checked by ring probes of every lattice, without the verifier's hull
-and offset certificates.
+and offset certificates. Plan files are checked against the dict a plan
+maps to, through `dumps_stable`, instead of the writer's direct text.
 """
 
 from __future__ import annotations
@@ -259,3 +260,49 @@ def packing_by_ring_probes(plan) -> tuple[int, np.ndarray]:
     table, _, full = verifier._setup(plan, "pack")
     _, _, found, (pairs, _) = verifier._overlaps(table, full)
     return found, pairs
+
+
+def _pose_to_list(p) -> list[float]:
+    return [p.tx, p.ty, p.angle]
+
+
+def _region_to_dict(r):
+    if r is None:
+        return None
+    return {"kind": r.kind, "dims": list(r.dims), "frame": _pose_to_list(r.frame),
+            "mirror": r.mirror}
+
+
+def _run_to_list(r) -> list:
+    return [r.base.tx, r.base.ty, r.base.angle, r.step[0], r.step[1],
+            r.count, r.repeat, r.pitch[0], r.pitch[1], r.label]
+
+
+def _node_to_dict(n) -> dict:
+    d = {"kind": n.kind, "region": _region_to_dict(n.region), "area": n.area,
+         "label": n.label}
+    if n.kind == "split":
+        d["children"] = [_node_to_dict(c) for c in n.children]
+    elif n.kind == "grid":
+        d["origin"] = list(n.origin)
+        d["rows"] = n.rows
+        d["cols"] = n.cols
+    elif n.kind == "stacks":
+        d["runs"] = [_run_to_list(r) for r in n.runs]
+        d["leftovers"] = [_node_to_dict(c) for c in n.children]
+        d["ledger"] = n.ledger
+    elif n.kind == "waste":
+        d["reason"] = n.reason
+    return d
+
+
+def plan_to_dict(plan) -> dict:
+    """The version 2 dict of `plan`; `dumps_stable` of it is the plan file."""
+    return {
+        "version": 2,
+        "kind": plan.kind,
+        "x": plan.x,
+        "region": _region_to_dict(plan.region),
+        "meta": plan.meta,
+        "root": _node_to_dict(plan.root),
+    }

@@ -226,6 +226,27 @@ def test_verify_refuses_plans_no_builder_writes(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("error: cannot read plan: ")
 
 
+@pytest.mark.parametrize("edit", ["region dims", "region frame", "run base", "run count"])
+def test_verify_refuses_plans_with_numbers_that_overflow(tmp_path, capsys, edit):
+    # the gapped cover_square(150.5) with target dims [1e400, 150.5] or a
+    # target frame at x = 1e400 printed passed and exited 0, and a run count
+    # of 1e400 raised OverflowError; 1e400 loads as inf, past parse_constant
+    data = json.loads(plan_to_json(build_plan("cover", "square", 150.5)))
+    runs, i = max(((r, i) for r in _run_lists(data["root"]) for i in range(len(r))),
+                  key=lambda pair: pair[0][pair[1]][5] * pair[0][pair[1]][6])
+    del runs[i]
+    place, j = {"region dims": (data["region"]["dims"], 0),
+                "region frame": (data["region"]["frame"], 0),
+                "run base": (next(_run_lists(data["root"]))[0], 0),
+                "run count": (next(_run_lists(data["root"]))[0], 5)}[edit]
+    place[j] = "OVERFLOW"
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(data).replace('"OVERFLOW"', "1e400"))
+    capsys.readouterr()
+    assert run(["verify", plan_path]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read plan: non-finite number")
+
+
 @pytest.mark.parametrize("kind", ["pack", "cover"])
 def test_verify_refuses_plans_of_2_63_squares(tmp_path, capsys, kind):
     # a 4e9 x 4e9 grid and one square: flat indices past int64

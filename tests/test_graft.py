@@ -16,17 +16,18 @@ import pytest
 import sqpack.builders as builders
 import sqpack.plan as plan_mod
 from sqpack.builders import (
-    PanelSpec, ShelfSpec, WedgeSpec, _graft, sliced_trap_fill,
+    MAX_DEPTH, BuildStats, InvalidSpec, PanelSpec, ShelfSpec, WedgeSpec, _graft, build_shelf,
+    build_wedge, sliced_trap_fill,
 )
 from sqpack.geometry import (
     Pose, ceil_guard, floor_guard, rect_region, square_corners, trap_region,
 )
 from sqpack.plan import (
-    StackRun, account, dumps_stable, enumerate_placements, grid_node, plan_from_json,
+    Plan, StackRun, account, dumps_stable, enumerate_placements, grid_node, plan_from_json,
     plan_to_json, resolve_grafts, stacks_node,
 )
 from sqpack.planner import build_plan, cover_square, pack_square
-from oracles import enumerate_by_node
+from oracles import enumerate_by_node, plan_to_dict
 
 
 def _walk(node):
@@ -304,6 +305,123 @@ PLAN_DIGESTS = {
 def test_plan_bytes_are_pinned(kind, case):
     text = plan_to_json(_build_case(kind, case))
     assert hashlib.sha256(text.encode()).hexdigest() == PLAN_DIGESTS[(kind, case)]
+
+
+def _sha(text: str) -> str:  # compared instead of texts of megabytes, which pytest would diff
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+def test_plan_json_is_the_dict_oracle(kind):
+    """The writer's text is `dumps_stable` of the plan's dict on every case."""
+    for case in PLAN_CASES:
+        plan = _build_case(kind, case)
+        assert _sha(plan_to_json(plan)) == _sha(dumps_stable(plan_to_dict(plan))), case
+
+
+# sha256 of plan_to_json(plan) and of dumps_stable(account(plan).to_dict()) at
+# x = 1e6+0.5, where 1,424 shelf builds share 2 specs; taken before the
+# builders were memoised
+MEMO_HEAVY_DIGESTS = {
+    "pack": ("af00849c527347abb52dfe055ac4919d853d55cce4f6ba02e40fa573566d27e5",
+             "9cda391f4005ab96a81f6c3dc939e019513e107e47a7ba92f1e578dc72cfb4cc"),
+    "cover": ("3f743515d78e122df6ed55af18ff68bbb9dec37c1a2834290c03e59c2879c035",
+              "8c17712af2496ee9b86b1981b5d371165cdbbf0400ef07715e365e7c2e1a1610"),
+}
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+def test_memo_heavy_plan_and_account_bytes_are_pinned(kind, monkeypatch):
+    """Pinned bytes at a size whose shelves repeat, and each distinct shelf
+    (spec, kind) has its body run once in the build."""
+    calls, bodies = [], []
+
+    def counting(into, fn):
+        def wrapped(spec, depth, stats, kind):
+            into.append(repr(spec))
+            return fn(spec, depth, stats, kind)
+        return wrapped
+
+    monkeypatch.setattr(builders, "build_shelf", counting(calls, builders.build_shelf))
+    monkeypatch.setattr(builders, "_build_shelf", counting(bodies, builders._build_shelf))
+    plan = build_plan(kind, "square", 1e6 + 0.5)
+    assert len(calls) > 1000 and len(bodies) == len(set(bodies)) == len(set(calls)) == 2
+    assert (_sha(plan_to_json(plan)), _sha(dumps_stable(account(plan).to_dict()))) == \
+        MEMO_HEAVY_DIGESTS[kind]
+
+
+def _unshared(build, spec, depth, stats, kind):
+    """`builders._memoised` without the table: every use builds."""
+    return build(spec, depth, stats, kind)
+
+
+def _node_text(node, kind):
+    resolve_grafts(node)
+    return plan_to_json(Plan(kind=kind, x=1.0, region=node.region, root=node))
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+@pytest.mark.parametrize("case", ["square 20000.5", "wedge 1e4", "shelf 2e3 fallback",
+                                  "shelf 5000 grid seam", "shelf 1e6"])
+def test_shared_builds_equal_unshared_builds(kind, case, monkeypatch):
+    """A plan whose repeated shelves and wedges are copies writes the bytes,
+    and records the stats and band tilts, of one that builds every use."""
+    shared = _sha(plan_to_json(_build_case(kind, case)))
+    monkeypatch.setattr(builders, "_memoised", _unshared)
+    assert shared == _sha(plan_to_json(_build_case(kind, case)))
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+def test_memo_tells_signed_zeros_apart(kind):
+    """0.0 == -0.0, yet a wedge of top -0.0 writes its top as -0.0."""
+    height, tilt = 40.0, _tilt(40.0, 0.5)
+    stats = BuildStats()
+    shared = [_node_text(build_wedge(WedgeSpec(height, top, tilt), 0, stats, kind), kind)
+              for top in (0.0, -0.0)]
+    fresh = [_node_text(build_wedge(WedgeSpec(height, top, tilt), 0, BuildStats(), kind), kind)
+             for top in (0.0, -0.0)]
+    assert shared == fresh and fresh[0] != fresh[1]
+
+
+# shelves whose builds record a fallback band, a joint, band tilts or depth
+@pytest.mark.parametrize("kind,case", [("pack", "shelf 2e3 fallback"), ("pack", "shelf 1e4"),
+                                       ("cover", "shelf 1e6"), ("cover", "shelf 835 grid band")])
+def test_a_replayed_build_records_what_a_fresh_one_does(kind, case):
+    """A hit replays the band tilts, fallback bands, largest joint and depth
+    of its first build, and is refused past MAX_DEPTH as a fresh build is."""
+    spec = PLAN_CASES[case][1]
+    once = BuildStats()
+    build_shelf(spec, 0, once, kind)
+    assert once.max_depth or once.fallback_bands or once.joint_max
+    depths = (0, 3, 1)
+    shared, fresh = BuildStats(), BuildStats()
+    for depth in depths:
+        build_shelf(spec, depth, shared, kind)
+        build_shelf(spec, depth, fresh, kind)
+        fresh.built.clear()
+    assert len(shared.built) == len(once.built)
+    for stats in (shared, fresh):
+        assert stats.band_tilts == once.band_tilts * len(depths)
+        assert stats.fallback_bands == once.fallback_bands * len(depths)
+        assert stats.joint_max == once.joint_max
+        assert stats.max_depth == max(depths) + once.max_depth
+    build_shelf(spec, MAX_DEPTH - once.max_depth, shared, kind)
+    for stats in (shared, BuildStats()):
+        with pytest.raises(InvalidSpec, match="recursion deeper than"):
+            build_shelf(spec, MAX_DEPTH - once.max_depth + 1, stats, kind)
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+def test_no_two_nodes_share_a_list_or_dict(kind):
+    """Copied subtrees share no mutable part with each other or the first use."""
+    seen: set[int] = set()
+    count = 0
+    for node in _walk(build_plan(kind, "square", 1e6 + 0.5).root):
+        parts = [node.children, node.runs, node.ledger]
+        parts += [v for v in node.ledger.values() if isinstance(v, list)]
+        seen.update(map(id, parts))
+        count += len(parts)
+    assert len(seen) == count
 
 
 @pytest.mark.parametrize("case,labels", [

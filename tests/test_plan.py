@@ -4,20 +4,24 @@ import gc
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqpack.plan as plan_mod
 import sqpack.planner as planner_mod
 from sqpack.builders import InvalidSpec, ShelfSpec, _tilt_limit
-from sqpack.geometry import Pose, rect_region, tri_region
+from sqpack.geometry import Pose, Region, rect_region, tri_region
 from sqpack.planner import build_plan, pack_square
 from sqpack.plan import (
-    OverLimit, Plan, PlanError, StackRun, account, check_bound, dumps_stable,
+    OverLimit, Plan, PlanError, PlanNode, StackRun, account, check_bound, dumps_stable,
     enumerate_placements, grid_node, plan_from_json, plan_to_json, split_node,
     stacks_node, waste_node,
 )
+from oracles import plan_to_dict
 
 SQRT2 = math.sqrt(2.0)
 
@@ -203,6 +207,33 @@ def test_plan_json_refuses_non_finite_numbers(token):
         plan_from_json(text.replace('"x":50.5', f'"x":{token}'))
 
 
+def _first(node: dict, kind: str) -> dict:
+    """The first node of `kind` at or below `node`, in pre-order."""
+    if node["kind"] == kind:
+        return node
+    for child in node.get("children", []) + node.get("leftovers", []):
+        if (found := _first(child, kind)) is not None:
+            return found
+    return None
+
+
+@pytest.mark.parametrize("edit", ["region dims", "region frame", "grid origin", "run base",
+                                  "run count"])
+def test_plan_json_refuses_numbers_that_overflow(edit):
+    """1e400 is no token `parse_constant` sees: it loads as inf, and the
+    region, run and grid checks refuse it."""
+    data = json.loads(plan_to_json(build_plan("cover", "square", 150.5)))
+    place, i = {"region dims": (data["region"]["dims"], 0),
+                "region frame": (data["region"]["frame"], 0),
+                "grid origin": (_first(data["root"], "grid")["origin"], 1),
+                "run base": (_first(data["root"], "stacks")["runs"][0], 0),
+                "run count": (_first(data["root"], "stacks")["runs"][0], 5)}[edit]
+    place[i] = "OVERFLOW"
+    text = json.dumps(data).replace('"OVERFLOW"', "1e400")
+    with pytest.raises(PlanError, match=f"non-finite number in plan {edit.split()[0]}"):
+        plan_from_json(text)
+
+
 def test_plan_json_rejects_unknown_version():
     with pytest.raises(PlanError):
         plan_from_json(dumps_stable({"version": 99}))
@@ -221,7 +252,7 @@ def test_collector_is_paused_and_restored(enabled, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(planner_mod, "resolve_grafts", recording(planner_mod.resolve_grafts))
-    monkeypatch.setattr(plan_mod, "plan_to_dict", recording(plan_mod.plan_to_dict))
+    monkeypatch.setattr(plan_mod, "_PlanWriter", recording(plan_mod._PlanWriter))
     monkeypatch.setattr(plan_mod, "plan_from_dict", recording(plan_mod.plan_from_dict))
     # a shelf tilted to its limit passes check_side and fails inside the build
     steep = ShelfSpec(1e4, 50.0, _tilt_limit(1e4))
@@ -250,3 +281,90 @@ def test_per_region_breakdown_present():
     labels = [e["label"] for e in rep.per_region]
     assert len(labels) >= 3
     assert any("core" in l for l in labels)
+
+
+# scalars the writer must format as json.dumps does: signed zeros, subnormals,
+# the largest doubles, integral floats next to the ints equal to them
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                     -1.7976931348623157e308, 1.0, 2.0, -3.0, 0.1, 150.5]),
+    st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30), st.booleans())
+TEXTS = st.one_of(st.text(max_size=6),
+                  st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é€𝄞", "%s%%", "band 3", ""]))
+POSES = st.builds(Pose, NUMBERS, NUMBERS, NUMBERS)
+REGIONS = st.one_of(st.none(), st.builds(
+    Region, st.one_of(st.sampled_from(["rect", "trap", "tri"]), TEXTS),
+    st.lists(NUMBERS, min_size=2, max_size=3).map(tuple), POSES, st.booleans()))
+RUNS = st.builds(StackRun, POSES, st.tuples(NUMBERS, NUMBERS), st.integers(0, 10 ** 6),
+                 st.integers(0, 10 ** 6), st.tuples(NUMBERS, NUMBERS), TEXTS)
+LEDGERS = st.dictionaries(TEXTS, st.one_of(NUMBERS, st.lists(NUMBERS, max_size=3),
+                                           st.lists(st.lists(NUMBERS, max_size=3), max_size=2)),
+                          max_size=3)
+LEAVES = st.one_of(
+    st.builds(PlanNode, kind=st.just("grid"), region=REGIONS, area=NUMBERS, label=TEXTS,
+              origin=st.tuples(NUMBERS, NUMBERS), rows=st.integers(0, 10 ** 6),
+              cols=st.integers(0, 10 ** 6)),
+    st.builds(PlanNode, kind=st.just("waste"), region=REGIONS, area=NUMBERS, label=TEXTS,
+              reason=TEXTS),
+    st.builds(PlanNode, kind=TEXTS, region=REGIONS, area=NUMBERS, label=TEXTS))
+TREES = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.builds(PlanNode, kind=st.just("split"), region=REGIONS, area=NUMBERS, label=TEXTS,
+              children=st.lists(kids, max_size=3)),
+    st.builds(PlanNode, kind=st.just("stacks"), region=REGIONS, area=NUMBERS, label=TEXTS,
+              children=st.lists(kids, max_size=3), runs=st.lists(RUNS, max_size=3),
+              ledger=LEDGERS)), max_leaves=10)
+PLANS = st.builds(Plan, kind=st.sampled_from(["pack", "cover"]), x=NUMBERS, region=REGIONS,
+                  root=TREES, meta=LEDGERS)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(plan=PLANS)
+def test_plan_json_writes_what_json_dumps_writes(plan):
+    """On random trees the writer's text is `dumps_stable` of the plan's dict,
+    also when it fills its format after every node."""
+    expected = dumps_stable(plan_to_dict(plan))
+    assert plan_to_json(plan) == expected
+    with mock.patch.object(plan_mod._PlanWriter, "FILL", 0):
+        assert plan_to_json(plan) == expected
+
+
+def _with_non_finite(place: str, value: float) -> Plan:
+    run = StackRun(Pose(1.0, 2.0, 0.5), (0.25, 0.5), 3, 2, (1.5, 0.0), "band 1")
+    leaf = grid_node(rect_region(4.0, 3.0), (0.5, 0.25), 3, 4, label="grid")
+    root = stacks_node(rect_region(9.0, 9.0, Pose(1.0, 1.0, 0.0)), [run], leftovers=[leaf],
+                       label="strip", ledger={"band_ends": [0.5, 1.5]})
+    plan = Plan(kind="pack", x=9.5, region=rect_region(9.5, 9.5), root=root,
+                meta={"stats": {"joint_max": 0.25}})
+    if place == "x":
+        plan.x = value
+    elif place == "area":
+        leaf.area = value
+    elif place == "region dims":
+        leaf.region = Region("rect", (value, 3.0), IDENTITY_POSE, False)
+    elif place == "region frame":
+        root.region = Region("rect", (9.0, 9.0), Pose(1.0, value, 0.0), False)
+    elif place == "run base":
+        root.runs = [StackRun(Pose(value, 2.0, 0.5), (0.25, 0.5), 3)]
+    elif place == "grid origin":
+        leaf.origin = (0.5, value)
+    elif place == "ledger":
+        root.ledger["band_ends"].append(value)
+    else:
+        plan.meta["stats"]["joint_max"] = value
+    return plan
+
+
+IDENTITY_POSE = Pose(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("place", ["x", "area", "region dims", "region frame", "run base",
+                                   "grid origin", "ledger", "meta"])
+def test_plan_json_refuses_non_finite_floats(place, value):
+    """NaN and infinities raise the ValueError of json.dumps(allow_nan=False)."""
+    plan = _with_non_finite(place, value)
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        dumps_stable(plan_to_dict(plan))
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        plan_to_json(plan)
