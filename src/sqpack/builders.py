@@ -29,15 +29,19 @@ Every builder works in its own local frame and returns its node in that
 frame. A parent grafts a child by composing the child's local-to-parent
 (frame, mirror) map into the child's pending graft in O(1), possibly
 mirrored (the stack-band leftover wedges have the opposite chirality);
-nothing is mapped during the build. Nodes hold only what accounting and
-verification read: regions, areas, squares and ledgers. The planner then
-resolves the whole tree once, top-down (`plan.resolve_grafts`). All
+nothing is mapped during the build. A caller assigns only to the top node
+a builder call has just returned to it; nothing below is changed once its
+builder returns, so a shelf or wedge built once hangs, shared, under every
+parent that uses it. Nodes hold only what accounting and verification
+read: regions, areas, squares and ledgers. The planner then maps the whole
+tree once, top-down, into a new world tree (`plan.resolve_grafts`). All
 construction frames are quarter-turn rotations; only square poses carry
 irrational angles.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -47,7 +51,7 @@ from .geometry import (
     Pose, ceil_guard, compose_graft, floor_guard, frac_guard,
     rect_region, region_area, trap_region, tri_region,
 )
-from .plan import PlanNode, StackRun, copy_tree, grid_node, split_node, stacks_node, waste_node
+from .plan import PlanNode, StackRun, grid_node, split_node, stacks_node, waste_node
 from .tilt import solve_cover_tilt, solve_pack_tilt
 
 SQRT2 = math.sqrt(2.0)
@@ -152,26 +156,23 @@ def _bump(stats: BuildStats, depth: int) -> None:
 def _memoised(build, spec, depth: int, stats: BuildStats, kind: str) -> PlanNode:
     """`build(spec, depth, stats, kind)`, run once per distinct (kind, spec) of
     a plan. Every use replays its record (band tilts in order, fallback bands,
-    largest joint, depth below entry). Later uses get a copy of the first's
-    subtree, whose top graft alone its callers set while the plan is built."""
+    largest joint, depth below entry) and gets a new top node over the shared
+    subtree, whose graft alone its callers set."""
     key = (kind, repr(spec))  # repr tells -0.0 from 0.0, which == does not
     entry = stats.built.get(key)
     if entry is None:
         outer = stats.max_depth, stats.fallback_bands, stats.joint_max, stats.band_tilts
         stats.max_depth, stats.fallback_bands, stats.joint_max, stats.band_tilts = depth, 0, 0.0, []
         node = build(spec, depth, stats, kind)
-        entry = stats.built[key] = (node, node.graft, stats.max_depth - depth,
-                                    stats.fallback_bands, stats.joint_max, stats.band_tilts)
+        entry = stats.built[key] = (node, stats.max_depth - depth, stats.fallback_bands,
+                                    stats.joint_max, stats.band_tilts)
         stats.max_depth, stats.fallback_bands, stats.joint_max, stats.band_tilts = outer
-    else:
-        node = copy_tree(entry[0])
-        node.graft = entry[1]
-    _, _, below, fallback_bands, joint_max, band_tilts = entry
+    node, below, fallback_bands, joint_max, band_tilts = entry
     _bump(stats, depth + below)
     stats.fallback_bands += fallback_bands
     stats.joint_max = max(stats.joint_max, joint_max)
     stats.band_tilts += band_tilts
-    return node
+    return copy.copy(node)
 
 
 def _graft(node: PlanNode, frame: Pose, mirror: bool = False) -> PlanNode:

@@ -49,7 +49,8 @@ def _read_plan(path: str) -> Plan:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return plan_from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            RecursionError) as exc:
         raise PlanError(f"cannot read plan: {exc}") from exc
 
 

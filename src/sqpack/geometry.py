@@ -90,12 +90,6 @@ def corners(poses: np.ndarray) -> np.ndarray:
     return out
 
 
-def square_corners(pose: Pose) -> list[tuple[float, float]]:
-    """Counterclockwise corners of the unit square under `pose`."""
-    row = corners(np.array([[pose.tx, pose.ty, pose.angle]], dtype=float))[0]
-    return [tuple(p) for p in row.tolist()]
-
-
 def fold_square_pose(pose: Pose) -> Pose:
     """Equivalent pose for the same square with angle folded into [-pi/2, pi/2].
 
@@ -216,7 +210,3 @@ def points_in_region(region: Region, pts: np.ndarray, tau: float) -> np.ndarray:
         return (x >= -tau) & (y >= -tau) & hyp
     raise ValueError(f"unknown region kind {region.kind!r}")
 
-
-def point_in_region(region: Region, p: tuple[float, float], tau: float) -> bool:
-    """Scalar form of `points_in_region`."""
-    return bool(points_in_region(region, np.array([p], dtype=float), tau)[0])

@@ -17,9 +17,11 @@ Node kinds:
 Stack runs are arithmetic families: `count` squares step apart along the
 stack, repeated `repeat` times `pitch` apart. A single run is repeat == 1.
 
-Builders work in local frames. While a plan is built, a node may carry a
-pending `graft` (its local-to-parent map); `resolve_grafts` maps every node
-into world coordinates once, top-down, and clears it.
+Builders work in local frames, and a built subtree is never changed once
+its builder returns, so one definition may hang under several parents. A
+node may carry a pending `graft` (its local-to-parent map); `resolve_grafts`
+maps every use of every node into a new world-coordinate tree, once,
+top-down, and leaves the local tree as it was.
 
 Plan files are format version 2. Version 1 also held seam segments and
 per-node overshoot regions, which nothing read; the reader still accepts
@@ -111,15 +113,6 @@ class PlanNode:
 
     def total_count(self) -> int:
         return self.own_count() + sum(c.total_count() for c in self.children)
-
-
-def copy_tree(node: PlanNode) -> PlanNode:
-    """A copy of `node` and its subtree that shares no list or dict with it."""
-    return PlanNode(node.kind, node.region, node.area, node.label,
-                    [copy_tree(c) for c in node.children], node.origin, node.rows, node.cols,
-                    list(node.runs), node.reason,
-                    {k: list(v) if isinstance(v, list) else v for k, v in node.ledger.items()},
-                    node.graft)
 
 
 def split_node(region: Region | None, children: list[PlanNode], label: str = "",
@@ -220,10 +213,8 @@ def account(plan: Plan) -> WasteReport:
             "balance": (child.area - c) if plan.kind == "pack" else (c - child.area),
         }
         per.append(entry)
-    ledger = dict(plan.root.ledger)
-    ledger.update(plan.meta.get("ledger", {}))
     return WasteReport(kind=plan.kind, x=plan.x, area=area, square_count=count,
-                       waste_or_excess=value, per_region=per, ledger=ledger)
+                       waste_or_excess=value, per_region=per, ledger=dict(plan.root.ledger))
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -347,8 +338,10 @@ def _map_region(r: Region, frame: Pose, c: float, s: float, mirror: bool) -> Reg
     return Region(r.kind, r.dims, pose, mirror != r.mirror)
 
 
-def map_node(node: PlanNode, frame: Pose, mirror: bool) -> None:
-    """Map one node's own geometry (not its children) by (frame, mirror), in place.
+def map_node(node: PlanNode, frame: Pose, mirror: bool) -> PlanNode:
+    """A new node: `node` with its own geometry (not its children) mapped by
+    (frame, mirror), no graft, no children yet, and its own runs list and
+    ledger. `node` is left as it is.
 
     A point (x, y) goes to (tx + (c*x' - s*y), ty + (s*x' + c*y)) with
     x' = sx*x, sx = -1 under a mirror; a vector drops the translation.
@@ -358,42 +351,47 @@ def map_node(node: PlanNode, frame: Pose, mirror: bool) -> None:
     tx, ty, fa = frame.tx, frame.ty, frame.angle
     c, s = math.cos(fa), math.sin(fa)
     sx = -1.0 if mirror else 1.0
-    if node.region is not None:
-        node.region = _map_region(node.region, frame, c, s, mirror)
+    region = None if node.region is None else _map_region(node.region, frame, c, s, mirror)
+    origin, rows, cols = node.origin, node.rows, node.cols
     if node.kind == "grid":
         k = round(fa / (math.pi / 2))
         if abs(fa - k * math.pi / 2) > 1e-9:
             raise PlanError("grids only survive quarter-turn frames")
         # opposite corners of the block land on opposite corners of its image
-        ox, oy = node.origin
-        x1, y1, x2, y2 = sx * ox, oy, sx * (ox + node.cols), oy + node.rows
-        node.origin = (min(tx + (c * x1 - s * y1), tx + (c * x2 - s * y2)),
-                       min(ty + (s * x1 + c * y1), ty + (s * x2 + c * y2)))
+        ox, oy = origin
+        x1, y1, x2, y2 = sx * ox, oy, sx * (ox + cols), oy + rows
+        origin = (min(tx + (c * x1 - s * y1), tx + (c * x2 - s * y2)),
+                  min(ty + (s * x1 + c * y1), ty + (s * x2 + c * y2)))
         if k % 2 != 0:
-            node.rows, node.cols = node.cols, node.rows
-    elif node.kind == "stacks":
-        runs = []
-        for r in node.runs:
-            b, (ux, uy), (px, py) = r.base, r.step, r.pitch
-            bx, by, ux, px = sx * b.tx, b.ty, sx * ux, sx * px
-            # a reflected square is re-anchored at its other bottom corner
-            angle = fa + (math.pi / 2 - b.angle if mirror else b.angle)
-            runs.append(StackRun(Pose(tx + (c * bx - s * by), ty + (s * bx + c * by), angle),
-                                 (c * ux - s * uy, s * ux + c * uy), r.count, r.repeat,
-                                 (c * px - s * py, s * px + c * py), r.label))
-        node.runs = runs
+            rows, cols = cols, rows
+    runs = []  # only stacks nodes hold runs
+    for r in node.runs:
+        b, (ux, uy), (px, py) = r.base, r.step, r.pitch
+        bx, by, ux, px = sx * b.tx, b.ty, sx * ux, sx * px
+        # a reflected square is re-anchored at its other bottom corner
+        angle = fa + (math.pi / 2 - b.angle if mirror else b.angle)
+        runs.append(StackRun(Pose(tx + (c * bx - s * by), ty + (s * bx + c * by), angle),
+                             (c * ux - s * uy, s * ux + c * uy), r.count, r.repeat,
+                             (c * px - s * py, s * px + c * py), r.label))
+    ledger = {k: list(v) if isinstance(v, list) else v for k, v in node.ledger.items()}
+    return PlanNode(node.kind, region, node.area, node.label, [], origin, rows, cols, runs,
+                    node.reason, ledger)
 
 
-def resolve_grafts(root: PlanNode) -> None:
-    """Map every node into world coordinates exactly once, top-down, and
-    clear the pending grafts."""
-    stack = [(root, (IDENTITY, False))]
+def resolve_grafts(root: PlanNode) -> PlanNode:
+    """The world tree of the local tree `root`: every use of every node mapped
+    once, top-down, with no pending graft. No local node is changed, and each
+    one the caller no longer holds is freed once its last use is mapped."""
+    top: list[PlanNode] = []
+    stack = [(root, (IDENTITY, False), top)]
+    del root
     while stack:
-        node, outer = stack.pop()
+        node, outer, siblings = stack.pop()
         frame = outer if node.graft is None else compose_graft(outer, node.graft)
-        map_node(node, *frame)
-        node.graft = None
-        stack.extend((c, frame) for c in reversed(node.children))
+        world = map_node(node, *frame)
+        siblings.append(world)
+        stack.extend((c, frame, world.children) for c in reversed(node.children))
+    return top[0]
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +547,11 @@ def plan_from_dict(d: dict) -> Plan:
         raise PlanError(f"unsupported plan version {d.get('version')!r}")
     if d.get("kind") not in ("pack", "cover"):
         raise PlanError(f"plan kind must be 'pack' or 'cover', got {d.get('kind')!r}")
-    return Plan(kind=d["kind"], x=d["x"], region=_region_from_dict(d["region"]),
-                root=_node_from_dict(d["root"]), meta=d["meta"])
+    region = _region_from_dict(d["region"])
+    if region is None:
+        raise PlanError("plan has no target region")
+    return Plan(kind=d["kind"], x=d["x"], region=region, root=_node_from_dict(d["root"]),
+                meta=d["meta"])
 
 
 def dumps_stable(obj) -> str:

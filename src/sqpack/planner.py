@@ -58,8 +58,11 @@ def build_plan(kind: str, shape: str, *dims) -> Plan:
         check_side(side)
     stats = BuildStats()
     with gc_paused():
-        root = build(*dims, 0, stats, kind)
-        resolve_grafts(root)
+        local = [build(*dims, 0, stats, kind)]
+        # drop the memo table, and pass on the only reference to the local
+        # root, so each local node is freed once its last use is mapped
+        stats.built.clear()
+        root = resolve_grafts(local.pop())
     meta = {"stats": {"max_depth": stats.max_depth,
                       "fallback_bands": stats.fallback_bands,
                       "joint_max": stats.joint_max},

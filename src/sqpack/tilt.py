@@ -49,16 +49,6 @@ def _residual(m: float, n: int, theta: float, sign: float) -> float:
     return (n - m) - 2.0 * n * s * s + sign * math.sin(theta)
 
 
-def pack_residual(m: float, n: int, theta: float) -> float:
-    """n*cos(t) + sin(t) - m in cancellation-free form."""
-    return _residual(m, n, theta, 1.0)
-
-
-def cover_residual(m: float, n: int, theta: float) -> float:
-    """n*cos(t) - sin(t) - m in cancellation-free form."""
-    return _residual(m, n, theta, -1.0)
-
-
 def _solve(m: float, kind: str) -> StripTilt:
     if m < 2.0:
         raise TiltError(f"strip width must be >= 2, got {m}")

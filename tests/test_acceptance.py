@@ -20,7 +20,7 @@ from sqpack.cli import run_series, series_csv
 from sqpack.config import PackConfig
 from sqpack.plan import account, dumps_stable, enumerate_placements, plan_to_json
 from sqpack.planner import build_plan, cover_square, pack_square
-from sqpack.tilt import cover_residual, pack_residual, solve_cover_tilt, solve_pack_tilt
+from sqpack.tilt import _residual, solve_cover_tilt, solve_pack_tilt
 from sqpack.verifier import verify_covering, verify_packing
 from oracles import bisect_tilt
 
@@ -90,8 +90,8 @@ def test_criterion_01_tilt_residuals_and_envelope():
     for m, r in width_grid():
         tp = solve_pack_tilt(m)
         tc = solve_cover_tilt(m)
-        if abs(pack_residual(m, tp.n, tp.theta)) > 1e-12 or \
-                abs(cover_residual(m, tc.n, tc.theta)) > 1e-12:
+        if abs(_residual(m, tp.n, tp.theta, 1.0)) > 1e-12 or \
+                abs(_residual(m, tc.n, tc.theta, -1.0)) > 1e-12:
             residual_bad.append(m)
         cap = SQRT2 * m ** -0.5
         if not (0.0 <= tp.theta < cap) or not (0.0 <= tc.theta < cap):

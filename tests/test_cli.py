@@ -75,13 +75,24 @@ def test_verify_command_corrupt_plan(tmp_path):
     assert run(["verify", bad]) == 2
 
 
+def _deeply_nested(data, depth=3000):
+    """The plan's text with its root under `depth` split nodes, written by
+    concatenation, as `json.dumps` of it recurses too deep."""
+    split = '{"area":%r,"kind":"split","label":"","region":null,"children":[' % data["root"]["area"]
+    root = split * depth + json.dumps(data["root"]) + "]}" * depth
+    return json.dumps({**data, "root": None}).replace('"root": null', '"root": ' + root)
+
+
 @pytest.mark.parametrize("command", ["verify", "render"])
-@pytest.mark.parametrize("mangle", [lambda data: [1, 2], lambda data: {**data, "root": []}],
-                         ids=["list", "root-list"])
+@pytest.mark.parametrize("mangle", [lambda data: [1, 2], lambda data: {**data, "root": []},
+                                    lambda data: {**data, "region": None}, _deeply_nested],
+                         ids=["list", "root-list", "null-region", "deeply-nested"])
 def test_malformed_plans_are_input_errors(tmp_path, capsys, command, mangle):
-    # valid JSON of the wrong shape: a list for the plan, or for its root node
+    # valid JSON of the wrong shape: a list for the plan or for its root node,
+    # no target region, or split nodes nested past the recursion limit
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps(mangle(json.loads(plan_to_json(pack_square(50.5))))))
+    mangled = mangle(json.loads(plan_to_json(pack_square(50.5))))
+    plan_path.write_text(mangled if isinstance(mangled, str) else json.dumps(mangled))
     argv = [command, plan_path] + (["--out", tmp_path / "p.svg"] if command == "render" else [])
     assert run(argv) == 2
     assert "cannot read plan" in capsys.readouterr().err

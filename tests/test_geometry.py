@@ -6,39 +6,38 @@ import numpy as np
 import pytest
 
 from sqpack.geometry import (
-    Pose, ceil_guard, floor_guard, fold_square_pose, frac_guard, point_in_region,
-    points_in_region, rect_region, region_area, square_corners, trap_region, tri_region,
+    Pose, ceil_guard, corners, floor_guard, fold_square_pose, frac_guard, points_in_region,
+    rect_region, region_area, trap_region, tri_region,
 )
 from oracles import overlap_area_estimate, quads_disjoint, shoelace
 
 
 def test_square_corners_identity():
-    assert square_corners(Pose(0, 0, 0)) == [(0, 0), (1, 0), (1, 1), (0, 1)]
+    assert corners(np.array([[0.0, 0.0, 0.0]])).tolist() == [[[0, 0], [1, 0], [1, 1], [0, 1]]]
 
 
 def test_square_corners_quarter_turn():
-    got = square_corners(Pose(0, 0, math.pi / 2))
+    got = corners(np.array([[0.0, 0.0, math.pi / 2]]))[0]
     want = [(0, 0), (0, 1), (-1, 1), (-1, 0)]
     for (gx, gy), (wx, wy) in zip(got, want):
         assert abs(gx - wx) < 1e-12 and abs(gy - wy) < 1e-12
 
 
 def test_square_corners_against_rotation_matrix():
-    pose = Pose(2.0, 3.0, 0.4056)
     c, s = math.cos(0.4056), math.sin(0.4056)
     rot = np.array([[c, -s], [s, c]])
     unit = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     want = unit @ rot.T + np.array([2.0, 3.0])
-    got = np.array(square_corners(pose))
+    got = corners(np.array([[2.0, 3.0, 0.4056]]))[0]
     assert np.abs(got - want).max() < 1e-12
 
 
 def test_square_corner_edges_unit_length():
     rng = np.random.RandomState(7)
     for _ in range(200):
-        pose = Pose(rng.uniform(-50, 50), rng.uniform(-50, 50),
-                    rng.uniform(-math.pi / 2, math.pi / 2))
-        pts = square_corners(pose)
+        pose = (rng.uniform(-50, 50), rng.uniform(-50, 50),
+                rng.uniform(-math.pi / 2, math.pi / 2))
+        pts = corners(np.array([pose]))[0].tolist()
         for i in range(4):
             x1, y1 = pts[i]
             x2, y2 = pts[(i + 1) % 4]
@@ -52,26 +51,23 @@ def test_fold_square_pose_preserves_square():
         pose = Pose(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-4, 4))
         folded = fold_square_pose(pose)
         assert -math.pi / 2 - 1e-12 <= folded.angle <= math.pi / 2 + 1e-12
-        a = sorted(square_corners(pose))
-        b = sorted(square_corners(folded))
+        a, b = map(sorted, corners(np.array([[p.tx, p.ty, p.angle]
+                                             for p in (pose, folded)])).tolist())
         assert np.abs(np.array(a) - np.array(b)).max() < 1e-9
 
 
 def test_quads_disjoint_touching_edges():
-    a = square_corners(Pose(0, 0, 0))
-    b = square_corners(Pose(1, 0, 0))
+    a, b = corners(np.array([[0.0, 0, 0], [1, 0, 0]])).tolist()
     assert quads_disjoint(a, b, 1e-9)
 
 
 def test_quads_disjoint_overlap():
-    a = square_corners(Pose(0, 0, 0))
-    b = square_corners(Pose(0.5, 0.5, 0))
+    a, b = corners(np.array([[0.0, 0, 0], [0.5, 0.5, 0]])).tolist()
     assert not quads_disjoint(a, b, 1e-9)
 
 
 def test_quads_disjoint_rotated_case_vs_sampling():
-    a = square_corners(Pose(0, 0, 0))
-    b = square_corners(Pose(1.2, 0, math.pi / 6))
+    a, b = corners(np.array([[0.0, 0, 0], [1.2, 0, math.pi / 6]])).tolist()
     rng = np.random.RandomState(0)
     est = overlap_area_estimate(a, b, rng, 10_000)
     assert quads_disjoint(a, b, 1e-9) == (est < 1e-8)
@@ -82,9 +78,9 @@ def test_quads_disjoint_symmetric_and_matches_sampling_oracle():
     tau = 1e-9
     disagreements = 0
     for _ in range(1000):
-        p1 = Pose(rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(-1.5, 1.5))
-        p2 = Pose(rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(-1.5, 1.5))
-        a, b = square_corners(p1), square_corners(p2)
+        p1 = (rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(-1.5, 1.5))
+        p2 = (rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(-1.5, 1.5))
+        a, b = corners(np.array([p1, p2])).tolist()
         d1 = quads_disjoint(a, b, tau)
         assert d1 == quads_disjoint(b, a, tau)
         est = overlap_area_estimate(a, b, rng, 2000)
@@ -96,15 +92,15 @@ def test_quads_disjoint_symmetric_and_matches_sampling_oracle():
 
 def test_point_in_region_rect():
     r = rect_region(10, 5)
-    assert point_in_region(r, (5, 2.5), 0.0)
-    assert not point_in_region(r, (10 + 1e-6, 2.5), 1e-9)
+    assert points_in_region(r, np.array([[5, 2.5]], dtype=float), 0.0)[0]
+    assert not points_in_region(r, np.array([[10 + 1e-6, 2.5]]), 1e-9)[0]
 
 
 def test_point_in_region_trap_slant_midpoint():
     r = trap_region(4, 3, 5)
     # slant edge runs (5,0) -> (3,4); its midpoint must sit inside at tau=1e-9
     mid = (4.0, 2.0)
-    assert point_in_region(r, mid, 1e-9)
+    assert points_in_region(r, np.array([mid]), 1e-9)[0]
     # independent half-plane check: outward normal of the slant edge
     ex, ey = 3 - 5, 4 - 0
     nx, ny = ey, -ex
@@ -114,8 +110,8 @@ def test_point_in_region_trap_slant_midpoint():
 
 def test_point_in_region_mirror():
     r = trap_region(4, 3, 5, Pose(0, 0, 0), mirror=True)
-    assert point_in_region(r, (-4.0, 2.0), 1e-9)
-    assert not point_in_region(r, (4.0, 2.0), 1e-9)
+    assert points_in_region(r, np.array([[-4.0, 2.0]]), 1e-9)[0]
+    assert not points_in_region(r, np.array([[4.0, 2.0]]), 1e-9)[0]
 
 
 def test_points_in_region_matches_polygon_on_mirrored_regions():

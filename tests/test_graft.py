@@ -20,14 +20,14 @@ from sqpack.builders import (
     build_wedge, sliced_trap_fill,
 )
 from sqpack.geometry import (
-    Pose, ceil_guard, floor_guard, rect_region, square_corners, trap_region,
+    Pose, ceil_guard, corners, floor_guard, rect_region, trap_region,
 )
 from sqpack.plan import (
     Plan, StackRun, account, dumps_stable, enumerate_placements, grid_node, plan_from_json,
     plan_to_json, resolve_grafts, stacks_node,
 )
 from sqpack.planner import build_plan, cover_square, pack_square
-from oracles import enumerate_by_node, plan_to_dict
+from oracles import _node_to_dict, enumerate_by_node, plan_to_dict
 
 
 def _walk(node):
@@ -50,8 +50,8 @@ def _subtree():
 def _square_set(node) -> np.ndarray:
     """Each square as its corner set, independent of which corner is the base."""
     poses = enumerate_placements(node)
-    squares = [sorted((round(x, 9) + 0.0, round(y, 9) + 0.0)
-                      for x, y in square_corners(Pose(*p))) for p in poses]
+    squares = [sorted((round(x, 9) + 0.0, round(y, 9) + 0.0) for x, y in quad)
+               for quad in corners(poses).tolist()]
     return np.array(sorted(squares))
 
 
@@ -67,12 +67,11 @@ def test_two_grafts_equal_one_composed_graft():
         # one after the other: map by the inner graft, then by the outer one
         seq = _subtree()
         seq.graft = (f2, m2)
-        resolve_grafts(seq)
+        seq = resolve_grafts(seq)
         seq.graft = (f1, m1)
-        resolve_grafts(seq)
+        seq = resolve_grafts(seq)
         # composed: both grafts recorded, the tree mapped once
-        one = _graft(_graft(_subtree(), f2, m2), f1, m1)
-        resolve_grafts(one)
+        one = resolve_grafts(_graft(_graft(_subtree(), f2, m2), f1, m1))
 
         assert np.allclose(_square_set(seq), _square_set(one), atol=1e-9)
         for a, b in zip(_walk(seq), _walk(one)):
@@ -84,22 +83,49 @@ def test_two_grafts_equal_one_composed_graft():
 
 
 def test_every_node_is_mapped_exactly_once(monkeypatch):
-    calls: dict[int, int] = {}
+    """One `map_node` call per world node, however often its local definition
+    is shared: the world nodes are exactly the nodes those calls returned, no
+    world node carries a graft, and there are as many as an unshared build has."""
+    returned = []
     mapper = plan_mod.map_node
 
-    def counting(node, frame, mirror):
-        calls[id(node)] = calls.get(id(node), 0) + 1
-        mapper(node, frame, mirror)
+    def recording(node, frame, mirror):
+        returned.append(mapper(node, frame, mirror))
+        return returned[-1]
 
-    monkeypatch.setattr(plan_mod, "map_node", counting)
     for build in (pack_square, cover_square):
-        calls.clear()
-        plan = build(20000.5)
-        nodes = list(_walk(plan.root))
+        with monkeypatch.context() as m:
+            m.setattr(builders, "_memoised", _unshared)
+            unshared = sum(1 for _ in _walk(build(20000.5).root))
+        with monkeypatch.context() as m:
+            m.setattr(plan_mod, "map_node", recording)
+            returned.clear()
+            nodes = list(_walk(build(20000.5).root))
         assert len(nodes) > 100
-        assert sorted(calls) == sorted(id(n) for n in nodes)
-        assert set(calls.values()) == {1}
+        assert len(returned) == len(nodes) == len({id(n) for n in nodes}) == unshared
+        assert sorted(map(id, returned)) == sorted(map(id, nodes))
         assert all(n.graft is None for n in nodes)
+
+
+def _local_dump(node):
+    """The dict-oracle text of a local tree and its pending grafts, in pre-order."""
+    return dumps_stable(_node_to_dict(node)), [repr(n.graft) for n in _walk(node)]
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+def test_resolving_leaves_the_local_tree_as_it_was(kind):
+    """`resolve_grafts` returns a new world tree and changes no local node, so
+    the two uses of a shelf built twice with one BuildStats stay as built."""
+    stats = BuildStats()
+    spec = PLAN_CASES["shelf 1e4"][1]
+    trees = [_graft(_subtree(), Pose(7.0, -2.0, math.pi / 2), True)]
+    trees += [_graft(build_shelf(spec, 0, stats, kind), Pose(3.0, 4.0, math.pi), mirror)
+              for mirror in (False, True)]
+    assert trees[1] is not trees[2] and trees[1].children is trees[2].children
+    before = [_local_dump(t) for t in trees]
+    for t in trees:
+        assert resolve_grafts(t) is not t
+    assert [_local_dump(t) for t in trees] == before
 
 
 @pytest.mark.parametrize("kind", ["pack", "cover"])
@@ -356,15 +382,15 @@ def _unshared(build, spec, depth, stats, kind):
 
 
 def _node_text(node, kind):
-    resolve_grafts(node)
-    return plan_to_json(Plan(kind=kind, x=1.0, region=node.region, root=node))
+    world = resolve_grafts(node)
+    return plan_to_json(Plan(kind=kind, x=1.0, region=world.region, root=world))
 
 
 @pytest.mark.parametrize("kind", ["pack", "cover"])
 @pytest.mark.parametrize("case", ["square 20000.5", "wedge 1e4", "shelf 2e3 fallback",
                                   "shelf 5000 grid seam", "shelf 1e6"])
 def test_shared_builds_equal_unshared_builds(kind, case, monkeypatch):
-    """A plan whose repeated shelves and wedges are copies writes the bytes,
+    """A plan whose repeated shelves and wedges are shared writes the bytes,
     and records the stats and band tilts, of one that builds every use."""
     shared = _sha(plan_to_json(_build_case(kind, case)))
     monkeypatch.setattr(builders, "_memoised", _unshared)
@@ -413,7 +439,7 @@ def test_a_replayed_build_records_what_a_fresh_one_does(kind, case):
 
 @pytest.mark.parametrize("kind", ["pack", "cover"])
 def test_no_two_nodes_share_a_list_or_dict(kind):
-    """Copied subtrees share no mutable part with each other or the first use."""
+    """World nodes share no mutable part, though their local definitions are shared."""
     seen: set[int] = set()
     count = 0
     for node in _walk(build_plan(kind, "square", 1e6 + 0.5).root):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sqpack.tilt import (
-    TiltError, cover_residual, pack_residual, solve_cover_tilt, solve_pack_tilt,
+    TiltError, _residual, solve_cover_tilt, solve_pack_tilt,
 )
 from oracles import bisect_tilt
 
@@ -42,9 +42,9 @@ def test_stack_tilt_integer_width():
 def test_residuals_within_tolerance():
     for m in [2.5, 4.1, 10.5, 33.175, 104.099, 5623.5, 1e6 + 0.5]:
         t = solve_pack_tilt(m)
-        assert abs(pack_residual(m, t.n, t.theta)) <= 1e-12
+        assert abs(_residual(m, t.n, t.theta, 1.0)) <= 1e-12
         t = solve_cover_tilt(m)
-        assert abs(cover_residual(m, t.n, t.theta)) <= 1e-12
+        assert abs(_residual(m, t.n, t.theta, -1.0)) <= 1e-12
 
 
 def test_rejects_small_widths():

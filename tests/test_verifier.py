@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sqpack.config import TAU, PackConfig
-from sqpack.geometry import Pose, square_corners, rect_region
+from sqpack.geometry import Pose, corners, rect_region
 from sqpack.plan import (
     OverLimit, Plan, StackRun, dumps_stable, enumerate_placements, grid_node, plan_lattices,
     split_node, stacks_node,
@@ -182,14 +182,14 @@ def test_pair_search_matches_all_pairs():
     overlap_pairs = report.runtime_stats["overlap_pairs"]
     # brute force over all pairs i < j: a numpy distance prefilter in row
     # blocks, then the scalar predicate on every pair it keeps
-    corners = [square_corners(Pose(*p)) for p in poses]
+    quads = corners(poses).tolist()
     base = poses[:, :2]
     brute = 0
     for lo in range(0, len(poses), 512):
         d = base[lo:lo + 512, None, :] - base[None, lo:, :]
         ii, jj = np.nonzero((d ** 2).sum(axis=2) <= 8.0)
         for i, j in zip(ii + lo, jj + lo):
-            if i < j and not quads_disjoint(corners[i], corners[j], 1e-9):
+            if i < j and not quads_disjoint(quads[i], quads[j], 1e-9):
                 brute += 1
     assert overlap_pairs == brute == 0
 
@@ -258,7 +258,7 @@ def test_pair_search_and_sat_match_brute_force_on_mixed_poses(monkeypatch):
     assert len(poses) > 2000
     report = verify_packing(plan, cfg=PackConfig())
     centres = _unit_centres(poses)
-    quads = [square_corners(Pose(*p)) for p in poses]
+    quads = corners(poses).tolist()
     brute = []
     for i in range(len(poses) - 1):
         d = np.hypot(*(centres[i + 1:] - centres[i]).T)
