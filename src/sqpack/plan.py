@@ -505,6 +505,17 @@ def _finite(values, what: str):
     return values
 
 
+_JSON = {bool: "true or false", str: "a string", int: "an integer >= 0", float: "a finite number"}
+
+
+def _json(v, kind: type, what: str):
+    """`v` if it is `_JSON[kind]` in JSON (a bool is no number), else PlanError."""
+    if not (type(v) in (int, float) and math.isfinite(v) if kind is float
+            else type(v) is kind and (kind is not int or v >= 0)):
+        raise PlanError(f"plan {what} must be {_JSON[kind]}, got {v!r}")
+    return v
+
+
 def _region_from_dict(d) -> Region | None:
     if d is None:
         return None
@@ -512,25 +523,27 @@ def _region_from_dict(d) -> Region | None:
     if make is None:
         raise PlanError(f"unknown region kind {d['kind']!r}")
     return make(*_finite(d["dims"], "region dims"), Pose(*_finite(d["frame"], "region frame")),
-                bool(d["mirror"]))
+                _json(d["mirror"], bool, "region mirror"))
 
 
 def _run_from_list(v) -> StackRun:
     _finite(v[:9], "run")
-    return StackRun(base=Pose(v[0], v[1], v[2]), step=(v[3], v[4]), count=int(v[5]),
-                    repeat=int(v[6]), pitch=(v[7], v[8]), label=v[9])
+    return StackRun(base=Pose(v[0], v[1], v[2]), step=(v[3], v[4]),
+                    count=_json(v[5], int, "run count"), repeat=_json(v[6], int, "run repeat"),
+                    pitch=(v[7], v[8]), label=_json(v[9], str, "run label"))
 
 
 def _node_from_dict(d: dict) -> PlanNode:
     kind = d["kind"]
     region = _region_from_dict(d["region"])
-    node = PlanNode(kind=kind, region=region, area=d["area"], label=d["label"])
+    node = PlanNode(kind=kind, region=region, area=_json(d["area"], float, "node area"),
+                    label=_json(d["label"], str, "node label"))
     if kind == "split":
         node.children = [_node_from_dict(c) for c in d["children"]]
     elif kind == "grid":
         node.origin = tuple(_finite(d["origin"], "grid origin"))
-        node.rows = int(d["rows"])
-        node.cols = int(d["cols"])
+        node.rows = _json(d["rows"], int, "grid rows")
+        node.cols = _json(d["cols"], int, "grid cols")
     elif kind == "stacks":
         node.runs = [_run_from_list(v) for v in d["runs"]]
         node.children = [_node_from_dict(c) for c in d["leftovers"]]
@@ -550,8 +563,8 @@ def plan_from_dict(d: dict) -> Plan:
     region = _region_from_dict(d["region"])
     if region is None:
         raise PlanError("plan has no target region")
-    return Plan(kind=d["kind"], x=d["x"], region=region, root=_node_from_dict(d["root"]),
-                meta=d["meta"])
+    return Plan(kind=d["kind"], x=_json(d["x"], float, "x"), region=region,
+                root=_node_from_dict(d["root"]), meta=d["meta"])
 
 
 def dumps_stable(obj) -> str:

@@ -8,8 +8,8 @@ A lattice is *solid* when, in its square frame, its step is a unit step
 along a square axis and its pitch moves at most 1 across and 1 along it (to
 within TAU): its columns (runs along the step) are 1 wide and each meets or
 overlaps the next, so the boundary of its union lies on its ring, the first
-and last row and column, even where it overlaps itself. Covering probes
-solid lattices at least 3 long each way on the ring, others in full.
+and last row and column, even where it overlaps itself. The probes of a
+solid lattice at least 3 long each way are its ring, of others all squares.
 
 Packing: the target is convex, so each lattice's four extreme squares prove
 containment and span its hull. Hulls overlapping by at most 2*TAU on a square
@@ -21,6 +21,14 @@ and after an overlap the smaller of each overlapping pair is probed in full.
 Covering: lattices whose box misses the target's grown by 1 cover none of it
 and are left out. An uncovered patch of the target has a convex corner where
 two edges cross, each of the target or of a lattice's union, so of a probe.
+A solid lattice is *level* when (n - 1) |step across| + (m - 1) |pitch along|
+<= TAU: its union is its rectangle, the box of its hull on its square axes,
+up to slivers narrower than TAU that the point test's widening covers, so
+every gap corner on it lies on a side of the rectangle, its one probe. A
+crossing on an inner edge of a ring square lies nu inside a neighbouring
+square of the same lattice, so leaving it out changes no verdict. Square
+probes (of the other lattices) pair within reach (`_probe_pairs`), and a
+rectangle with each probe whose box, grown by nu, meets its own (`_box_pairs`).
 Each crossing is tested at the point nu outside both edges (inside, for a
 target edge), nu = 2 * (TAU + 2 * _SLACK * max scale) being twice the widest
 widening the point test gives near a square. So `passed` means no gap is
@@ -51,8 +59,9 @@ _REACH = math.sqrt(0.5)  # squares meet only if each centre is in the other infl
 class VerifyReport:
     """`status` is "failed" when a violation was found, else "passed"; `partial` is
     always False. `sampled_points` counts the covering candidate points tested. In
-    `runtime_stats`, `candidate_pairs` counts the square pairs tested; packing adds the lattice
-    pairs (`hull_pairs`) and index `offsets` tested and the `fallback_lattices` probed."""
+    `runtime_stats`, `candidate_pairs` counts the probe pairs tested; covering counts the
+    `rectangles` among its `probes`, and packing adds the lattice pairs (`hull_pairs`) and index
+    `offsets` tested and the `fallback_lattices` probed."""
 
     kind: str
     square_count: int
@@ -144,20 +153,8 @@ def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
 
 def _meeting_hulls(table, lo: np.ndarray, hi: np.ndarray):
     """Lattice pairs a, b whose hulls (corners `hull`, boxes [lo, hi]) overlap by more than
-    2*TAU on every axis of both, and how many box pairs do, swept along x in slabs of y."""
-    h = max(float((hi - lo)[:, 1].sum()) / max(len(lo), 1), 1.0)
-    s0, s1 = (np.floor(v[:, 1] / h).astype(np.int64) for v in (lo, hi))
-    box = np.repeat(np.arange(len(lo)), s1 - s0 + 1)
-    slab, xs, w = s0[box] + _ramp(s1 - s0 + 1), np.sort(lo[box, 0]), len(box) + 1
-    key = np.unique(slab, return_inverse=True)[1] * w + np.searchsorted(xs, lo[box, 0], "left")
-    order = np.argsort(key)  # by the slab's rank among slabs, then the left edge's
-    box, slab, key = box[order], slab[order], key[order]
-    count = np.searchsorted(key, key - key % w + np.searchsorted(xs, hi[box, 0], "right"))
-    count -= np.arange(1, len(box) + 1)  # the later boxes up to this right edge
-    at = np.repeat(np.arange(len(box)), count)
-    a, b = box[at], box[at + 1 + _ramp(count)]
-    keep = (np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]) > 2.0 * TAU).all(axis=1)
-    a, b = (v[keep & (slab[at] == np.maximum(s0[a], s0[b]))] for v in (a, b))
+    2*TAU on every axis of both, and how many box pairs do."""
+    a, b = _box_pairs(lo, hi, 2.0 * TAU)
     # SAT on the hulls' 16 corners, along axes of length r; a zero step or pitch has none
     c, s, ux, uy, px, py, hull = (table[f] for f in ("c", "s", "ux", "uy", "px", "py", "hull"))
     axes = np.stack([[c, -s, -uy, -py], [s, c, ux, px]]).transpose(2, 0, 1)  # (L, 2, 4)
@@ -168,6 +165,30 @@ def _meeting_hulls(table, lo: np.ndarray, hi: np.ndarray):
         depth = np.minimum(ra.max(axis=1) - rb.min(axis=1), rb.max(axis=1) - ra.min(axis=1))
         meet[at] = ((depth > 2.0 * TAU * r) | (r == 0.0)).all(axis=1)
     return a[meet], b[meet], len(a)
+
+
+def _box_pairs(lo: np.ndarray, hi: np.ndarray, depth: float, wide: int | None = None):
+    """Pairs a, b of boxes [lo, hi] overlapping by more than `depth` on both axes, each once,
+    swept along x in slabs of y; given `wide`, only the pairs with a box below `wide`."""
+    h = max(float((hi - lo)[:, 1].sum()) / max(len(lo), 1), 1.0)
+    s0, s1 = (np.floor(v[:, 1] / h).astype(np.int64) for v in (lo, hi))
+    box = np.repeat(np.arange(len(lo)), s1 - s0 + 1)
+    slab, xs, w = s0[box] + _ramp(s1 - s0 + 1), np.sort(lo[box, 0]), len(box) + 1
+    key = np.unique(slab, return_inverse=True)[1] * w + np.searchsorted(xs, lo[box, 0], "left")
+    order = np.argsort(key)  # by the slab's rank among slabs, then the left edge's
+    box, slab, key = box[order], slab[order], key[order]
+    end = np.searchsorted(key, key - key % w + np.searchsorted(xs, hi[box, 0], "right"))
+    # the later boxes up to this right edge; a box from `wide` on takes only those below it
+    every, wide = np.arange(len(box)), len(lo) if wide is None else wide
+    big, small = np.flatnonzero(box < wide), np.flatnonzero(box >= wide)
+    spans = [(big, big + 1, end[big], every),
+             (small, np.searchsorted(big, small + 1), np.searchsorted(big, end[small]), big)]
+    at = np.concatenate([np.repeat(k, last - first) for k, first, last, _ in spans])
+    other = np.concatenate([later[np.repeat(first, last - first) + _ramp(last - first)]
+                            for _, first, last, later in spans])
+    a, b = box[at], box[other]
+    keep = (np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]) > depth).all(axis=1)
+    return tuple(v[keep & (slab[at] == np.maximum(s0[a], s0[b]))] for v in (a, b))
 
 
 def _self_overlapping(table) -> tuple[np.ndarray, int]:
@@ -269,13 +290,18 @@ def verify_covering(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     near = ((table["hull"].max(axis=1) >= corner.min(axis=0) - 1.0)
             & (table["hull"].min(axis=1) <= corner.max(axis=0) + 1.0)).all(axis=1)
     table, full = {f: v[near] for f, v in table.items()}, full[near]
-    # a solid lattice whose columns start level has a rectangle for its union
-    level = table["solid"] & ~full & (np.abs(table["pk"]) <= TAU)
+    # a solid lattice level to within TAU end to end has a rectangle for its union
+    off = np.abs(np.where(table["on1"], table["u2"], table["u1"]))
+    drift = (table["n"] - 1.0) * off + (table["m"] - 1.0) * np.abs(table["pk"])
+    level = table["solid"] & (drift <= TAU)
+    rest = {f: v[~level] for f, v in table.items()}
     nu = 2.0 * (TAU + 2.0 * _SLACK * float(table["scale"].max(initial=0.0)))
     side = np.roll(corner, -1, axis=0) - corner
     corner, side = corner[(side != 0).any(axis=1)], side[(side != 0).any(axis=1)]
     stats, found, gaps = report.runtime_stats, [_nudged(corner, np.roll(side, 1, 0), side, nu)], []
-    stats.update(lattices=len(full), probes=0, candidate_pairs=0, nudge=nu, point_tests=0)
+    quads = [_rectangles(table, level)]
+    stats.update(lattices=len(full), rectangles=len(quads[0]), probes=0, candidate_pairs=0,
+                 nudge=nu, point_tests=0)
 
     def test():  # the points found so far, in batches that bound the memory used
         pts = np.concatenate(found)
@@ -287,35 +313,49 @@ def verify_covering(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
         report.sampled_points += len(pts)
         stats["point_tests"] += tests
 
-    for ka, a, cx, cy, kb, b, ring, bx, by in _probe_pairs(table, full):
-        ca, sa = table["c"][ka], table["s"][ka]
-        ax, ay = cx - (ca - sa) / 2.0, cy - (sa + ca) / 2.0
-        # each probe, paired with itself once, against the target's edges
-        me = a == b
-        stats["probes"] += int(me.sum())
-        p, d = _edges(ax[me], ay[me], table["ang"][ka[me]])
-        (row, e, t), at = _crossings(p[:, :, None], d[:, :, None], corner, side, nu)
-        found.append(_nudged(at, d[row, e], side[t], nu))
-        # each pair of probes once, leaving out the pairs within a level lattice
-        keep = ring & (a < b) & ((ka != kb) | ~level[ka])
-        stats["candidate_pairs"] += int(keep.sum())
-        pa, da = _edges(ax[keep], ay[keep], table["ang"][ka[keep]])
-        pb, db = _edges(bx[keep], by[keep], table["ang"][kb[keep]])
-        (row, ea, eb), at = _crossings(pa[:, :, None], da[:, :, None], pb[:, None], db[:, None], nu)
-        found.append(_nudged(at, da[row, ea], db[row, eb], nu))
+    def cross(p, q):  # where the edges of N quads cross those of N others (or of the target)
+        (p, d), (q, e) = ((v, np.roll(v, -1, axis=1) - v) for v in (p, q))
+        (row, i, j), at = _crossings(p[:, :, None], d[:, :, None], q[:, None], e[:, None], nu)
+        e = np.broadcast_to(e, d.shape[:1] + e.shape[1:])
+        found.append(_nudged(at, d[row, i], e[row, j], nu))
         if sum(map(len, found)) >= _PROBE_CHUNK:
             test()
+
+    # the square probes, and each pair of them once
+    for ka, a, cx, cy, kb, b, ring, bx, by in _probe_pairs(rest, full[~level]):
+        ca, sa = rest["c"][ka], rest["s"][ka]
+        ax, ay, me = cx - (ca - sa) / 2.0, cy - (sa + ca) / 2.0, a == b
+        quads.append(corners(np.stack([ax[me], ay[me], rest["ang"][ka[me]]], axis=1)))
+        keep = ring & (a < b)
+        stats["candidate_pairs"] += int(keep.sum())
+        cross(corners(np.stack([ax[keep], ay[keep], rest["ang"][ka[keep]]], axis=1)),
+              corners(np.stack([bx[keep], by[keep], rest["ang"][kb[keep]]], axis=1)))
+    # every probe against the target's edges; rectangles against the probes their boxes meet
+    quads = np.concatenate(quads)
+    stats["probes"] = len(quads)
+    a, b = _box_pairs(quads.min(axis=1) - nu, quads.max(axis=1) + nu, 0.0, stats["rectangles"])
+    stats["candidate_pairs"] += len(a)
+    batch = _POINT_CHUNK // 16
+    for lo in range(0, len(quads), batch):
+        cross(quads[lo:lo + batch], corner[None])
+    for lo in range(0, len(a), batch):
+        cross(quads[a[lo:lo + batch]], quads[b[lo:lo + batch]])
     if found:
         test()
-    report.add_violations("uncovered", np.concatenate(gaps))
+    gaps = np.concatenate(gaps)  # listed by x, then y: in no order the probes were taken in
+    report.add_violations("uncovered", gaps[np.lexsort((gaps[:, 1], gaps[:, 0]))])
     stats["seconds"] = round(time.perf_counter() - t0, 3)
     return report.finish()
 
 
-def _edges(tx, ty, ang):
-    """(N, 4, 2) corners and edge vectors of unit squares, counterclockwise."""
-    sq = corners(np.stack([tx, ty, ang], axis=1))
-    return sq, np.roll(sq, -1, axis=1) - sq
+def _rectangles(table, level: np.ndarray) -> np.ndarray:
+    """(N, 4, 2) counterclockwise corners of the rectangle of each `level` lattice: the box
+    of its `hull` in its square frame."""
+    c, s, hull = table["c"][level, None], table["s"][level, None], table["hull"][level]
+    u, v = c * hull[..., 0] + s * hull[..., 1], c * hull[..., 1] - s * hull[..., 0]
+    u = np.stack([u.min(axis=1), u.max(axis=1)], axis=1)[:, [0, 1, 1, 0]]
+    v = np.stack([v.min(axis=1), v.max(axis=1)], axis=1)[:, [0, 0, 1, 1]]
+    return np.stack([c * u - s * v, s * u + c * v], axis=-1)
 
 
 def _crossings(p, d, q, e, eps: float):

@@ -11,8 +11,10 @@ every pair of centres within sqrt(2), tested with the verifier's SAT.
 Covering is checked by dense uniform samples of the target, or of a
 suspect part of it, instead of the verifier's crossing points. Packing is
 also checked by ring probes of every lattice, without the verifier's hull
-and offset certificates. Plan files are checked against the dict a plan
-maps to, through `dumps_stable`, instead of the writer's direct text.
+and offset certificates, and covering by ring probes of every lattice,
+without the verifier's rectangles for level lattices. Plan files are
+checked against the dict a plan maps to, through `dumps_stable`, instead
+of the writer's direct text.
 """
 
 from __future__ import annotations
@@ -260,6 +262,54 @@ def packing_by_ring_probes(plan) -> tuple[int, np.ndarray]:
     table, _, full = verifier._setup(plan, "pack")
     _, _, found, (pairs, _) = verifier._overlaps(table, full)
     return found, pairs
+
+
+def _square_edges(tx, ty, ang):
+    """(N, 4, 2) corners and edge vectors of unit squares, counterclockwise."""
+    sq = corners(np.stack([tx, ty, ang], axis=1))
+    return sq, np.roll(sq, -1, axis=1) - sq
+
+
+def covering_by_ring_probes(plan):
+    """The covering check by probes of every lattice's ring (all squares of
+    lattices that are not solid or not 3 long each way): the crossings of each
+    probe with the target's edges and with each probe within reach, less the
+    pairs inside one level lattice, nudged and tested as the verifier tests
+    them. Returns the report, whose `runtime_stats` count the work."""
+    table, report, full = verifier._setup(plan, "cover")
+    corner = np.array(plan.region.polygon())[::-1]  # clockwise
+    near = ((table["hull"].max(axis=1) >= corner.min(axis=0) - 1.0)
+            & (table["hull"].min(axis=1) <= corner.max(axis=0) + 1.0)).all(axis=1)
+    table, full = {f: v[near] for f, v in table.items()}, full[near]
+    level = table["solid"] & ~full & (np.abs(table["pk"]) <= verifier.TAU)
+    nu = 2.0 * (verifier.TAU + 2.0 * verifier._SLACK * float(table["scale"].max(initial=0.0)))
+    side = np.roll(corner, -1, axis=0) - corner
+    corner, side = corner[(side != 0).any(axis=1)], side[(side != 0).any(axis=1)]
+    found = [verifier._nudged(corner, np.roll(side, 1, 0), side, nu)]
+    stats = report.runtime_stats
+    stats.update(lattices=len(full), probes=0, candidate_pairs=0, nudge=nu, point_tests=0)
+    for ka, a, cx, cy, kb, b, ring, bx, by in verifier._probe_pairs(table, full):
+        ca, sa = table["c"][ka], table["s"][ka]
+        ax, ay = cx - (ca - sa) / 2.0, cy - (sa + ca) / 2.0
+        me = a == b
+        stats["probes"] += int(me.sum())
+        p, d = _square_edges(ax[me], ay[me], table["ang"][ka[me]])
+        (row, e, t), at = verifier._crossings(p[:, :, None], d[:, :, None], corner, side, nu)
+        found.append(verifier._nudged(at, d[row, e], side[t], nu))
+        keep = ring & (a < b) & ((ka != kb) | ~level[ka])
+        stats["candidate_pairs"] += int(keep.sum())
+        pa, da = _square_edges(ax[keep], ay[keep], table["ang"][ka[keep]])
+        pb, db = _square_edges(bx[keep], by[keep], table["ang"][kb[keep]])
+        (row, ea, eb), at = verifier._crossings(pa[:, :, None], da[:, :, None],
+                                                pb[:, None], db[:, None], nu)
+        found.append(verifier._nudged(at, da[row, ea], db[row, eb], nu))
+    pts = np.concatenate(found)
+    with np.errstate(invalid="ignore"):  # a point at infinity is in no region
+        pts = pts[points_in_region(plan.region, pts, 0.0)]
+    covered, stats["point_tests"] = verifier._points_covered(pts, table, verifier.TAU)
+    report.sampled_points = len(pts)
+    report.add_violations("uncovered", pts[~covered])
+    return report.finish()
 
 
 def _pose_to_list(p) -> list[float]:

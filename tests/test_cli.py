@@ -83,15 +83,45 @@ def _deeply_nested(data, depth=3000):
     return json.dumps({**data, "root": None}).replace('"root": null', '"root": ' + root)
 
 
+def _nodes(node: dict):
+    yield node
+    for key in ("children", "leftovers"):
+        for child in node.get(key, []):
+            yield from _nodes(child)
+
+
+def _grid(data: dict) -> dict:
+    return next(n for n in _nodes(data["root"]) if n["kind"] == "grid")
+
+
+def _run(data: dict) -> list:
+    return next(_run_lists(data["root"]))[0]
+
+
+# each edits the plan in place, and each loaded as some other plan before
+# the loader checked JSON types
+_EDITS = {
+    "mirror-string": lambda data: data["region"].update(mirror="false"),
+    "rows-fraction": lambda data: _grid(data).update(rows=_grid(data)["rows"] + 0.9),
+    "count-fraction": lambda data: _run(data).__setitem__(5, _run(data)[5] + 0.99),
+    "rows-bool": lambda data: _grid(data).update(rows=True),
+    "x-string": lambda data: data.update(x="big"),
+    "area-string": lambda data: data["root"].update(area="x"),
+    "label-number": lambda data: data["root"].update(label=7),
+}
+
+
 @pytest.mark.parametrize("command", ["verify", "render"])
 @pytest.mark.parametrize("mangle", [lambda data: [1, 2], lambda data: {**data, "root": []},
-                                    lambda data: {**data, "region": None}, _deeply_nested],
-                         ids=["list", "root-list", "null-region", "deeply-nested"])
+                                    lambda data: {**data, "region": None}, _deeply_nested]
+                         + [lambda data, edit=edit: edit(data) or data for edit in _EDITS.values()],
+                         ids=["list", "root-list", "null-region", "deeply-nested", *_EDITS])
 def test_malformed_plans_are_input_errors(tmp_path, capsys, command, mangle):
     # valid JSON of the wrong shape: a list for the plan or for its root node,
-    # no target region, or split nodes nested past the recursion limit
+    # no target region, split nodes nested past the recursion limit, or a
+    # field of the wrong JSON type
     plan_path = tmp_path / "plan.json"
-    mangled = mangle(json.loads(plan_to_json(pack_square(50.5))))
+    mangled = mangle(json.loads(plan_to_json(pack_square(150.5))))
     plan_path.write_text(mangled if isinstance(mangled, str) else json.dumps(mangled))
     argv = [command, plan_path] + (["--out", tmp_path / "p.svg"] if command == "render" else [])
     assert run(argv) == 2
@@ -190,8 +220,8 @@ def test_plans_with_an_unknown_node_kind_are_refused(tmp_path, capsys, node_kind
 
 
 def test_verify_count_mismatch_is_input_error(tmp_path, capsys):
-    # a grid with negative rows holds no squares but counts negative ones:
-    # reading its lattices fails before any geometry is checked
+    # a grid with negative rows would hold no squares but count negative ones:
+    # the loader refuses it before any lattice is read
     plan_path = tmp_path / "plan.json"
     assert run(["pack", "--x", 50.5, "--out", plan_path]) == 0
     data = json.loads(plan_path.read_text())
@@ -200,7 +230,7 @@ def test_verify_count_mismatch_is_input_error(tmp_path, capsys):
     plan_path.write_text(json.dumps(data))
     capsys.readouterr()
     assert run(["verify", plan_path]) == 2
-    assert "enumerated 0 != analytic -2500" in capsys.readouterr().err
+    assert "plan grid rows must be an integer >= 0, got -50" in capsys.readouterr().err
 
 
 def _run_lists(node: dict):

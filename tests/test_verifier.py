@@ -20,8 +20,8 @@ from sqpack.planner import build_plan, cover_square, pack_square
 from sqpack import verifier
 from sqpack.verifier import _lattice_table, _points_covered, verify_covering, verify_packing
 from oracles import (
-    covered_by_kd_join, enumerate_by_node, packing_by_kd_pairs, packing_by_ring_probes,
-    point_in_quad, quads_disjoint, sample_quad, uncovered_samples,
+    covered_by_kd_join, covering_by_ring_probes, enumerate_by_node, packing_by_kd_pairs,
+    packing_by_ring_probes, point_in_quad, quads_disjoint, sample_quad, uncovered_samples,
 )
 from test_graft import HUGE_CASES, PLAN_CASES, _build_case
 
@@ -131,20 +131,23 @@ def test_covering_ignores_the_enumeration_limit():
 def test_covering_clean():
     report = verify_covering(cover_square(50.0), cfg=CFG)
     assert report.passed and report.square_count == 2500
-    # one 50 x 50 grid, level, so no pair within it is tested: the points
-    # are its ring's crossings with the target's edges; each took a test
-    assert report.runtime_stats["lattices"] == 1
-    assert report.runtime_stats["probes"] == 196 and report.runtime_stats["candidate_pairs"] == 0
+    # one 50 x 50 grid, level, so one rectangle probe and no pair: the points
+    # are its sides' crossings with the target's edges; each took a test
+    stats = report.runtime_stats
+    assert stats["lattices"] == stats["rectangles"] == stats["probes"] == 1
+    assert stats["candidate_pairs"] == 0
     assert report.runtime_stats["point_tests"] >= report.sampled_points > 0
 
 
 @pytest.mark.parametrize("chunk", [1, 16])
 def test_covering_report_does_not_depend_on_the_batch_size(chunk, monkeypatch):
-    # a batch flushed inside the probe loop can leave no points for the last one
-    plan = cover_square(50.5)
-    expected = verify_covering(plan, cfg=CFG).to_dict(include_runtime=False)
+    # a batch flushed inside the probe loop can leave no points for the last one,
+    # and a covering with thousands of gaps lists the same first 100
+    plans = [cover_square(50.5), _random_lattice_plan(7)]
+    expected = [verify_covering(plan, cfg=CFG).to_dict(include_runtime=False) for plan in plans]
     monkeypatch.setattr(verifier, "_PROBE_CHUNK", chunk)
-    assert verify_covering(plan, cfg=CFG).to_dict(include_runtime=False) == expected
+    assert [verify_covering(plan, cfg=CFG).to_dict(include_runtime=False)
+            for plan in plans] == expected
 
 
 def test_covering_detects_deleted_leaf():
@@ -615,7 +618,7 @@ def test_covering_checks_every_lattice_of_plans(case):
     assert verify_covering(plan, cfg=CFG).runtime_stats["lattices"] == len(plan_lattices(plan))
 
 
-@pytest.mark.parametrize("x,listed", [(150.5, 36), (1030.7, 98)])
+@pytest.mark.parametrize("x,listed", [(150.5, 24), (1030.7, 98)])
 def test_a_far_square_leaves_the_covering_tolerance(x, listed):
     # cover_square(x) less its largest stack run has a real gap; one more
     # square at 1e300, which covers nothing of the target, once widened the
@@ -639,9 +642,66 @@ def test_covering_matches_sampling_oracle_on_random_lattices(seed):
     # mostly tilted, gapped and overlapping lattices that leave most of the
     # target bare: every listed point is a gap, and there are many
     plan = _random_lattice_plan(seed)
-    report = verify_covering(plan, cfg=CFG)
+    report = _assert_matches_covering_oracle(plan)
     _assert_real_gaps(plan, report)
     assert report.violations[-1]["location"] is None
+
+
+def _assert_matches_covering_oracle(plan: Plan):
+    """The verifier's covering status equals that of ring probes over every lattice."""
+    report = verify_covering(plan, cfg=CFG)
+    assert report.status == covering_by_ring_probes(plan).status
+    return report
+
+
+def _probes_of(plan: Plan) -> tuple[list, int]:
+    """The rectangle of each level lattice and the number of ring squares of
+    the others, from `plan_lattices` one lattice at a time. In its square
+    frame a lattice is solid when its step is 1 along one axis and at most TAU
+    across and its pitch at most 1 + TAU each way (its ring, if at least 3 long
+    each way, else every square), and level when it is solid and its rows
+    drift at most TAU end to end. The rectangle is the frame box of its four
+    extreme squares, as counterclockwise world corners."""
+    lat, rectangles, squares = plan_lattices(plan), [], 0
+    for (bx, by, angle), step, n, pitch, m in zip(lat.base.tolist(), lat.step.tolist(),
+                                                   lat.count.tolist(), lat.pitch.tolist(),
+                                                   lat.repeat.tolist()):
+        c, s = math.cos(angle), math.sin(angle)
+        u = (c * step[0] + s * step[1], c * step[1] - s * step[0])
+        p = (c * pitch[0] + s * pitch[1], c * pitch[1] - s * pitch[0])
+        along = 0 if abs(u[0]) >= abs(u[1]) else 1
+        solid = (abs(abs(u[along]) - 1.0) <= TAU and abs(u[1 - along]) <= TAU
+                 and max(map(abs, p)) <= 1.0 + TAU)
+        if not (solid and (n - 1) * abs(u[1 - along]) + (m - 1) * abs(p[along]) <= TAU):
+            squares += 2 * (n + m) - 4 if solid and min(n, m) >= 3 else n * m
+            continue
+        ends = [(bx + i * step[0] + j * pitch[0], by + i * step[1] + j * pitch[1])
+                for i in (0, n - 1) for j in (0, m - 1)]
+        fu, fv = [c * x + s * y for x, y in ends], [c * y - s * x for x, y in ends]
+        u0, u1, v0, v1 = min(fu), max(fu) + 1.0, min(fv), max(fv) + 1.0
+        rectangles.append([(c * a - s * b, s * a + c * b)
+                           for a, b in ((u0, v0), (u1, v0), (u1, v1), (u0, v1))])
+    return rectangles, squares
+
+
+@pytest.mark.parametrize("case", list(PLAN_CASES))
+def test_covering_probes_level_lattices_as_rectangles(case, monkeypatch):
+    # one rectangle per level lattice, the box of its squares, and the ring
+    # squares of the others; the same status as ring probes of every lattice,
+    # with no more probes and no more point tests
+    plan = _build_case("cover", case)
+    seen = []
+    rectangles = verifier._rectangles
+    monkeypatch.setattr(verifier, "_rectangles", lambda *a: seen.append(rectangles(*a)) or seen[0])
+    report = verify_covering(plan, cfg=CFG)
+    monkeypatch.undo()
+    oracle, (want, squares) = covering_by_ring_probes(plan), _probes_of(plan)
+    stats = report.runtime_stats
+    assert report.status == oracle.status == "passed"
+    assert (stats["rectangles"], stats["probes"] - stats["rectangles"]) == (len(want), squares)
+    assert np.allclose(seen[0], np.array(want).reshape(-1, 4, 2), rtol=1e-12, atol=1e-9)
+    assert stats["probes"] <= oracle.runtime_stats["probes"]
+    assert stats["point_tests"] <= oracle.runtime_stats["point_tests"]
 
 
 def test_covering_grids_meeting_flush_pass():
@@ -674,6 +734,24 @@ def _planted_gap(name: str):
         region = rect_region(0.8, 0.7, Pose(1.6, 0.9, 0.0))
         plan = Plan(kind="cover", x=0.8, region=region, root=stacks_node(region, [bricks]))
         return plan, [_box(1.75, 1.0, 2.25, 1.5)]
+    if name == "turned grids":  # four level runs turned by 0.3 around a hole: A | hole | B
+        # between C below and D above, so each corner of the hole is on two rectangle sides
+        frame, gap = Pose(5.0, 1.0, 0.3), 0.5
+        c, s = math.cos(frame.angle), math.sin(frame.angle)
+        runs = [StackRun(base=Pose(*frame.apply(x, y), frame.angle), step=(c, s), count=cols,
+                         repeat=rows, pitch=(-s, c))
+                for x, y, cols, rows in ((0.0, 0.0, 4, 6), (4.0 + gap, 0.0, 6, 6),
+                                         (0.0, 0.0, 11, 2), (0.0, 4.0, 11, 2))]
+        region = rect_region(10.0 + gap, 6.0, frame)
+        hole = [frame.apply(x, y) for x, y in _box(4.0, 2.0, 4.0 + gap, 4.0)]
+        return Plan(kind="cover", x=10.0 + gap, region=region,
+                    root=stacks_node(region, runs)), [hole]
+    if name in ("overlapping rows", "coincident rows"):  # a level run, rows 0.5 or 0 apart
+        # (under a grid), beside a gap that a grid closes on the far side
+        grids = [_grid(6.0, 0.0, 2, 4)] + [_grid(0.0, 1.0, 5, 3)] * (name == "coincident rows")
+        rows = StackRun(base=Pose(0.0, 0.0, 0.0), step=(1.0, 0.0), count=5, repeat=7,
+                        pitch=(0.0, 0.5 if name == "overlapping rows" else 0.0))
+        return _cover_plan(8.0, 4.0, runs=[rows], grids=grids), [_box(5.0, 0.0, 6.0, 4.0)]
     # "diamonds": squares at 45 degrees between two 3-row grids, each tip
     # 0.01 into a grid at a grid corner; a gap's corners are all where an
     # edge crosses a grid near its tip, and each pair there needs the full reach
@@ -686,10 +764,11 @@ def _planted_gap(name: str):
 
 
 @pytest.mark.parametrize("name", ["shifted grid", "few nudge widths", "gapped rows",
-                                  "brick hole", "diamonds"])
+                                  "brick hole", "diamonds", "turned grids", "overlapping rows",
+                                  "coincident rows"])
 def test_covering_finds_planted_gaps(name):
     plan, gaps = _planted_gap(name)
-    _assert_real_gaps(plan, verify_covering(plan, cfg=CFG), gaps)
+    _assert_real_gaps(plan, _assert_matches_covering_oracle(plan), gaps)
 
 
 def test_covering_finds_dropped_stack_rows():
@@ -707,7 +786,7 @@ def test_covering_finds_dropped_stack_rows():
         last = (np.array([run.base.tx, run.base.ty]) + (run.repeat - 1) * np.array(run.pitch)
                 + np.arange(run.count)[:, None] * np.array(run.step))
         boxes.append((*(last.min(axis=0) - 1.5), *(last.max(axis=0) + 1.5)))
-    report = verify_covering(plan, cfg=CFG)
+    report = _assert_matches_covering_oracle(plan)
     assert len(report.violations) < 100  # every point is listed
     for box in boxes:
         near = (box[0] - 2.0, box[1] - 2.0, box[2] + 2.0, box[3] + 2.0)
