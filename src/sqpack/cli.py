@@ -49,6 +49,13 @@ def _read_plan(path: str) -> Plan:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return plan_from_json(fh.read())
+    # OSError: no file at `path`, or none that can be read
+    # ValueError: text that is not UTF-8 or not JSON, a region its constructor refuses, PlanError
+    # KeyError: a plan or node without a key of the format
+    # TypeError: a JSON value of the wrong type where one is indexed, such as a list for the root
+    # AttributeError: a list for the plan itself
+    # OverflowError: an integer too large for a float, such as a 400-digit run count
+    # RecursionError: nodes nested past the recursion limit, such as 3,000 splits deep
     except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
             RecursionError) as exc:
         raise PlanError(f"cannot read plan: {exc}") from exc
@@ -192,7 +199,7 @@ def main(argv=None) -> int:
             return cmd_render(args)
         if args.command == "series":
             return cmd_series(args)
-    except (InvalidSpec, PlanError, OSError, ValueError) as exc:
+    except (InvalidSpec, PlanError, OSError) as exc:  # a crash elsewhere is no input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

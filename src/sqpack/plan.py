@@ -498,10 +498,12 @@ class _PlanWriter:
 
 
 def _finite(values, what: str):
-    """`values`, all finite: a number that overflows, such as 1e400, loads as
-    inf, past `parse_constant`."""
+    """`values`, all finite numbers: a number that overflows, such as 1e400, loads
+    as inf, past `parse_constant`, and `math.isfinite(True)` holds of a bool."""
     if not all(map(math.isfinite, values)):
         raise PlanError(f"non-finite number in plan {what}: {values}")
+    if bool in map(type, values):
+        raise PlanError(f"plan {what} must be numbers, not bools: {values}")
     return values
 
 

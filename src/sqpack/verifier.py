@@ -26,9 +26,13 @@ A solid lattice is *level* when (n - 1) |step across| + (m - 1) |pitch along|
 up to slivers narrower than TAU that the point test's widening covers, so
 every gap corner on it lies on a side of the rectangle, its one probe. A
 crossing on an inner edge of a ring square lies nu inside a neighbouring
-square of the same lattice, so leaving it out changes no verdict. Square
-probes (of the other lattices) pair within reach (`_probe_pairs`), and a
-rectangle with each probe whose box, grown by nu, meets its own (`_box_pairs`).
+square of the same lattice, so leaving it out changes no verdict. The other
+lattices' probes are squares (`_probe_squares`). One sweep (`_box_pairs`) pairs
+all probes whose boxes, grown by nu, overlap: a gap corner is an exact crossing
+of two probe edges, so it lies in both boxes, which grown by nu > 0 overlap by
+more than 0. `_crossings` accepts a unit edge up to nu past its ends; such a
+point is in both grown boxes, on opposite rims of the two only where the edges
+are parallel and so do not cross: every pair of squares it can cross is paired.
 Each crossing is tested at the point nu outside both edges (inside, for a
 target edge), nu = 2 * (TAU + 2 * _SLACK * max scale) being twice the widest
 widening the point test gives near a square. So `passed` means no gap is
@@ -47,7 +51,7 @@ from .config import TAU, PackConfig
 from .geometry import corners, points_in_region
 from .plan import Lattices, Plan, PlanError, plan_lattices
 
-_POINT_CHUNK = 1 << 15  # point-lattice pairs per narrow-phase batch; small batches stay in cache
+_POINT_CHUNK = 1 << 15  # point-lattice pairs per narrow-phase batch, 16x box pairs; stays in cache
 _PROBE_CHUNK = 1 << 18  # probe squares per broad phase
 _CELL_POINTS = 16       # mean points per broad-phase cell
 _SLACK = 1e-12          # relative widening of the lattice bounds
@@ -59,9 +63,10 @@ _REACH = math.sqrt(0.5)  # squares meet only if each centre is in the other infl
 class VerifyReport:
     """`status` is "failed" when a violation was found, else "passed"; `partial` is
     always False. `sampled_points` counts the covering candidate points tested. In
-    `runtime_stats`, `candidate_pairs` counts the probe pairs tested; covering counts the
-    `rectangles` among its `probes`, and packing adds the lattice pairs (`hull_pairs`) and index
-    `offsets` tested and the `fallback_lattices` probed."""
+    `runtime_stats`, `candidate_pairs` counts the probe pairs tested, for covering those whose
+    boxes grown by nu overlap; covering counts the `rectangles` among its `probes`, and packing
+    adds the lattice pairs (`hull_pairs`) and index `offsets` tested and the `fallback_lattices`
+    probed."""
 
     kind: str
     square_count: int
@@ -154,22 +159,23 @@ def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
 def _meeting_hulls(table, lo: np.ndarray, hi: np.ndarray):
     """Lattice pairs a, b whose hulls (corners `hull`, boxes [lo, hi]) overlap by more than
     2*TAU on every axis of both, and how many box pairs do."""
-    a, b = _box_pairs(lo, hi, 2.0 * TAU)
     # SAT on the hulls' 16 corners, along axes of length r; a zero step or pitch has none
     c, s, ux, uy, px, py, hull = (table[f] for f in ("c", "s", "ux", "uy", "px", "py", "hull"))
     axes = np.stack([[c, -s, -uy, -py], [s, c, ux, px]]).transpose(2, 0, 1)  # (L, 2, 4)
-    norm, meet = np.hypot(axes[:, 0], axes[:, 1]), np.empty(len(a), dtype=bool)
-    for at in np.array_split(np.arange(len(a)), 1 + len(a) * 16 // _POINT_CHUNK):  # corners a batch
-        ax, r = (np.concatenate([v[a[at]], v[b[at]]], axis=-1) for v in (axes, norm))
-        ra, rb = (hull[k, :, :1] * ax[:, :1] + hull[k, :, 1:] * ax[:, 1:] for k in (a[at], b[at]))
+    norm, meet, tested = np.hypot(axes[:, 0], axes[:, 1]), [np.empty((2, 0), np.int64)], 0
+    for a, b in _box_pairs(lo, hi, 2.0 * TAU):
+        ax, r = (np.concatenate([v[a], v[b]], axis=-1) for v in (axes, norm))
+        ra, rb = (hull[k, :, :1] * ax[:, :1] + hull[k, :, 1:] * ax[:, 1:] for k in (a, b))
         depth = np.minimum(ra.max(axis=1) - rb.min(axis=1), rb.max(axis=1) - ra.min(axis=1))
-        meet[at] = ((depth > 2.0 * TAU * r) | (r == 0.0)).all(axis=1)
-    return a[meet], b[meet], len(a)
+        keep, tested = ((depth > 2.0 * TAU * r) | (r == 0.0)).all(axis=1), tested + len(a)
+        meet.append(np.stack([a[keep], b[keep]]))
+    return *np.concatenate(meet, axis=1), tested
 
 
-def _box_pairs(lo: np.ndarray, hi: np.ndarray, depth: float, wide: int | None = None):
-    """Pairs a, b of boxes [lo, hi] overlapping by more than `depth` on both axes, each once,
-    swept along x in slabs of y; given `wide`, only the pairs with a box below `wide`."""
+def _box_pairs(lo: np.ndarray, hi: np.ndarray, depth: float):
+    """Yield in chunks of at most _POINT_CHUNK // 16 candidates the pairs a, b of boxes
+    [lo, hi] overlapping by more than `depth` on both axes, each once, swept along x in
+    slabs of y."""
     h = max(float((hi - lo)[:, 1].sum()) / max(len(lo), 1), 1.0)
     s0, s1 = (np.floor(v[:, 1] / h).astype(np.int64) for v in (lo, hi))
     box = np.repeat(np.arange(len(lo)), s1 - s0 + 1)
@@ -177,18 +183,13 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, depth: float, wide: int | None = 
     key = np.unique(slab, return_inverse=True)[1] * w + np.searchsorted(xs, lo[box, 0], "left")
     order = np.argsort(key)  # by the slab's rank among slabs, then the left edge's
     box, slab, key = box[order], slab[order], key[order]
+    # each box against the later ones up to its right edge; a pair counts in its first slab
     end = np.searchsorted(key, key - key % w + np.searchsorted(xs, hi[box, 0], "right"))
-    # the later boxes up to this right edge; a box from `wide` on takes only those below it
-    every, wide = np.arange(len(box)), len(lo) if wide is None else wide
-    big, small = np.flatnonzero(box < wide), np.flatnonzero(box >= wide)
-    spans = [(big, big + 1, end[big], every),
-             (small, np.searchsorted(big, small + 1), np.searchsorted(big, end[small]), big)]
-    at = np.concatenate([np.repeat(k, last - first) for k, first, last, _ in spans])
-    other = np.concatenate([later[np.repeat(first, last - first) + _ramp(last - first)]
-                            for _, first, last, later in spans])
-    a, b = box[at], box[other]
-    keep = (np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]) > depth).all(axis=1)
-    return tuple(v[keep & (slab[at] == np.maximum(s0[a], s0[b]))] for v in (a, b))
+    for at, t in _chunks(end - np.arange(len(box)) - 1, _POINT_CHUNK // 16):
+        a, b = box[at], box[at + 1 + t]
+        keep = (np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]) > depth).all(axis=1)
+        keep &= slab[at] == np.maximum(s0[a], s0[b])
+        yield a[keep], b[keep]
 
 
 def _self_overlapping(table) -> tuple[np.ndarray, int]:
@@ -258,12 +259,11 @@ def _overlaps(table, full: np.ndarray, rows=None, allowed=None):
         full[[min(a, b, key=size.__getitem__) for a, b in links]] = True
 
 
-def _probe_pairs(table, full: np.ndarray, rows=None):
-    """Yield in chunks (ka, a, cx, cy, kb, b, ring, bx, by): probe a (flat index; of lattice ka,
-    centre (cx, cy)) and each square b (of lattice kb, base (bx, by); a probe where `ring`) within
-    reach, itself once (a == b). Probes: in `rows` (lattice, row, i from, i to; default all),
-    every square of `full` lattices and of rows 0 and m - 1, else squares 0 and n - 1."""
-    n, m, c, s, first = (table[f] for f in ("count", "repeat", "c", "s", "first"))
+def _probe_squares(table, full: np.ndarray, rows=None):
+    """Yield in chunks (k, flat, tx, ty): each probe, of lattice k, flat index and base (tx, ty).
+    Probes: in `rows` (lattice, row, i from, i to; default all), every square of `full`
+    lattices and of rows 0 and m - 1, else squares 0 and n - 1."""
+    n, m, first = table["count"], table["repeat"], table["first"]
     rk = np.repeat(np.arange(len(n)), m) if rows is None else rows[0]
     rj, i0, i1 = (_ramp(m), 0 * rk, n[rk]) if rows is None else rows[1:]
     whole = full[rk] | (rj == 0) | (rj == m[rk] - 1)
@@ -272,8 +272,16 @@ def _probe_pairs(table, full: np.ndarray, rows=None):
     si = np.concatenate([i0[lead], n[rk[tail]] - 1])
     run = np.concatenate([np.where(whole, i1 - i0, 1)[lead], 0 * rk[tail] + 1])
     for e, t in _chunks(run, _PROBE_CHUNK):
-        pk, pj, pi = sk[e], sj[e], si[e] + t
-        (tx, ty), flat = _square_at(table, pk, pi, pj), first[pk] + pj * n[pk] + pi
+        k, j, i = sk[e], sj[e], si[e] + t
+        yield k, first[k] + j * n[k] + i, *_square_at(table, k, i, j)
+
+
+def _probe_pairs(table, full: np.ndarray, rows=None):
+    """Yield in chunks (ka, a, cx, cy, kb, b, ring, bx, by): probe a (`_probe_squares`; flat
+    index, of lattice ka, centre (cx, cy)) and each square b (of lattice kb, base (bx, by); a
+    probe where `ring`) within reach, itself once (a == b)."""
+    n, m, c, s, first = (table[f] for f in ("count", "repeat", "c", "s", "first"))
+    for pk, flat, tx, ty in _probe_squares(table, full, rows):
         cx, cy = tx + (c[pk] - s[pk]) / 2.0, ty + (s[pk] + c[pk]) / 2.0
         for q, k, i, j, bx, by in _near_squares(np.stack([cx, cy], axis=1), table, _REACH):
             i, j = i.astype(np.int64), j.astype(np.int64)
@@ -298,10 +306,12 @@ def verify_covering(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     nu = 2.0 * (TAU + 2.0 * _SLACK * float(table["scale"].max(initial=0.0)))
     side = np.roll(corner, -1, axis=0) - corner
     corner, side = corner[(side != 0).any(axis=1)], side[(side != 0).any(axis=1)]
+    quads = np.concatenate([_rectangles(table, level)] + [
+        corners(np.stack([tx, ty, rest["ang"][k]], axis=1))
+        for k, _, tx, ty in _probe_squares(rest, full[~level])])
     stats, found, gaps = report.runtime_stats, [_nudged(corner, np.roll(side, 1, 0), side, nu)], []
-    quads = [_rectangles(table, level)]
-    stats.update(lattices=len(full), rectangles=len(quads[0]), probes=0, candidate_pairs=0,
-                 nudge=nu, point_tests=0)
+    stats.update(lattices=len(full), rectangles=int(level.sum()), probes=len(quads),
+                 candidate_pairs=0, nudge=nu, point_tests=0)
 
     def test():  # the points found so far, in batches that bound the memory used
         pts = np.concatenate(found)
@@ -321,25 +331,12 @@ def verify_covering(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
         if sum(map(len, found)) >= _PROBE_CHUNK:
             test()
 
-    # the square probes, and each pair of them once
-    for ka, a, cx, cy, kb, b, ring, bx, by in _probe_pairs(rest, full[~level]):
-        ca, sa = rest["c"][ka], rest["s"][ka]
-        ax, ay, me = cx - (ca - sa) / 2.0, cy - (sa + ca) / 2.0, a == b
-        quads.append(corners(np.stack([ax[me], ay[me], rest["ang"][ka[me]]], axis=1)))
-        keep = ring & (a < b)
-        stats["candidate_pairs"] += int(keep.sum())
-        cross(corners(np.stack([ax[keep], ay[keep], rest["ang"][ka[keep]]], axis=1)),
-              corners(np.stack([bx[keep], by[keep], rest["ang"][kb[keep]]], axis=1)))
-    # every probe against the target's edges; rectangles against the probes their boxes meet
-    quads = np.concatenate(quads)
-    stats["probes"] = len(quads)
-    a, b = _box_pairs(quads.min(axis=1) - nu, quads.max(axis=1) + nu, 0.0, stats["rectangles"])
-    stats["candidate_pairs"] += len(a)
-    batch = _POINT_CHUNK // 16
-    for lo in range(0, len(quads), batch):
-        cross(quads[lo:lo + batch], corner[None])
-    for lo in range(0, len(a), batch):
-        cross(quads[a[lo:lo + batch]], quads[b[lo:lo + batch]])
+    # every probe against the target's edges, and each pair whose boxes grown by nu overlap
+    for lo in range(0, len(quads), _POINT_CHUNK // 16):
+        cross(quads[lo:lo + _POINT_CHUNK // 16], corner[None])
+    for a, b in _box_pairs(quads.min(axis=1) - nu, quads.max(axis=1) + nu, 0.0):
+        stats["candidate_pairs"] += len(a)
+        cross(quads[a], quads[b])
     if found:
         test()
     gaps = np.concatenate(gaps)  # listed by x, then y: in no order the probes were taken in

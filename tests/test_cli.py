@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sqpack import cli
 from sqpack.cli import main, run_series, series_csv
 from sqpack.geometry import Pose, rect_region
 from sqpack.render import plan_to_svg
@@ -98,8 +99,8 @@ def _run(data: dict) -> list:
     return next(_run_lists(data["root"]))[0]
 
 
-# each edits the plan in place, and each loaded as some other plan before
-# the loader checked JSON types
+# each edits the plan in place to a field of the wrong JSON type, and each
+# loaded (a bool as a number) before the loader checked JSON types
 _EDITS = {
     "mirror-string": lambda data: data["region"].update(mirror="false"),
     "rows-fraction": lambda data: _grid(data).update(rows=_grid(data)["rows"] + 0.9),
@@ -108,24 +109,56 @@ _EDITS = {
     "x-string": lambda data: data.update(x="big"),
     "area-string": lambda data: data["root"].update(area="x"),
     "label-number": lambda data: data["root"].update(label=7),
+    "frame-bool": lambda data: data["region"]["frame"].__setitem__(2, False),
+    "dims-bool": lambda data: data["region"]["dims"].__setitem__(1, True),
+    "origin-bool": lambda data: _grid(data)["origin"].__setitem__(1, True),
+    "base-bool": lambda data: _run(data).__setitem__(0, True),
+}
+# each reaches one exception type that `_read_plan` turns into an input error
+_CAUGHT = {
+    "no-root": lambda data: data.__delitem__("root"),  # KeyError
+    "count-400-digits": lambda data: _run(data).__setitem__(5, 10 ** 400),  # OverflowError
 }
 
 
 @pytest.mark.parametrize("command", ["verify", "render"])
 @pytest.mark.parametrize("mangle", [lambda data: [1, 2], lambda data: {**data, "root": []},
                                     lambda data: {**data, "region": None}, _deeply_nested]
-                         + [lambda data, edit=edit: edit(data) or data for edit in _EDITS.values()],
-                         ids=["list", "root-list", "null-region", "deeply-nested", *_EDITS])
+                         + [lambda data, edit=edit: edit(data) or data
+                            for edit in [*_EDITS.values(), *_CAUGHT.values()]],
+                         ids=["list", "root-list", "null-region", "deeply-nested",
+                              *_EDITS, *_CAUGHT])
 def test_malformed_plans_are_input_errors(tmp_path, capsys, command, mangle):
     # valid JSON of the wrong shape: a list for the plan or for its root node,
-    # no target region, split nodes nested past the recursion limit, or a
-    # field of the wrong JSON type
+    # no target region, split nodes nested past the recursion limit, a field
+    # of the wrong JSON type, no root, or a count too large for a float
     plan_path = tmp_path / "plan.json"
     mangled = mangle(json.loads(plan_to_json(pack_square(150.5))))
     plan_path.write_text(mangled if isinstance(mangled, str) else json.dumps(mangled))
     argv = [command, plan_path] + (["--out", tmp_path / "p.svg"] if command == "render" else [])
     assert run(argv) == 2
     assert "cannot read plan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_a_plan_file_that_cannot_be_opened_is_an_input_error(tmp_path, capsys, command):
+    argv = [command, tmp_path] + (["--out", tmp_path / "p.svg"] if command == "render" else [])
+    assert run(argv) == 2
+    assert "cannot read plan" in capsys.readouterr().err
+
+
+def test_a_crash_inside_a_check_is_no_input_error(tmp_path, monkeypatch):
+    # a ValueError raised inside the verifier is a fault of the program, not of
+    # the plan file: it reaches the caller instead of exiting 2
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(plan_to_json(pack_square(50.5)))
+
+    def crash(plan):
+        raise ValueError("crash inside the verifier")
+
+    monkeypatch.setattr(cli, "verify_packing", crash)
+    with pytest.raises(ValueError, match="crash inside the verifier"):
+        run(["verify", plan_path])
 
 
 def test_verify_command_detects_fault(tmp_path):

@@ -142,10 +142,12 @@ def test_covering_clean():
 @pytest.mark.parametrize("chunk", [1, 16])
 def test_covering_report_does_not_depend_on_the_batch_size(chunk, monkeypatch):
     # a batch flushed inside the probe loop can leave no points for the last one,
-    # and a covering with thousands of gaps lists the same first 100
+    # and a covering with thousands of gaps lists the same first 100; the box
+    # sweep then yields `chunk` candidate pairs at a time
     plans = [cover_square(50.5), _random_lattice_plan(7)]
     expected = [verify_covering(plan, cfg=CFG).to_dict(include_runtime=False) for plan in plans]
     monkeypatch.setattr(verifier, "_PROBE_CHUNK", chunk)
+    monkeypatch.setattr(verifier, "_POINT_CHUNK", 16 * chunk)
     assert [verify_covering(plan, cfg=CFG).to_dict(include_runtime=False)
             for plan in plans] == expected
 
@@ -175,6 +177,41 @@ def test_covering_detects_deleted_stack_run():
     mutated.root.runs[0] = StackRun(base=run.base, step=run.step, count=run.count,
                                     repeat=run.repeat - 20, pitch=run.pitch)
     _assert_real_gaps(mutated, verify_covering(mutated, cfg=CFG))
+
+
+def _boxes(seed: int):
+    """Boxes on a grid of 1/8, so every overlap is exact: small ones, tall ones
+    that span many slabs, coincident copies, and copies moved right to overlap
+    by exactly 1/4 or by 1/8 more."""
+    rng = np.random.RandomState(seed)
+    lo = rng.randint(0, 160, (40, 2)) / 8.0
+    size = rng.randint(1, 24, (40, 2)) / 8.0
+    size[:6, 1] = rng.randint(200, 600, 6) / 8.0
+    lo, size = np.concatenate([lo, lo[:5]]), np.concatenate([size, size[:5]])
+    moved = lo[5:15] + np.stack([size[5:15, 0] - 0.25 - rng.randint(0, 2, 10) / 8.0,
+                                 rng.randint(-2, 3, 10) / 8.0], axis=1)
+    lo, size = np.concatenate([lo, moved]), np.concatenate([size, size[5:15]])
+    order = rng.permutation(len(lo))
+    return lo[order], lo[order] + size[order]
+
+
+@pytest.mark.parametrize("chunk", [16, 1 << 15])
+@pytest.mark.parametrize("seed", range(4))
+def test_box_pairs_match_brute_force(seed, chunk, monkeypatch):
+    # every pair of boxes overlapping by more than 1/4 on both axes, once;
+    # chunk 16 yields one candidate at a time
+    monkeypatch.setattr(verifier, "_POINT_CHUNK", chunk)
+    lo, hi = _boxes(seed)
+    depth = 0.25
+    for n in (0, 1, len(lo)):
+        found = [(int(a), int(b)) for pairs in verifier._box_pairs(lo[:n], hi[:n], depth)
+                 for a, b in zip(*pairs)]
+        brute = {(a, b) for a in range(n) for b in range(a + 1, n)
+                 if (np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]) > depth).all()}
+        unordered = [(min(a, b), max(a, b)) for a, b in found]
+        assert len(set(unordered)) == len(unordered) and set(unordered) == brute
+    overlap = np.minimum(hi[:, None], hi[None]) - np.maximum(lo[:, None], lo[None])
+    assert len(brute) > 20 and (overlap.min(axis=2) == depth).sum() > 0
 
 
 def test_pair_search_matches_all_pairs():
