@@ -185,18 +185,18 @@ def _graft(node: PlanNode, frame: Pose, mirror: bool = False) -> PlanNode:
 # ---------------------------------------------------------------------------
 # leaf fills
 
-def grid_fill(w: float, h: float, kind: str, at=(0.0, 0.0), label: str = "") -> PlanNode:
-    """Axis-aligned fill of a w x h rectangle anchored at `at`.
+def grid_fill(w: float, h: float, kind: str, label: str = "") -> PlanNode:
+    """Axis-aligned fill of a w x h rectangle anchored at the origin.
 
     Packing uses floor x floor (margin waste stays implicit in the node);
     covering uses ceil x ceil and overshoots past the far sides.
     """
-    region = rect_region(w, h, Pose(at[0], at[1], 0.0))
+    region = rect_region(w, h)
     if kind == "pack":
         rows, cols = floor_guard(h), floor_guard(w)
     else:
         rows, cols = ceil_guard(h), ceil_guard(w)
-    return grid_node(region, at, max(rows, 0), max(cols, 0), label=label)
+    return grid_node(region, (0.0, 0.0), max(rows, 0), max(cols, 0), label=label)
 
 
 def sliced_trap_fill(h: float, a_top: float, a_bot: float, kind: str,

@@ -112,11 +112,11 @@ def fold_square_pose(pose: Pose) -> Pose:
 class Region:
     """Rectangle, right trapezoid or right triangle with a world frame.
 
-    Local shapes (counterclockwise):
-      rect: (0,0) (w,0) (w,h) (0,h)
-      trap: (0,0) (a_bot,0) (a_top,h) (0,h)   -- vertical left side, slant right,
-            a_bot >= a_top (the top is the narrow parallel edge)
-      tri:  (0,0) (u,0) (0,v)                 -- right angle at the origin
+    Each is the right trapezoid `trap` = (h, a_top, a_bot), counterclockwise
+    (0,0) (a_bot,0) (a_top,h) (0,h): a vertical left side, a slant right side
+    and the narrow parallel edge on top (a_bot >= a_top). A rect (w, h) is
+    (h, w, w); a tri (u, v) is (v, 0, u), the polygon (0,0) (u,0) (0,v) with
+    the right angle at the origin.
 
     `mirror` reflects the local shape across x = 0 before the frame is
     applied; a mirrored right trapezoid is not a rotation of the canonical
@@ -128,18 +128,22 @@ class Region:
     frame: Pose = IDENTITY
     mirror: bool = False
 
-    def local_polygon(self) -> list[tuple[float, float]]:
+    @property
+    def trap(self) -> tuple[float, float, float]:
+        """The right trapezoid (h, a_top, a_bot) this region is."""
+        if self.kind == "trap":
+            return self.dims
         if self.kind == "rect":
-            w, h = self.dims
-            poly = [(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)]
-        elif self.kind == "trap":
-            h, a_top, a_bot = self.dims
-            poly = [(0.0, 0.0), (a_bot, 0.0), (a_top, h), (0.0, h)]
-        elif self.kind == "tri":
-            u, v = self.dims
-            poly = [(0.0, 0.0), (u, 0.0), (0.0, v)]
-        else:
-            raise ValueError(f"unknown region kind {self.kind!r}")
+            return self.dims[1], self.dims[0], self.dims[0]
+        if self.kind == "tri":
+            return self.dims[1], 0.0, self.dims[0]
+        raise ValueError(f"unknown region kind {self.kind!r}")
+
+    def local_polygon(self) -> list[tuple[float, float]]:
+        h, a_top, a_bot = self.trap
+        poly = [(0.0, 0.0), (a_bot, 0.0), (a_top, h), (0.0, h)]
+        if self.kind == "tri":
+            del poly[2]  # the apex (a_top, h) is (0, h) again
         if self.mirror:
             poly = [(-x, y) for x, y in reversed(poly)]
         return poly
@@ -170,16 +174,8 @@ def tri_region(u: float, v: float, frame: Pose = IDENTITY,
 
 
 def region_area(region: Region) -> float:
-    if region.kind == "rect":
-        w, h = region.dims
-        return w * h
-    if region.kind == "trap":
-        h, a_top, a_bot = region.dims
-        return h * (a_top + a_bot) / 2.0
-    if region.kind == "tri":
-        u, v = region.dims
-        return u * v / 2.0
-    raise ValueError(f"unknown region kind {region.kind!r}")
+    h, a_top, a_bot = region.trap
+    return h * (a_top + a_bot) / 2.0
 
 
 def points_in_region(region: Region, pts: np.ndarray, tau: float) -> np.ndarray:
@@ -193,20 +189,7 @@ def points_in_region(region: Region, pts: np.ndarray, tau: float) -> np.ndarray:
     y = -s * dx + c * dy
     if region.mirror:
         x = -x
-    if region.kind == "rect":
-        w, h = region.dims
-        return (x >= -tau) & (x <= w + tau) & (y >= -tau) & (y <= h + tau)
-    if region.kind == "trap":
-        h, a_top, a_bot = region.dims
-        ex, ey = a_top - a_bot, h
-        norm = math.hypot(ex, ey)
-        # outward normal of the slant edge (a_bot,0) -> (a_top,h)
-        slant = (ey * (x - a_bot) - ex * y) / norm <= tau
-        return (x >= -tau) & (y >= -tau) & (y <= h + tau) & slant
-    if region.kind == "tri":
-        u, v = region.dims
-        norm = math.hypot(u, v)
-        hyp = (v * (x - u) + u * y) / norm <= tau
-        return (x >= -tau) & (y >= -tau) & hyp
-    raise ValueError(f"unknown region kind {region.kind!r}")
-
+    h, a_top, a_bot = region.trap
+    ex = a_top - a_bot  # the slant edge (a_bot,0) -> (a_top,h) has outward normal (h, -ex)
+    slant = (h * (x - a_bot) - ex * y) / math.hypot(ex, h) <= tau
+    return (x >= -tau) & (y >= -tau) & (y <= h + tau) & slant

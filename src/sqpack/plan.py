@@ -325,33 +325,27 @@ def enumerate_placements(plan: Plan | PlanNode, limit: int = 10_000_000) -> np.n
 # grafting: builders work in their own local coordinates and record on each
 # child the (frame, mirror) map into the parent's coordinates; repeated
 # grafts of one node compose in O(1). A (frame, mirror) map reflects across
-# local x = 0 when `mirror` is set, then applies the rigid frame. Unit
+# local x = 0 when `mirror` is set, then applies the rigid frame. A region
+# keeps its kind and dims and takes the composed graft as its frame. Unit
 # squares are achiral, so a mirrored square placement is re-expressed as a
 # proper rotation.
-
-def _map_region(r: Region, frame: Pose, c: float, s: float, mirror: bool) -> Region:
-    """`r` under (frame, mirror), composed as `compose_graft` composes; c and s
-    are the cosine and sine of the frame's angle."""
-    f = r.frame
-    rx, ra = (-f.tx, -f.angle) if mirror else (f.tx, f.angle)
-    pose = Pose(frame.tx + c * rx - s * f.ty, frame.ty + s * rx + c * f.ty, frame.angle + ra)
-    return Region(r.kind, r.dims, pose, mirror != r.mirror)
-
 
 def map_node(node: PlanNode, frame: Pose, mirror: bool) -> PlanNode:
     """A new node: `node` with its own geometry (not its children) mapped by
     (frame, mirror), no graft, no children yet, and its own runs list and
     ledger. `node` is left as it is.
 
-    A point (x, y) goes to (tx + (c*x' - s*y), ty + (s*x' + c*y)) with
-    x' = sx*x, sx = -1 under a mirror; a vector drops the translation.
-    The arithmetic is written out per point, and plan bytes depend on its
-    operation order.
+    The region's frame composes with (frame, mirror) by `compose_graft`. A
+    grid origin or run point (x, y) goes to (tx + (c*x' - s*y), ty + (s*x' +
+    c*y)) with x' = sx*x, sx = -1 under a mirror; a vector drops the
+    translation. Plan bytes depend on the operation order of both.
     """
     tx, ty, fa = frame.tx, frame.ty, frame.angle
     c, s = math.cos(fa), math.sin(fa)
     sx = -1.0 if mirror else 1.0
-    region = None if node.region is None else _map_region(node.region, frame, c, s, mirror)
+    r = node.region
+    region = None if r is None else Region(
+        r.kind, r.dims, *compose_graft((frame, mirror), (r.frame, r.mirror)))
     origin, rows, cols = node.origin, node.rows, node.cols
     if node.kind == "grid":
         k = round(fa / (math.pi / 2))
@@ -529,6 +523,8 @@ def _region_from_dict(d) -> Region | None:
 
 
 def _run_from_list(v) -> StackRun:
+    if len(v) != 10:
+        raise PlanError(f"plan run must have 10 fields, got {len(v)}: {v}")
     _finite(v[:9], "run")
     return StackRun(base=Pose(v[0], v[1], v[2]), step=(v[3], v[4]),
                     count=_json(v[5], int, "run count"), repeat=_json(v[6], int, "run repeat"),
@@ -544,6 +540,8 @@ def _node_from_dict(d: dict) -> PlanNode:
         node.children = [_node_from_dict(c) for c in d["children"]]
     elif kind == "grid":
         node.origin = tuple(_finite(d["origin"], "grid origin"))
+        if len(node.origin) != 2:
+            raise PlanError(f"plan grid origin must be 2 numbers, got {d['origin']}")
         node.rows = _json(d["rows"], int, "grid rows")
         node.cols = _json(d["cols"], int, "grid cols")
     elif kind == "stacks":
@@ -551,14 +549,14 @@ def _node_from_dict(d: dict) -> PlanNode:
         node.children = [_node_from_dict(c) for c in d["leftovers"]]
         node.ledger = d["ledger"]
     elif kind == "waste":
-        node.reason = d["reason"]
+        node.reason = _json(d["reason"], str, "waste reason")
     else:
         raise PlanError(f"unknown node kind {kind!r}")
     return node
 
 
 def plan_from_dict(d: dict) -> Plan:
-    if d.get("version") not in (1, 2):
+    if d.get("version") not in (1, 2) or type(d["version"]) is not int:  # True == 1 == 1.0
         raise PlanError(f"unsupported plan version {d.get('version')!r}")
     if d.get("kind") not in ("pack", "cover"):
         raise PlanError(f"plan kind must be 'pack' or 'cover', got {d.get('kind')!r}")

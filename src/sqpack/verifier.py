@@ -62,11 +62,11 @@ _REACH = math.sqrt(0.5)  # squares meet only if each centre is in the other infl
 @dataclass
 class VerifyReport:
     """`status` is "failed" when a violation was found, else "passed"; `partial` is
-    always False. `sampled_points` counts the covering candidate points tested. In
-    `runtime_stats`, `candidate_pairs` counts the probe pairs tested, for covering those whose
-    boxes grown by nu overlap; covering counts the `rectangles` among its `probes`, and packing
-    adds the lattice pairs (`hull_pairs`) and index `offsets` tested and the `fallback_lattices`
-    probed."""
+    always False. `sampled_points` counts the covering candidate points tested, once per
+    crossing, and each distinct uncovered point is listed once. In `runtime_stats`,
+    `candidate_pairs` counts the probe pairs tested, for covering those whose boxes grown by
+    nu overlap; covering counts the `rectangles` among its `probes`, and packing adds the
+    lattice pairs (`hull_pairs`) and index `offsets` tested and the `fallback_lattices` probed."""
 
     kind: str
     square_count: int
@@ -339,8 +339,9 @@ def verify_covering(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
         cross(quads[a], quads[b])
     if found:
         test()
-    gaps = np.concatenate(gaps)  # listed by x, then y: in no order the probes were taken in
-    report.add_violations("uncovered", gaps[np.lexsort((gaps[:, 1], gaps[:, 0]))])
+    gaps = np.concatenate(gaps)  # listed by x, then y, each once, not in probe order
+    gaps = gaps[np.lexsort((gaps[:, 1], gaps[:, 0]))]
+    report.add_violations("uncovered", gaps[(np.diff(gaps, axis=0, prepend=np.nan) != 0).any(1)])
     stats["seconds"] = round(time.perf_counter() - t0, 3)
     return report.finish()
 

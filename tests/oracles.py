@@ -14,7 +14,9 @@ also checked by ring probes of every lattice, without the verifier's hull
 and offset certificates, and covering by ring probes of every lattice,
 without the verifier's rectangles for level lattices. Plan files are
 checked against the dict a plan maps to, through `dumps_stable`, instead
-of the writer's direct text.
+of the writer's direct text. Region polygons, areas and membership are
+written out kind by kind instead of from the one right trapezoid
+(`Region.trap`) every kind is.
 """
 
 from __future__ import annotations
@@ -54,6 +56,67 @@ def bisect_tilt(m: float, kind: str, iters: int = 80) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def local_polygon_by_kind(region) -> list[tuple[float, float]]:
+    """`region.local_polygon()`, one shape per kind."""
+    if region.kind == "rect":
+        w, h = region.dims
+        poly = [(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)]
+    elif region.kind == "trap":
+        h, a_top, a_bot = region.dims
+        poly = [(0.0, 0.0), (a_bot, 0.0), (a_top, h), (0.0, h)]
+    elif region.kind == "tri":
+        u, v = region.dims
+        poly = [(0.0, 0.0), (u, 0.0), (0.0, v)]
+    else:
+        raise ValueError(f"unknown region kind {region.kind!r}")
+    if region.mirror:
+        poly = [(-x, y) for x, y in reversed(poly)]
+    return poly
+
+
+def region_area_by_kind(region) -> float:
+    """`region_area(region)`, one formula per kind."""
+    if region.kind == "rect":
+        w, h = region.dims
+        return w * h
+    if region.kind == "trap":
+        h, a_top, a_bot = region.dims
+        return h * (a_top + a_bot) / 2.0
+    if region.kind == "tri":
+        u, v = region.dims
+        return u * v / 2.0
+    raise ValueError(f"unknown region kind {region.kind!r}")
+
+
+def points_in_region_by_kind(region, pts: np.ndarray, tau: float) -> np.ndarray:
+    """`points_in_region(region, pts, tau)`, one test per kind; a triangle has no
+    top edge, which its hypotenuse implies to within about tau*hypot(u, v)/u
+    of the apex."""
+    fr = region.frame
+    c, s = math.cos(fr.angle), math.sin(fr.angle)
+    dx = pts[:, 0] - fr.tx
+    dy = pts[:, 1] - fr.ty
+    x = c * dx + s * dy
+    y = -s * dx + c * dy
+    if region.mirror:
+        x = -x
+    if region.kind == "rect":
+        w, h = region.dims
+        return (x >= -tau) & (x <= w + tau) & (y >= -tau) & (y <= h + tau)
+    if region.kind == "trap":
+        h, a_top, a_bot = region.dims
+        ex, ey = a_top - a_bot, h
+        norm = math.hypot(ex, ey)
+        slant = (ey * (x - a_bot) - ex * y) / norm <= tau
+        return (x >= -tau) & (y >= -tau) & (y <= h + tau) & slant
+    if region.kind == "tri":
+        u, v = region.dims
+        norm = math.hypot(u, v)
+        hyp = (v * (x - u) + u * y) / norm <= tau
+        return (x >= -tau) & (y >= -tau) & hyp
+    raise ValueError(f"unknown region kind {region.kind!r}")
 
 
 def shoelace(points) -> float:

@@ -114,6 +114,20 @@ _EDITS = {
     "origin-bool": lambda data: _grid(data)["origin"].__setitem__(1, True),
     "base-bool": lambda data: _run(data).__setitem__(0, True),
 }
+# each loaded, or crashed past the loader, before the loader checked the
+# number of fields of a run and of an origin, the type of a waste reason and
+# the JSON type of the version (True == 1 == 1.0)
+_SHAPES = {
+    "run-9-fields": lambda data: _run(data).__delitem__(9),
+    "run-11-fields": lambda data: _run(data).append(""),
+    "origin-1-number": lambda data: _grid(data)["origin"].__delitem__(1),
+    "origin-3-numbers": lambda data: _grid(data)["origin"].append(0.0),
+    # the plan holds no waste node, so a grid becomes one
+    "reason-number": lambda data: _grid(data).update(kind="waste", reason=7),
+    "version-true": lambda data: data.update(version=True),
+    "version-2.0": lambda data: data.update(version=2.0),
+    "version-1.0": lambda data: data.update(version=1.0),
+}
 # each reaches one exception type that `_read_plan` turns into an input error
 _CAUGHT = {
     "no-root": lambda data: data.__delitem__("root"),  # KeyError
@@ -125,13 +139,15 @@ _CAUGHT = {
 @pytest.mark.parametrize("mangle", [lambda data: [1, 2], lambda data: {**data, "root": []},
                                     lambda data: {**data, "region": None}, _deeply_nested]
                          + [lambda data, edit=edit: edit(data) or data
-                            for edit in [*_EDITS.values(), *_CAUGHT.values()]],
+                            for edit in [*_EDITS.values(), *_SHAPES.values(),
+                                         *_CAUGHT.values()]],
                          ids=["list", "root-list", "null-region", "deeply-nested",
-                              *_EDITS, *_CAUGHT])
+                              *_EDITS, *_SHAPES, *_CAUGHT])
 def test_malformed_plans_are_input_errors(tmp_path, capsys, command, mangle):
     # valid JSON of the wrong shape: a list for the plan or for its root node,
     # no target region, split nodes nested past the recursion limit, a field
-    # of the wrong JSON type, no root, or a count too large for a float
+    # of the wrong JSON type, a run or origin of the wrong length, no root, or
+    # a count too large for a float
     plan_path = tmp_path / "plan.json"
     mangled = mangle(json.loads(plan_to_json(pack_square(150.5))))
     plan_path.write_text(mangled if isinstance(mangled, str) else json.dumps(mangled))

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from sqpack.geometry import (
-    Pose, ceil_guard, corners, floor_guard, fold_square_pose, frac_guard, points_in_region,
-    rect_region, region_area, trap_region, tri_region,
+    Pose, Region, ceil_guard, corners, floor_guard, fold_square_pose, frac_guard,
+    points_in_region, rect_region, region_area, trap_region, tri_region,
 )
-from oracles import overlap_area_estimate, quads_disjoint, shoelace
+from oracles import (
+    local_polygon_by_kind, overlap_area_estimate, points_in_region_by_kind, quads_disjoint,
+    region_area_by_kind, shoelace,
+)
 
 
 def test_square_corners_identity():
@@ -154,6 +157,60 @@ def test_region_area_matches_shoelace_on_random_regions():
             r = tri_region(rng.uniform(0.1, 20), rng.uniform(0.1, 20), frame)
         area = region_area(r)
         assert abs(abs(shoelace(r.polygon())) - area) <= 1e-9 * max(area, 1.0)
+
+
+def _random_region(rng, kind: str) -> Region:
+    frame = Pose(rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-7, 7))
+    mirror = bool(rng.randint(2))
+    if kind == "rect":
+        return rect_region(rng.uniform(0.5, 20), rng.uniform(0.5, 20), frame, mirror)
+    if kind == "tri":
+        return tri_region(rng.uniform(0.5, 20), rng.uniform(0.5, 20), frame, mirror)
+    # a third of the trapezoids are rectangles, and a third come to a point
+    a_top, a_bot = [(rng.uniform(0.5, 10),) * 2, (0.0, rng.uniform(0.5, 10)),
+                    sorted(rng.uniform(0.5, 20, 2))][rng.randint(3)]
+    return trap_region(rng.uniform(0.5, 20), a_top, a_bot, frame, mirror)
+
+
+def _near_edges(rng, poly, n: int, d: float) -> np.ndarray:
+    """`n` points within `d` of each edge of `poly` (bar empty ones), up to `d`
+    past its ends."""
+    out = []
+    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
+        length = math.hypot(x2 - x1, y2 - y1)
+        if length == 0.0:
+            continue
+        t = rng.uniform(-d / length, 1 + d / length, n)
+        off = rng.uniform(-d, d, n) / length  # along the edge's normal
+        out.append(np.stack([x1 + t * (x2 - x1) - off * (y2 - y1),
+                             y1 + t * (y2 - y1) + off * (x2 - x1)], axis=1))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("kind", ["rect", "trap", "tri"])
+def test_the_one_trapezoid_is_each_kind_shape(kind):
+    """Polygon, area and membership from `Region.trap` equal the shapes
+    written out kind by kind, at the edges too, bar a triangle's apex."""
+    rng = np.random.RandomState({"rect": 3, "trap": 4, "tri": 5}[kind])
+    for _ in range(300):
+        r = _random_region(rng, kind)
+        local = local_polygon_by_kind(r)
+        assert r.local_polygon() == local
+        assert r.polygon() == [r.frame.apply(x, y) for x, y in local]
+        assert region_area(r).hex() == region_area_by_kind(r).hex()
+        pts = _near_edges(rng, r.polygon(), 50, 1e-6)
+        if kind == "tri":  # the apex is the vertex (0, v) of the local triangle
+            ax, ay = r.frame.apply(0.0, r.dims[1])
+            pts = pts[np.hypot(pts[:, 0] - ax, pts[:, 1] - ay) > 1e-6]
+        for tau in (-1e-9, 0.0, 1e-9):
+            inside = points_in_region(r, pts, tau)
+            assert np.array_equal(inside, points_in_region_by_kind(r, pts, tau))
+            assert inside.any() and not inside.all()
+    disc = Region("disc", (1.0,))
+    for shape in (disc.local_polygon, lambda: region_area(disc),
+                  lambda: points_in_region(disc, np.zeros((1, 2)), 0.0)):
+        with pytest.raises(ValueError, match="unknown region kind"):
+            shape()
 
 
 def test_guarded_rounding():

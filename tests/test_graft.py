@@ -27,6 +27,7 @@ from sqpack.plan import (
     plan_to_json, resolve_grafts, stacks_node,
 )
 from sqpack.planner import build_plan, cover_square, pack_square
+from sqpack.verifier import verify_covering, verify_packing
 from oracles import _node_to_dict, enumerate_by_node, plan_to_dict
 
 
@@ -331,6 +332,108 @@ PLAN_DIGESTS = {
 def test_plan_bytes_are_pinned(kind, case):
     text = plan_to_json(_build_case(kind, case))
     assert hashlib.sha256(text.encode()).hexdigest() == PLAN_DIGESTS[(kind, case)]
+
+
+# sha256 of dumps_stable(report.to_dict(include_runtime=False)), what `sqpack
+# verify --out` writes, for every PLAN_CASES entry outside HUGE_CASES; taken
+# before each region kind became one right trapezoid, and a change that claims
+# no behaviour change keeps them
+VERIFY_DIGESTS = {
+    ("pack", "square 0.5"): "9571268878f7d8dee9171630a780b39ef64fa51a2707f29b301c75adf19ff12c",
+    ("pack", "square 1"): "b340be13d309b52fa27d12a5bedc7a5dfe902f38e20cf52d5d0cc5d2b20efe20",
+    ("pack", "square 50.5"): "b4297b86b344f2cfa1f2a8ab112270821c5dacc9b4ac43510d779b383556c19f",
+    ("pack", "square 150.5"): "a815c4d5f79491f38de0d5aa297c539ba704c6c7da0e04f5b934fd3620bb6c55",
+    ("pack", "square 1000.25"): "35b4d148a9c68aeedf8684795d5cced4c5fe37480be2917e49e78245f2538357",
+    ("pack", "rect 80x60.3"): "edf34f5d9fdb773ab7186e52292c31f4f7edca97409c3dfec539aa1e6c18484e",
+    ("pack", "rect 60.3x80"): "edf34f5d9fdb773ab7186e52292c31f4f7edca97409c3dfec539aa1e6c18484e",
+    ("pack", "rect 500.5x300.25"):
+        "c175df0fc5a456aa0e2c9df62be81da740216969c6564ae2062654adc48bbc86",
+    ("pack", "rect 300.25x500.5"):
+        "c175df0fc5a456aa0e2c9df62be81da740216969c6564ae2062654adc48bbc86",
+    ("pack", "rect 150x2000"): "31e937e63e1e7e8e7dd2eb4bdc7e19cbdf5e65f08326785fa2877dda89a2404f",
+    ("pack", "rect 2000x150"): "31e937e63e1e7e8e7dd2eb4bdc7e19cbdf5e65f08326785fa2877dda89a2404f",
+    ("pack", "panel 50x50.5"): "b4297b86b344f2cfa1f2a8ab112270821c5dacc9b4ac43510d779b383556c19f",
+    ("pack", "panel 1000x178.5"):
+        "451709e7344f76620ac41f59a95eb9d225dd282cf65720171aee74257665cee4",
+    ("pack", "panel 1024x900.5"):
+        "e772cbc8da41833bfedda99128160b769ecd4d0f59fa9b9867b7b5fe416c3d5b",
+    ("pack", "strip 10.5x100"): "86a8424c73b8d5032e8bf93e3bf8bc95335e7f38bac27dee6aba51fbb224d179",
+    ("pack", "strip 150.7x9000"):
+        "53c5808364dc94963a65ee927ce5417cab1619787d26aef2f370450d29145c99",
+    ("pack", "wedge 400"): "5db1278a1363ef3242c93ba3c983b338bc60c2463336ab75f9b6e1d6d3e16972",
+    ("pack", "wedge 150x300 flat"):
+        "da73cc23d2595f4eb7f47f513fc8652e7b8838f60b9bea24ab4a1b453be6ea0c",
+    ("pack", "wedge 200x0.5 flat"):
+        "9571268878f7d8dee9171630a780b39ef64fa51a2707f29b301c75adf19ff12c",
+    ("pack", "wedge 110 narrow top"):
+        "6e20f9d3e2174fa036f6e4eb9e92cc7a6401888bf4fe5ac7b7625e565f81d1fd",
+    ("pack", "shelf 1e4"): "b861744b9a0e282418927be48d9a99aad15de3a5541890f2c7cadcbfec8c28a4",
+    ("pack", "shelf 1e6"): "c95812ab039043af32da0e4d9c218dd15e8b50213698cc17c5af25ae257a58b5",
+    ("pack", "shelf 1e8 flat"): "360defcc46457fdb63c0112544f4c0c9cb63f379a89338dda663f646a96a5637",
+    ("pack", "shelf 100 rows"): "c88e200b429dea9558b2eac097fe9475a1724ca8e1c4afdfe9ede0a3824ecb5d",
+    ("pack", "shelf 2e3 fallback"):
+        "3b1573fb8f3bb2976138244a67600ae178fae7569f438d5c8643c6d25d3d2a97",
+    ("pack", "shelf 5000 grid seam"):
+        "4ae65fddadef7f42f36926d3d2c25b57732da2b27e1e6dd24602502739604bbd",
+    ("pack", "shelf 4000 integer band"):
+        "cc9ccc56f4404fa851dde880a62075b0440371d2a996f0384cf633d000d8721e",
+    ("pack", "shelf 835 grid band"):
+        "8d342eba176c45301481b51db4bc0d482761abf59dd304a0528d5fd9617e9fdb",
+    ("pack", "shelf 150 grid seam"):
+        "4fcea64644f58128b63c68f137a058f0a29d790761541b538a9cad11e21042f6",
+    ("pack", "shelf 984 steep"): "b951feaa93ac2fb7d32b1fd158cb53422e13c412456c5b72f6ded89a67018365",
+    ("cover", "square 0.5"): "f90308496d9fbbd1aa73ecb0e4a916e10e80a0c076ab47adc5775c71dc49984f",
+    ("cover", "square 1"): "f90308496d9fbbd1aa73ecb0e4a916e10e80a0c076ab47adc5775c71dc49984f",
+    ("cover", "square 50.5"): "606234e2b614ef61da49bb61117b44020dc82046c699142a47b588692e348a20",
+    ("cover", "square 150.5"): "147568546f3585c85bdccf2c131c1a9ad903de876647505def9178b1984f0a80",
+    ("cover", "square 1000.25"): "d51e94cc8a41b531e244324086c0f396f047705c0f1226abb77413d868b1772b",
+    ("cover", "rect 80x60.3"): "e10cfb672ffb9d3e1a8242462a15b78c5f5e07fcc492b0c7a3dd46a93bfb87b3",
+    ("cover", "rect 60.3x80"): "e10cfb672ffb9d3e1a8242462a15b78c5f5e07fcc492b0c7a3dd46a93bfb87b3",
+    ("cover", "rect 500.5x300.25"):
+        "4f298151b26d124a983f2440388963fa047b8154b4df7e9203da1dd4bc0e02ec",
+    ("cover", "rect 300.25x500.5"):
+        "4a3bd5d784fd20f4a8c6ea7cdac1d7b69bcd5fe123bfe3115ef78585ba79b413",
+    ("cover", "rect 150x2000"): "97f7c3337db42f7cec5b3c65f05f36925c1e79d59ee2b40481c5781a3b957509",
+    ("cover", "rect 2000x150"): "97f7c3337db42f7cec5b3c65f05f36925c1e79d59ee2b40481c5781a3b957509",
+    ("cover", "panel 50x50.5"): "68d961c74f71be2f79726e56a2d83d3c12a203581c5ba5b183d073178c70993f",
+    ("cover", "panel 1000x178.5"):
+        "1135033af029ba4d84f4cc8e193564ec740e51d190c7f3684d83d83935788935",
+    ("cover", "panel 1024x900.5"):
+        "ce761fdfad2b16092801843db535351be1e00c616d1892624daec0aa62408112",
+    ("cover", "strip 10.5x100"): "bec240a90f67e82775141ce14f26d049df45360fe8b08464aeb74a68f421cad2",
+    ("cover", "strip 150.7x9000"):
+        "1a537f3a173b6fc7183d042252b82e428e5f18ee63bb383376d4a6747efbf655",
+    ("cover", "wedge 400"): "f4a26c5a73baf20c7a0d2bafb8fce6a0dcca943a6f65751b1608a2b554d8a0a9",
+    ("cover", "wedge 150x300 flat"):
+        "a89ddb4a1ab49ca9bc042d2eb020e6d79c5eff92232d93a326d182eb8078c743",
+    ("cover", "wedge 200x0.5 flat"):
+        "bf55d45e9a6c3b457cddebff2967aa46a50217287f2b4ad93bae57a2567c0453",
+    ("cover", "wedge 110 narrow top"):
+        "cc3ea509600832eec11e254254228416f30c9b1a4198b277b388b6f65eba647b",
+    ("cover", "shelf 1e4"): "418ad5bc854c749ea134ef1cb3f2a3a7a678b4da6703636e011b06239c9ebe63",
+    ("cover", "shelf 1e6"): "63f94462db1456231bc945e71297490dbdf1738e83374de241098c0d9c3ee403",
+    ("cover", "shelf 1e8 flat"): "a2d1bc0277dd5992db995d153ed2700f0d099502a29716e77db24ad5ca66b777",
+    ("cover", "shelf 100 rows"): "a2a061fe26bb49a5fbafbb1cf40f9b24112b2ea4663aae78fced7039a409061a",
+    ("cover", "shelf 2e3 fallback"):
+        "4881a27a130b7572f5c05f49bb786919717f654f13ac777d74db851403066350",
+    ("cover", "shelf 5000 grid seam"):
+        "9bde3adabcfdaeb6142db052c829538c7429e63ccccef906dee9d3a1d25caf60",
+    ("cover", "shelf 4000 integer band"):
+        "cb921ee79d7490e41e329a880b388a38df250b426050de8bb50fa871e142b8a1",
+    ("cover", "shelf 835 grid band"):
+        "5f0aafc0fe08045e46465b795781b6a1ebeca5f2af1b2819c3663035f00d98ab",
+    ("cover", "shelf 150 grid seam"):
+        "888fc04734443d046fa2c36aebceb62c9d378f015f2a1465abe0616f68c5a417",
+    ("cover", "shelf 984 steep"):
+        "75747fd58031579bc585cf41180b8daa2216c799833a4d53466001685a8fe555",
+}
+
+
+@pytest.mark.parametrize("kind,case", sorted(VERIFY_DIGESTS))
+def test_verify_report_bytes_are_pinned(kind, case):
+    report = (verify_packing if kind == "pack" else verify_covering)(_build_case(kind, case))
+    text = dumps_stable(report.to_dict(include_runtime=False))
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_DIGESTS[(kind, case)]
 
 
 def _sha(text: str) -> str:  # compared instead of texts of megabytes, which pytest would diff

@@ -674,6 +674,19 @@ def test_a_far_square_leaves_the_covering_tolerance(x, listed):
     assert report.runtime_stats == gapped.runtime_stats
 
 
+def test_each_uncovered_point_is_listed_once():
+    # 30 coincident squares cross each other's edges at the same points, once
+    # per pair; the report lists each uncovered point once, by x, then y, and
+    # still tests every crossing
+    plan = _cover_plan(3.0, 3.0, runs=[StackRun(Pose(1.0, 1.0, 0.0), (0.0, 0.0), 30)])
+    report = verify_covering(plan, cfg=CFG)
+    _assert_real_gaps(plan, report)
+    listed = _uncovered(report)
+    assert len(report.violations) == len(listed) == len({tuple(p) for p in listed}) == 8
+    assert listed.tolist() == sorted(listed.tolist())
+    assert report.sampled_points == 3484
+
+
 @pytest.mark.parametrize("seed", [7, 8])
 def test_covering_matches_sampling_oracle_on_random_lattices(seed):
     # mostly tilted, gapped and overlapping lattices that leave most of the
