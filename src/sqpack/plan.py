@@ -2,9 +2,9 @@
 
 A plan is immutable once built. Accounting (areas, counts, waste/excess)
 is analytic and never requires materialising placements. Every grid and
-stack run is one lattice of unit squares (`plan_lattices`), at any
-count; enumeration expands the lattices into explicit world-frame poses
-when the total count is small enough.
+stack run is one lattice of unit squares; `plan_lattices` lists them as
+one table of columns at any count, the counts as exact integers, and
+`square_at` places each square for enumeration and the verifier alike.
 
 Node kinds:
   split   -- children tile the node's region (checked by area, not geometry)
@@ -243,82 +243,66 @@ def check_bound(report: WasteReport, region_type: str) -> WasteReport:
     return report
 
 
-@dataclass(frozen=True)
-class Lattices:
-    """Every grid and stack run of a plan as one arithmetic family of unit
-    squares, in pre-order. Square (i, j) of lattice k, 0 <= i < count[k] and
-    0 <= j < repeat[k], has the pose (base[k, :2] + i*step[k] + j*pitch[k],
-    base[k, 2]); a lattice lists its squares row-major, j*count + i.
-
-    A grid of rows x cols is (origin, 0, (1, 0) x cols, (0, 1) x rows); a
-    run's base is folded into [-pi/2, pi/2] first. Empty families are left out.
-    """
-
-    base: np.ndarray    # (L, 3) tx, ty, angle
-    step: np.ndarray    # (L, 2)
-    count: np.ndarray   # (L,) int64
-    pitch: np.ndarray   # (L, 2)
-    repeat: np.ndarray  # (L,) int64
-
-    def __len__(self) -> int:
-        return len(self.count)
-
-    def sizes(self) -> list[int]:
-        """Squares per lattice, as exact Python integers."""
-        return [n * m for n, m in zip(self.count.tolist(), self.repeat.tolist())]
-
-    def poses(self) -> np.ndarray:
-        """Flat (N, 3) array of world poses (tx, ty, angle), lattice by
-        lattice, each row-major."""
-        poses = np.empty((sum(self.sizes()), 3))
-        end = 0
-        for (bx, by, angle), (ux, uy), n, (px, py), m in zip(
-                self.base.tolist(), self.step.tolist(), self.count.tolist(),
-                self.pitch.tolist(), self.repeat.tolist()):
-            i = np.arange(n)
-            j = np.arange(m)[:, None]
-            start, end = end, end + n * m
-            poses[start:end, 0] = (bx + i * ux + j * px).ravel()
-            poses[start:end, 1] = (by + i * uy + j * py).ravel()
-            poses[start:end, 2] = angle
-        return poses
-
-
-def _collect_lattices(node: PlanNode, out: list[tuple]) -> int:
-    """Append the lattices of `node` and below to `out`; return their analytic count."""
+def _collect_lattices(node: PlanNode, floats: list, ints: list) -> int:
+    """Add the columns of the lattices of `node` and below; return their analytic count."""
     if node.kind == "grid" and node.rows > 0 and node.cols > 0:
-        ox, oy = node.origin
-        out.append((ox, oy, 0.0, 1.0, 0.0, node.cols, 0.0, 1.0, node.rows))
+        floats += (node.origin[0], node.origin[1], 0.0, 1.0, 0.0, 0.0, 1.0)
+        ints += (node.cols, node.rows)
     elif node.kind == "stacks":
         for run in node.runs:
             if run.count > 0 and run.repeat > 0:
                 b = fold_square_pose(run.base)
-                out.append((b.tx, b.ty, b.angle, *run.step, run.count, *run.pitch, run.repeat))
-    return node.own_count() + sum(_collect_lattices(c, out) for c in node.children)
+                floats += (b.tx, b.ty, b.angle, *run.step, *run.pitch)
+                ints += (run.count, run.repeat)
+    return node.own_count() + sum(_collect_lattices(c, floats, ints) for c in node.children)
 
 
-def plan_lattices(plan: Plan | PlanNode) -> Lattices:
-    """The lattices of `plan`, at any square count; their sizes add up to
-    the analytic count exactly, or PlanError is raised."""
-    rows: list[tuple] = []
-    count = _collect_lattices(plan.root if isinstance(plan, Plan) else plan, rows)
-    table = np.array(rows, dtype=float).reshape(-1, 9)
-    lat = Lattices(table[:, 0:3], table[:, 3:5], table[:, 5].astype(np.int64),
-                   table[:, 6:8], table[:, 8].astype(np.int64))
-    total = sum(lat.sizes())
-    if total != count:
+LATTICE_COLUMNS = ("bx", "by", "ang", "ux", "uy", "px", "py", "count", "repeat")
+
+
+def plan_lattices(plan: Plan | PlanNode) -> dict[str, np.ndarray]:
+    """Every grid and stack run of `plan`, in pre-order, as one arithmetic family of unit
+    squares: columns `LATTICE_COLUMNS` indexed by lattice, base `bx`, `by`, angle `ang`, step
+    `ux`, `uy` and pitch `px`, `py` as float64, `count` and `repeat` as int64. Lattice k holds
+    squares (i, j), 0 <= i < count[k] and 0 <= j < repeat[k], row-major (j*count + i), each at
+    `square_at`. A grid of rows x cols is (origin, 0, (1, 0) x cols, (0, 1) x rows); a run's
+    base is folded into [-pi/2, pi/2] first. Empty families are left out. PlanError is raised
+    unless the sizes add up to the analytic count and each count and repeat is below 2**63."""
+    floats, ints = [], []  # the 7 float columns, then count and repeat, of each lattice
+    count = _collect_lattices(plan.root if isinstance(plan, Plan) else plan, floats, ints)
+    if (big := max(ints, default=0)) >= 2 ** 63:
+        raise PlanError(f"plan holds a lattice count or repeat of {big}; each must be below 2**63")
+    lat = dict(zip(LATTICE_COLUMNS, [*np.array(floats, dtype=float).reshape(-1, 7).T,
+                                     *np.array(ints, dtype=np.int64).reshape(-1, 2).T]))
+    if (total := sum(lattice_sizes(lat))) != count:
         raise PlanError(f"enumerated {total} != analytic {count}")
     return lat
 
 
+def lattice_sizes(lat: dict) -> list[int]:
+    """Squares per lattice, as exact Python integers: an int64 product can wrap."""
+    return [n * m for n, m in zip(lat["count"].tolist(), lat["repeat"].tolist())]
+
+
+def square_at(lat: dict, k, i, j) -> tuple:
+    """Base (x, y) of square (i, j) of lattice k: b + i*step + j*pitch."""
+    return (lat["bx"][k] + i * lat["ux"][k] + j * lat["px"][k],
+            lat["by"][k] + i * lat["uy"][k] + j * lat["py"][k])
+
+
 def enumerate_placements(plan: Plan | PlanNode, limit: int = 10_000_000) -> np.ndarray:
-    """The (N, 3) world poses `plan_lattices(plan).poses()`; N equals the
-    analytic square count exactly. Raises OverLimit when N is above `limit`."""
-    lat = plan_lattices(plan)
-    count = sum(lat.sizes())
-    if count > limit:
+    """The (N, 3) world poses (tx, ty, angle) of `plan_lattices(plan)`, lattice by lattice, each
+    row-major; N is the analytic square count exactly. OverLimit when N is above `limit`."""
+    if (count := sum(lattice_sizes(lat := plan_lattices(plan)))) > limit:
         raise OverLimit(f"plan holds {count} placements, limit {limit}")
-    return lat.poses()
+    poses, end = np.empty((count, 3)), 0
+    for k, (n, m) in enumerate(zip(lat["count"].tolist(), lat["repeat"].tolist())):
+        block, end = poses[end:end + n * m].reshape(m, n, 3), end + n * m  # a view, row-major
+        block[..., 2], i, rows = lat["ang"][k], np.arange(n), max(1, (1 << 15) // n)
+        for j in range(0, m, rows):  # 2**15 squares or one row at a time: temporaries stay in cache
+            part = block[j:j + rows]
+            part[..., 0], part[..., 1] = square_at(lat, k, i, np.arange(j, j + len(part))[:, None])
+    return poses
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Independent geometric validation of finished plans.
 
-The verifier sees a plan only through its target region and its lattices
-(`plan_lattices`), and never lists a lattice: `_near_squares` solves them
+The verifier sees a plan only through its target region and the table of its
+lattices (`plan_lattices`, extended by `_lattice_table`), places each square it
+reads by `square_at`, and never lists a lattice: `_near_squares` solves them
 near points. Every plan is checked in full, packing at a cost set by lattices.
 
 A lattice is *solid* when, in its square frame, its step is a unit step
@@ -49,7 +50,7 @@ import numpy as np
 
 from .config import TAU, PackConfig
 from .geometry import corners, points_in_region
-from .plan import Lattices, Plan, PlanError, plan_lattices
+from .plan import LATTICE_COLUMNS, Plan, PlanError, lattice_sizes, plan_lattices, square_at
 
 _POINT_CHUNK = 1 << 15  # point-lattice pairs per narrow-phase batch, 16x box pairs; stays in cache
 _PROBE_CHUNK = 1 << 18  # probe squares per broad phase
@@ -111,18 +112,12 @@ def _overlap_mask(dx, dy, ca, sa, cb, sb, tau: float) -> np.ndarray:
             & (np.abs(cb * dx + sb * dy) < limit) & (np.abs(cb * dy - sb * dx) < limit))
 
 
-def _square_at(table, k, i, j) -> tuple[np.ndarray, np.ndarray]:
-    """Base of square (i, j) of lattice k, with the arithmetic of `Lattices.poses`."""
-    return (table["bx"][k] + i * table["ux"][k] + j * table["px"][k],
-            table["by"][k] + i * table["uy"][k] + j * table["py"][k])
-
-
 def _setup(plan: Plan, kind: str):
     """Lattice table, empty report, lattices probed in full; flat indices are int64."""
-    lat = plan_lattices(plan)
-    if (total := sum(lat.sizes())) >= 2 ** 63:
+    table = plan_lattices(plan)
+    if (total := sum(lattice_sizes(table))) >= 2 ** 63:
         raise PlanError(f"plan holds {total} squares; verify takes fewer than 2**63")
-    table = _lattice_table(lat)
+    _lattice_table(table)
     full = ~table["solid"] | (np.minimum(table["count"], table["repeat"]) <= 2)
     return table, VerifyReport(kind=kind, square_count=total), full
 
@@ -273,7 +268,7 @@ def _probe_squares(table, full: np.ndarray, rows=None):
     run = np.concatenate([np.where(whole, i1 - i0, 1)[lead], 0 * rk[tail] + 1])
     for e, t in _chunks(run, _PROBE_CHUNK):
         k, j, i = sk[e], sj[e], si[e] + t
-        yield k, first[k] + j * n[k] + i, *_square_at(table, k, i, j)
+        yield k, first[k] + j * n[k] + i, *square_at(table, k, i, j)
 
 
 def _probe_pairs(table, full: np.ndarray, rows=None):
@@ -417,12 +412,12 @@ def _index_range(w, lo, hi, n) -> tuple[np.ndarray, np.ndarray]:
     return first, np.maximum(last - first + 1.0, 0.0).astype(np.int64)
 
 
-def _lattice_table(lat: Lattices) -> dict[str, np.ndarray]:
-    """Every per-lattice fact the checks read, indexed by lattice along axis 0: the arrays of
-    `_near_squares` (n and m as floats), `count`, `repeat`, `solid` (to within TAU), the `first`
-    flat index, and the flat indices `ends` and 16 corners `hull` of the four extreme squares."""
-    (bx, by, ang), (ux, uy), (px, py) = lat.base.T, lat.step.T, lat.pitch.T
-    count, repeat, size = lat.count, lat.repeat, lat.count * lat.repeat
+def _lattice_table(table: dict) -> dict[str, np.ndarray]:
+    """`plan_lattices` columns, extended in place (and returned) by each fact the checks read:
+    the arrays of `_near_squares` (n and m as floats), `solid` (to within TAU), the `first` flat
+    index, and the flat indices `ends` and corners `hull` (bases first) of the extreme squares."""
+    bx, by, ang, ux, uy, px, py, count, repeat = (table[f] for f in LATTICE_COLUMNS)
+    size = count * repeat
     n, m, first = count.astype(float), repeat.astype(float), np.cumsum(size) - size
     c, s = np.cos(ang), np.sin(ang)
     scale = (np.abs(bx) + np.abs(by) + (n - 1) * (np.abs(ux) + np.abs(uy))
@@ -438,13 +433,11 @@ def _lattice_table(lat: Lattices) -> dict[str, np.ndarray]:
     uk, pk = np.where(on1, u1, u2), np.where(on1, p1, p2)
     solid = ((np.abs(np.abs(uk) - 1.0) <= TAU) & (np.abs(np.where(on1, u2, u1)) <= TAU)
              & (np.abs(pk) <= 1.0 + TAU) & (np.abs(np.where(on1, p2, p1)) <= 1.0 + TAU))
-    table = {"bx": bx, "by": by, "ang": ang, "c": c, "s": s, "ux": ux, "uy": uy,
-             "px": px, "py": py, "n": n, "m": m, "scale": scale, "u1": u1, "u2": u2,
-             "jw": u1 * p2 - u2 * p1, "norm": np.abs(u1) + np.abs(u2), "on1": on1,
-             "uk": uk, "pk": pk, "solid": solid, "count": count, "repeat": repeat, "first": first}
+    table.update(c=c, s=s, n=n, m=m, scale=scale, u1=u1, u2=u2, jw=u1 * p2 - u2 * p1,
+                 norm=np.abs(u1) + np.abs(u2), on1=on1, uk=uk, pk=pk, solid=solid, first=first)
     k, i = np.repeat(np.arange(len(n)), 4), np.stack([0 * count, count - 1] * 2, axis=1)
     j = np.stack([0 * repeat, 0 * repeat, repeat - 1, repeat - 1], axis=1)
-    sq = corners(np.stack([*_square_at(table, k, i.ravel(), j.ravel()), ang[k]], axis=1))
+    sq = corners(np.stack([*square_at(table, k, i.ravel(), j.ravel()), ang[k]], axis=1))
     table.update(ends=first[:, None] + j * count[:, None] + i, hull=sq.reshape(len(n), 16, 2))
     return table
 
@@ -460,7 +453,7 @@ def _near_squares(pts: np.ndarray, table: dict, r: float, done: np.ndarray | Non
     on i for each j, widened by _SLACK times the size of the coordinates."""
     if len(pts) == 0 or len(table["n"]) == 0:
         return
-    bx, by, ux, uy, px, py, n, m = (table[f] for f in ("bx", "by", "ux", "uy", "px", "py", "n", "m"))
+    bx, by, n, m = (table[f] for f in ("bx", "by", "n", "m"))
 
     # broad phase: cells of about _CELL_POINTS points, sorted row by row
     x, y = pts[:, 0], pts[:, 1]
@@ -473,8 +466,7 @@ def _near_squares(pts: np.ndarray, table: dict, r: float, done: np.ndarray | Non
     key = cy * ncx + cx
     order = np.argsort(key)
     key = key[order]
-    ex = np.stack([bx, bx + (n - 1) * ux, bx + (m - 1) * px, bx + (n - 1) * ux + (m - 1) * px])
-    ey = np.stack([by, by + (n - 1) * uy, by + (m - 1) * py, by + (n - 1) * uy + (m - 1) * py])
+    ex, ey = table["hull"][:, ::4].T  # (4, L) bases of the four extreme squares
     reach = math.sqrt(2.0) * (1.0 + r) + _SLACK * table["scale"]
 
     def cells(lo, hi, origin, size):
@@ -512,4 +504,4 @@ def _near_squares(pts: np.ndarray, table: dict, r: float, done: np.ndarray | Non
                                    n[row_lat])
         cand = np.repeat(np.arange(len(pair)), ni)
         i, j, k = i_first[cand] + _ramp(ni), j[cand], row_lat[cand]
-        yield (q[pair[cand]], k, i, j, *_square_at(table, k, i, j))
+        yield (q[pair[cand]], k, i, j, *square_at(table, k, i, j))

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -351,6 +354,23 @@ def test_verify_refuses_plans_of_2_63_squares(tmp_path, capsys, kind):
     assert run(["verify", plan_path]) == 2
     assert ("plan holds 16000000000000000001 squares; verify takes fewer than 2**63"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("count", [2 ** 63, 10 ** 30])
+def test_verify_refuses_lattice_counts_of_2_63(tmp_path, count):
+    # such a run count once went through a float64 table and its cast to int64:
+    # `sqpack verify` printed a RuntimeWarning, then a negative enumerated count
+    data = json.loads(plan_to_json(build_plan("cover", "square", 150.5)))
+    _run(data)[5] = count
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(data))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "sqpack.cli", "verify", str(plan_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 2
+    assert f"lattice count or repeat of {count}; each must be below 2**63" in out.stderr
+    assert "RuntimeWarning" not in out.stderr
 
 
 def _usage_error(argv) -> int:

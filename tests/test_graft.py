@@ -24,7 +24,7 @@ from sqpack.geometry import (
 )
 from sqpack.plan import (
     Plan, StackRun, account, dumps_stable, enumerate_placements, grid_node, plan_from_json,
-    plan_to_json, resolve_grafts, stacks_node,
+    plan_lattices, plan_to_json, resolve_grafts, stacks_node,
 )
 from sqpack.planner import build_plan, cover_square, pack_square
 from sqpack.verifier import verify_covering, verify_packing
@@ -477,6 +477,216 @@ def test_memo_heavy_plan_and_account_bytes_are_pinned(kind, monkeypatch):
     assert len(calls) > 1000 and len(bodies) == len(set(bodies)) == len(set(calls)) == 2
     assert (_sha(plan_to_json(plan)), _sha(dumps_stable(account(plan).to_dict()))) == \
         MEMO_HEAVY_DIGESTS[kind]
+
+
+# sha256 of the `plan_lattices` columns (bx by ang ux uy px py as float64, then
+# count repeat as int64, each lattice a row) and of enumerate_placements(plan)
+# bytes, for every PLAN_CASES entry of at most 5M squares; taken before the
+# lattices became one table of columns, and a change that claims no behaviour
+# change keeps them
+LATTICE_DIGESTS = {
+    ("pack", "square 0.5"):
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pack", "square 1"):
+        ("a5fb1017af5628efc92b5066741b0df2039581fb4aac56ed8d5b79af2e1a1883",
+         "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"),
+    ("pack", "square 50.5"):
+        ("b26bed124fb319b35376fe68ea6b401f58420eb5c564390e965700912709e9f3",
+         "9099cf82e55d8cd80af22f9d22844481b104fe540ef1e3092c199bc3f2d1ded0"),
+    ("pack", "square 150.5"):
+        ("8433ce91c39221cd5830843580c269f974c1d8039ded66f33b2cbde42d43519d",
+         "3bc84f17c9281cb36b24bd1bfd91c292a409ad65569c5e1305f3197735fb8960"),
+    ("pack", "square 1000.25"):
+        ("38eb87e2616d3fef28c5620ef993aa77e784f059e913b0b0e7fb60eef13aa0c9",
+         "334c2c648d22964ab36c93af77a7b3c995f9bcd0e40c90f5949843f331d80996"),
+    ("pack", "rect 80x60.3"):
+        ("75bc2fb46262970099a689ee7b56b434f32586c54179e302034097bb26a6914a",
+         "42fdd4a08a981b0f19d43ddbec332509d7336ed2432653758a86ed265faed785"),
+    ("pack", "rect 60.3x80"):
+        ("fd8bf51f9b390c91f822caf6abebd202e5c8035ae6e624359d4c59c1615ac231",
+         "cb1653f2f4e09437f0da3cce6bb68334903c634afc4448df818d4a1e33609159"),
+    ("pack", "rect 500.5x300.25"):
+        ("93467cdf7cea1e9859f9a54c4a39ed354ab52972de7860c188bcd9f96cd58bb8",
+         "ebddd908b0ddba7f354f48c07640ec6c2f43494948d677a77edf1c0a92326e6f"),
+    ("pack", "rect 300.25x500.5"):
+        ("4087af35e561ad2ffdf7efedc4786c44d6aa8f8acd6f294ea9a67b9a8f07d3b2",
+         "f1e3c03126163a1efe7739d63b4acbfc1aa2cdd952c48c8fc1622cda5bd61a63"),
+    ("pack", "rect 150x2000"):
+        ("82355f4f4e6263eafe3d6e6c04ffe5e9817de9bae7a7336e4eb626c9e0c622e1",
+         "766fb0eb0ab4c4e1c2573875293ec6ff2b8251ac6d8d315dc1b0319c11537fc1"),
+    ("pack", "rect 2000x150"):
+        ("4bc51b473747c7a1430bea146c416749799184425817e1371ed19e7df3529454",
+         "5a1b853527dbe23744425d0b660d8c493ced528bf013d7d441b4558ffd9dca87"),
+    ("pack", "panel 50x50.5"):
+        ("b26bed124fb319b35376fe68ea6b401f58420eb5c564390e965700912709e9f3",
+         "9099cf82e55d8cd80af22f9d22844481b104fe540ef1e3092c199bc3f2d1ded0"),
+    ("pack", "panel 1000x178.5"):
+        ("084b59cd0d4b49bd5c9a2e59e32f27f40c21ad01bc49a5cdced2de2d630845c0",
+         "92f246a7a01f05da91c21daa1f331670768bffd5fbb3008cfc5decae7c2ee26c"),
+    ("pack", "panel 1024x900.5"):
+        ("51968b0e36aa2d7ad9913e6a1a9e7d24e6e7bea85ae92c50c1ee135c8b9ef7b7",
+         "ae718a9cf21cb53ef8fc27ada27f37e113262599e59fcfd5821fb00333b2194a"),
+    ("pack", "strip 10.5x100"):
+        ("cd52053fd705b7dec45512ff4de7c413c85f3ddce7b4c1f7041de0f06509d404",
+         "e6e9f3c24bf4be682f0cf59a026ee2fbd1e1540fde68ed7443eff3662d993579"),
+    ("pack", "strip 150.7x9000"):
+        ("d1bd26996df70e56d561c873593c7b94945ca9991501187f63e0b2918833163b",
+         "207f1b7fbff9e4e0548957002fbb53a8b588229fe9a5c4fa3798066f456a61a1"),
+    ("pack", "wedge 400"):
+        ("240f172ae0be00268c3c1dd4f88ec25b38a9742a20676ca2e38ee5428e84980f",
+         "9841c7e59e2a3cc268c655485ec7fd14fb36f5463e586c6629caafface27fddd"),
+    ("pack", "wedge 1e4"):
+        ("e7432773db3e0346df800906cf2c0365e290dd4270843292b1ab20e92dff81dd",
+         "5d6b598be2254bbb91940b8fc57524c965aafd2e4a01c5030a349e0ce9dcc02f"),
+    ("pack", "wedge 150x300 flat"):
+        ("15709c62d5f5baeb259bbd240a8f622bc8bb6b46dbc22544b63886b53b5b6e73",
+         "8d36d00e5620a636287eaf6061372deb816d824b06f30106678202c2fa83abec"),
+    ("pack", "wedge 200x0.5 flat"):
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pack", "wedge 110 narrow top"):
+        ("869bd497557ab6e85948b171f57d1aca33096e0663a7609d96b9a8fb5baaeca2",
+         "ebade823896655d10a8e1ca10e5f8cb106bfcf6cc7ed7853b8cabf1ddb15808a"),
+    ("pack", "shelf 1e4"):
+        ("78f39af11d6d79db7f23da3d62d482dc9f8dc97264c566be33a07aaaf2c19460",
+         "4643fb2bcfb7445fc19f6e2e7eadf344a48c2dae6e0d9da3f2825f4fb8f3454f"),
+    ("pack", "shelf 1e6"):
+        ("515771b54b08bf66dbe4f4d063c490b2236411f8749953b91ca3f24e8bb29561",
+         "f104985118ea7553756554d3620d1cdf012651298e3302a5bc6bbf3d07f54547"),
+    ("pack", "shelf 1e8 flat"):
+        ("bf566a53e5aaf4b29b1bef2958878deb57dfcf8cd4760c50aecff70047c8c5c6",
+         "44aebf9499d3ce90ab877b603782dae32488951ad06ac5f23f688fa0ced538a1"),
+    ("pack", "shelf 100 rows"):
+        ("815963ff56aac3a72b6914fc726887b5084893bf1701e0c7fd40c87db2d63f7b",
+         "d342f63a60e8c11ece139f85ffd0eabe55fa57953030af04ea4b7c0258db9511"),
+    ("pack", "shelf 2e3 fallback"):
+        ("4e1058e587c277df6f1bdc190debfa7883d44242bcb4de00a2507cd787d81626",
+         "48e05087afc4bdbd09c5cf65dafd2bf4604f330bfa7c214fb62711e0d06c36e2"),
+    ("pack", "shelf 5000 grid seam"):
+        ("a8a15599cdbb54bfb5bd7d3c575ee2f9b4257fb90576b28df08b8dfbaa44e7bd",
+         "f9426b93114f1fa1d737af2a6a6de0736b1404fad4623e59f9497d372b4acaf7"),
+    ("pack", "shelf 4000 integer band"):
+        ("a02c7a36b63545c8629fa7da6c85a0303fc46ab20e088f16dbaa680ecccd5df0",
+         "6e8da11d7d3e6ed2d21e85173a6b3c77ffab33654814221f3c07db8f610af73d"),
+    ("pack", "shelf 835 grid band"):
+        ("99a64a62c05d0ebcf576d224d55adba54bd548d48e25990ef61878c1c720f4c6",
+         "842d8bb72652abe7499811d68648afe3e72c127888e4bd759ebf895254bcad81"),
+    ("pack", "shelf 150 grid seam"):
+        ("a6c2b7c803ea88b3add3300b3fa764a76641798359b5dc8a8a8883ccc3414857",
+         "a232e01bdc17eecd5dac580c1abe0f2c5a24f1318611086726ad8d7fdd83f018"),
+    ("pack", "shelf 984 steep"):
+        ("af988eb02f70fb3374b6294528f83bf1344af17975e910613463e0d06815c029",
+         "5a0bed5f9ed91c426056d1489b0524b57cf2098d28f35f3b151bad582842989b"),
+    ("cover", "square 0.5"):
+        ("a5fb1017af5628efc92b5066741b0df2039581fb4aac56ed8d5b79af2e1a1883",
+         "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"),
+    ("cover", "square 1"):
+        ("a5fb1017af5628efc92b5066741b0df2039581fb4aac56ed8d5b79af2e1a1883",
+         "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"),
+    ("cover", "square 50.5"):
+        ("0544ced9b7d07fae477732fc52b4f911315aaf99a325c0a5ce970ceeda143a25",
+         "4c638ce645c12e7e1d995b763d58e98e5d53cdaa0c47beae73db72adf31f3240"),
+    ("cover", "square 150.5"):
+        ("88281dab74a28c7c8f262ea3a11b5a8901656794c7c2206d2e11ed69361143df",
+         "9b16b18ea62ce120cff7aefd8d7632778d9f2224fecffb756f8684b1ecaf1a5c"),
+    ("cover", "square 1000.25"):
+        ("e1799ce26713ad39a3a7adab554a43d4403f5b0820ef703dd392d89061910384",
+         "737ee4fe200a99986f456aae7b021eea8b530bab02fcc59a60ed9bda753c4b0b"),
+    ("cover", "rect 80x60.3"):
+        ("e1db696db80271bdb1bf4dd2e547ba41b2986038415a53d39dddd7d23049210d",
+         "2ecbc00430225497e1fc095c8e22b70e4401b2a1d67bcf68b4bfaa01711c7699"),
+    ("cover", "rect 60.3x80"):
+        ("db714d97f87173c1ed815f361c3f72835bc5cffcf498322197c3bbad83a91be4",
+         "71c10c12a34d5938080859b4d28628615f707517a4f3e3ea2f09cd029a3c5033"),
+    ("cover", "rect 500.5x300.25"):
+        ("dca9730c8a486ef2681eef219e578dd9df3007417754aa4b7be20a7d38b926fd",
+         "e446f17c2da09a195243f7b8b7b803d634feb9e006e4dc37364640fd0f00e6f7"),
+    ("cover", "rect 300.25x500.5"):
+        ("0824b214aa3f0203ea887989574d1a039d84af18ab72d7e4ae697dc4622b5aba",
+         "c2d71e6b5990e18ba77bc121591c3bcfc6c2178fc081d007e9ba6093546b4435"),
+    ("cover", "rect 150x2000"):
+        ("82355f4f4e6263eafe3d6e6c04ffe5e9817de9bae7a7336e4eb626c9e0c622e1",
+         "766fb0eb0ab4c4e1c2573875293ec6ff2b8251ac6d8d315dc1b0319c11537fc1"),
+    ("cover", "rect 2000x150"):
+        ("4bc51b473747c7a1430bea146c416749799184425817e1371ed19e7df3529454",
+         "5a1b853527dbe23744425d0b660d8c493ced528bf013d7d441b4558ffd9dca87"),
+    ("cover", "panel 50x50.5"):
+        ("1b5136af5cf55e0b84418318259e0c77bfd18cdc0e3e9575de589827df1d537d",
+         "14bd189738c32dc2e0b2349553414cd1be01c4e170211dabd83c8a1f81d76e79"),
+    ("cover", "panel 1000x178.5"):
+        ("2090ab325e21400ffd8018a6fb99eb2f99a5bb9abf01339933daee6d7ef9f436",
+         "921c0237b50a52a745b6374411d2df87b2b89c85115639a76eafc24906edf167"),
+    ("cover", "panel 1024x900.5"):
+        ("665243856c90c110c9e82805b7631ea44713366aae700eb38c104b2ad29ed14e",
+         "2f3ea0ddff1f02d67387764df8470a1dca242c0fafe951b1e4fd2a451706b3ef"),
+    ("cover", "strip 10.5x100"):
+        ("28195102456062cdfa4027ca7332cd3e7e55e06bd1a6bd5ec8c8f34425505d2b",
+         "6ca535e7569689bcc37731fc27ac1e72c30b4018a8c5689c368ae72440d4a2c8"),
+    ("cover", "strip 150.7x9000"):
+        ("adbee760877d635f1af169db0feef27760ab521ef0fdb81a07d3dedd9fb017e8",
+         "16352d353edb87baa1651db8c863ac9275d7b4c6402e7d4bdac795c6a1b2a51c"),
+    ("cover", "wedge 400"):
+        ("890a1d95681bb9da7b14b475d01e102cad99a12a7f2e42a273adb41f761c9060",
+         "45029c028792985c884e02a5d8cdd8a19af12d86ee8a680a2472f6a2750229e3"),
+    ("cover", "wedge 1e4"):
+        ("cca8835da7461f4c3ca850519ed26228fbc435f054e27fd56a7ebe33735a932b",
+         "9d868f7e5dd74290b02372057a0f1606147b5bfb78b017a0f9a85f5c9aaa0c8e"),
+    ("cover", "wedge 150x300 flat"):
+        ("15709c62d5f5baeb259bbd240a8f622bc8bb6b46dbc22544b63886b53b5b6e73",
+         "8d36d00e5620a636287eaf6061372deb816d824b06f30106678202c2fa83abec"),
+    ("cover", "wedge 200x0.5 flat"):
+        ("947936842c8b992d30bc3ab893d32a6f9c24210469cc147db594ab66fc27ae06",
+         "138ef155387433eae77fa229a20037ba5c220f48f5f4dcfb423032393cf2ef58"),
+    ("cover", "wedge 110 narrow top"):
+        ("c37cecbc80d12c2d7ea79c52da00c1043fc650174d4751f27c79f6821d98893c",
+         "6796608c856f9ac8bc79709e458a68c4ce5c08a03d71ebe799d989d8010aee22"),
+    ("cover", "shelf 1e4"):
+        ("2f19edd467017d5d1ba9c661218ad312c248e6a2d55406bb2c0cb43a6d0ac898",
+         "ada151eda7db910f6b59a4ca70ec13508ea708ff0073fc23022b21f04be95b29"),
+    ("cover", "shelf 1e6"):
+        ("42b4971e1adccd766c62a53d05095481bb7e0b33c9584251bcba96c7126a967a",
+         "b198758827755272a381c6fe1b5f890cc9d2e2c52ae612e281c83148abcd9e37"),
+    ("cover", "shelf 1e8 flat"):
+        ("d53084084278232c399c96d8727ec49702dd5b37be4bdd914645ed5d24ad17bc",
+         "75a8762761a01ba2a8d754d9e6cdddc203079021fa6599af9ed1f35118e5dc49"),
+    ("cover", "shelf 100 rows"):
+        ("e272b0085774cd89cc05460bcdd5151b77fdf9a0d158a03c7eacd241c7215148",
+         "36930d48b1593d8f21a295845ae39237db4641de42ba73291b3c3aca4034b248"),
+    ("cover", "shelf 2e3 fallback"):
+        ("d119d46ac23324f33d928b9c6fe9e51a661e981f4ecf4d3804ec5bb23d8e47a1",
+         "62ff03d9b398e042d0f949c6ff903f598dd09150a6dd75ea78fc45c7512551e7"),
+    ("cover", "shelf 5000 grid seam"):
+        ("864a607c0271508fc60916a478f7e11b81c0f214a9efa20b098c4845705947cf",
+         "f0305f9bd38aa11727cb8d9712d552b467c83035eac32333046807af2134e6f2"),
+    ("cover", "shelf 4000 integer band"):
+        ("a94c04a006666d58adabd3c5e96d79d71160de45fae11068973e9831c96e3686",
+         "e585af1816625b8f66c29998edbea9210abbe6f7a48ddd12f5736610cf3d846b"),
+    ("cover", "shelf 835 grid band"):
+        ("923476a3bce083a0cd265d72b5652b8febbc2589a54f45cba05dcbd7d819d71c",
+         "ab5699e80f5c014f8cc807db6dd9687cc0a889a20fd9214a113043820eca7f22"),
+    ("cover", "shelf 150 grid seam"):
+        ("e320b4f47ca0294e1a95a16f6d9610cf7004e9096034d58171da89394eec2c03",
+         "1d22b4fe7534d7de31b8f20b640a4bad4a8cb64db715f0bfc4c3e686ab1b7fe6"),
+    ("cover", "shelf 984 steep"):
+        ("ec59b5c1377e2af5e1382c456772dadf7c76f09bdc0c01be927c8ce5c2eea1be",
+         "cc999eafa6eff673d53f6ed59bb0ff602b06bada96498c740becfb6c23a84460"),
+}
+
+
+def _lattice_sha(lat: dict) -> str:
+    floats = np.stack([lat[f] for f in ("bx", "by", "ang", "ux", "uy", "px", "py")], axis=1)
+    ints = np.stack([lat["count"], lat["repeat"]], axis=1)
+    assert floats.dtype == np.float64 and ints.dtype == np.int64
+    return hashlib.sha256(floats.tobytes() + ints.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind,case", sorted(LATTICE_DIGESTS))
+def test_lattice_and_placement_bytes_are_pinned(kind, case):
+    plan = _build_case(kind, case)
+    poses = enumerate_placements(plan)
+    assert (_lattice_sha(plan_lattices(plan)), hashlib.sha256(poses.tobytes()).hexdigest()) == \
+        LATTICE_DIGESTS[(kind, case)]
 
 
 def _unshared(build, spec, depth, stats, kind):

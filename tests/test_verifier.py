@@ -13,8 +13,8 @@ import pytest
 from sqpack.config import TAU, PackConfig
 from sqpack.geometry import Pose, corners, rect_region
 from sqpack.plan import (
-    OverLimit, Plan, StackRun, dumps_stable, enumerate_placements, grid_node, plan_lattices,
-    split_node, stacks_node,
+    OverLimit, Plan, StackRun, dumps_stable, enumerate_placements, grid_node, lattice_sizes,
+    plan_lattices, split_node, stacks_node,
 )
 from sqpack.planner import build_plan, cover_square, pack_square
 from sqpack import verifier
@@ -100,7 +100,18 @@ def test_covering_2_64_squares():
     region = rect_region(float(side), float(side))
     plan = Plan(kind="cover", x=float(side), region=region,
                 root=grid_node(region, (0.0, 0.0), side, side))
-    assert sum(plan_lattices(plan).sizes()) == plan.root.total_count() == 2 ** 64
+    assert sum(lattice_sizes(plan_lattices(plan))) == plan.root.total_count() == 2 ** 64
+
+
+def test_covering_counts_past_2_53_exactly():
+    # one row of 2**53 + 1 squares over its rectangle, 2**53 wide in float64:
+    # through a float64 table its count read 2**53 and the plan was refused
+    cols = 2 ** 53 + 1
+    region = rect_region(float(cols), 1.0)
+    plan = Plan(kind="cover", x=float(cols), region=region,
+                root=grid_node(region, (0.0, 0.0), 1, cols))
+    report = verify_covering(plan, cfg=CFG)
+    assert report.passed and report.square_count == 9007199254740993
 
 
 def _nodes(node):
@@ -350,7 +361,7 @@ def test_points_covered_matches_brute_force_on_mixed_poses():
     plan = _loose_plan(_mixed_poses())
     lat = plan_lattices(plan)
     poses = enumerate_placements(plan)
-    assert len(lat) == len(poses) == 2385
+    assert len(lat["count"]) == len(poses) == 2385
     rng = np.random.RandomState(5)
     # random points, plus points just inside and just outside square edges
     pick = rng.randint(0, len(poses), size=1500)
@@ -652,7 +663,8 @@ def test_covering_matches_sampling_oracle_on_plans(case):
 @pytest.mark.parametrize("case", list(PLAN_CASES))
 def test_covering_checks_every_lattice_of_plans(case):
     plan = _build_case("cover", case)
-    assert verify_covering(plan, cfg=CFG).runtime_stats["lattices"] == len(plan_lattices(plan))
+    lattices = len(plan_lattices(plan)["count"])
+    assert verify_covering(plan, cfg=CFG).runtime_stats["lattices"] == lattices
 
 
 @pytest.mark.parametrize("x,listed", [(150.5, 24), (1030.7, 98)])
@@ -713,9 +725,9 @@ def _probes_of(plan: Plan) -> tuple[list, int]:
     drift at most TAU end to end. The rectangle is the frame box of its four
     extreme squares, as counterclockwise world corners."""
     lat, rectangles, squares = plan_lattices(plan), [], 0
-    for (bx, by, angle), step, n, pitch, m in zip(lat.base.tolist(), lat.step.tolist(),
-                                                   lat.count.tolist(), lat.pitch.tolist(),
-                                                   lat.repeat.tolist()):
+    for bx, by, angle, ux, uy, px, py, n, m in zip(*(lat[f].tolist() for f in (
+            "bx", "by", "ang", "ux", "uy", "px", "py", "count", "repeat"))):
+        step, pitch = (ux, uy), (px, py)
         c, s = math.cos(angle), math.sin(angle)
         u = (c * step[0] + s * step[1], c * step[1] - s * step[0])
         p = (c * pitch[0] + s * pitch[1], c * pitch[1] - s * pitch[0])
