@@ -65,7 +65,8 @@ def _report_path(args) -> str:
     return args.report if args.report else args.out + ".report.json"
 
 
-def cmd_build(args, kind: str) -> int:
+def cmd_build(args) -> int:
+    kind = args.command
     _check_x(args.x)
     plan = build_plan(kind, "square", args.x)
     report = check_bound(account(plan), "square")
@@ -167,42 +168,36 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--x", type=float, required=True, help="target side length")
         p.add_argument("--out", type=str, default=f"{name}_plan.json")
         p.add_argument("--report", type=str, default=None)
+        p.set_defaults(run=cmd_build)
 
     p = sub.add_parser("verify", help="geometrically verify a stored plan")
     p.add_argument("plan", type=str)
     p.add_argument("--out", type=str, default=None)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("render", help="render a stored plan to SVG")
     p.add_argument("plan", type=str)
     p.add_argument("--out", type=str, default="plan.svg")
     p.add_argument("--outline-only", action="store_true")
     p.add_argument("--limit", type=int, default=200_000)
+    p.set_defaults(run=cmd_render)
 
     p = sub.add_parser("series", help="sweep sizes and fit the waste exponent")
     p.add_argument("--x", type=float, action="append", required=True,
                    help="repeatable: one size per flag")
     p.add_argument("--kind", choices=("pack", "cover"), default="pack")
     p.add_argument("--out", type=str, default="series.csv")
+    p.set_defaults(run=cmd_series)
     return ap
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if args.command == "pack":
-            return cmd_build(args, "pack")
-        if args.command == "cover":
-            return cmd_build(args, "cover")
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "render":
-            return cmd_render(args)
-        if args.command == "series":
-            return cmd_series(args)
+        return args.run(args)
     except (InvalidSpec, PlanError, OSError) as exc:  # a crash elsewhere is no input error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

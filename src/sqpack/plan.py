@@ -1,10 +1,11 @@
 """Plan trees: region decompositions with grid, stack-run and waste leaves.
 
 A plan is immutable once built. Accounting (areas, counts, waste/excess)
-is analytic and never requires materialising placements. Every grid and
-stack run is one lattice of unit squares; `plan_lattices` lists them as
-one table of columns at any count, the counts as exact integers, and
-`square_at` places each square for enumeration and the verifier alike.
+is analytic and never requires materialising placements. `walk` gives the
+one pre-order of a tree's nodes, from a stack of its own, at any depth. Every
+grid and stack run is one lattice of unit squares; `plan_lattices` lists them
+in that order as one table of columns at any count, the counts as exact
+integers, and `square_at` places each square for enumeration and the verifier.
 
 Node kinds:
   split   -- children tile the node's region (checked by area, not geometry)
@@ -112,7 +113,16 @@ class PlanNode:
         return 0
 
     def total_count(self) -> int:
-        return self.own_count() + sum(c.total_count() for c in self.children)
+        return sum(n.own_count() for n in walk(self))
+
+
+def walk(root: PlanNode):
+    """Every node at and below `root`, in pre-order, from a stack of its own, not by recursion."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 def split_node(region: Region | None, children: list[PlanNode], label: str = "",
@@ -243,20 +253,6 @@ def check_bound(report: WasteReport, region_type: str) -> WasteReport:
     return report
 
 
-def _collect_lattices(node: PlanNode, floats: list, ints: list) -> int:
-    """Add the columns of the lattices of `node` and below; return their analytic count."""
-    if node.kind == "grid" and node.rows > 0 and node.cols > 0:
-        floats += (node.origin[0], node.origin[1], 0.0, 1.0, 0.0, 0.0, 1.0)
-        ints += (node.cols, node.rows)
-    elif node.kind == "stacks":
-        for run in node.runs:
-            if run.count > 0 and run.repeat > 0:
-                b = fold_square_pose(run.base)
-                floats += (b.tx, b.ty, b.angle, *run.step, *run.pitch)
-                ints += (run.count, run.repeat)
-    return node.own_count() + sum(_collect_lattices(c, floats, ints) for c in node.children)
-
-
 LATTICE_COLUMNS = ("bx", "by", "ang", "ux", "uy", "px", "py", "count", "repeat")
 
 
@@ -268,8 +264,18 @@ def plan_lattices(plan: Plan | PlanNode) -> dict[str, np.ndarray]:
     `square_at`. A grid of rows x cols is (origin, 0, (1, 0) x cols, (0, 1) x rows); a run's
     base is folded into [-pi/2, pi/2] first. Empty families are left out. PlanError is raised
     unless the sizes add up to the analytic count and each count and repeat is below 2**63."""
-    floats, ints = [], []  # the 7 float columns, then count and repeat, of each lattice
-    count = _collect_lattices(plan.root if isinstance(plan, Plan) else plan, floats, ints)
+    floats, ints, count = [], [], 0  # the 7 float columns, then count and repeat, of each lattice
+    for node in walk(plan.root if isinstance(plan, Plan) else plan):
+        count += node.own_count()
+        if node.kind == "grid" and node.rows > 0 and node.cols > 0:
+            floats += (node.origin[0], node.origin[1], 0.0, 1.0, 0.0, 0.0, 1.0)
+            ints += (node.cols, node.rows)
+        elif node.kind == "stacks":
+            for run in node.runs:
+                if run.count > 0 and run.repeat > 0:
+                    b = fold_square_pose(run.base)
+                    floats += (b.tx, b.ty, b.angle, *run.step, *run.pitch)
+                    ints += (run.count, run.repeat)
     if (big := max(ints, default=0)) >= 2 ** 63:
         raise PlanError(f"plan holds a lattice count or repeat of {big}; each must be below 2**63")
     lat = dict(zip(LATTICE_COLUMNS, [*np.array(floats, dtype=float).reshape(-1, 7).T,

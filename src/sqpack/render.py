@@ -8,7 +8,7 @@ are shaded; `outline_only` draws just the region decomposition.
 from __future__ import annotations
 
 from .geometry import corners
-from .plan import Plan, PlanNode, enumerate_placements
+from .plan import Plan, enumerate_placements, walk
 
 _F = "{:.6f}".format
 
@@ -21,14 +21,6 @@ COVER_STYLE = 'fill="#a1d99b" fill-opacity="0.55" stroke="#31a354" stroke-width=
 def _poly(points, style: str) -> str:
     pts = " ".join(f"{_F(x)},{_F(y)}" for x, y in points)
     return f'<polygon points="{pts}" {style}/>'
-
-
-def _walk_regions(node: PlanNode, out: list[str]) -> None:
-    if node.region is not None:
-        style = WASTE_STYLE if node.kind == "waste" else REGION_STYLE
-        out.append(_poly(node.region.polygon(), style))
-    for child in node.children:
-        _walk_regions(child, out)
 
 
 def plan_to_svg(plan: Plan, outline_only: bool = False, limit: int = 200_000) -> str:
@@ -47,7 +39,8 @@ def plan_to_svg(plan: Plan, outline_only: bool = False, limit: int = 200_000) ->
         poses = enumerate_placements(plan, limit)  # raises OverLimit when too big
         style = SQUARE_STYLE if plan.kind == "pack" else COVER_STYLE
         body.extend(_poly(quad, style) for quad in corners(poses).tolist())
-    _walk_regions(plan.root, body)
+    body.extend(_poly(n.region.polygon(), WASTE_STYLE if n.kind == "waste" else REGION_STYLE)
+                for n in walk(plan.root) if n.region is not None)
 
     # flip y so the world's up is the screen's up
     head = (

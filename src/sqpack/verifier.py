@@ -10,7 +10,8 @@ along a square axis and its pitch moves at most 1 across and 1 along it (to
 within TAU): its columns (runs along the step) are 1 wide and each meets or
 overlaps the next, so the boundary of its union lies on its ring, the first
 and last row and column, even where it overlaps itself. The probes of a
-solid lattice at least 3 long each way are its ring, of others all squares.
+solid lattice at least 3 long each way are its ring, of others (the table's
+`full` column) all squares.
 
 Packing: the target is convex, so each lattice's four extreme squares prove
 containment and span its hull. Hulls overlapping by at most 2*TAU on a square
@@ -113,20 +114,18 @@ def _overlap_mask(dx, dy, ca, sa, cb, sb, tau: float) -> np.ndarray:
 
 
 def _setup(plan: Plan, kind: str):
-    """Lattice table, empty report, lattices probed in full; flat indices are int64."""
+    """Lattice table and empty report; flat indices are int64."""
     table = plan_lattices(plan)
     if (total := sum(lattice_sizes(table))) >= 2 ** 63:
         raise PlanError(f"plan holds {total} squares; verify takes fewer than 2**63")
-    _lattice_table(table)
-    full = ~table["solid"] | (np.minimum(table["count"], table["repeat"]) <= 2)
-    return table, VerifyReport(kind=kind, square_count=total), full
+    return _lattice_table(table), VerifyReport(kind=kind, square_count=total)
 
 
 def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     """Every square lies in `plan.region` and no two overlap (see the module
     notes); pairs are flat indices in `enumerate_placements` order."""
     t0 = time.perf_counter()
-    table, report, full = _setup(plan, "pack")
+    table, report = _setup(plan, "pack")
     hull, size = table["hull"], len(table["n"])
 
     # containment: the corners of the extreme squares, each square once
@@ -139,8 +138,8 @@ def verify_packing(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     pa, pb, tested = _meeting_hulls(table, lo, hi)
     ka, kb = (np.concatenate([u, v, np.flatnonzero(self_hit)]) for u, v in ((pa, pb), (pb, pa)))
     rows = _near_rows(table, ka, lo[kb] - 1.0, hi[kb] + 1.0)
-    probes, tests, found, listed = _overlaps(table, full | self_hit, rows,
-                                             np.unique(ka * size + kb))
+    table["full"] |= self_hit
+    probes, tests, found, listed = _overlaps(table, rows, np.unique(ka * size + kb))
     for (a, b), (x, y, d) in zip(*listed):
         report.violations.append({"type": "overlap", "location": [float(x), float(y)],
                                   "magnitude": float(d), "pair": [int(a), int(b)]})
@@ -226,17 +225,17 @@ def _near_rows(table, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return k[row], j[row], np.minimum.reduceat(i0, row), np.maximum.reduceat(i1, row)
 
 
-def _overlaps(table, full: np.ndarray, rows=None, allowed=None):
+def _overlaps(table, rows=None, allowed=None):
     """The SAT on every probe pair (a pair of probes at its lower flat index; only of lattices
-    ka, kb with ka * len(full) + kb in `allowed`, if given), again after an overlap with the
-    smaller of each overlapping pair of lattices in `full`: the numbers of probes (each hits
+    ka, kb with ka * L + kb in `allowed`, if given, of L lattices), again after an overlap with
+    the smaller of each overlapping pair of lattices marked `full`: the numbers of probes (each hits
     itself once), pairs (both passes) and overlaps, the first _LISTED of those as a < b with
     (x, y, centre distance)."""
-    tests, size = 0, table["count"] * table["repeat"]
+    tests, size, full = 0, table["count"] * table["repeat"], table["full"]
     for again in (False, True):
         probes = found = 0
         pairs, where, links = np.empty((0, 2), np.int64), np.empty((0, 3)), set()
-        for ka, a, cx, cy, kb, b, ring, bx, by in _probe_pairs(table, full, rows):
+        for ka, a, cx, cy, kb, b, ring, bx, by in _probe_pairs(table, rows):
             ca, cb, sa, sb = (table[f][k] for f in ("c", "s") for k in (ka, kb))
             dx, dy = bx + (cb - sb) / 2.0 - cx, by + (sb + cb) / 2.0 - cy
             hit, tests = _overlap_mask(dx, dy, ca, sa, cb, sb, TAU), tests + len(a)
@@ -254,11 +253,11 @@ def _overlaps(table, full: np.ndarray, rows=None, allowed=None):
         full[[min(a, b, key=size.__getitem__) for a, b in links]] = True
 
 
-def _probe_squares(table, full: np.ndarray, rows=None):
+def _probe_squares(table, rows=None):
     """Yield in chunks (k, flat, tx, ty): each probe, of lattice k, flat index and base (tx, ty).
     Probes: in `rows` (lattice, row, i from, i to; default all), every square of `full`
     lattices and of rows 0 and m - 1, else squares 0 and n - 1."""
-    n, m, first = table["count"], table["repeat"], table["first"]
+    n, m, first, full = (table[f] for f in ("count", "repeat", "first", "full"))
     rk = np.repeat(np.arange(len(n)), m) if rows is None else rows[0]
     rj, i0, i1 = (_ramp(m), 0 * rk, n[rk]) if rows is None else rows[1:]
     whole = full[rk] | (rj == 0) | (rj == m[rk] - 1)
@@ -271,12 +270,12 @@ def _probe_squares(table, full: np.ndarray, rows=None):
         yield k, first[k] + j * n[k] + i, *square_at(table, k, i, j)
 
 
-def _probe_pairs(table, full: np.ndarray, rows=None):
+def _probe_pairs(table, rows=None):
     """Yield in chunks (ka, a, cx, cy, kb, b, ring, bx, by): probe a (`_probe_squares`; flat
     index, of lattice ka, centre (cx, cy)) and each square b (of lattice kb, base (bx, by); a
     probe where `ring`) within reach, itself once (a == b)."""
-    n, m, c, s, first = (table[f] for f in ("count", "repeat", "c", "s", "first"))
-    for pk, flat, tx, ty in _probe_squares(table, full, rows):
+    n, m, c, s, first, full = (table[f] for f in ("count", "repeat", "c", "s", "first", "full"))
+    for pk, flat, tx, ty in _probe_squares(table, rows):
         cx, cy = tx + (c[pk] - s[pk]) / 2.0, ty + (s[pk] + c[pk]) / 2.0
         for q, k, i, j, bx, by in _near_squares(np.stack([cx, cy], axis=1), table, _REACH):
             i, j = i.astype(np.int64), j.astype(np.int64)
@@ -288,11 +287,11 @@ def verify_covering(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     """Every point of `plan.region` lies in a square, checked where probe and
     target edges cross (see the module notes). Squares may leave the region."""
     t0 = time.perf_counter()
-    table, report, full = _setup(plan, "cover")
+    table, report = _setup(plan, "cover")
     corner = np.array(plan.region.polygon())[::-1]  # clockwise; `polygon` runs counterclockwise
     near = ((table["hull"].max(axis=1) >= corner.min(axis=0) - 1.0)
             & (table["hull"].min(axis=1) <= corner.max(axis=0) + 1.0)).all(axis=1)
-    table, full = {f: v[near] for f, v in table.items()}, full[near]
+    table = {f: v[near] for f, v in table.items()}
     # a solid lattice level to within TAU end to end has a rectangle for its union
     off = np.abs(np.where(table["on1"], table["u2"], table["u1"]))
     drift = (table["n"] - 1.0) * off + (table["m"] - 1.0) * np.abs(table["pk"])
@@ -303,9 +302,9 @@ def verify_covering(plan: Plan, cfg: PackConfig = PackConfig()) -> VerifyReport:
     corner, side = corner[(side != 0).any(axis=1)], side[(side != 0).any(axis=1)]
     quads = np.concatenate([_rectangles(table, level)] + [
         corners(np.stack([tx, ty, rest["ang"][k]], axis=1))
-        for k, _, tx, ty in _probe_squares(rest, full[~level])])
+        for k, _, tx, ty in _probe_squares(rest)])
     stats, found, gaps = report.runtime_stats, [_nudged(corner, np.roll(side, 1, 0), side, nu)], []
-    stats.update(lattices=len(full), rectangles=int(level.sum()), probes=len(quads),
+    stats.update(lattices=len(table["n"]), rectangles=int(level.sum()), probes=len(quads),
                  candidate_pairs=0, nudge=nu, point_tests=0)
 
     def test():  # the points found so far, in batches that bound the memory used
@@ -414,8 +413,9 @@ def _index_range(w, lo, hi, n) -> tuple[np.ndarray, np.ndarray]:
 
 def _lattice_table(table: dict) -> dict[str, np.ndarray]:
     """`plan_lattices` columns, extended in place (and returned) by each fact the checks read:
-    the arrays of `_near_squares` (n and m as floats), `solid` (to within TAU), the `first` flat
-    index, and the flat indices `ends` and corners `hull` (bases first) of the extreme squares."""
+    the arrays of `_near_squares` (n and m as floats), `solid` (to within TAU), `full` (probed in
+    full: not solid, or at most 2 long one way), the `first` flat index, and the flat indices
+    `ends` and corners `hull` (bases first) of the extreme squares."""
     bx, by, ang, ux, uy, px, py, count, repeat = (table[f] for f in LATTICE_COLUMNS)
     size = count * repeat
     n, m, first = count.astype(float), repeat.astype(float), np.cumsum(size) - size
@@ -434,7 +434,8 @@ def _lattice_table(table: dict) -> dict[str, np.ndarray]:
     solid = ((np.abs(np.abs(uk) - 1.0) <= TAU) & (np.abs(np.where(on1, u2, u1)) <= TAU)
              & (np.abs(pk) <= 1.0 + TAU) & (np.abs(np.where(on1, p2, p1)) <= 1.0 + TAU))
     table.update(c=c, s=s, n=n, m=m, scale=scale, u1=u1, u2=u2, jw=u1 * p2 - u2 * p1,
-                 norm=np.abs(u1) + np.abs(u2), on1=on1, uk=uk, pk=pk, solid=solid, first=first)
+                 norm=np.abs(u1) + np.abs(u2), on1=on1, uk=uk, pk=pk, solid=solid, first=first,
+                 full=~solid | (np.minimum(count, repeat) <= 2))
     k, i = np.repeat(np.arange(len(n)), 4), np.stack([0 * count, count - 1] * 2, axis=1)
     j = np.stack([0 * repeat, 0 * repeat, repeat - 1, repeat - 1], axis=1)
     sq = corners(np.stack([*square_at(table, k, i.ravel(), j.ravel()), ang[k]], axis=1))

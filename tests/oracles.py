@@ -322,8 +322,8 @@ def packing_by_ring_probes(plan) -> tuple[int, np.ndarray]:
     least 3 long each way, all of the others, and after an overlap once more
     with the smaller lattice of each overlapping pair in full. The number of
     overlapping pairs and the (N, 2) pairs a report lists."""
-    table, _, full = verifier._setup(plan, "pack")
-    _, _, found, (pairs, _) = verifier._overlaps(table, full)
+    table, _ = verifier._setup(plan, "pack")
+    _, _, found, (pairs, _) = verifier._overlaps(table)
     return found, pairs
 
 
@@ -339,19 +339,19 @@ def covering_by_ring_probes(plan):
     probe with the target's edges and with each probe within reach, less the
     pairs inside one level lattice, nudged and tested as the verifier tests
     them. Returns the report, whose `runtime_stats` count the work."""
-    table, report, full = verifier._setup(plan, "cover")
+    table, report = verifier._setup(plan, "cover")
     corner = np.array(plan.region.polygon())[::-1]  # clockwise
     near = ((table["hull"].max(axis=1) >= corner.min(axis=0) - 1.0)
             & (table["hull"].min(axis=1) <= corner.max(axis=0) + 1.0)).all(axis=1)
-    table, full = {f: v[near] for f, v in table.items()}, full[near]
-    level = table["solid"] & ~full & (np.abs(table["pk"]) <= verifier.TAU)
+    table = {f: v[near] for f, v in table.items()}
+    level = table["solid"] & ~table["full"] & (np.abs(table["pk"]) <= verifier.TAU)
     nu = 2.0 * (verifier.TAU + 2.0 * verifier._SLACK * float(table["scale"].max(initial=0.0)))
     side = np.roll(corner, -1, axis=0) - corner
     corner, side = corner[(side != 0).any(axis=1)], side[(side != 0).any(axis=1)]
     found = [verifier._nudged(corner, np.roll(side, 1, 0), side, nu)]
     stats = report.runtime_stats
-    stats.update(lattices=len(full), probes=0, candidate_pairs=0, nudge=nu, point_tests=0)
-    for ka, a, cx, cy, kb, b, ring, bx, by in verifier._probe_pairs(table, full):
+    stats.update(lattices=len(table["n"]), probes=0, candidate_pairs=0, nudge=nu, point_tests=0)
+    for ka, a, cx, cy, kb, b, ring, bx, by in verifier._probe_pairs(table):
         ca, sa = table["c"][ka], table["s"][ka]
         ax, ay = cx - (ca - sa) / 2.0, cy - (sa + ca) / 2.0
         me = a == b

@@ -356,6 +356,15 @@ def test_verify_refuses_plans_of_2_63_squares(tmp_path, capsys, kind):
             in capsys.readouterr().err)
 
 
+def _sqpack(*argv) -> subprocess.CompletedProcess:
+    """`python -m sqpack.cli *argv` in a new interpreter, so its real stderr and
+    stack depth apply."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "sqpack.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("count", [2 ** 63, 10 ** 30])
 def test_verify_refuses_lattice_counts_of_2_63(tmp_path, count):
     # such a run count once went through a float64 table and its cast to int64:
@@ -364,13 +373,33 @@ def test_verify_refuses_lattice_counts_of_2_63(tmp_path, count):
     _run(data)[5] = count
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(data))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-m", "sqpack.cli", "verify", str(plan_path)],
-                         capture_output=True, text=True, env=env, timeout=120)
+    out = _sqpack("verify", plan_path)
     assert out.returncode == 2
     assert f"lattice count or repeat of {count}; each must be below 2**63" in out.stderr
     assert "RuntimeWarning" not in out.stderr
+
+
+def test_the_deepest_plan_the_loader_accepts_is_checked(tmp_path):
+    # verify and a full render once read the plan tree by recursion, two frames
+    # a level, and failed with a RecursionError on plans the loader accepted
+    data = json.loads(plan_to_json(pack_square(150.5)))
+    plan_path, svg_path = tmp_path / "plan.json", tmp_path / "plan.svg"
+
+    def outline(depth: int) -> bool:
+        plan_path.write_text(_deeply_nested(data, depth))
+        out = _sqpack("render", plan_path, "--outline-only", "--out", svg_path)
+        assert out.returncode in (0, 2) and "Traceback" not in out.stderr, (depth, out.stderr)
+        return out.returncode == 0
+
+    lo, hi = 0, 3000  # loaded, and not loaded
+    assert outline(lo) and not outline(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if outline(mid) else (lo, mid)
+    plan_path.write_text(_deeply_nested(data, lo))
+    for argv in (["verify", plan_path], ["render", plan_path, "--out", svg_path]):
+        out = _sqpack(*argv)
+        assert out.returncode == 0 and "Traceback" not in out.stderr, (lo, argv, out.stderr)
 
 
 def _usage_error(argv) -> int:

@@ -24,9 +24,10 @@ from sqpack.geometry import (
 )
 from sqpack.plan import (
     Plan, StackRun, account, dumps_stable, enumerate_placements, grid_node, plan_from_json,
-    plan_lattices, plan_to_json, resolve_grafts, stacks_node,
+    plan_lattices, plan_to_json, resolve_grafts, stacks_node, walk,
 )
 from sqpack.planner import build_plan, cover_square, pack_square
+from sqpack.render import plan_to_svg
 from sqpack.verifier import verify_covering, verify_packing
 from oracles import _node_to_dict, enumerate_by_node, plan_to_dict
 
@@ -689,6 +690,32 @@ def test_lattice_and_placement_bytes_are_pinned(kind, case):
         LATTICE_DIGESTS[(kind, case)]
 
 
+# sha256 of plan_to_svg(square plan of side x), full (limit=300_000) and
+# outline only; taken before render listed regions by `plan.walk`, and a
+# change that claims no behaviour change keeps them
+SVG_DIGESTS = {
+    ("pack", 50.5, False): "18ff8eef4805d5a6fee90fed78d1ddccdf56c0b09ee2cd96b13f77ec747458e5",
+    ("pack", 50.5, True): "290e18a606a3dcb8746c2a38931f5aab0146fe8be1751e8190758c4f323242f6",
+    ("pack", 150.5, False): "977ffb1057ee141e390dec860805ffffdc6fb29f44de0dc6ad5486d2006f270e",
+    ("pack", 150.5, True): "a8351dddc9c2bc9de7e6de25515b176e54d2b852110a96f1dba79060d365e6aa",
+    ("pack", 400.3, False): "e24d48279f0ab7dbc078a584ea486484b8397e3a8b8a2637a789d4ea7752585e",
+    ("pack", 400.3, True): "23f2ff9f0ca29760a7a00a95634fc36d370f2c1670008624336d3c46cd765ece",
+    ("cover", 50.5, False): "b26f587c898c0493f2aae00f9c313b7b76c18770d5107fd0ac614531568f44fa",
+    ("cover", 50.5, True): "290e18a606a3dcb8746c2a38931f5aab0146fe8be1751e8190758c4f323242f6",
+    ("cover", 150.5, False): "09f71b5866b643a70b6350b90c963f904075f1ec952d0b7041be99f683bfb855",
+    ("cover", 150.5, True): "1489c318a1b39fb233f1dce2cbf5cae26a40b9976e2cae47eee96cff1218a97a",
+    ("cover", 400.3, False): "d8bb015d5413d052651d51e39ba60cad299a899fa1abb21cc655d8bee392d501",
+    ("cover", 400.3, True): "caf576d4fcc777c06f18ef1e703ab6ecabba37ab3f5c1f801301ac171b51e18c",
+}
+
+
+@pytest.mark.parametrize("kind,x,outline_only", sorted(SVG_DIGESTS))
+def test_svg_bytes_are_pinned(kind, x, outline_only):
+    svg = plan_to_svg((pack_square if kind == "pack" else cover_square)(x),
+                      outline_only=outline_only, limit=300_000)
+    assert hashlib.sha256(svg.encode()).hexdigest() == SVG_DIGESTS[(kind, x, outline_only)]
+
+
 def _unshared(build, spec, depth, stats, kind):
     """`builders._memoised` without the table: every use builds."""
     return build(spec, depth, stats, kind)
@@ -839,6 +866,13 @@ def test_lattice_enumeration_is_the_per_node_expansion(kind):
             plan = _build_case(kind, case)
             got = enumerate_placements(plan, limit=2_000_000)
             assert got.tobytes() == enumerate_by_node(plan.root).tobytes(), case
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+def test_walk_is_the_recursive_pre_order(kind):
+    for case in PLAN_CASES:
+        root = _build_case(kind, case).root
+        assert list(map(id, walk(root))) == list(map(id, _walk(root))), case
 
 
 def test_plans_hold_no_reference_cycles():
