@@ -33,10 +33,11 @@ nothing is mapped during the build. A caller assigns only to the top node
 a builder call has just returned to it; nothing below is changed once its
 builder returns, so a shelf or wedge built once hangs, shared, under every
 parent that uses it. Nodes hold only what accounting and verification
-read: regions, areas, squares and ledgers. The planner then maps the whole
-tree once, top-down, into a new world tree (`plan.resolve_grafts`). All
-construction frames are quarter-turn rotations; only square poses carry
-irrational angles.
+read: regions, areas, squares and ledgers; a stacks node's squares are its run
+columns, which `plan.stacks_node` fills from a list of `StackRun` records and
+`sliced_trap_fill` writes directly. The planner then maps the whole tree once,
+top-down, into a new world tree (`plan.resolve_grafts`). All construction
+frames are quarter-turn rotations; only square poses carry irrational angles.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ import copy
 import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .config import ASPECT_LIMIT, BASE_CUTOFF, WEDGE_TOP
 from .geometry import (
@@ -207,7 +210,8 @@ def sliced_trap_fill(h: float, a_top: float, a_bot: float, kind: str,
     row's narrowest width for packing, ceil of its widest for covering
     (covering rows overshoot past the slant and the partial top row becomes
     a full extra row). Consecutive rows of equal width share one run with
-    `repeat` rows, a unit `pitch` apart.
+    `repeat` rows, a unit `pitch` apart; the node's run columns are written
+    directly.
     """
     region = trap_region(h, a_top, a_bot)
     if kind == "pack":
@@ -215,15 +219,17 @@ def sliced_trap_fill(h: float, a_top: float, a_bot: float, kind: str,
                   for j in range(floor_guard(h))]
     else:
         widths = [ceil_guard(a_bot + (a_top - a_bot) * j / h) for j in range(ceil_guard(h))]
-    runs = []
-    j = 0
+    groups, j = [], 0
     for cols, group in itertools.groupby(widths):
         rows = len(list(group))
         if cols >= 1:
-            runs.append(StackRun(base=Pose(0.0, float(j), 0.0), step=(1.0, 0.0), count=cols,
-                                 repeat=rows, pitch=(0.0, 1.0), label=label))
+            groups.append((j, cols, rows))
         j += rows
-    return stacks_node(region, runs, label=label)
+    starts, counts, repeats = zip(*groups) if groups else ((), (), ())
+    runs = np.zeros((len(groups), 7))
+    runs[:, 1], runs[:, 3], runs[:, 6] = starts, 1.0, 1.0  # base (0, j), step (1, 0), pitch (0, 1)
+    return PlanNode(kind="stacks", region=region, area=region_area(region), label=label,
+                    runs=runs, counts=counts, repeats=repeats, run_labels=(label,) * len(groups))
 
 
 # ---------------------------------------------------------------------------

@@ -90,13 +90,12 @@ def corners(poses: np.ndarray) -> np.ndarray:
     return out
 
 
-def fold_square_pose(pose: Pose) -> Pose:
-    """Equivalent pose for the same square with angle folded into [-pi/2, pi/2].
+def fold_square_pose(tx: float, ty: float, a: float) -> tuple[float, float, float]:
+    """The base (tx, ty) and angle a of the same square with a folded into [-pi/2, pi/2].
 
     A square is invariant under quarter turns; folding relabels which corner
     is the base point.
     """
-    tx, ty, a = pose.tx, pose.ty, pose.angle
     while a > math.pi / 2 + 1e-15:
         a -= math.pi / 2
         tx -= math.cos(a)
@@ -105,7 +104,7 @@ def fold_square_pose(pose: Pose) -> Pose:
         a += math.pi / 2
         tx += math.sin(a)
         ty -= math.cos(a)
-    return Pose(tx, ty, a)
+    return tx, ty, a
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,13 +16,19 @@ Node kinds:
   waste   -- region conceded by the construction (packing only)
 
 Stack runs are arithmetic families: `count` squares step apart along the
-stack, repeated `repeat` times `pitch` apart. A single run is repeat == 1.
+stack, repeated `repeat` times `pitch` apart. A single run is repeat == 1. A
+stacks node holds its runs as columns: `runs`, a (k, 7) float64 array in the
+float order of `LATTICE_COLUMNS` (`bx by ang ux uy px py`), so `len(node.runs)`
+counts them; `counts` and `repeats` as exact ints; and `run_labels`. Builders,
+the loader and `stacks_node` fill these columns; `StackRun` is only the input
+record of `stacks_node`.
 
 Builders work in local frames, and a built subtree is never changed once
 its builder returns, so one definition may hang under several parents. A
 node may carry a pending `graft` (its local-to-parent map); `resolve_grafts`
 maps every use of every node into a new world-coordinate tree, once,
-top-down, and leaves the local tree as it was.
+top-down, and leaves the local tree as it was; the runs of every use are
+mapped together, in one numpy pass over their rows.
 
 Plan files are format version 2. Version 1 also held seam segments and
 per-node overshoot regions, which nothing read; the reader still accepts
@@ -36,6 +42,8 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from itertools import chain, compress
+from operator import mul
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -85,9 +93,9 @@ class StackRun:
     pitch: tuple[float, float] = (0.0, 0.0)
     label: str = ""
 
-    @property
-    def total(self) -> int:
-        return self.count * self.repeat
+
+NO_RUNS = np.empty((0, 7))
+NO_RUNS.flags.writeable = False
 
 
 @dataclass(slots=True)
@@ -100,7 +108,10 @@ class PlanNode:
     origin: tuple[float, float] = (0.0, 0.0)
     rows: int = 0
     cols: int = 0
-    runs: list[StackRun] = field(default_factory=list)
+    runs: np.ndarray = field(default_factory=lambda: NO_RUNS)  # (k, 7): bx by ang ux uy px py
+    counts: tuple = ()                     # count, repeat and label of each run
+    repeats: tuple = ()
+    run_labels: tuple = ()
     reason: str = ""
     ledger: dict = field(default_factory=dict)
     graft: tuple[Pose, bool] | None = None  # pending (frame, mirror) into the parent
@@ -109,7 +120,7 @@ class PlanNode:
         if self.kind == "grid":
             return self.rows * self.cols
         if self.kind == "stacks":
-            return sum(r.total for r in self.runs)
+            return sum(map(mul, self.counts, self.repeats))
         return 0
 
     def total_count(self) -> int:
@@ -147,9 +158,11 @@ def stacks_node(region: Region | None, runs: list[StackRun],
                 leftovers: list[PlanNode] | None = None, label: str = "",
                 area: float | None = None, ledger: dict | None = None) -> PlanNode:
     a = region_area(region) if region is not None else float(area)
+    floats = [(r.base.tx, r.base.ty, r.base.angle, *r.step, *r.pitch) for r in runs]
     return PlanNode(kind="stacks", region=region, area=a, label=label,
-                    children=list(leftovers or []), runs=list(runs),
-                    ledger=dict(ledger or {}))
+                    children=list(leftovers or []), runs=np.array(floats, float).reshape(-1, 7),
+                    counts=tuple(r.count for r in runs), repeats=tuple(r.repeat for r in runs),
+                    run_labels=tuple(r.label for r in runs), ledger=dict(ledger or {}))
 
 
 def waste_node(region: Region, reason: str, label: str = "") -> PlanNode:
@@ -264,24 +277,29 @@ def plan_lattices(plan: Plan | PlanNode) -> dict[str, np.ndarray]:
     `square_at`. A grid of rows x cols is (origin, 0, (1, 0) x cols, (0, 1) x rows); a run's
     base is folded into [-pi/2, pi/2] first. Empty families are left out. PlanError is raised
     unless the sizes add up to the analytic count and each count and repeat is below 2**63."""
-    floats, ints, count = [], [], 0  # the 7 float columns, then count and repeat, of each lattice
+    floats, counts, repeats, total = [], [], [], 0  # the float rows, count and repeat
     for node in walk(plan.root if isinstance(plan, Plan) else plan):
-        count += node.own_count()
+        total += node.own_count()
         if node.kind == "grid" and node.rows > 0 and node.cols > 0:
-            floats += (node.origin[0], node.origin[1], 0.0, 1.0, 0.0, 0.0, 1.0)
-            ints += (node.cols, node.rows)
+            floats += (*node.origin, 0.0, 1.0, 0.0, 0.0, 1.0)
+            counts.append(node.cols)
+            repeats.append(node.rows)
         elif node.kind == "stacks":
-            for run in node.runs:
-                if run.count > 0 and run.repeat > 0:
-                    b = fold_square_pose(run.base)
-                    floats += (b.tx, b.ty, b.angle, *run.step, *run.pitch)
-                    ints += (run.count, run.repeat)
-    if (big := max(ints, default=0)) >= 2 ** 63:
+            floats += node.runs.ravel().tolist()
+            counts += node.counts
+            repeats += node.repeats
+    keep = [n > 0 and m > 0 for n, m in zip(counts, repeats)]
+    counts, repeats = list(compress(counts, keep)), list(compress(repeats, keep))
+    if (big := max(counts + repeats, default=0)) >= 2 ** 63:
         raise PlanError(f"plan holds a lattice count or repeat of {big}; each must be below 2**63")
-    lat = dict(zip(LATTICE_COLUMNS, [*np.array(floats, dtype=float).reshape(-1, 7).T,
-                                     *np.array(ints, dtype=np.int64).reshape(-1, 2).T]))
-    if (total := sum(lattice_sizes(lat))) != count:
-        raise PlanError(f"enumerated {total} != analytic {count}")
+    floats = np.array(floats, float).reshape(-1, 7)[np.array(keep, bool)]
+    turned = np.abs(floats[:, 2]) > math.pi / 2 + 1e-15
+    folded = map(fold_square_pose, *floats[turned, :3].T.tolist())
+    floats[turned, :3] = np.fromiter(chain.from_iterable(folded), float).reshape(-1, 3)
+    lat = dict(zip(LATTICE_COLUMNS, [*floats.T, np.array(counts, np.int64),
+                                     np.array(repeats, np.int64)]))
+    if (n := sum(lattice_sizes(lat))) != total:
+        raise PlanError(f"enumerated {n} != analytic {total}")
     return lat
 
 
@@ -321,18 +339,15 @@ def enumerate_placements(plan: Plan | PlanNode, limit: int = 10_000_000) -> np.n
 # proper rotation.
 
 def map_node(node: PlanNode, frame: Pose, mirror: bool) -> PlanNode:
-    """A new node: `node` with its own geometry (not its children) mapped by
-    (frame, mirror), no graft, no children yet, and its own runs list and
-    ledger. `node` is left as it is.
+    """A new node: `node` with its region and grid mapped by (frame, mirror), no
+    graft, no children yet, and its own ledger. `node` is left as it is. Its run
+    columns are shared with `node`, still local: `map_runs` maps them.
 
     The region's frame composes with (frame, mirror) by `compose_graft`. A
-    grid origin or run point (x, y) goes to (tx + (c*x' - s*y), ty + (s*x' +
-    c*y)) with x' = sx*x, sx = -1 under a mirror; a vector drops the
-    translation. Plan bytes depend on the operation order of both.
+    grid origin (x, y) goes to (tx + (c*x' - s*y), ty + (s*x' + c*y)) with x' =
+    sx*x, sx = -1 under a mirror. Plan bytes depend on this operation order.
     """
     tx, ty, fa = frame.tx, frame.ty, frame.angle
-    c, s = math.cos(fa), math.sin(fa)
-    sx = -1.0 if mirror else 1.0
     r = node.region
     region = None if r is None else Region(
         r.kind, r.dims, *compose_graft((frame, mirror), (r.frame, r.mirror)))
@@ -341,6 +356,8 @@ def map_node(node: PlanNode, frame: Pose, mirror: bool) -> PlanNode:
         k = round(fa / (math.pi / 2))
         if abs(fa - k * math.pi / 2) > 1e-9:
             raise PlanError("grids only survive quarter-turn frames")
+        c, s = math.cos(fa), math.sin(fa)
+        sx = -1.0 if mirror else 1.0
         # opposite corners of the block land on opposite corners of its image
         ox, oy = origin
         x1, y1, x2, y2 = sx * ox, oy, sx * (ox + cols), oy + rows
@@ -348,33 +365,53 @@ def map_node(node: PlanNode, frame: Pose, mirror: bool) -> PlanNode:
                   min(ty + (s * x1 + c * y1), ty + (s * x2 + c * y2)))
         if k % 2 != 0:
             rows, cols = cols, rows
-    runs = []  # only stacks nodes hold runs
-    for r in node.runs:
-        b, (ux, uy), (px, py) = r.base, r.step, r.pitch
-        bx, by, ux, px = sx * b.tx, b.ty, sx * ux, sx * px
-        # a reflected square is re-anchored at its other bottom corner
-        angle = fa + (math.pi / 2 - b.angle if mirror else b.angle)
-        runs.append(StackRun(Pose(tx + (c * bx - s * by), ty + (s * bx + c * by), angle),
-                             (c * ux - s * uy, s * ux + c * uy), r.count, r.repeat,
-                             (c * px - s * py, s * px + c * py), r.label))
     ledger = {k: list(v) if isinstance(v, list) else v for k, v in node.ledger.items()}
-    return PlanNode(node.kind, region, node.area, node.label, [], origin, rows, cols, runs,
-                    node.reason, ledger)
+    return PlanNode(node.kind, region, node.area, node.label, [], origin, rows, cols, node.runs,
+                    node.counts, node.repeats, node.run_labels, node.reason, ledger)
+
+
+def map_runs(uses: list[tuple[PlanNode, Pose, bool]]) -> None:
+    """Map the run columns of each (node, frame, mirror) of `uses` by (frame, mirror), all
+    rows in one pass, and give each node its slice of the result.
+
+    c and s are `math.cos` and `math.sin` of each frame's angle. A base (x, y) goes to
+    (tx + (c*x' - s*y), ty + (s*x' + c*y)) with x' = sx*x, sx = -1 under a mirror; a step
+    or pitch drops the translation; an angle a goes to fa + a, or to fa + (pi/2 - a) under a
+    mirror, which re-anchors a reflected square at its other bottom corner. numpy's + - *
+    round as Python's do, so plan bytes depend only on this operation order.
+    """
+    sizes = [len(node.runs) for node, _, _ in uses]
+    frames = np.array([(f.tx, f.ty, f.angle, math.cos(f.angle), math.sin(f.angle),
+                        -1.0 if m else 1.0) for _, f, m in uses]).reshape(-1, 6)
+    tx, ty, fa, c, s, sx = frames.repeat(sizes, axis=0).T
+    bx, by, a, ux, uy, px, py = np.concatenate([NO_RUNS] + [n.runs for n, _, _ in uses]).T
+    bx, ux, px = sx * bx, sx * ux, sx * px
+    world = np.stack([tx + (c * bx - s * by), ty + (s * bx + c * by),
+                      fa + np.where(sx < 0.0, math.pi / 2 - a, a),
+                      c * ux - s * uy, s * ux + c * uy, c * px - s * py, s * px + c * py], axis=1)
+    end = 0
+    for (node, _, _), k in zip(uses, sizes):
+        node.runs, end = world[end:end + k], end + k
 
 
 def resolve_grafts(root: PlanNode) -> PlanNode:
     """The world tree of the local tree `root`: every use of every node mapped
-    once, top-down, with no pending graft. No local node is changed, and each
-    one the caller no longer holds is freed once its last use is mapped."""
+    once, top-down, with no pending graft, and the runs of all uses by one
+    `map_runs`. No local node is changed, and each one the caller no longer
+    holds is freed once its last use is mapped (its run columns at the end)."""
     top: list[PlanNode] = []
+    uses: list[tuple[PlanNode, Pose, bool]] = []
     stack = [(root, (IDENTITY, False), top)]
     del root
     while stack:
         node, outer, siblings = stack.pop()
         frame = outer if node.graft is None else compose_graft(outer, node.graft)
         world = map_node(node, *frame)
+        if len(world.runs):
+            uses.append((world, *frame))
         siblings.append(world)
         stack.extend((c, frame, world.children) for c in reversed(node.children))
+    map_runs(uses)
     return top[0]
 
 
@@ -471,10 +508,11 @@ class _PlanWriter:
             fmt.append(',"rows":%s}')
             args.append(n.rows)
         elif n.kind == "stacks":
-            fmt.append(f',"runs":[{",".join(["[%s,%s,%s,%s,%s,%s,%s,%s,%s,%s]"] * len(n.runs))}]}}')
-            for r in n.runs:
-                args += (r.base.tx, r.base.ty, r.base.angle, r.step[0], r.step[1], r.count,
-                         r.repeat, r.pitch[0], r.pitch[1], r.label)
+            fmt.append(',"runs":[%s]}' % ",".join(  # each count and repeat written in place
+                "[%%s,%%s,%%s,%%s,%%s,%d,%d,%%s,%%s,%%s]" % nm for nm in zip(n.counts, n.repeats)))
+            for row, label in zip(n.runs.tolist(), n.run_labels):
+                args += row
+                args.append(label)
         else:
             fmt.append("}")
         if len(args) > self.FILL:
@@ -512,13 +550,18 @@ def _region_from_dict(d) -> Region | None:
                 _json(d["mirror"], bool, "region mirror"))
 
 
-def _run_from_list(v) -> StackRun:
-    if len(v) != 10:
-        raise PlanError(f"plan run must have 10 fields, got {len(v)}: {v}")
-    _finite(v[:9], "run")
-    return StackRun(base=Pose(v[0], v[1], v[2]), step=(v[3], v[4]),
-                    count=_json(v[5], int, "run count"), repeat=_json(v[6], int, "run repeat"),
-                    pitch=(v[7], v[8]), label=_json(v[9], str, "run label"))
+def _runs_from_lists(node: PlanNode, rows) -> None:
+    """Fill the run columns of `node` from its plan rows, each checked first."""
+    for v in rows:
+        if len(v) != 10:
+            raise PlanError(f"plan run must have 10 fields, got {len(v)}: {v}")
+        _finite(v[:9], "run")
+        _json(v[5], int, "run count")
+        _json(v[6], int, "run repeat")
+        _json(v[9], str, "run label")
+    node.runs = np.array([v[:5] + v[7:9] for v in rows], float).reshape(-1, 7)
+    node.counts, node.repeats, node.run_labels = (
+        tuple(zip(*[(v[5], v[6], v[9]) for v in rows])) or ((), (), ()))
 
 
 def _node_from_dict(d: dict) -> PlanNode:
@@ -535,7 +578,7 @@ def _node_from_dict(d: dict) -> PlanNode:
         node.rows = _json(d["rows"], int, "grid rows")
         node.cols = _json(d["cols"], int, "grid cols")
     elif kind == "stacks":
-        node.runs = [_run_from_list(v) for v in d["runs"]]
+        _runs_from_lists(node, d["runs"])
         node.children = [_node_from_dict(c) for c in d["leftovers"]]
         node.ledger = d["ledger"]
     elif kind == "waste":

@@ -25,8 +25,10 @@ import math
 
 import numpy as np
 
-from sqpack.geometry import corners, fold_square_pose, points_in_region
-from sqpack.plan import enumerate_placements
+from sqpack.geometry import (
+    IDENTITY, Pose, compose_graft, corners, fold_square_pose, points_in_region,
+)
+from sqpack.plan import StackRun, enumerate_placements, stacks_node
 from sqpack import verifier
 from sqpack.verifier import _overlap_mask
 
@@ -238,6 +240,51 @@ def covered_by_kd_join(pts: np.ndarray, poses: np.ndarray, tau: float) -> np.nda
     return covered
 
 
+def stack_runs(node) -> list:
+    """The runs of a stacks node as `StackRun` records, read off its columns."""
+    return [StackRun(Pose(bx, by, a), (ux, uy), count, repeat, (px, py), label)
+            for (bx, by, a, ux, uy, px, py), count, repeat, label
+            in zip(node.runs.tolist(), node.counts, node.repeats, node.run_labels)]
+
+
+def set_runs(node, runs) -> None:
+    """Give `node` the run columns of a list of `StackRun`, as `stacks_node` fills them."""
+    fresh = stacks_node(None, runs, area=0.0)
+    node.runs, node.counts, node.repeats, node.run_labels = (
+        fresh.runs, fresh.counts, fresh.repeats, fresh.run_labels)
+
+
+def map_run(run, frame, mirror: bool):
+    """`run` mapped by (frame, mirror) one scalar at a time, in the operation
+    order that `plan.map_runs` applies to every run at once."""
+    tx, ty, fa = frame.tx, frame.ty, frame.angle
+    c, s = math.cos(fa), math.sin(fa)
+    sx = -1.0 if mirror else 1.0
+    b, (ux, uy), (px, py) = run.base, run.step, run.pitch
+    bx, by, ux, px = sx * b.tx, b.ty, sx * ux, sx * px
+    # a reflected square is re-anchored at its other bottom corner
+    angle = fa + (math.pi / 2 - b.angle if mirror else b.angle)
+    return StackRun(Pose(tx + (c * bx - s * by), ty + (s * bx + c * by), angle),
+                    (c * ux - s * uy, s * ux + c * uy), run.count, run.repeat,
+                    (c * px - s * py, s * px + c * py), run.label)
+
+
+def world_runs_by_node(root) -> list:
+    """The world runs of every use of every node of the local tree `root`, in
+    pre-order: each use's frame composed down the tree as `resolve_grafts`
+    composes it, and each run mapped by `map_run`."""
+    out = []
+
+    def visit(node, outer):
+        frame = outer if node.graft is None else compose_graft(outer, node.graft)
+        out.append([map_run(r, *frame) for r in stack_runs(node)])
+        for c in node.children:
+            visit(c, frame)
+
+    visit(root, (IDENTITY, False))
+    return out
+
+
 def enumerate_by_node(node, box=None) -> np.ndarray:
     """World poses of a plan tree, node by node in pre-order: a grid
     row-major from its origin, each stack run from its folded base. With
@@ -262,8 +309,8 @@ def enumerate_by_node(node, box=None) -> np.ndarray:
             jj, ii = np.meshgrid(cols, rows)
             keep(np.stack([ox + jj.ravel(), oy + ii.ravel(), np.zeros(jj.size)], axis=1))
         elif n.kind == "stacks":
-            for run in n.runs:
-                base = fold_square_pose(run.base)
+            for run in stack_runs(n):
+                base = Pose(*fold_square_pose(run.base.tx, run.base.ty, run.base.angle))
                 ends = (np.array([base.tx, base.ty]) + np.array([0, run.count - 1])[:, None, None]
                         * np.array(run.step) + np.array([0, run.repeat - 1])[:, None] * run.pitch)
                 if box is not None and ((ends.max(axis=(0, 1)) < box[:2]).any()
@@ -401,7 +448,7 @@ def _node_to_dict(n) -> dict:
         d["rows"] = n.rows
         d["cols"] = n.cols
     elif n.kind == "stacks":
-        d["runs"] = [_run_to_list(r) for r in n.runs]
+        d["runs"] = [_run_to_list(r) for r in stack_runs(n)]
         d["leftovers"] = [_node_to_dict(c) for c in n.children]
         d["ledger"] = n.ledger
     elif n.kind == "waste":

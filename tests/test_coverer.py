@@ -47,7 +47,7 @@ def test_cover_strip_tilted_covers():
     m, L = 10.5, 1000.0
     plan = build_plan("cover", "strip", m, L)
     theta = solve_cover_tilt(m).theta
-    assert plan.root.runs[0].base.angle == pytest.approx(theta)
+    assert plan.root.runs[0, 2] == pytest.approx(theta)
     vr = verify_covering(plan, cfg=CFG)
     assert vr.passed
 

@@ -52,7 +52,7 @@ def test_fold_square_pose_preserves_square():
     rng = np.random.RandomState(3)
     for _ in range(100):
         pose = Pose(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-4, 4))
-        folded = fold_square_pose(pose)
+        folded = Pose(*fold_square_pose(pose.tx, pose.ty, pose.angle))
         assert -math.pi / 2 - 1e-12 <= folded.angle <= math.pi / 2 + 1e-12
         a, b = map(sorted, corners(np.array([[p.tx, p.ty, p.angle]
                                              for p in (pose, folded)])).tolist())

@@ -4,6 +4,7 @@ and accounting that does not depend on frames."""
 from __future__ import annotations
 
 import ast
+import copy
 import gc
 import hashlib
 import math
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqpack.builders as builders
 import sqpack.plan as plan_mod
@@ -29,7 +32,9 @@ from sqpack.plan import (
 from sqpack.planner import build_plan, cover_square, pack_square
 from sqpack.render import plan_to_svg
 from sqpack.verifier import verify_covering, verify_packing
-from oracles import _node_to_dict, enumerate_by_node, plan_to_dict
+from oracles import (
+    _node_to_dict, enumerate_by_node, plan_to_dict, stack_runs, world_runs_by_node,
+)
 
 
 def _walk(node):
@@ -130,6 +135,70 @@ def test_resolving_leaves_the_local_tree_as_it_was(kind):
     assert [_local_dump(t) for t in trees] == before
 
 
+# local trees for the run map: signed zeros, quarter turns and arbitrary angles,
+# mirrors, grafts of grafts, and subtrees shared by several uses
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+ANGLES = st.one_of(st.integers(-4, 4).map(lambda k: k * math.pi / 2),
+                   st.sampled_from([0.0, -0.0]), st.floats(-7.0, 7.0))
+GRAFTS = st.tuples(st.builds(Pose, SIGNED, SIGNED, ANGLES), st.booleans())
+LOCAL_RUNS = st.lists(st.builds(
+    StackRun, st.builds(Pose, SIGNED, SIGNED, ANGLES), st.tuples(SIGNED, SIGNED),
+    st.integers(0, 4), st.integers(0, 4), st.tuples(SIGNED, SIGNED), st.sampled_from(["", "a"])),
+    max_size=3)
+
+
+def _use(node, graft):
+    """A use of `node`: itself, or a new top node over its shared subtree with
+    `graft` composed into its own, as a memoised builder's caller grafts it."""
+    return node if graft is None else _graft(copy.copy(node), *graft)
+
+
+def _local_tree(specs, graft):
+    """Node i of `specs` (runs, parent, grafts) hangs under node parent % i
+    once per graft, last node first, so a node's uses share its subtree."""
+    nodes = [stacks_node(None, runs, area=0.0) for runs, _, _ in specs]
+    for i in range(len(specs) - 1, 0, -1):
+        nodes[specs[i][1] % i].children += [_use(nodes[i], g) for g in specs[i][2]]
+    return _use(nodes[0], graft)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(specs=st.lists(st.tuples(LOCAL_RUNS, st.integers(0, 7), st.lists(
+    st.one_of(st.none(), GRAFTS), min_size=1, max_size=2)), min_size=1, max_size=8),
+       graft=st.one_of(st.none(), GRAFTS))
+def test_world_runs_are_the_scalar_map_of_each_run(specs, graft):
+    """The one numpy pass of `resolve_grafts` gives every use of every node the
+    world runs, bit for bit, that the scalar oracle gives it run by run."""
+    root = _local_tree(specs, graft)
+    expected = world_runs_by_node(root)
+    assert repr([stack_runs(n) for n in walk(resolve_grafts(root))]) == repr(expected)
+
+
+def test_resolving_makes_no_record_per_run(monkeypatch):
+    """`resolve_grafts` makes no `StackRun`, and as many `Pose` objects for a
+    tree whose nodes hold 1,000 runs each as for one whose nodes hold one."""
+    made: dict[str, int] = {}
+    for cls in (Pose, StackRun):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            made[_name] = made.get(_name, 0) + 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    seen = []
+    for n in (1, 1000):
+        runs = [StackRun(Pose(0.5, 0.25, 0.3), (0.0, 1.0), 3, 2, (1.0, 0.0))] * n
+        leaf = stacks_node(trap_region(5.0, 2.0, 4.0), runs)
+        uses = [_graft(leaf, Pose(1.0, 2.0, math.pi / 2), True),
+                _graft(copy.copy(leaf), Pose(3.0, 4.0, 0.3))]
+        root = stacks_node(rect_region(10.0, 10.0), runs, leftovers=uses)
+        root = _graft(root, Pose(-1.0, 0.5, math.pi), True)
+        made.clear()
+        world = resolve_grafts(root)
+        assert sum(len(node.runs) for node in walk(world)) == 3 * n
+        seen.append(dict(made))
+    assert seen[0] == seen[1] and "StackRun" not in seen[1]
+
+
 @pytest.mark.parametrize("kind", ["pack", "cover"])
 @pytest.mark.parametrize("h,a_top,a_bot", [
     (7.5, 3.2, 9.9), (40.3, 10.0, 12.5), (3.0, 0.0, 2.5), (100.0, 55.25, 56.0),
@@ -147,7 +216,7 @@ def test_merged_rows_enumerate_the_per_row_squares(kind, h, a_top, a_bot):
     assert [tuple(p) for p in poses[:, :2]] == expected
     assert np.all(poses[:, 2] == 0.0)
     distinct = [w for k, w in enumerate(widths) if w >= 1 and (k == 0 or widths[k - 1] != w)]
-    assert [r.count for r in node.runs] == distinct
+    assert list(node.counts) == distinct
 
 
 # sha256 of dumps_stable(account(plan).to_dict()), taken before grafting
@@ -779,15 +848,22 @@ def test_a_replayed_build_records_what_a_fresh_one_does(kind, case):
 
 @pytest.mark.parametrize("kind", ["pack", "cover"])
 def test_no_two_nodes_share_a_list_or_dict(kind):
-    """World nodes share no mutable part, though their local definitions are shared."""
+    """World nodes share no mutable part, though their local definitions are shared:
+    no list or dict, and no bytes of their run columns."""
     seen: set[int] = set()
     count = 0
+    spans = []
     for node in _walk(build_plan(kind, "square", 1e6 + 0.5).root):
-        parts = [node.children, node.runs, node.ledger]
+        parts = [node.children, node.ledger]
         parts += [v for v in node.ledger.values() if isinstance(v, list)]
         seen.update(map(id, parts))
         count += len(parts)
+        if len(node.runs):
+            start = node.runs.__array_interface__["data"][0]
+            spans.append((start, start + node.runs.nbytes))
     assert len(seen) == count
+    spans.sort()
+    assert len(spans) > 100 and all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
 @pytest.mark.parametrize("case,labels", [
@@ -811,7 +887,7 @@ def _chain_labels(kind, case):
     plan = _build_case(kind, case)
     assert plan.meta["stats"]["fallback_bands"] == 1
     chain = next(n for n in _walk(plan.root) if n.label == "stack bands")
-    return [r.label for r in chain.runs]
+    return list(chain.run_labels)
 
 
 def _statement_lines(path) -> set[int]:

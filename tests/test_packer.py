@@ -14,6 +14,7 @@ from sqpack.planner import build_plan, pack_square
 from sqpack.plan import account, check_bound
 from sqpack.tilt import solve_pack_tilt
 from sqpack.verifier import verify_packing
+from oracles import stack_runs
 
 SQRT2 = math.sqrt(2.0)
 CFG = PackConfig()
@@ -131,7 +132,7 @@ def test_strip_tilted_count_and_validity():
     m, L = 10.5, 1000.0
     plan = build_plan("pack", "strip", m, L)
     theta = solve_pack_tilt(m).theta
-    run = plan.root.runs[0]
+    run = stack_runs(plan.root)[0]
     assert run.count == 11
     assert run.base.angle == pytest.approx(theta)
     # stacks advance by 1/cos(theta)
@@ -234,7 +235,7 @@ def test_shelf_partition_million_example():
     assert a == 114
     plan = build_plan("pack", "shelf", ShelfSpec(x, 500.0, theta))
     band_block = plan.root.children[0]
-    top_band = band_block.children[-1].runs[0]
+    top_band = stack_runs(band_block.children[-1])[0]
     assert top_band.label == "top band" and top_band.count == a
     h1 = top_band.repeat
     assert h1 == 99

@@ -21,7 +21,7 @@ from sqpack.plan import (
     enumerate_placements, grid_node, plan_from_json, plan_to_json, split_node,
     stacks_node, waste_node,
 )
-from oracles import plan_to_dict
+from oracles import plan_to_dict, set_runs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -301,6 +301,16 @@ RUNS = st.builds(StackRun, POSES, st.tuples(NUMBERS, NUMBERS), st.integers(0, 10
 LEDGERS = st.dictionaries(TEXTS, st.one_of(NUMBERS, st.lists(NUMBERS, max_size=3),
                                            st.lists(st.lists(NUMBERS, max_size=3), max_size=2)),
                           max_size=3)
+
+
+def _stacks(runs, **fields) -> PlanNode:
+    """A stacks node holding the run columns of `runs`; a number that is not a float
+    is held, and written, as the float64 it converts to."""
+    node = PlanNode(kind="stacks", **fields)
+    set_runs(node, runs)
+    return node
+
+
 LEAVES = st.one_of(
     st.builds(PlanNode, kind=st.just("grid"), region=REGIONS, area=NUMBERS, label=TEXTS,
               origin=st.tuples(NUMBERS, NUMBERS), rows=st.integers(0, 10 ** 6),
@@ -311,9 +321,8 @@ LEAVES = st.one_of(
 TREES = st.recursive(LEAVES, lambda kids: st.one_of(
     st.builds(PlanNode, kind=st.just("split"), region=REGIONS, area=NUMBERS, label=TEXTS,
               children=st.lists(kids, max_size=3)),
-    st.builds(PlanNode, kind=st.just("stacks"), region=REGIONS, area=NUMBERS, label=TEXTS,
-              children=st.lists(kids, max_size=3), runs=st.lists(RUNS, max_size=3),
-              ledger=LEDGERS)), max_leaves=10)
+    st.builds(_stacks, st.lists(RUNS, max_size=3), region=REGIONS, area=NUMBERS, label=TEXTS,
+              children=st.lists(kids, max_size=3), ledger=LEDGERS)), max_leaves=10)
 PLANS = st.builds(Plan, kind=st.sampled_from(["pack", "cover"]), x=NUMBERS, region=REGIONS,
                   root=TREES, meta=LEDGERS)
 
@@ -345,7 +354,7 @@ def _with_non_finite(place: str, value: float) -> Plan:
     elif place == "region frame":
         root.region = Region("rect", (9.0, 9.0), Pose(1.0, value, 0.0), False)
     elif place == "run base":
-        root.runs = [StackRun(Pose(value, 2.0, 0.5), (0.25, 0.5), 3)]
+        set_runs(root, [StackRun(Pose(value, 2.0, 0.5), (0.25, 0.5), 3)])
     elif place == "grid origin":
         leaf.origin = (0.5, value)
     elif place == "ledger":

@@ -21,7 +21,8 @@ from sqpack import verifier
 from sqpack.verifier import _lattice_table, _points_covered, verify_covering, verify_packing
 from oracles import (
     covered_by_kd_join, covering_by_ring_probes, enumerate_by_node, packing_by_kd_pairs,
-    packing_by_ring_probes, point_in_quad, quads_disjoint, sample_quad, uncovered_samples,
+    packing_by_ring_probes, point_in_quad, quads_disjoint, sample_quad, set_runs, stack_runs,
+    uncovered_samples,
 )
 from test_graft import HUGE_CASES, PLAN_CASES, _build_case
 
@@ -184,9 +185,11 @@ def test_covering_detects_deleted_leaf():
 def test_covering_detects_deleted_stack_run():
     plan = build_plan("cover", "strip", 10.5, 200.0)
     mutated = copy.deepcopy(plan)
-    run = mutated.root.runs[0]
-    mutated.root.runs[0] = StackRun(base=run.base, step=run.step, count=run.count,
-                                    repeat=run.repeat - 20, pitch=run.pitch)
+    runs = stack_runs(mutated.root)
+    run = runs[0]
+    runs[0] = StackRun(base=run.base, step=run.step, count=run.count,
+                       repeat=run.repeat - 20, pitch=run.pitch)
+    set_runs(mutated.root, runs)
     _assert_real_gaps(mutated, verify_covering(mutated, cfg=CFG))
 
 
@@ -417,7 +420,7 @@ def test_points_covered_matches_brute_force_on_random_lattices(seed):
     lat = plan_lattices(plan)
     poses = enumerate_placements(plan)
     assert poses.tobytes() == enumerate_by_node(plan.root).tobytes()
-    assert np.any(np.abs(np.array([r.base.angle for r in plan.root.runs])) > math.pi / 2)
+    assert np.any(np.abs(plan.root.runs[:, 2]) > math.pi / 2)
     rng = np.random.RandomState(seed)
     edge = _edge_points(poses, rng, 3000)
     pts = np.concatenate([rng.uniform(-12.0, 52.0, size=(3000, 2)), edge], axis=0)
@@ -673,9 +676,11 @@ def test_a_far_square_leaves_the_covering_tolerance(x, listed):
     # square at 1e300, which covers nothing of the target, once widened the
     # nudge past the target and let the covering pass
     plan = cover_square(x)
-    node, run = max(((n, r) for n in _nodes(plan.root) if n.kind == "stacks" for r in n.runs),
-                    key=lambda pair: pair[1].total)
-    node.runs.remove(run)
+    node, run = max(((n, r) for n in _nodes(plan.root) if n.kind == "stacks"
+                     for r in stack_runs(n)), key=lambda pair: pair[1].count * pair[1].repeat)
+    runs = stack_runs(node)
+    runs.remove(run)
+    set_runs(node, runs)
     gapped = verify_covering(plan, cfg=CFG)
     assert gapped.status == "failed" and len(gapped.violations) == listed
     far = _grid(1e300, 0.0, 1, 1)
@@ -839,12 +844,14 @@ def test_covering_finds_dropped_stack_rows():
     # and the oracle enumerates only the squares near it
     plan = cover_square(10000.5)
     runs = [(n, i) for n in _nodes(plan.root) if n.kind == "stacks"
-            for i, r in enumerate(n.runs) if r.repeat >= 2 and r.count <= 8]
+            for i, r in enumerate(stack_runs(n)) if r.repeat >= 2 and r.count <= 8]
     boxes = []
     for node, i in runs[::len(runs) // 5][:5]:
-        run = node.runs[i]
-        node.runs[i] = StackRun(base=run.base, step=run.step, count=run.count,
+        node_runs = stack_runs(node)
+        run = node_runs[i]
+        node_runs[i] = StackRun(base=run.base, step=run.step, count=run.count,
                                 repeat=run.repeat - 1, pitch=run.pitch)
+        set_runs(node, node_runs)
         last = (np.array([run.base.tx, run.base.ty]) + (run.repeat - 1) * np.array(run.pitch)
                 + np.arange(run.count)[:, None] * np.array(run.step))
         boxes.append((*(last.min(axis=0) - 1.5), *(last.max(axis=0) + 1.5)))
