@@ -42,16 +42,14 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from operator import mul
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .config import ASPECT_LIMIT
 from .geometry import (
-    IDENTITY, Pose, Region, compose_graft, fold_square_pose, rect_region, region_area,
-    trap_region, tri_region,
+    IDENTITY, Pose, Region, compose_graft, rect_region, region_area, trap_region, tri_region,
 )
 
 NODE_KINDS = ("split", "grid", "stacks", "waste")
@@ -293,9 +291,15 @@ def plan_lattices(plan: Plan | PlanNode) -> dict[str, np.ndarray]:
     if (big := max(counts + repeats, default=0)) >= 2 ** 63:
         raise PlanError(f"plan holds a lattice count or repeat of {big}; each must be below 2**63")
     floats = np.array(floats, float).reshape(-1, 7)[np.array(keep, bool)]
-    turned = np.abs(floats[:, 2]) > math.pi / 2 + 1e-15
-    folded = map(fold_square_pose, *floats[turned, :3].T.tolist())
-    floats[turned, :3] = np.fromiter(chain.from_iterable(folded), float).reshape(-1, 3)
+    turned = np.flatnonzero(np.abs(floats[:, 2]) > math.pi / 2 + 1e-15)
+    pose = floats[turned, :3]  # `fold_square_pose` of each turned row, a quarter turn a pass, by
+    tx, ty, a = pose.T         # math.cos and math.sin: numpy's may differ in the last bit
+    for sign in (1.0, -1.0):
+        while len(k := np.flatnonzero(sign * a > math.pi / 2 + 1e-15)):
+            a[k] -= sign * math.pi / 2
+            c, s = (np.fromiter(map(f, a[k].tolist()), float) for f in (math.cos, math.sin))
+            tx[k], ty[k] = (tx[k] - c, ty[k] - s) if sign > 0 else (tx[k] + s, ty[k] - c)
+    floats[turned, :3] = pose
     lat = dict(zip(LATTICE_COLUMNS, [*floats.T, np.array(counts, np.int64),
                                      np.array(repeats, np.int64)]))
     if (n := sum(lattice_sizes(lat))) != total:
@@ -418,28 +422,11 @@ def resolve_grafts(root: PlanNode) -> PlanNode:
 # ---------------------------------------------------------------------------
 # serialization (deterministic: stable key order, repr-float round trip).
 # `plan_to_json` writes what `dumps_stable` writes for the plan's dict, straight
-# from the tree, and formats each distinct float and string once per plan.
+# from the tree. Its format strings hold every piece but the floats, and each
+# string, int, region head and run-rows format is made once per plan. Each fill
+# formats its floats as one array, each distinct bit pattern once per plan.
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
-
-
-class _Texts(dict):
-    """The JSON text of each distinct nonzero float and string of a plan; zeros
-    and ints stay out, as 0.0 and -0.0 are one key with two texts, and 1 == 1.0."""
-
-    def __missing__(self, v) -> str:
-        if type(v) is not str and not math.isfinite(v):
-            raise ValueError("Out of range float values are not JSON compliant")
-        text = self[v] = encode_basestring_ascii(v) if type(v) is str else float.__repr__(v)
-        return text
-
-    def text(self, v) -> str:
-        t = type(v)
-        if (t is float and v) or t is str:
-            return self[v]
-        if t is bool:
-            return "true" if v else "false"
-        return float.__repr__(v) if t is float else int.__repr__(v) if t is int else _dumps(v)
 
 
 def _slots(n: int) -> str:
@@ -448,29 +435,53 @@ def _slots(n: int) -> str:
 
 @dataclass
 class _PlanWriter:
-    """Format strings with a %s per scalar, and the scalars, filled whenever a
-    node ends with more than FILL scalars pending."""
+    """Format strings with a %s per float, and the floats: node and region scalars in
+    `floats`, each node's run rows in `runs` at their place among them; filled whenever
+    a node ends with more than FILL floats pending."""
 
-    FILL = 1 << 16
+    FILL = 1 << 14
     fmt: list = field(default_factory=list)
-    args: list = field(default_factory=list)
+    floats: list = field(default_factory=list)
+    runs: list = field(default_factory=list)   # (len(floats) before the rows, rows)
+    run_floats: int = 0
     out: list = field(default_factory=list)
-    texts: _Texts = field(default_factory=_Texts)
+    reprs: dict = field(default_factory=dict)  # float64 bits -> text
+    made: dict = field(default_factory=dict)   # label, int, region head or run rows -> format
 
     def fill(self) -> None:
-        texts = self.texts
-        self.out.append("".join(self.fmt) % tuple(
-            [texts[v] if type(v) is float and v else texts.text(v) for v in self.args]))
-        self.fmt.clear()
-        self.args.clear()
+        """Format the pending floats; one that is not a float is written as json.dumps does."""
+        floats, reprs = self.floats, self.reprs
+        odd = {i: _dumps(v) for i, v in enumerate(floats) if type(v) is not float} if (
+            set(map(type, floats)) - {float}) else {}
+        for i in odd:
+            floats[i] = 0.0
+        at = np.repeat(np.array([i for i, _ in self.runs], np.intp), [r.size for _, r in self.runs])
+        values = np.insert(np.array(floats, float), at,
+                           np.concatenate([NO_RUNS, *(r for _, r in self.runs)], axis=None))
+        if not np.isfinite(values).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        bits, where = np.unique(values.view(np.uint64), return_inverse=True)  # -0.0 is not 0.0
+        new = np.array([b for b in bits.tolist() if b not in reprs], np.uint64)
+        reprs.update(zip(new.tolist(), map(float.__repr__, new.view(float).tolist())))
+        args = np.array(list(map(reprs.__getitem__, bits.tolist())), object)[where].tolist()
+        for i, text in odd.items():  # run values inserted at i come before scalar i
+            args[i + int(np.searchsorted(at, i, "right"))] = text
+        self.out.append("".join(self.fmt) % tuple(args))
+        del self.fmt[:], floats[:], self.runs[:]
+        self.run_floats = 0
+
+    def text(self, v) -> str:
+        return self.made.get(v) or self.made.setdefault(v, _dumps(v).replace("%", "%%"))
 
     def region(self, r: Region | None) -> None:
         if r is None:
             self.fmt.append("null")
-        else:
-            self.fmt.append(f'{{"dims":[{_slots(len(r.dims))}],"frame":[%s,%s,%s],"kind":%s'
-                            ',"mirror":%s}')
-            self.args += (*r.dims, r.frame.tx, r.frame.ty, r.frame.angle, r.kind, r.mirror)
+            return
+        if (head := self.made.get(key := (r.kind, len(r.dims), r.mirror))) is None:
+            head = self.made[key] = (f'{{"dims":[{_slots(len(r.dims))}],"frame":[%s,%s,%s],'
+                                     f'"kind":{self.text(r.kind)},"mirror":{_dumps(r.mirror)}}}')
+        self.fmt.append(head)
+        self.floats += (*r.dims, r.frame.tx, r.frame.ty, r.frame.angle)
 
     def nodes(self, nodes: list[PlanNode]) -> None:
         for i, n in enumerate(nodes):
@@ -479,43 +490,41 @@ class _PlanWriter:
 
     def node(self, n: PlanNode) -> None:
         """Write `n`: a split with its children, a stacks node with its leftovers."""
-        fmt, args = self.fmt, self.args
+        fmt, floats, text = self.fmt, self.floats, self.text
         fmt.append('{"area":%s,')
-        args.append(n.area)
+        floats.append(n.area)
         if n.kind == "split":
             fmt.append('"children":[')
             self.nodes(n.children)
-            fmt.append('],"kind":"split","label":%s,"region":')
-            args.append(n.label)
+            fmt.append(f'],"kind":"split","label":{text(n.label)},"region":')
         elif n.kind == "grid":
-            fmt.append(f'"cols":%s,"kind":"grid","label":%s,"origin":[{_slots(len(n.origin))}]'
-                       ',"region":')
-            args += (n.cols, n.label, *n.origin)
+            fmt.append(f'"cols":{text(n.cols)},"kind":"grid","label":{text(n.label)},'
+                       f'"origin":[{_slots(len(n.origin))}],"region":')
+            floats += n.origin
         elif n.kind == "stacks":
-            ledger = _dumps(n.ledger).replace("%", "%%")
-            fmt.append(f'"kind":"stacks","label":%s,"ledger":{ledger},"leftovers":[')
-            args.append(n.label)
+            ledger = _dumps(n.ledger).replace("%", "%%") if n.ledger else "{}"
+            fmt.append(f'"kind":"stacks","label":{text(n.label)},"ledger":{ledger},"leftovers":[')
             self.nodes(n.children)
             fmt.append('],"region":')
         elif n.kind == "waste":
-            fmt.append('"kind":"waste","label":%s,"reason":%s,"region":')
-            args += (n.label, n.reason)
+            fmt.append(f'"kind":"waste","label":{text(n.label)},"reason":{text(n.reason)},'
+                       '"region":')
         else:
-            fmt.append('"kind":%s,"label":%s,"region":')
-            args += (n.kind, n.label)
+            fmt.append(f'"kind":{text(n.kind)},"label":{text(n.label)},"region":')
         self.region(n.region)
         if n.kind == "grid":
-            fmt.append(',"rows":%s}')
-            args.append(n.rows)
-        elif n.kind == "stacks":
-            fmt.append(',"runs":[%s]}' % ",".join(  # each count and repeat written in place
-                "[%%s,%%s,%%s,%%s,%%s,%d,%d,%%s,%%s,%%s]" % nm for nm in zip(n.counts, n.repeats)))
-            for row, label in zip(n.runs.tolist(), n.run_labels):
-                args += row
-                args.append(label)
+            fmt.append(f',"rows":{text(n.rows)}}}')
+        elif n.kind == "stacks":  # each count, repeat and label written in place
+            if (rows := self.made.get(key := (n.counts, n.repeats, n.run_labels))) is None:
+                rows = self.made[key] = ',"runs":[%s]}' % ",".join(
+                    "[%%s,%%s,%%s,%%s,%%s,%d,%d,%%s,%%s,%s]" % (c, m, text(label))
+                    for c, m, label in zip(*key))
+            fmt.append(rows)
+            self.runs.append((len(floats), n.runs))
+            self.run_floats += n.runs.size
         else:
             fmt.append("}")
-        if len(args) > self.FILL:
+        if len(floats) + self.run_floats > self.FILL:
             self.fill()
 
 
@@ -608,15 +617,17 @@ def dumps_stable(obj) -> str:
 def plan_to_json(plan: Plan) -> str:
     with gc_paused():
         w = _PlanWriter()
-        w.fmt.append(f'{{"kind":%s,"meta":{_dumps(plan.meta).replace("%", "%%")},"region":')
-        w.args.append(plan.kind)
+        w.fmt.append(f'{{"kind":{w.text(plan.kind)},"meta":{_dumps(plan.meta).replace("%", "%%")},'
+                     '"region":')
         w.region(plan.region)
         w.fmt.append(',"root":')
         w.node(plan.root)
         w.fmt.append(',"version":2,"x":%s}\n')
-        w.args.append(plan.x)
+        w.floats.append(plan.x)
         w.fill()
-        return "".join(w.out)
+        out = w.out
+        del w  # the writer's tables go before the join, the peak of the write
+        return "".join(out)
 
 
 def _non_finite(name: str):

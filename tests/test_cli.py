@@ -356,13 +356,23 @@ def test_verify_refuses_plans_of_2_63_squares(tmp_path, capsys, kind):
             in capsys.readouterr().err)
 
 
-def _sqpack(*argv) -> subprocess.CompletedProcess:
-    """`python -m sqpack.cli *argv` in a new interpreter, so its real stderr and
+def _sqpack(*argv, module: str = "sqpack.cli") -> subprocess.CompletedProcess:
+    """`python -m <module> *argv` in a new interpreter, so its real stderr and
     stack depth apply."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "sqpack.cli", *map(str, argv)],
+    return subprocess.run([sys.executable, "-m", module, *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_m_sqpack_is_the_command_line(tmp_path):
+    """`python -m sqpack` works from a bare checkout and writes what `main` writes."""
+    out = _sqpack("pack", "--x", 50.5, "--out", tmp_path / "m.json", module="sqpack")
+    assert out.returncode == 0, out.stderr
+    assert run(["pack", "--x", 50.5, "--out", tmp_path / "main.json"]) == 0
+    for suffix in ("", ".report.json"):
+        assert ((tmp_path / f"m.json{suffix}").read_bytes()
+                == (tmp_path / f"main.json{suffix}").read_bytes())
 
 
 @pytest.mark.parametrize("count", [2 ** 63, 10 ** 30])

@@ -338,6 +338,36 @@ def test_plan_json_writes_what_json_dumps_writes(plan):
         assert plan_to_json(plan) == expected
 
 
+def _bit_patterns_plan() -> Plan:
+    """Runs, region frames and grid origins of several nodes that hold 0.0, -0.0, 5e-324,
+    1e308 and 0.1, each pattern in every node: with a fill after each node, one pattern
+    is formatted in one fill and met again in later ones."""
+    values = (0.0, -0.0, 5e-324, 1e308, 0.1)
+    nodes = []
+    for k in range(len(values)):
+        a, b, c, d, e = values[k:] + values[:k]
+        grid = grid_node(rect_region(2.0, 1.0, Pose(e, d, c)), (a, b), 1, 2, label="grid")
+        run = StackRun(Pose(a, b, c), (d, e), 2, 3, (b, a), "band")
+        nodes.append(stacks_node(rect_region(9.0, 9.0, Pose(c, d, e), k % 2 == 1),
+                                 [run, run], leftovers=[grid], label="strip"))
+    root = PlanNode(kind="split", region=rect_region(99.0, 99.0, Pose(-0.0, 0.0, 0.1)),
+                    area=1e308, label="top", children=nodes)
+    return Plan(kind="pack", x=0.1, region=root.region, root=root)
+
+
+@pytest.mark.parametrize("fill", [0, 1, plan_mod._PlanWriter.FILL])
+def test_plan_json_formats_each_bit_pattern_once_and_right(fill):
+    """The writer's text of each float bit pattern, made in one fill and reused in
+    later ones, is the text json.dumps writes, and the plan reads back as written."""
+    plan = _bit_patterns_plan()
+    expected = dumps_stable(plan_to_dict(plan))
+    assert "-0.0" in expected and "5e-324" in expected and "1e+308" in expected
+    with mock.patch.object(plan_mod._PlanWriter, "FILL", fill):
+        text = plan_to_json(plan)
+        assert text == expected
+        assert plan_to_json(plan_from_json(text)) == text
+
+
 def _with_non_finite(place: str, value: float) -> Plan:
     run = StackRun(Pose(1.0, 2.0, 0.5), (0.25, 0.5), 3, 2, (1.5, 0.0), "band 1")
     leaf = grid_node(rect_region(4.0, 3.0), (0.5, 0.25), 3, 4, label="grid")
