@@ -32,12 +32,13 @@ mirrored (the stack-band leftover wedges have the opposite chirality);
 nothing is mapped during the build. A caller assigns only to the top node
 a builder call has just returned to it; nothing below is changed once its
 builder returns, so a shelf or wedge built once hangs, shared, under every
-parent that uses it. Nodes hold only what accounting and verification
-read: regions, areas, squares and ledgers; a stacks node's squares are its run
-columns, which `plan.stacks_node` fills from a list of `StackRun` records and
-`sliced_trap_fill` writes directly. The planner then maps the whole tree once,
-top-down, into a new world tree (`plan.resolve_grafts`). All construction
-frames are quarter-turn rotations; only square poses carry irrational angles.
+parent that uses it, and each use differs from it only in its graft. Nodes
+hold only what accounting and verification read: regions, areas, squares and
+ledgers; a stacks node's squares are its run columns, which `plan.stacks_node`
+fills from a list of `StackRun` records and `sliced_trap_fill` writes
+directly. The tree the top builder returns is the plan; the grafts are
+composed only where it is read (`plan.walk`). All construction frames are
+quarter-turn rotations; only square poses carry irrational angles.
 """
 
 from __future__ import annotations
@@ -159,8 +160,10 @@ def _bump(stats: BuildStats, depth: int) -> None:
 def _memoised(build, spec, depth: int, stats: BuildStats, kind: str) -> PlanNode:
     """`build(spec, depth, stats, kind)`, run once per distinct (kind, spec) of
     a plan. Every use replays its record (band tilts in order, fallback bands,
-    largest joint, depth below entry) and gets a new top node over the shared
-    subtree, whose graft alone its callers set."""
+    largest joint, depth below entry) and gets a shallow copy of the built top
+    node over the shared subtree, whose graft alone its callers set; so the
+    uses of one definition hold one `children` list, which the plan writer
+    tells definitions by."""
     key = (kind, repr(spec))  # repr tells -0.0 from 0.0, which == does not
     entry = stats.built.get(key)
     if entry is None:

@@ -90,26 +90,9 @@ def corners(poses: np.ndarray) -> np.ndarray:
     return out
 
 
-def fold_square_pose(tx: float, ty: float, a: float) -> tuple[float, float, float]:
-    """The base (tx, ty) and angle a of the same square with a folded into [-pi/2, pi/2].
-
-    A square is invariant under quarter turns; folding relabels which corner
-    is the base point.
-    """
-    while a > math.pi / 2 + 1e-15:
-        a -= math.pi / 2
-        tx -= math.cos(a)
-        ty -= math.sin(a)
-    while a < -math.pi / 2 - 1e-15:
-        a += math.pi / 2
-        tx += math.sin(a)
-        ty -= math.cos(a)
-    return tx, ty, a
-
-
 @dataclass(frozen=True, slots=True)
 class Region:
-    """Rectangle, right trapezoid or right triangle with a world frame.
+    """Rectangle, right trapezoid or right triangle placed by a frame.
 
     Each is the right trapezoid `trap` = (h, a_top, a_bot), counterclockwise
     (0,0) (a_bot,0) (a_top,h) (0,h): a vertical left side, a slant right side
@@ -149,6 +132,10 @@ class Region:
 
     def polygon(self) -> list[tuple[float, float]]:
         return [self.frame.apply(x, y) for x, y in self.local_polygon()]
+
+    def grafted(self, graft: tuple[Pose, bool]) -> "Region":
+        """This region mapped by the (frame, mirror) map `graft`."""
+        return Region(self.kind, self.dims, *compose_graft(graft, (self.frame, self.mirror)))
 
 
 def rect_region(w: float, h: float, frame: Pose = IDENTITY,

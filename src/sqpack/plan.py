@@ -2,7 +2,7 @@
 
 A plan is immutable once built. Accounting (areas, counts, waste/excess)
 is analytic and never requires materialising placements. `walk` gives the
-one pre-order of a tree's nodes, from a stack of its own, at any depth. Every
+one pre-order of a tree's nodes, each with its world frame, at any depth. Every
 grid and stack run is one lattice of unit squares; `plan_lattices` lists them
 in that order as one table of columns at any count, the counts as exact
 integers, and `square_at` places each square for enumeration and the verifier.
@@ -23,20 +23,24 @@ counts them; `counts` and `repeats` as exact ints; and `run_labels`. Builders,
 the loader and `stacks_node` fill these columns; `StackRun` is only the input
 record of `stacks_node`.
 
-Builders work in local frames, and a built subtree is never changed once
-its builder returns, so one definition may hang under several parents. A
-node may carry a pending `graft` (its local-to-parent map); `resolve_grafts`
-maps every use of every node into a new world-coordinate tree, once,
-top-down, and leaves the local tree as it was; the runs of every use are
-mapped together, in one numpy pass over their rows.
+Builders work in local frames, and a built subtree is never changed once its
+builder returns, so one definition hangs under every parent that uses it: each
+use is a shallow copy of its top node with a `graft` of its own, the
+(frame, mirror) map into its parent. That tree is the plan; nothing maps it into
+a second one. `walk` composes the grafts down each path, and `plan_lattices`
+maps the grids and the runs of every use from it, the runs in one numpy pass.
+Editing a shared node edits every use of it.
 
-Plan files are format version 2. Version 1 also held seam segments and
-per-node overshoot regions, which nothing read; the reader still accepts
-it and drops them.
+Plan files are format version 3: each definition written once, each use as a
+reference and its graft. Versions 1 and 2 wrote every use out in world
+coordinates, and version 1 also held seam segments and per-node overshoot
+regions, which nothing read; the reader still accepts both, as trees with no
+grafts and nothing shared, and drops those.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import math
@@ -112,7 +116,7 @@ class PlanNode:
     run_labels: tuple = ()
     reason: str = ""
     ledger: dict = field(default_factory=dict)
-    graft: tuple[Pose, bool] | None = None  # pending (frame, mirror) into the parent
+    graft: tuple[Pose, bool] | None = None  # (frame, mirror) into the parent's frame
 
     def own_count(self) -> int:
         if self.kind == "grid":
@@ -122,16 +126,19 @@ class PlanNode:
         return 0
 
     def total_count(self) -> int:
-        return sum(n.own_count() for n in walk(self))
+        return sum(n.own_count() for n, _ in walk(self))
 
 
 def walk(root: PlanNode):
-    """Every node at and below `root`, in pre-order, from a stack of its own, not by recursion."""
-    stack = [root]
+    """Every node at and below `root`, in pre-order, each with the (frame, mirror) map of
+    its local coordinates into the world's: the grafts on its path composed, root first.
+    It keeps a stack of its own rather than recursing, so a tree of any depth is walked."""
+    stack = [(root, (IDENTITY, False))]
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
+        node, outer = stack.pop()
+        frame = outer if node.graft is None else compose_graft(outer, node.graft)
+        yield node, frame
+        stack.extend((c, frame) for c in reversed(node.children))
 
 
 def split_node(region: Region | None, children: list[PlanNode], label: str = "",
@@ -275,25 +282,33 @@ def plan_lattices(plan: Plan | PlanNode) -> dict[str, np.ndarray]:
     `square_at`. A grid of rows x cols is (origin, 0, (1, 0) x cols, (0, 1) x rows); a run's
     base is folded into [-pi/2, pi/2] first. Empty families are left out. PlanError is raised
     unless the sizes add up to the analytic count and each count and repeat is below 2**63."""
-    floats, counts, repeats, total = [], [], [], 0  # the float rows, count and repeat
-    for node in walk(plan.root if isinstance(plan, Plan) else plan):
+    grids, uses, counts, repeats, total = [], [], [], [], 0
+    for node, frame in walk(plan.root if isinstance(plan, Plan) else plan):
         total += node.own_count()
-        if node.kind == "grid" and node.rows > 0 and node.cols > 0:
-            floats += (*node.origin, 0.0, 1.0, 0.0, 0.0, 1.0)
-            counts.append(node.cols)
-            repeats.append(node.rows)
+        if node.kind == "grid":
+            (ox, oy), rows, cols = _map_grid(node, *frame)
+            if rows > 0 and cols > 0:
+                grids.append((len(counts), ox, oy))
+                counts.append(cols)
+                repeats.append(rows)
         elif node.kind == "stacks":
-            floats += node.runs.ravel().tolist()
+            uses.append((node, *frame))
             counts += node.counts
             repeats += node.repeats
+    floats = np.empty((len(counts), 7))
+    at = [k for k, _, _ in grids]
+    runs = np.ones(len(counts), bool)
+    runs[at] = False
+    floats[runs] = map_runs(uses)
+    floats[at] = np.array([(ox, oy, 0.0, 1.0, 0.0, 0.0, 1.0) for _, ox, oy in grids]).reshape(-1, 7)
     keep = [n > 0 and m > 0 for n, m in zip(counts, repeats)]
     counts, repeats = list(compress(counts, keep)), list(compress(repeats, keep))
     if (big := max(counts + repeats, default=0)) >= 2 ** 63:
         raise PlanError(f"plan holds a lattice count or repeat of {big}; each must be below 2**63")
-    floats = np.array(floats, float).reshape(-1, 7)[np.array(keep, bool)]
+    floats = floats[np.array(keep, bool)]
     turned = np.flatnonzero(np.abs(floats[:, 2]) > math.pi / 2 + 1e-15)
-    pose = floats[turned, :3]  # `fold_square_pose` of each turned row, a quarter turn a pass, by
-    tx, ty, a = pose.T         # math.cos and math.sin: numpy's may differ in the last bit
+    pose = floats[turned, :3]  # each turned row folded a quarter turn a pass, its base moved to
+    tx, ty, a = pose.T         # the next corner by math.cos and math.sin: numpy's may differ
     for sign in (1.0, -1.0):
         while len(k := np.flatnonzero(sign * a > math.pi / 2 + 1e-15)):
             a[k] -= sign * math.pi / 2
@@ -336,53 +351,39 @@ def enumerate_placements(plan: Plan | PlanNode, limit: int = 10_000_000) -> np.n
 # ---------------------------------------------------------------------------
 # grafting: builders work in their own local coordinates and record on each
 # child the (frame, mirror) map into the parent's coordinates; repeated
-# grafts of one node compose in O(1). A (frame, mirror) map reflects across
-# local x = 0 when `mirror` is set, then applies the rigid frame. A region
-# keeps its kind and dims and takes the composed graft as its frame. Unit
-# squares are achiral, so a mirrored square placement is re-expressed as a
-# proper rotation.
+# grafts of one node compose in O(1), and `walk` composes them down the tree.
+# A (frame, mirror) map reflects across local x = 0 when `mirror` is set,
+# then applies the rigid frame. A region keeps its kind and dims and takes the
+# composed graft as its frame. Unit squares are achiral, so a mirrored square
+# placement is re-expressed as a proper rotation.
 
-def map_node(node: PlanNode, frame: Pose, mirror: bool) -> PlanNode:
-    """A new node: `node` with its region and grid mapped by (frame, mirror), no
-    graft, no children yet, and its own ledger. `node` is left as it is. Its run
-    columns are shared with `node`, still local: `map_runs` maps them.
-
-    The region's frame composes with (frame, mirror) by `compose_graft`. A
-    grid origin (x, y) goes to (tx + (c*x' - s*y), ty + (s*x' + c*y)) with x' =
-    sx*x, sx = -1 under a mirror. Plan bytes depend on this operation order.
-    """
+def _map_grid(node: PlanNode, frame: Pose, mirror: bool) -> tuple[tuple, int, int]:
+    """The world origin, rows and cols of grid `node` under (frame, mirror). An origin
+    (x, y) goes to (tx + (c*x' - s*y), ty + (s*x' + c*y)) with x' = sx*x, sx = -1 under a
+    mirror, for both opposite corners of the block; lattice bytes depend on this order."""
     tx, ty, fa = frame.tx, frame.ty, frame.angle
-    r = node.region
-    region = None if r is None else Region(
-        r.kind, r.dims, *compose_graft((frame, mirror), (r.frame, r.mirror)))
-    origin, rows, cols = node.origin, node.rows, node.cols
-    if node.kind == "grid":
-        k = round(fa / (math.pi / 2))
-        if abs(fa - k * math.pi / 2) > 1e-9:
-            raise PlanError("grids only survive quarter-turn frames")
-        c, s = math.cos(fa), math.sin(fa)
-        sx = -1.0 if mirror else 1.0
-        # opposite corners of the block land on opposite corners of its image
-        ox, oy = origin
-        x1, y1, x2, y2 = sx * ox, oy, sx * (ox + cols), oy + rows
-        origin = (min(tx + (c * x1 - s * y1), tx + (c * x2 - s * y2)),
-                  min(ty + (s * x1 + c * y1), ty + (s * x2 + c * y2)))
-        if k % 2 != 0:
-            rows, cols = cols, rows
-    ledger = {k: list(v) if isinstance(v, list) else v for k, v in node.ledger.items()}
-    return PlanNode(node.kind, region, node.area, node.label, [], origin, rows, cols, node.runs,
-                    node.counts, node.repeats, node.run_labels, node.reason, ledger)
+    k = round(fa / (math.pi / 2))
+    if abs(fa - k * math.pi / 2) > 1e-9:
+        raise PlanError("grids only survive quarter-turn frames")
+    c, s = math.cos(fa), math.sin(fa)
+    sx = -1.0 if mirror else 1.0
+    # opposite corners of the block land on opposite corners of its image
+    (ox, oy), rows, cols = node.origin, node.rows, node.cols
+    x1, y1, x2, y2 = sx * ox, oy, sx * (ox + cols), oy + rows
+    origin = (min(tx + (c * x1 - s * y1), tx + (c * x2 - s * y2)),
+              min(ty + (s * x1 + c * y1), ty + (s * x2 + c * y2)))
+    return (origin, cols, rows) if k % 2 != 0 else (origin, rows, cols)
 
 
-def map_runs(uses: list[tuple[PlanNode, Pose, bool]]) -> None:
-    """Map the run columns of each (node, frame, mirror) of `uses` by (frame, mirror), all
-    rows in one pass, and give each node its slice of the result.
+def map_runs(uses: list[tuple[PlanNode, Pose, bool]]) -> np.ndarray:
+    """The run columns of each (node, frame, mirror) of `uses` mapped by (frame, mirror),
+    all rows in one pass, stacked in the order of `uses`.
 
     c and s are `math.cos` and `math.sin` of each frame's angle. A base (x, y) goes to
     (tx + (c*x' - s*y), ty + (s*x' + c*y)) with x' = sx*x, sx = -1 under a mirror; a step
     or pitch drops the translation; an angle a goes to fa + a, or to fa + (pi/2 - a) under a
     mirror, which re-anchors a reflected square at its other bottom corner. numpy's + - *
-    round as Python's do, so plan bytes depend only on this operation order.
+    round as Python's do, so lattice bytes depend only on this operation order.
     """
     sizes = [len(node.runs) for node, _, _ in uses]
     frames = np.array([(f.tx, f.ty, f.angle, math.cos(f.angle), math.sin(f.angle),
@@ -390,142 +391,73 @@ def map_runs(uses: list[tuple[PlanNode, Pose, bool]]) -> None:
     tx, ty, fa, c, s, sx = frames.repeat(sizes, axis=0).T
     bx, by, a, ux, uy, px, py = np.concatenate([NO_RUNS] + [n.runs for n, _, _ in uses]).T
     bx, ux, px = sx * bx, sx * ux, sx * px
-    world = np.stack([tx + (c * bx - s * by), ty + (s * bx + c * by),
-                      fa + np.where(sx < 0.0, math.pi / 2 - a, a),
-                      c * ux - s * uy, s * ux + c * uy, c * px - s * py, s * px + c * py], axis=1)
-    end = 0
-    for (node, _, _), k in zip(uses, sizes):
-        node.runs, end = world[end:end + k], end + k
-
-
-def resolve_grafts(root: PlanNode) -> PlanNode:
-    """The world tree of the local tree `root`: every use of every node mapped
-    once, top-down, with no pending graft, and the runs of all uses by one
-    `map_runs`. No local node is changed, and each one the caller no longer
-    holds is freed once its last use is mapped (its run columns at the end)."""
-    top: list[PlanNode] = []
-    uses: list[tuple[PlanNode, Pose, bool]] = []
-    stack = [(root, (IDENTITY, False), top)]
-    del root
-    while stack:
-        node, outer, siblings = stack.pop()
-        frame = outer if node.graft is None else compose_graft(outer, node.graft)
-        world = map_node(node, *frame)
-        if len(world.runs):
-            uses.append((world, *frame))
-        siblings.append(world)
-        stack.extend((c, frame, world.children) for c in reversed(node.children))
-    map_runs(uses)
-    return top[0]
+    return np.stack([tx + (c * bx - s * by), ty + (s * bx + c * by),
+                     fa + np.where(sx < 0.0, math.pi / 2 - a, a),
+                     c * ux - s * uy, s * ux + c * uy, c * px - s * py, s * px + c * py], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # serialization (deterministic: stable key order, repr-float round trip).
-# `plan_to_json` writes what `dumps_stable` writes for the plan's dict, straight
-# from the tree. Its format strings hold every piece but the floats, and each
-# string, int, region head and run-rows format is made once per plan. Each fill
-# formats its floats as one array, each distinct bit pattern once per plan.
+# Version 3 writes each shared definition once, in "defs", and each use of it
+# as {"def": k, "graft": [tx, ty, angle, mirror]}; a node used once is written
+# in place, with its "graft" if it has one.
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
-def _slots(n: int) -> str:
-    return ",".join(["%s"] * n)
+def _region_dict(r: Region | None) -> dict | None:
+    if r is None:
+        return None
+    return {"dims": list(r.dims), "frame": [r.frame.tx, r.frame.ty, r.frame.angle],
+            "kind": r.kind, "mirror": r.mirror}
 
 
-@dataclass
-class _PlanWriter:
-    """Format strings with a %s per float, and the floats: node and region scalars in
-    `floats`, each node's run rows in `runs` at their place among them; filled whenever
-    a node ends with more than FILL floats pending."""
+class _Writer:
+    """The version 3 dicts of a tree. The uses of one definition are shallow copies of
+    its node that differ only in `graft`, so they hold one `children` list: a list that
+    more than one place of the tree holds is a definition. It joins `defs` once every
+    definition it uses has, so each refers only to earlier ones, and their order comes
+    from the tree alone. A class, not closures, which would make a reference cycle."""
 
-    FILL = 1 << 14
-    fmt: list = field(default_factory=list)
-    floats: list = field(default_factory=list)
-    runs: list = field(default_factory=list)   # (len(floats) before the rows, rows)
-    run_floats: int = 0
-    out: list = field(default_factory=list)
-    reprs: dict = field(default_factory=dict)  # float64 bits -> text
-    made: dict = field(default_factory=dict)   # label, int, region head or run rows -> format
+    def __init__(self, root: PlanNode):
+        self.holds: dict[int, int] = {}  # id(children) -> places of the tree that hold it
+        self.number: dict[int, int] = {}  # id(children) -> its index in `defs`
+        self.defs: list[dict] = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if (held := self.holds.get(key := id(node.children), 0)) == 0:
+                stack.extend(node.children)
+            self.holds[key] = held + 1
 
-    def fill(self) -> None:
-        """Format the pending floats; one that is not a float is written as json.dumps does."""
-        floats, reprs = self.floats, self.reprs
-        odd = {i: _dumps(v) for i, v in enumerate(floats) if type(v) is not float} if (
-            set(map(type, floats)) - {float}) else {}
-        for i in odd:
-            floats[i] = 0.0
-        at = np.repeat(np.array([i for i, _ in self.runs], np.intp), [r.size for _, r in self.runs])
-        values = np.insert(np.array(floats, float), at,
-                           np.concatenate([NO_RUNS, *(r for _, r in self.runs)], axis=None))
-        if not np.isfinite(values).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        bits, where = np.unique(values.view(np.uint64), return_inverse=True)  # -0.0 is not 0.0
-        new = np.array([b for b in bits.tolist() if b not in reprs], np.uint64)
-        reprs.update(zip(new.tolist(), map(float.__repr__, new.view(float).tolist())))
-        args = np.array(list(map(reprs.__getitem__, bits.tolist())), object)[where].tolist()
-        for i, text in odd.items():  # run values inserted at i come before scalar i
-            args[i + int(np.searchsorted(at, i, "right"))] = text
-        self.out.append("".join(self.fmt) % tuple(args))
-        del self.fmt[:], floats[:], self.runs[:]
-        self.run_floats = 0
+    def use(self, n: PlanNode) -> dict:
+        """`n` as a use of its definition, or in place, with its graft if it has one."""
+        if self.holds[key := id(n.children)] == 1:
+            d = self.body(n)
+        else:
+            if key not in self.number:
+                self.defs.append(self.body(n))
+                self.number[key] = len(self.defs) - 1
+            d = {"def": self.number[key]}
+        if n.graft is not None:
+            (f, m) = n.graft
+            d["graft"] = [f.tx, f.ty, f.angle, m]
+        return d
 
-    def text(self, v) -> str:
-        return self.made.get(v) or self.made.setdefault(v, _dumps(v).replace("%", "%%"))
-
-    def region(self, r: Region | None) -> None:
-        if r is None:
-            self.fmt.append("null")
-            return
-        if (head := self.made.get(key := (r.kind, len(r.dims), r.mirror))) is None:
-            head = self.made[key] = (f'{{"dims":[{_slots(len(r.dims))}],"frame":[%s,%s,%s],'
-                                     f'"kind":{self.text(r.kind)},"mirror":{_dumps(r.mirror)}}}')
-        self.fmt.append(head)
-        self.floats += (*r.dims, r.frame.tx, r.frame.ty, r.frame.angle)
-
-    def nodes(self, nodes: list[PlanNode]) -> None:
-        for i, n in enumerate(nodes):
-            self.fmt.append("," if i else "")
-            self.node(n)
-
-    def node(self, n: PlanNode) -> None:
-        """Write `n`: a split with its children, a stacks node with its leftovers."""
-        fmt, floats, text = self.fmt, self.floats, self.text
-        fmt.append('{"area":%s,')
-        floats.append(n.area)
+    def body(self, n: PlanNode) -> dict:
+        d = {"area": n.area, "kind": n.kind, "label": n.label, "region": _region_dict(n.region)}
         if n.kind == "split":
-            fmt.append('"children":[')
-            self.nodes(n.children)
-            fmt.append(f'],"kind":"split","label":{text(n.label)},"region":')
+            d["children"] = [self.use(c) for c in n.children]
         elif n.kind == "grid":
-            fmt.append(f'"cols":{text(n.cols)},"kind":"grid","label":{text(n.label)},'
-                       f'"origin":[{_slots(len(n.origin))}],"region":')
-            floats += n.origin
+            d.update(origin=list(n.origin), rows=n.rows, cols=n.cols)
         elif n.kind == "stacks":
-            ledger = _dumps(n.ledger).replace("%", "%%") if n.ledger else "{}"
-            fmt.append(f'"kind":"stacks","label":{text(n.label)},"ledger":{ledger},"leftovers":[')
-            self.nodes(n.children)
-            fmt.append('],"region":')
+            d["leftovers"] = [self.use(c) for c in n.children]
+            d["ledger"] = n.ledger
+            d["runs"] = [[*v[:5], c, m, *v[5:], label] for v, c, m, label
+                         in zip(n.runs.tolist(), n.counts, n.repeats, n.run_labels)]
         elif n.kind == "waste":
-            fmt.append(f'"kind":"waste","label":{text(n.label)},"reason":{text(n.reason)},'
-                       '"region":')
-        else:
-            fmt.append(f'"kind":{text(n.kind)},"label":{text(n.label)},"region":')
-        self.region(n.region)
-        if n.kind == "grid":
-            fmt.append(f',"rows":{text(n.rows)}}}')
-        elif n.kind == "stacks":  # each count, repeat and label written in place
-            if (rows := self.made.get(key := (n.counts, n.repeats, n.run_labels))) is None:
-                rows = self.made[key] = ',"runs":[%s]}' % ",".join(
-                    "[%%s,%%s,%%s,%%s,%%s,%d,%d,%%s,%%s,%s]" % (c, m, text(label))
-                    for c, m, label in zip(*key))
-            fmt.append(rows)
-            self.runs.append((len(floats), n.runs))
-            self.run_floats += n.runs.size
-        else:
-            fmt.append("}")
-        if len(floats) + self.run_floats > self.FILL:
-            self.fill()
+            d["reason"] = n.reason
+        return d
 
 
 def _finite(values, what: str):
@@ -573,40 +505,61 @@ def _runs_from_lists(node: PlanNode, rows) -> None:
         tuple(zip(*[(v[5], v[6], v[9]) for v in rows])) or ((), (), ()))
 
 
-def _node_from_dict(d: dict) -> PlanNode:
-    kind = d["kind"]
-    region = _region_from_dict(d["region"])
-    node = PlanNode(kind=kind, region=region, area=_json(d["area"], float, "node area"),
-                    label=_json(d["label"], str, "node label"))
-    if kind == "split":
-        node.children = [_node_from_dict(c) for c in d["children"]]
-    elif kind == "grid":
-        node.origin = tuple(_finite(d["origin"], "grid origin"))
-        if len(node.origin) != 2:
-            raise PlanError(f"plan grid origin must be 2 numbers, got {d['origin']}")
-        node.rows = _json(d["rows"], int, "grid rows")
-        node.cols = _json(d["cols"], int, "grid cols")
-    elif kind == "stacks":
-        _runs_from_lists(node, d["runs"])
-        node.children = [_node_from_dict(c) for c in d["leftovers"]]
-        node.ledger = d["ledger"]
-    elif kind == "waste":
-        node.reason = _json(d["reason"], str, "waste reason")
+def _node_from_dict(d: dict, defs: list[PlanNode]) -> PlanNode:
+    """The node of `d`: a use of one of `defs`, a shallow copy as a memoised builder's
+    caller gets it, or a node of its own; either may carry a graft."""
+    if "def" in d:
+        if set(d) - {"def", "graft"}:
+            raise PlanError(f"plan use has keys other than def and graft: {sorted(d)}")
+        if (k := _json(d["def"], int, "use def")) >= len(defs):
+            raise PlanError(f"plan use names definition {k}, not one defined before it")
+        node = copy.copy(defs[k])
     else:
-        raise PlanError(f"unknown node kind {kind!r}")
+        node = PlanNode(kind=(kind := d["kind"]), region=_region_from_dict(d["region"]),
+                        area=_json(d["area"], float, "node area"),
+                        label=_json(d["label"], str, "node label"))
+        if kind == "split":
+            node.children = [_node_from_dict(c, defs) for c in d["children"]]
+        elif kind == "grid":
+            node.origin = tuple(_finite(d["origin"], "grid origin"))
+            if len(node.origin) != 2:
+                raise PlanError(f"plan grid origin must be 2 numbers, got {d['origin']}")
+            node.rows = _json(d["rows"], int, "grid rows")
+            node.cols = _json(d["cols"], int, "grid cols")
+        elif kind == "stacks":
+            _runs_from_lists(node, d["runs"])
+            node.children = [_node_from_dict(c, defs) for c in d["leftovers"]]
+            node.ledger = d["ledger"]
+        elif kind == "waste":
+            node.reason = _json(d["reason"], str, "waste reason")
+        else:
+            raise PlanError(f"unknown node kind {kind!r}")
+    if "graft" in d:
+        g = d["graft"]
+        if type(g) is not list or len(g) != 4:
+            raise PlanError(f"plan graft must be [tx, ty, angle, mirror], got {g!r}")
+        node.graft = (Pose(*(_json(v, float, "graft") for v in g[:3])),
+                      _json(g[3], bool, "graft mirror"))
     return node
 
 
 def plan_from_dict(d: dict) -> Plan:
-    if d.get("version") not in (1, 2) or type(d["version"]) is not int:  # True == 1 == 1.0
+    """The plan of a version 1, 2 or 3 dict; a version 1 or 2 tree has no grafts and
+    shares nothing. A definition may use only those before it, so none uses itself."""
+    if d.get("version") not in (1, 2, 3) or type(d["version"]) is not int:  # True == 1 == 1.0
         raise PlanError(f"unsupported plan version {d.get('version')!r}")
     if d.get("kind") not in ("pack", "cover"):
         raise PlanError(f"plan kind must be 'pack' or 'cover', got {d.get('kind')!r}")
     region = _region_from_dict(d["region"])
     if region is None:
         raise PlanError("plan has no target region")
+    defs: list[PlanNode] = []
+    for body in d["defs"] if d["version"] == 3 else []:
+        if "def" in body or "graft" in body:
+            raise PlanError("a plan definition must be a node with no graft")
+        defs.append(_node_from_dict(body, defs))
     return Plan(kind=d["kind"], x=_json(d["x"], float, "x"), region=region,
-                root=_node_from_dict(d["root"]), meta=d["meta"])
+                root=_node_from_dict(d["root"], defs), meta=d["meta"])
 
 
 def dumps_stable(obj) -> str:
@@ -615,19 +568,13 @@ def dumps_stable(obj) -> str:
 
 
 def plan_to_json(plan: Plan) -> str:
+    """The version 3 text of `plan`: `dumps_stable` of its dict, each definition once."""
     with gc_paused():
-        w = _PlanWriter()
-        w.fmt.append(f'{{"kind":{w.text(plan.kind)},"meta":{_dumps(plan.meta).replace("%", "%%")},'
-                     '"region":')
-        w.region(plan.region)
-        w.fmt.append(',"root":')
-        w.node(plan.root)
-        w.fmt.append(',"version":2,"x":%s}\n')
-        w.floats.append(plan.x)
-        w.fill()
-        out = w.out
-        del w  # the writer's tables go before the join, the peak of the write
-        return "".join(out)
+        writer = _Writer(plan.root)
+        root = writer.use(plan.root)
+        return dumps_stable({"defs": writer.defs, "kind": plan.kind, "meta": plan.meta,
+                             "region": _region_dict(plan.region), "root": root, "version": 3,
+                             "x": plan.x})
 
 
 def _non_finite(name: str):

@@ -17,7 +17,7 @@ from .builders import (
 )
 from .config import BASE_CUTOFF
 from .geometry import rect_region
-from .plan import Plan, gc_paused, resolve_grafts, waste_node
+from .plan import Plan, gc_paused, waste_node, walk
 
 
 def _square(x, depth, stats, kind):
@@ -31,8 +31,7 @@ def _square(x, depth, stats, kind):
 
 
 # shape -> (builder, sides, nominal scale, target region), each taking the
-# shape's dims; a region of None means the root's own region once grafts are
-# resolved
+# shape's dims; a region of None means the root's own region, grafted
 _SHAPES = {
     "square": (_square, lambda x: (x,), lambda x: x, None),
     "rect": (build_rect, lambda w, h: (w, h), max, rect_region),
@@ -50,7 +49,8 @@ def build_plan(kind: str, shape: str, *dims) -> Plan:
     square (x), rect (w, h), panel (PanelSpec), strip (m, L), wedge
     (WedgeSpec) or shelf (ShelfSpec). It reads no settings: the scale of
     the grid base case is the constant `BASE_CUTOFF`. Every side passes
-    `check_side` first. The tree is mapped into world coordinates once, here."""
+    `check_side` first. The plan's root is the tree the builders return, each
+    shared shelf and wedge built once and grafted into every use."""
     if kind not in ("pack", "cover") or shape not in _SHAPES:
         raise InvalidSpec(f"unknown plan kind or shape: {kind!r}, {shape!r}")
     build, sides, scale, region = _SHAPES[shape]
@@ -58,16 +58,12 @@ def build_plan(kind: str, shape: str, *dims) -> Plan:
         check_side(side)
     stats = BuildStats()
     with gc_paused():
-        local = [build(*dims, 0, stats, kind)]
-        # drop the memo table, and pass on the only reference to the local
-        # root, so each local node is freed once its last use is mapped
-        stats.built.clear()
-        root = resolve_grafts(local.pop())
+        root = build(*dims, 0, stats, kind)
     meta = {"stats": {"max_depth": stats.max_depth,
                       "fallback_bands": stats.fallback_bands,
                       "joint_max": stats.joint_max},
             "band_tilts": [list(t) for t in stats.band_tilts]}
-    target = root.region if region is None else region(*dims)
+    target = root.region.grafted(next(walk(root))[1]) if region is None else region(*dims)
     return Plan(kind=kind, x=scale(*dims), region=target, root=root, meta=meta)
 
 

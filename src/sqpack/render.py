@@ -39,8 +39,9 @@ def plan_to_svg(plan: Plan, outline_only: bool = False, limit: int = 200_000) ->
         poses = enumerate_placements(plan, limit)  # raises OverLimit when too big
         style = SQUARE_STYLE if plan.kind == "pack" else COVER_STYLE
         body.extend(_poly(quad, style) for quad in corners(poses).tolist())
-    body.extend(_poly(n.region.polygon(), WASTE_STYLE if n.kind == "waste" else REGION_STYLE)
-                for n in walk(plan.root) if n.region is not None)
+    body.extend(_poly(n.region.grafted(frame).polygon(),
+                      WASTE_STYLE if n.kind == "waste" else REGION_STYLE)
+                for n, frame in walk(plan.root) if n.region is not None)
 
     # flip y so the world's up is the screen's up
     head = (

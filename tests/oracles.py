@@ -13,8 +13,11 @@ suspect part of it, instead of the verifier's crossing points. Packing is
 also checked by ring probes of every lattice, without the verifier's hull
 and offset certificates, and covering by ring probes of every lattice,
 without the verifier's rectangles for level lattices. Plan files are
-checked against the dict a plan maps to, through `dumps_stable`, instead
-of the writer's direct text. Region polygons, areas and membership are
+checked through the version 2 dict of a plan's world tree: every use written
+out, each node mapped by its composed graft one scalar at a time, as plans
+were mapped before their shelves and wedges were shared, instead of the
+shared version 3 text. Square poses are folded one quarter turn at a time,
+instead of by the lattice table's masked passes. Region polygons, areas and membership are
 written out kind by kind instead of from the one right trapezoid
 (`Region.trap`) every kind is.
 """
@@ -25,10 +28,10 @@ import math
 
 import numpy as np
 
-from sqpack.geometry import (
-    IDENTITY, Pose, compose_graft, corners, fold_square_pose, points_in_region,
+from sqpack.geometry import IDENTITY, Pose, Region, compose_graft, corners, points_in_region
+from sqpack.plan import (
+    PlanError, StackRun, dumps_stable, enumerate_placements, plan_from_json, stacks_node,
 )
-from sqpack.plan import StackRun, enumerate_placements, stacks_node
 from sqpack import verifier
 from sqpack.verifier import _overlap_mask
 
@@ -240,6 +243,23 @@ def covered_by_kd_join(pts: np.ndarray, poses: np.ndarray, tau: float) -> np.nda
     return covered
 
 
+def fold_square_pose(tx: float, ty: float, a: float) -> tuple[float, float, float]:
+    """The base (tx, ty) and angle a of the same square with a folded into [-pi/2, pi/2].
+
+    A square is invariant under quarter turns; folding relabels which corner
+    is the base point.
+    """
+    while a > math.pi / 2 + 1e-15:
+        a -= math.pi / 2
+        tx -= math.cos(a)
+        ty -= math.sin(a)
+    while a < -math.pi / 2 - 1e-15:
+        a += math.pi / 2
+        tx += math.sin(a)
+        ty -= math.cos(a)
+    return tx, ty, a
+
+
 def stack_runs(node) -> list:
     """The runs of a stacks node as `StackRun` records, read off its columns."""
     return [StackRun(Pose(bx, by, a), (ux, uy), count, repeat, (px, py), label)
@@ -270,9 +290,9 @@ def map_run(run, frame, mirror: bool):
 
 
 def world_runs_by_node(root) -> list:
-    """The world runs of every use of every node of the local tree `root`, in
-    pre-order: each use's frame composed down the tree as `resolve_grafts`
-    composes it, and each run mapped by `map_run`."""
+    """The world runs of every use of every node of the tree `root`, in
+    pre-order: each use's frame composed down the tree, root first, and each
+    run mapped by `map_run`."""
     out = []
 
     def visit(node, outer):
@@ -286,11 +306,12 @@ def world_runs_by_node(root) -> list:
 
 
 def enumerate_by_node(node, box=None) -> np.ndarray:
-    """World poses of a plan tree, node by node in pre-order: a grid
-    row-major from its origin, each stack run from its folded base. With
-    `box` (x0, y0, x1, y1), only the squares whose base lies in it: grids
-    are cut to the rows and columns that can reach it and runs are read a
-    few rows at a time, so plans of any size can be searched."""
+    """World poses of a plan tree, node by node in pre-order, each use mapped by
+    its composed graft one scalar at a time (`map_grid`, `map_run`): a grid
+    row-major from its origin, each stack run from its folded base. With `box`
+    (x0, y0, x1, y1), only the squares whose base lies in it: grids are cut to
+    the rows and columns that can reach it and runs are read a few rows at a
+    time, so plans of any size can be searched."""
     out = []
 
     def keep(poses):
@@ -299,17 +320,19 @@ def enumerate_by_node(node, box=None) -> np.ndarray:
             poses = poses[(x >= box[0]) & (x <= box[2]) & (y >= box[1]) & (y <= box[3])]
         out.append(poses)
 
-    def walk(n):
-        if n.kind == "grid" and n.rows * n.cols > 0:
-            ox, oy = n.origin
-            cols, rows = np.arange(n.cols), np.arange(n.rows)
+    def walk(n, outer):
+        frame = outer if n.graft is None else compose_graft(outer, n.graft)
+        if n.kind == "grid":
+            (ox, oy), n_rows, n_cols = map_grid(n, *frame)
+            cols, rows = np.arange(n_cols), np.arange(n_rows)
             if box is not None:
                 cols = cols[(ox + cols >= box[0] - 1) & (ox + cols <= box[2] + 1)]
                 rows = rows[(oy + rows >= box[1] - 1) & (oy + rows <= box[3] + 1)]
             jj, ii = np.meshgrid(cols, rows)
-            keep(np.stack([ox + jj.ravel(), oy + ii.ravel(), np.zeros(jj.size)], axis=1))
+            if jj.size:
+                keep(np.stack([ox + jj.ravel(), oy + ii.ravel(), np.zeros(jj.size)], axis=1))
         elif n.kind == "stacks":
-            for run in stack_runs(n):
+            for run in (map_run(r, *frame) for r in stack_runs(n)):
                 base = Pose(*fold_square_pose(run.base.tx, run.base.ty, run.base.angle))
                 ends = (np.array([base.tx, base.ty]) + np.array([0, run.count - 1])[:, None, None]
                         * np.array(run.step) + np.array([0, run.repeat - 1])[:, None] * run.pitch)
@@ -326,9 +349,9 @@ def enumerate_by_node(node, box=None) -> np.ndarray:
                     poses[:, 2] = base.angle
                     keep(poses)
         for c in n.children:
-            walk(c)
+            walk(c, frame)
 
-    walk(node)
+    walk(node, (IDENTITY, False))
     return np.concatenate(out, axis=0) if out else np.empty((0, 3))
 
 
@@ -422,13 +445,32 @@ def covering_by_ring_probes(plan):
     return report.finish()
 
 
+def map_grid(node, frame, mirror: bool) -> tuple[tuple, int, int]:
+    """The world origin, rows and cols of grid `node` under (frame, mirror): the
+    two opposite corners of the block mapped one scalar at a time, and the lower
+    of each coordinate taken; a quarter turn swaps rows and cols."""
+    tx, ty, fa = frame.tx, frame.ty, frame.angle
+    k = round(fa / (math.pi / 2))
+    if abs(fa - k * math.pi / 2) > 1e-9:
+        raise PlanError("grids only survive quarter-turn frames")
+    c, s = math.cos(fa), math.sin(fa)
+    sx = -1.0 if mirror else 1.0
+    ox, oy = node.origin
+    x1, y1, x2, y2 = sx * ox, oy, sx * (ox + node.cols), oy + node.rows
+    origin = (min(tx + (c * x1 - s * y1), tx + (c * x2 - s * y2)),
+              min(ty + (s * x1 + c * y1), ty + (s * x2 + c * y2)))
+    return (origin, node.cols, node.rows) if k % 2 else (origin, node.rows, node.cols)
+
+
 def _pose_to_list(p) -> list[float]:
     return [p.tx, p.ty, p.angle]
 
 
-def _region_to_dict(r):
+def _region_to_dict(r, graft=None):
     if r is None:
         return None
+    if graft is not None:
+        r = Region(r.kind, r.dims, *compose_graft(graft, (r.frame, r.mirror)))
     return {"kind": r.kind, "dims": list(r.dims), "frame": _pose_to_list(r.frame),
             "mirror": r.mirror}
 
@@ -438,31 +480,48 @@ def _run_to_list(r) -> list:
             r.count, r.repeat, r.pitch[0], r.pitch[1], r.label]
 
 
-def _node_to_dict(n) -> dict:
-    d = {"kind": n.kind, "region": _region_to_dict(n.region), "area": n.area,
+def _node_to_dict(n, outer=None) -> dict:
+    """The version 2 dict of `n` and its subtree. With `outer`, the world
+    (frame, mirror) of its parent, every node is mapped by its graft composed
+    with its ancestors'; with none, each is written as it is held."""
+    frame = None if outer is None else outer if n.graft is None else compose_graft(outer, n.graft)
+    d = {"kind": n.kind, "region": _region_to_dict(n.region, frame), "area": n.area,
          "label": n.label}
     if n.kind == "split":
-        d["children"] = [_node_to_dict(c) for c in n.children]
+        d["children"] = [_node_to_dict(c, frame) for c in n.children]
     elif n.kind == "grid":
-        d["origin"] = list(n.origin)
-        d["rows"] = n.rows
-        d["cols"] = n.cols
+        origin, d["rows"], d["cols"] = ((n.origin, n.rows, n.cols) if frame is None
+                                        else map_grid(n, *frame))
+        d["origin"] = list(origin)
     elif n.kind == "stacks":
-        d["runs"] = [_run_to_list(r) for r in stack_runs(n)]
-        d["leftovers"] = [_node_to_dict(c) for c in n.children]
+        runs = stack_runs(n) if frame is None else [map_run(r, *frame) for r in stack_runs(n)]
+        d["runs"] = [_run_to_list(r) for r in runs]
+        d["leftovers"] = [_node_to_dict(c, frame) for c in n.children]
         d["ledger"] = n.ledger
     elif n.kind == "waste":
         d["reason"] = n.reason
     return d
 
 
-def plan_to_dict(plan) -> dict:
-    """The version 2 dict of `plan`; `dumps_stable` of it is the plan file."""
+def plan_to_dict(plan, world: bool = True) -> dict:
+    """The version 2 dict of `plan`; `dumps_stable` of it is the plan file. With
+    `world`, the tree is flattened: every use written out in world coordinates."""
     return {
         "version": 2,
         "kind": plan.kind,
         "x": plan.x,
         "region": _region_to_dict(plan.region),
         "meta": plan.meta,
-        "root": _node_to_dict(plan.root),
+        "root": _node_to_dict(plan.root, (IDENTITY, False) if world else None),
     }
+
+
+def v2_text(plan) -> str:
+    """The version 2 file of `plan`'s world tree."""
+    return dumps_stable(plan_to_dict(plan))
+
+
+def world_plan(plan):
+    """`plan` loaded from its version 2 text: every use a node of its own, in world
+    coordinates, with no graft, so a test can edit one square, run or leaf."""
+    return plan_from_json(v2_text(plan))

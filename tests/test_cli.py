@@ -15,6 +15,7 @@ from sqpack.geometry import Pose, rect_region
 from sqpack.render import plan_to_svg
 from sqpack.planner import build_plan, pack_square
 from sqpack.plan import Plan, grid_node, plan_to_json, split_node
+from oracles import v2_text
 
 
 def run(argv):
@@ -26,7 +27,7 @@ def test_pack_command_writes_plan_and_report(tmp_path):
     rc = run(["pack", "--x", 400.5, "--out", out])
     assert rc == 0
     data = json.loads(out.read_text())
-    assert data["kind"] == "pack" and data["version"] == 2
+    assert data["kind"] == "pack" and data["version"] == 3
     report = json.loads((tmp_path / "plan.json.report.json").read_text())
     assert report["passed"] is True
     assert report["waste_or_excess"] <= 2566
@@ -88,18 +89,44 @@ def _deeply_nested(data, depth=3000):
 
 
 def _nodes(node: dict):
+    """`node` and the nodes below it, each written in place; uses are skipped."""
+    if "def" in node:
+        return
     yield node
     for key in ("children", "leftovers"):
         for child in node.get(key, []):
             yield from _nodes(child)
 
 
+def _all_nodes(data: dict):
+    """Every node written in place in a plan's dict: its definitions', then its root's."""
+    for top in [*data.get("defs", []), data["root"]]:
+        yield from _nodes(top)
+
+
 def _grid(data: dict) -> dict:
-    return next(n for n in _nodes(data["root"]) if n["kind"] == "grid")
+    return next(n for n in _all_nodes(data) if n["kind"] == "grid")
 
 
 def _run(data: dict) -> list:
-    return next(_run_lists(data["root"]))[0]
+    return next(n["runs"] for n in _all_nodes(data) if n["kind"] == "stacks")[0]
+
+
+def _use(data: dict) -> dict:
+    """The first use of a definition under the plan's root."""
+    def uses(node):
+        if "def" in node:
+            yield node
+        for key in ("children", "leftovers"):
+            for child in node.get(key, []):
+                yield from uses(child)
+    return next(uses(data["root"]))
+
+
+def _def_using(data: dict, k: int) -> None:
+    """Append a definition, a split whose one child uses definition k."""
+    data["defs"].append({"area": 1.0, "kind": "split", "label": "", "region": None,
+                         "children": [{"def": k}]})
 
 
 # each edits the plan in place to a field of the wrong JSON type, and each
@@ -136,6 +163,26 @@ _CAUGHT = {
     "no-root": lambda data: data.__delitem__("root"),  # KeyError
     "count-400-digits": lambda data: _run(data).__setitem__(5, 10 ** 400),  # OverflowError
 }
+# version 3 files that the writer never writes: a use of a definition that is
+# missing, that uses itself or a later one, with a graft other than
+# [tx, ty, angle, mirror] of finite numbers and a bool, or with another key
+_V3 = {
+    "use-missing-def": lambda data: _use(data).update({"def": len(data["defs"])}),
+    "use-def-bool": lambda data: _use(data).update({"def": False}),
+    "def-uses-itself": lambda data: _def_using(data, len(data["defs"])),
+    "def-uses-a-later-one": lambda data: (_def_using(data, len(data["defs"]) + 1),
+                                          _def_using(data, 0)),
+    "def-is-a-use": lambda data: data["defs"].append({"def": 0}),
+    "graft-3-fields": lambda data: _use(data).update(graft=[1.0, 2.0, 0.5]),
+    "graft-5-fields": lambda data: _use(data).update(graft=[1.0, 2.0, 0.5, False, 0.0]),
+    "graft-mirror-number": lambda data: _use(data).update(graft=[1.0, 2.0, 0.5, 0]),
+    "graft-bool-number": lambda data: _use(data).update(graft=[True, 2.0, 0.5, False]),
+    "graft-string-number": lambda data: _use(data).update(graft=[1.0, "2", 0.5, False]),
+    "graft-overflow": lambda data: _use(data).update(graft=[1.0, "OVERFLOW", 0.5, False]),
+    "graft-object": lambda data: _use(data).update(graft={"tx": 1.0}),
+    "use-with-a-kind": lambda data: _use(data).update(kind="grid"),
+    "version-4": lambda data: data.update(version=4),
+}
 
 
 @pytest.mark.parametrize("command", ["verify", "render"])
@@ -143,9 +190,9 @@ _CAUGHT = {
                                     lambda data: {**data, "region": None}, _deeply_nested]
                          + [lambda data, edit=edit: edit(data) or data
                             for edit in [*_EDITS.values(), *_SHAPES.values(),
-                                         *_CAUGHT.values()]],
+                                         *_CAUGHT.values(), *_V3.values()]],
                          ids=["list", "root-list", "null-region", "deeply-nested",
-                              *_EDITS, *_SHAPES, *_CAUGHT])
+                              *_EDITS, *_SHAPES, *_CAUGHT, *_V3])
 def test_malformed_plans_are_input_errors(tmp_path, capsys, command, mangle):
     # valid JSON of the wrong shape: a list for the plan or for its root node,
     # no target region, split nodes nested past the recursion limit, a field
@@ -153,7 +200,8 @@ def test_malformed_plans_are_input_errors(tmp_path, capsys, command, mangle):
     # a count too large for a float
     plan_path = tmp_path / "plan.json"
     mangled = mangle(json.loads(plan_to_json(pack_square(150.5))))
-    plan_path.write_text(mangled if isinstance(mangled, str) else json.dumps(mangled))
+    text = mangled if isinstance(mangled, str) else json.dumps(mangled)
+    plan_path.write_text(text.replace('"OVERFLOW"', "1e400"))
     argv = [command, plan_path] + (["--out", tmp_path / "p.svg"] if command == "render" else [])
     assert run(argv) == 2
     assert "cannot read plan" in capsys.readouterr().err
@@ -209,7 +257,7 @@ def _drop_leaf(node: dict, min_area: float) -> bool:
     """Remove the first grid leaf of area >= min_area below `node`."""
     for key in ("children", "leftovers"):
         for i, child in enumerate(node.get(key, [])):
-            if child["kind"] == "grid" and child["area"] >= min_area:
+            if child.get("kind") == "grid" and child["area"] >= min_area:
                 del node[key][i]
                 return True
             if _drop_leaf(child, min_area):
@@ -287,10 +335,9 @@ def test_verify_count_mismatch_is_input_error(tmp_path, capsys):
 
 def _run_lists(node: dict):
     """The run list of every stack node at or below `node`."""
-    if node["kind"] == "stacks":
-        yield node["runs"]
-    for child in node.get("children", []) + node.get("leftovers", []):
-        yield from _run_lists(child)
+    for n in _nodes(node):
+        if n["kind"] == "stacks":
+            yield n["runs"]
 
 
 @pytest.mark.parametrize("edit", ["nan run base", "negative width", "zero width", "nan width",
@@ -299,7 +346,7 @@ def test_verify_refuses_plans_no_builder_writes(tmp_path, capsys, edit):
     # cover_square(150.5) less its largest stack run fails; a NaN, or a side
     # that is not positive, once made it pass, and an unknown region kind got
     # past the reader; each is now refused as a file no builder writes
-    data = json.loads(plan_to_json(build_plan("cover", "square", 150.5)))
+    data = json.loads(v2_text(build_plan("cover", "square", 150.5)))
     runs, i = max(((r, i) for r in _run_lists(data["root"]) for i in range(len(r))),
                   key=lambda pair: pair[0][pair[1]][5] * pair[0][pair[1]][6])
     del runs[i]
@@ -324,7 +371,7 @@ def test_verify_refuses_plans_with_numbers_that_overflow(tmp_path, capsys, edit)
     # the gapped cover_square(150.5) with target dims [1e400, 150.5] or a
     # target frame at x = 1e400 printed passed and exited 0, and a run count
     # of 1e400 raised OverflowError; 1e400 loads as inf, past parse_constant
-    data = json.loads(plan_to_json(build_plan("cover", "square", 150.5)))
+    data = json.loads(v2_text(build_plan("cover", "square", 150.5)))
     runs, i = max(((r, i) for r in _run_lists(data["root"]) for i in range(len(r))),
                   key=lambda pair: pair[0][pair[1]][5] * pair[0][pair[1]][6])
     del runs[i]

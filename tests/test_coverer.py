@@ -9,7 +9,7 @@ from sqpack.builders import InvalidSpec, PanelSpec, ShelfSpec, WedgeSpec, shelf_
 from sqpack.config import PackConfig
 from sqpack.geometry import trap_region
 from sqpack.planner import build_plan, cover_square
-from sqpack.plan import account, check_bound
+from sqpack.plan import account, check_bound, walk
 from sqpack.tilt import solve_cover_tilt
 from sqpack.verifier import verify_covering
 
@@ -163,10 +163,10 @@ def test_cover_shelf_floor_strip_keeps_its_trapezoid_in_place():
     tan_t = 0.004
     spec = ShelfSpec(10000.0, 40.0, math.atan(tan_t))
     plan = build_plan("cover", "shelf", spec)
-    floor = plan.root.children[-1]
+    floor, frame = next((n, f) for n, f in walk(plan.root) if n is plan.root.children[-1])
     assert floor.label == "strip"
     expected = trap_region(40.0, a_len, a_len + 40.0 * tan_t).polygon()
-    assert np.allclose(floor.region.polygon(), expected, atol=1e-9)
+    assert np.allclose(floor.region.grafted(frame).polygon(), expected, atol=1e-9)
     assert account(plan).waste_or_excess >= 0.0
     assert verify_covering(plan, cfg=CFG).passed
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from sqpack.geometry import (
-    Pose, Region, ceil_guard, corners, floor_guard, fold_square_pose, frac_guard,
-    points_in_region, rect_region, region_area, trap_region, tri_region,
+    Pose, Region, ceil_guard, corners, floor_guard, frac_guard, points_in_region,
+    rect_region, region_area, trap_region, tri_region,
 )
 from oracles import (
-    local_polygon_by_kind, overlap_area_estimate, points_in_region_by_kind, quads_disjoint,
-    region_area_by_kind, shoelace,
+    fold_square_pose, local_polygon_by_kind, overlap_area_estimate, points_in_region_by_kind,
+    quads_disjoint, region_area_by_kind, shoelace,
 )
 
 

@@ -1,5 +1,5 @@
-"""Lazy grafting: composition law, one mapping per node, merged wedge rows,
-and accounting that does not depend on frames."""
+"""Lazy grafting: composition law, one mapping per use, shared definitions,
+merged wedge rows, and accounting that does not depend on frames."""
 
 from __future__ import annotations
 
@@ -23,17 +23,17 @@ from sqpack.builders import (
     build_wedge, sliced_trap_fill,
 )
 from sqpack.geometry import (
-    Pose, ceil_guard, corners, floor_guard, rect_region, trap_region,
+    IDENTITY, Pose, ceil_guard, compose_graft, corners, floor_guard, rect_region, trap_region,
 )
 from sqpack.plan import (
-    Plan, StackRun, account, dumps_stable, enumerate_placements, grid_node, plan_from_json,
-    plan_lattices, plan_to_json, resolve_grafts, stacks_node, walk,
+    Plan, PlanNode, StackRun, account, dumps_stable, enumerate_placements, grid_node, plan_from_json,
+    plan_lattices, plan_to_json, stacks_node, walk,
 )
 from sqpack.planner import build_plan, cover_square, pack_square
 from sqpack.render import plan_to_svg
 from sqpack.verifier import verify_covering, verify_packing
 from oracles import (
-    _node_to_dict, enumerate_by_node, plan_to_dict, stack_runs, world_runs_by_node,
+    _node_to_dict, enumerate_by_node, fold_square_pose, v2_text, world_plan, world_runs_by_node,
 )
 
 
@@ -67,6 +67,11 @@ def _random_graft(rng):
     return frame, bool(rng.randint(2))
 
 
+def _flat(node: PlanNode) -> PlanNode:
+    """The world tree of `node`, loaded from the oracle's version 2 text: no graft."""
+    return world_plan(Plan(kind="pack", x=1.0, region=rect_region(1.0, 1.0), root=node)).root
+
+
 def test_two_grafts_equal_one_composed_graft():
     rng = np.random.RandomState(5)
     for _ in range(40):
@@ -74,55 +79,71 @@ def test_two_grafts_equal_one_composed_graft():
         # one after the other: map by the inner graft, then by the outer one
         seq = _subtree()
         seq.graft = (f2, m2)
-        seq = resolve_grafts(seq)
+        seq = _flat(seq)
         seq.graft = (f1, m1)
-        seq = resolve_grafts(seq)
-        # composed: both grafts recorded, the tree mapped once
-        one = resolve_grafts(_graft(_graft(_subtree(), f2, m2), f1, m1))
+        seq = _flat(seq)
+        # composed: both grafts recorded, and the tree read through them or mapped once
+        lazy = _graft(_graft(_subtree(), f2, m2), f1, m1)
+        one = _flat(lazy)
 
         assert np.allclose(_square_set(seq), _square_set(one), atol=1e-9)
-        for a, b in zip(_walk(seq), _walk(one)):
-            assert a.region.mirror == b.region.mirror
+        assert np.allclose(_square_set(seq), _square_set(lazy), atol=1e-9)
+        for (a, _), (b, _), (c, frame) in zip(walk(seq), walk(one), walk(lazy)):
+            assert a.region.mirror == b.region.mirror == c.region.grafted(frame).mirror
             assert np.allclose(a.region.polygon(), b.region.polygon(), atol=1e-9)
+            assert np.allclose(a.region.polygon(), c.region.grafted(frame).polygon(), atol=1e-9)
             if a.kind == "grid":
                 assert (a.rows, a.cols) == (b.rows, b.cols)
                 assert np.allclose(a.origin, b.origin, atol=1e-9)
 
 
-def test_every_node_is_mapped_exactly_once(monkeypatch):
-    """One `map_node` call per world node, however often its local definition
-    is shared: the world nodes are exactly the nodes those calls returned, no
-    world node carries a graft, and there are as many as an unshared build has."""
-    returned = []
-    mapper = plan_mod.map_node
+def _unshared(build, spec, depth, stats, kind):
+    """`builders._memoised` without the table: every use builds."""
+    return build(spec, depth, stats, kind)
 
-    def recording(node, frame, mirror):
-        returned.append(mapper(node, frame, mirror))
-        return returned[-1]
+
+def test_every_node_is_mapped_exactly_once(monkeypatch):
+    """`plan_lattices` maps the runs of every use of every stacks node in one `map_runs`
+    call, each use once and in pre-order, though the uses of a definition share its
+    nodes; the walk meets as many nodes as an unshared build has, and the world tree
+    and lattices are the unshared build's, bit for bit."""
+    calls = []
+    mapper = plan_mod.map_runs
+
+    def recording(uses):
+        calls.append(list(uses))
+        return mapper(uses)
 
     for build in (pack_square, cover_square):
         with monkeypatch.context() as m:
             m.setattr(builders, "_memoised", _unshared)
-            unshared = sum(1 for _ in _walk(build(20000.5).root))
+            unshared = build(20000.5)
+        plan = build(20000.5)
+        nodes = [node for node, _ in walk(plan.root)]
+        assert len(nodes) > 100 and len(nodes) == sum(1 for _ in walk(unshared.root))
+        assert len({id(n) for n in nodes}) < len(nodes)
         with monkeypatch.context() as m:
-            m.setattr(plan_mod, "map_node", recording)
-            returned.clear()
-            nodes = list(_walk(build(20000.5).root))
-        assert len(nodes) > 100
-        assert len(returned) == len(nodes) == len({id(n) for n in nodes}) == unshared
-        assert sorted(map(id, returned)) == sorted(map(id, nodes))
-        assert all(n.graft is None for n in nodes)
+            m.setattr(plan_mod, "map_runs", recording)
+            calls.clear()
+            lat = plan_lattices(plan)
+        assert len(calls) == 1
+        assert [(id(n), repr(f), m) for n, f, m in calls[0]] == [
+            (id(n), repr(f), m) for n, (f, m) in walk(plan.root) if n.kind == "stacks"]
+        assert all(n.graft is None for n, _ in walk(world_plan(plan).root))
+        assert _sha(v2_text(plan)) == _sha(v2_text(unshared))
+        assert _lattice_sha(lat) == _lattice_sha(plan_lattices(unshared))
 
 
 def _local_dump(node):
-    """The dict-oracle text of a local tree and its pending grafts, in pre-order."""
+    """The dict-oracle text of a tree as its nodes hold it, and its grafts, in pre-order."""
     return dumps_stable(_node_to_dict(node)), [repr(n.graft) for n in _walk(node)]
 
 
 @pytest.mark.parametrize("kind", ["pack", "cover"])
 def test_resolving_leaves_the_local_tree_as_it_was(kind):
-    """`resolve_grafts` returns a new world tree and changes no local node, so
-    the two uses of a shelf built twice with one BuildStats stay as built."""
+    """Reading a plan through its grafts (its lattices, its SVG, its text and its
+    accounts) changes no node, so the two uses of a shelf built twice with one
+    BuildStats stay as built."""
     stats = BuildStats()
     spec = PLAN_CASES["shelf 1e4"][1]
     trees = [_graft(_subtree(), Pose(7.0, -2.0, math.pi / 2), True)]
@@ -131,8 +152,15 @@ def test_resolving_leaves_the_local_tree_as_it_was(kind):
     assert trees[1] is not trees[2] and trees[1].children is trees[2].children
     before = [_local_dump(t) for t in trees]
     for t in trees:
-        assert resolve_grafts(t) is not t
+        plan = Plan(kind=kind, x=1.0, region=t.region.grafted(next(walk(t))[1]), root=t)
+        plan_lattices(plan)
+        plan_to_svg(plan)
+        plan_to_json(plan)
+        v2_text(plan)
+        if t is not trees[0]:  # the shelf's own region, which its squares cover
+            account(plan)
     assert [_local_dump(t) for t in trees] == before
+    assert trees[1].children is trees[2].children
 
 
 # local trees for the run map: signed zeros, quarter turns and arbitrary angles,
@@ -168,15 +196,24 @@ def _local_tree(specs, graft):
     st.one_of(st.none(), GRAFTS), min_size=1, max_size=2)), min_size=1, max_size=8),
        graft=st.one_of(st.none(), GRAFTS))
 def test_world_runs_are_the_scalar_map_of_each_run(specs, graft):
-    """The one numpy pass of `resolve_grafts` gives every use of every node the
-    world runs, bit for bit, that the scalar oracle gives it run by run."""
+    """The one numpy pass of `plan_lattices` gives every use of every node the
+    world runs, bit for bit, that the scalar oracle gives it run by run: each run
+    mapped by `map_run`, empty ones left out, and each base folded by
+    `fold_square_pose`; so does the tree read back from its version 3 text."""
     root = _local_tree(specs, graft)
-    expected = world_runs_by_node(root)
-    assert repr([stack_runs(n) for n in walk(resolve_grafts(root))]) == repr(expected)
+    expected = [(*fold_square_pose(r.base.tx, r.base.ty, r.base.angle), *r.step, *r.pitch,
+                 r.count, r.repeat)
+                for runs in world_runs_by_node(root) for r in runs if r.count and r.repeat]
+    plan = Plan(kind="cover", x=1.0, region=rect_region(1.0, 1.0), root=root)
+    for read in (plan, plan_from_json(plan_to_json(plan))):
+        lat = plan_lattices(read)
+        got = list(zip(*(lat[c].tolist() for c in
+                         ("bx", "by", "ang", "ux", "uy", "px", "py", "count", "repeat"))))
+        assert repr(got) == repr(expected)
 
 
 def test_resolving_makes_no_record_per_run(monkeypatch):
-    """`resolve_grafts` makes no `StackRun`, and as many `Pose` objects for a
+    """`plan_lattices` makes no `StackRun`, and as many `Pose` objects for a
     tree whose nodes hold 1,000 runs each as for one whose nodes hold one."""
     made: dict[str, int] = {}
     for cls in (Pose, StackRun):
@@ -193,8 +230,8 @@ def test_resolving_makes_no_record_per_run(monkeypatch):
         root = stacks_node(rect_region(10.0, 10.0), runs, leftovers=uses)
         root = _graft(root, Pose(-1.0, 0.5, math.pi), True)
         made.clear()
-        world = resolve_grafts(root)
-        assert sum(len(node.runs) for node in walk(world)) == 3 * n
+        lat = plan_lattices(root)
+        assert len(lat["bx"]) == 3 * n
         seen.append(dict(made))
     assert seen[0] == seen[1] and "StackRun" not in seen[1]
 
@@ -297,8 +334,9 @@ def _build_case(kind, case):
     return build_plan(kind, *PLAN_CASES[case])
 
 
-# sha256 of plan_to_json(plan); a change that claims no behaviour change keeps
-# them. All but one were derived from version 1 plans: the v1 plan_to_dict less
+# sha256 of the version 2 text of the plan's world tree (`oracles.v2_text`),
+# which `plan_to_json` wrote until version 3; a change that claims no behaviour
+# change keeps them. All but one were derived from version 1 plans: the v1 plan_to_dict less
 # its top-level "seams" and every node's "overshoot", with "version" set to 2,
 # through dumps_stable. Those v1 plans match the v1 pins, taken before the
 # packing and covering wrappers became one planner ("panel 50x50.5" on: before
@@ -400,8 +438,122 @@ PLAN_DIGESTS = {
 
 @pytest.mark.parametrize("kind,case", sorted(PLAN_DIGESTS))
 def test_plan_bytes_are_pinned(kind, case):
-    text = plan_to_json(_build_case(kind, case))
+    text = v2_text(_build_case(kind, case))
     assert hashlib.sha256(text.encode()).hexdigest() == PLAN_DIGESTS[(kind, case)]
+
+
+# sha256 of plan_to_json(plan), the version 3 text, for every PLAN_CASES entry;
+# taken when plans became one shared tree, and a change that claims no behaviour
+# change keeps them
+PLAN_V3_DIGESTS = {
+    ("pack", "square 0.5"): "a19b98fad6bddb1e64d41692cfbd4fec7e869f875777bc1a4a17780139e69ec9",
+    ("pack", "square 1"): "ca127b43fc77f17d353196fa72928d80171486b8b62e6d763f5cb6fa3b54ac19",
+    ("pack", "square 50.5"): "17712677cf6969bdeac65f344b8756e3d3c6a7ef31f089c651fad96ce8d93ea9",
+    ("pack", "square 150.5"): "734e945ece4147d1750fff3b18a27c8ae107f1364f6ee61a80f3229c972cc8fe",
+    ("pack", "square 1000.25"): "f148dc69875e82ee6280efd1886e4f3bb4c148b1b9588cbad836b86784377158",
+    ("pack", "square 20000.5"): "0a24615f239d00a6594ac13e4c7895b7299a37008050181e40ab3d093313b815",
+    ("pack", "rect 80x60.3"): "ab881241983c14685bd9a3af63fe6dd2d7cfd45f0d656441c465606eeb6cf1b6",
+    ("pack", "rect 60.3x80"): "a6513775c412cde3240b3e9a19c296d0530c33301a834a945c140beb17f44ec0",
+    ("pack", "rect 500.5x300.25"):
+        "bb1103c49360854611c25527466fb396e4c6f3565e37190bac97ea0feddb2d9c",
+    ("pack", "rect 300.25x500.5"):
+        "4ab6ab2c80380d5367908de67fba6c96dbb6560834ae4dcd9a205855d5a35670",
+    ("pack", "rect 150x2000"): "0d594f8e66b19a214e65778a6fe994a3e9e8960f4ee247b5f0ccf6ddcf14fc31",
+    ("pack", "rect 2000x150"): "ee5f8462bbb2cafb9f4b64610502fa73b7538e34f051562f33b1c4e43c2acac5",
+    ("pack", "panel 50x50.5"): "b684f7d0f503fb7e21bb26e5d7a0e5048082a60bcafde9008e32336dbe8bec60",
+    ("pack", "panel 1000x178.5"):
+        "537a9bd7ff5899d5fc5891dab18f3ca2dfb142ddda183b315f849b04b225649b",
+    ("pack", "panel 1024x900.5"):
+        "5e91fbd06bebb3c081e3e7059e47cc33917b15d954caa711508a06f2dd3f017a",
+    ("pack", "panel 4096x4096.2"):
+        "7616c1fda6248139c0bb6e16e8a29a9b6be5858f95fb77a90705ab94776f5bf4",
+    ("pack", "strip 10.5x100"): "d410c1db9f937955cb9356050ea91e9498f98ff9500eef3cf4f69578852aad84",
+    ("pack", "strip 150.7x9000"):
+        "ac5673a4ddbf6fae7e27bbe7daa4c005e8b017f68af24e8c40812f8587b2c308",
+    ("pack", "wedge 400"): "a8f497fe320361e5bce0c8de7f35fe6f373877cb22baabbc82b44a4c63efbc2b",
+    ("pack", "wedge 1e4"): "0979431ee141adbf09119a15a43c1616a23e99b4c34c7eb557737ef4daa58ac9",
+    ("pack", "wedge 150x300 flat"):
+        "b05ee3afc05560a1d7017785c2cacd4bd345c1ece54186fac01b40800706fcfc",
+    ("pack", "wedge 200x0.5 flat"):
+        "cd8e35be8b6c71587f7d8666d77713309e796ceefc74c239acd93648cf60d595",
+    ("pack", "wedge 110 narrow top"):
+        "7153db0c4be0cef5e7af033d1ed6ddde17f607f59f74fa0d99e483d958dc2934",
+    ("pack", "shelf 1e4"): "c75a803fbb579828d2c894c2f269eda87fa2622a446d56484ba6ca609af451f7",
+    ("pack", "shelf 1e6"): "ede6c556c9498d4a5eb648fb24c3e2ae3c4b308ff77dcd5f455117db687ee291",
+    ("pack", "shelf 1e8 flat"): "bcf1153c9909a2df3e4c32627cea2d6558f69202e7b45838deaa8415690199ff",
+    ("pack", "shelf 100 rows"): "2b8252321becdc1870494a559a232c98599505c40a22364c176615bae3a611aa",
+    ("pack", "shelf 2e3 fallback"):
+        "60939430b3a7e843224f97e44415804dacb863253e86a2bc0c4bc7f4dde63414",
+    ("pack", "shelf 5000 grid seam"):
+        "6851b0fb9265139310c9dc706b325bc4107d6219abb6bb3a97529f93dcca5036",
+    ("pack", "shelf 4000 integer band"):
+        "1fdef5881a25408df0349f1895072df5cb08d45cd4d7aa41f62e71c8da26cab4",
+    ("pack", "shelf 835 grid band"):
+        "ede5e554971a94881c4b01971647296d8ccd98107061b5daba6a5e0d0fc3c16a",
+    ("pack", "shelf 150 grid seam"):
+        "2972f5f8fb50e1643d5500d5d1f5b744f4ba3a8075e7ccc55a44c9eb2cdcb1ff",
+    ("pack", "shelf 984 steep"): "07394f72dc1c0f56728ac14a03584d43013bd3afb2a891ab8045a4303e2129e6",
+    ("cover", "square 0.5"): "3fcbc230f640b68d2bd585a99cbe03ebc3da79ce5bac76276c148380eef35553",
+    ("cover", "square 1"): "018e1f662a7022d7017b16b86288f58db013fd7a425407317d85f4e7fea1ae82",
+    ("cover", "square 50.5"): "234f23f9bfb06987de0c9ef7496ccfe802ebf8b235aa3c4504b54e4f55298e64",
+    ("cover", "square 150.5"): "7cbccff02b2c75b5f964e8919b10fa86d5e84870967734caba1f881e6853f785",
+    ("cover", "square 1000.25"): "397b9540542a7f6f3ef6a62e7486d12cbd836a045737df646a90985676e1c29f",
+    ("cover", "square 20000.5"): "6ec86000d5d86ce3a0c3bf39568e148973c5068f0b05906b106d1343921b0726",
+    ("cover", "rect 80x60.3"): "ccde544572f3e166de86b24b0e991946e94ee38c8db68fb2f0ef1142a97ae599",
+    ("cover", "rect 60.3x80"): "434084288e6ec0c76b656b4644cf1127892d95497713816bf6d2691e947eae2e",
+    ("cover", "rect 500.5x300.25"):
+        "afe9820c94d8620cd8062c3603d4e485a1286ca95fa62660ff876b1c49609528",
+    ("cover", "rect 300.25x500.5"):
+        "254bb38635b61215eea2d288c9d052a544ceeeeef08ae81c450e7549da8f32ca",
+    ("cover", "rect 150x2000"): "31bba81939fd3e2b0b0fb0e5823edfe02dc951481727a1325e62afb7f644d2e2",
+    ("cover", "rect 2000x150"): "b6506e5854a789a345a8cd8be7e01383cf93238d5be51297f3e3c1339c3818b6",
+    ("cover", "panel 50x50.5"): "67ced83f9bbc8beabc9ad550b3e0df62ab668e3981b2afe6b1b193936dea6fcf",
+    ("cover", "panel 1000x178.5"):
+        "ac43bafc055eff8a97798f8a71a6ec7febe92da5598b40643b093b9105d8b6cd",
+    ("cover", "panel 1024x900.5"):
+        "9dbeeac132a42e34d71d6e67a44a5a3783e6936dcabfcf1c16d8760b30973940",
+    ("cover", "panel 4096x4096.2"):
+        "0e23679dd4d96089426a9295af1088b4c092ac51b0017d9ffd8f6256fc8ea780",
+    ("cover", "strip 10.5x100"): "b1700cc0c1ad04f8bcbde2cc26dc29065bd9303788c4e9a5ccd98e9f446175df",
+    ("cover", "strip 150.7x9000"):
+        "1c76a98f11ccdfc057d0443d5c520caab171fd9ce70d6bb0eed2a63c54ded964",
+    ("cover", "wedge 400"): "9f37bd54f5c3cdc37e61a786a55acda856a1dd6def7529cfbd48702fb1931035",
+    ("cover", "wedge 1e4"): "33504e0244c43f5771fda38ecb7570d6a42a1434fedb9bbe53f6af235432c492",
+    ("cover", "wedge 150x300 flat"):
+        "534bb63754959ec1b71b76913452343f983bff97a27cf43ecca438680eaf7478",
+    ("cover", "wedge 200x0.5 flat"):
+        "c701250c33efe332a8f6827b93e6798ebf8cdcaa624ffbd9d8e886c46e0f8b43",
+    ("cover", "wedge 110 narrow top"):
+        "5dafcbaf0344de3338d88c77efa1e6804cb6c6269ac3d440d6bb496092a134dd",
+    ("cover", "shelf 1e4"): "f9af5ebe6f31247677b7ed9e6d0f50e9afd5b0c523ae3a3456d4a9a918d835dc",
+    ("cover", "shelf 1e6"): "f53c27a8ee6aac0c57c22d4ae13f92b19d1885f9950918caac7513f62c194348",
+    ("cover", "shelf 1e8 flat"): "3d472356fefc43a629a6e7468d08d02fca35d57cc5b00678c20ba53a2bcbad48",
+    ("cover", "shelf 100 rows"): "9658918db4ed18790c2f257c2c43619f4478f5fd4a74e5b0955b4de54bc68019",
+    ("cover", "shelf 2e3 fallback"):
+        "1239485936340a0edd8e199847823eadd379ba7eb6ecab8c26fc139624b538fd",
+    ("cover", "shelf 5000 grid seam"):
+        "93b373f6965b417082ca3ba2ce990109f0d2c66c4eded86de3ac8017a0c5ef2b",
+    ("cover", "shelf 4000 integer band"):
+        "47ef5f583926074ef9bdda15b7de0899343216d6b42a91c39b3a01e8f780aad3",
+    ("cover", "shelf 835 grid band"):
+        "fc1c7e6508bf16b16f95f39e876f7435521917ccd0aa4b00d56a6926b40e9b1e",
+    ("cover", "shelf 150 grid seam"):
+        "7648c4dea9642f3011dc54a2c9dd3f5a3f9d33bece87ded39572645f43eddc6b",
+    ("cover", "shelf 984 steep"):
+        "d50b0229d1b9790ff44f93fff2156d92f6ebc36155610d815d2a265318bdac09",
+}
+
+
+@pytest.mark.parametrize("kind,case", sorted(PLAN_V3_DIGESTS))
+def test_plan_v3_bytes_are_pinned(kind, case):
+    """The version 3 text is pinned, and reads back to a plan that writes it again."""
+    text = plan_to_json(_build_case(kind, case))
+    assert _sha(text) == PLAN_V3_DIGESTS[(kind, case)]
+    assert _sha(plan_to_json(plan_from_json(text))) == _sha(text)
+
+
+def test_plan_v3_pins_cover_every_case():
+    assert sorted(PLAN_V3_DIGESTS) == sorted((k, c) for k in ("pack", "cover") for c in PLAN_CASES)
 
 
 # sha256 of dumps_stable(report.to_dict(include_runtime=False)), what `sqpack
@@ -512,13 +664,17 @@ def _sha(text: str) -> str:  # compared instead of texts of megabytes, which pyt
 
 @pytest.mark.parametrize("kind", ["pack", "cover"])
 def test_plan_json_is_the_dict_oracle(kind):
-    """The writer's text is `dumps_stable` of the plan's dict on every case."""
+    """The version 3 text of every case reads back to a plan that writes it again,
+    byte for byte, and whose world tree is the built plan's version 2 dict."""
     for case in PLAN_CASES:
         plan = _build_case(kind, case)
-        assert _sha(plan_to_json(plan)) == _sha(dumps_stable(plan_to_dict(plan))), case
+        text = plan_to_json(plan)
+        again = plan_from_json(text)
+        assert _sha(plan_to_json(again)) == _sha(text), case
+        assert _sha(v2_text(again)) == _sha(v2_text(plan)), case
 
 
-# sha256 of plan_to_json(plan) and of dumps_stable(account(plan).to_dict()) at
+# sha256 of the version 2 text and of dumps_stable(account(plan).to_dict()) at
 # x = 1e6+0.5, where 1,424 shelf builds share 2 specs; taken before the
 # builders were memoised
 MEMO_HEAVY_DIGESTS = {
@@ -545,7 +701,7 @@ def test_memo_heavy_plan_and_account_bytes_are_pinned(kind, monkeypatch):
     monkeypatch.setattr(builders, "_build_shelf", counting(bodies, builders._build_shelf))
     plan = build_plan(kind, "square", 1e6 + 0.5)
     assert len(calls) > 1000 and len(bodies) == len(set(bodies)) == len(set(calls)) == 2
-    assert (_sha(plan_to_json(plan)), _sha(dumps_stable(account(plan).to_dict()))) == \
+    assert (_sha(v2_text(plan)), _sha(dumps_stable(account(plan).to_dict()))) == \
         MEMO_HEAVY_DIGESTS[kind]
 
 
@@ -751,6 +907,23 @@ def _lattice_sha(lat: dict) -> str:
     return hashlib.sha256(floats.tobytes() + ints.tobytes()).hexdigest()
 
 
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+def test_lattices_are_the_same_built_and_loaded(kind):
+    """The nine lattice columns (dtype, shape and bytes) of every case are the same as
+    built, as read from its version 3 text and as read from the oracle's version 2
+    text of its world tree; a node with no graft on its path, whose mapping by the
+    identity turns -0.0 into 0.0, comes out alike in all three."""
+    for case in PLAN_CASES:
+        plan = _build_case(kind, case)
+        tables = [plan_lattices(p) for p in (plan, plan_from_json(plan_to_json(plan)),
+                                              world_plan(plan))]
+        for column in plan_mod.LATTICE_COLUMNS:
+            built, *loaded = (t[column] for t in tables)
+            for other in loaded:
+                assert (other.dtype, other.shape, other.tobytes()) == (
+                    built.dtype, built.shape, built.tobytes()), (case, column)
+
+
 @pytest.mark.parametrize("kind,case", sorted(LATTICE_DIGESTS))
 def test_lattice_and_placement_bytes_are_pinned(kind, case):
     plan = _build_case(kind, case)
@@ -785,25 +958,21 @@ def test_svg_bytes_are_pinned(kind, x, outline_only):
     assert hashlib.sha256(svg.encode()).hexdigest() == SVG_DIGESTS[(kind, x, outline_only)]
 
 
-def _unshared(build, spec, depth, stats, kind):
-    """`builders._memoised` without the table: every use builds."""
-    return build(spec, depth, stats, kind)
-
-
-def _node_text(node, kind):
-    world = resolve_grafts(node)
-    return plan_to_json(Plan(kind=kind, x=1.0, region=world.region, root=world))
+def _node_texts(node, kind):
+    """The version 3 text of a plan of `node`, and the oracle's version 2 text."""
+    plan = Plan(kind=kind, x=1.0, region=node.region.grafted(next(walk(node))[1]), root=node)
+    return plan_to_json(plan), v2_text(plan)
 
 
 @pytest.mark.parametrize("kind", ["pack", "cover"])
 @pytest.mark.parametrize("case", ["square 20000.5", "wedge 1e4", "shelf 2e3 fallback",
                                   "shelf 5000 grid seam", "shelf 1e6"])
 def test_shared_builds_equal_unshared_builds(kind, case, monkeypatch):
-    """A plan whose repeated shelves and wedges are shared writes the bytes,
+    """A plan whose repeated shelves and wedges are shared has the world tree,
     and records the stats and band tilts, of one that builds every use."""
-    shared = _sha(plan_to_json(_build_case(kind, case)))
+    shared = _sha(v2_text(_build_case(kind, case)))
     monkeypatch.setattr(builders, "_memoised", _unshared)
-    assert shared == _sha(plan_to_json(_build_case(kind, case)))
+    assert shared == _sha(v2_text(_build_case(kind, case)))
 
 
 @pytest.mark.parametrize("kind", ["pack", "cover"])
@@ -811,11 +980,12 @@ def test_memo_tells_signed_zeros_apart(kind):
     """0.0 == -0.0, yet a wedge of top -0.0 writes its top as -0.0."""
     height, tilt = 40.0, _tilt(40.0, 0.5)
     stats = BuildStats()
-    shared = [_node_text(build_wedge(WedgeSpec(height, top, tilt), 0, stats, kind), kind)
+    shared = [_node_texts(build_wedge(WedgeSpec(height, top, tilt), 0, stats, kind), kind)
               for top in (0.0, -0.0)]
-    fresh = [_node_text(build_wedge(WedgeSpec(height, top, tilt), 0, BuildStats(), kind), kind)
+    fresh = [_node_texts(build_wedge(WedgeSpec(height, top, tilt), 0, BuildStats(), kind), kind)
              for top in (0.0, -0.0)]
-    assert shared == fresh and fresh[0] != fresh[1]
+    assert shared == fresh
+    assert fresh[0][0] != fresh[1][0] and fresh[0][1] != fresh[1][1]
 
 
 # shelves whose builds record a fallback band, a joint, band tilts or depth
@@ -846,24 +1016,49 @@ def test_a_replayed_build_records_what_a_fresh_one_does(kind, case):
             build_shelf(spec, MAX_DEPTH - once.max_depth + 1, stats, kind)
 
 
+def _parts(node) -> list:
+    """The mutable parts of `node`: its children list, its ledger and each list in it."""
+    return [node.children, node.ledger] + [v for v in node.ledger.values() if isinstance(v, list)]
+
+
+def _sharing(root) -> list:
+    """For each node of the walk, the first walk position at which its node, each
+    of its mutable parts and its run columns were met: the sharing, as positions."""
+    first: dict[int, int] = {}
+    return [[first.setdefault(id(x), i) for x in (node, *_parts(node), node.runs)]
+            for i, (node, _) in enumerate(walk(root))]
+
+
 @pytest.mark.parametrize("kind", ["pack", "cover"])
 def test_no_two_nodes_share_a_list_or_dict(kind):
-    """World nodes share no mutable part, though their local definitions are shared:
-    no list or dict, and no bytes of their run columns."""
+    """The uses of one definition share all of it but their grafts; no two definitions
+    share a list or dict, or any bytes of their run columns; and the version 3 reader
+    rebuilds exactly the sharing the build made."""
+    plan = build_plan(kind, "square", 1e6 + 0.5)
+    uses: dict[int, list] = {}  # id(children) -> the distinct nodes that hold it
+    for node, _ in walk(plan.root):
+        if all(node is not u for u in uses.setdefault(id(node.children), [])):
+            uses[id(node.children)].append(node)
+    assert sum(len(u) > 1 for u in uses.values()) >= 2
     seen: set[int] = set()
     count = 0
     spans = []
-    for node in _walk(build_plan(kind, "square", 1e6 + 0.5).root):
-        parts = [node.children, node.ledger]
-        parts += [v for v in node.ledger.values() if isinstance(v, list)]
-        seen.update(map(id, parts))
-        count += len(parts)
-        if len(node.runs):
-            start = node.runs.__array_interface__["data"][0]
-            spans.append((start, start + node.runs.nbytes))
+    for nodes in uses.values():
+        head = nodes[0]
+        for node in nodes[1:]:
+            assert all(a is b for a, b in zip(_parts(node), _parts(head)))
+            assert node.runs is head.runs and node.region is head.region
+            assert (node.kind, node.area, node.label, node.counts) == (
+                head.kind, head.area, head.label, head.counts)
+        seen.update(map(id, _parts(head)))
+        count += len(_parts(head))
+        if len(head.runs):
+            start = head.runs.__array_interface__["data"][0]
+            spans.append((start, start + head.runs.nbytes))
     assert len(seen) == count
     spans.sort()
-    assert len(spans) > 100 and all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+    assert len(spans) >= 3 and all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+    assert _sharing(plan_from_json(plan_to_json(plan)).root) == _sharing(plan.root)
 
 
 @pytest.mark.parametrize("case,labels", [
@@ -942,13 +1137,23 @@ def test_lattice_enumeration_is_the_per_node_expansion(kind):
             plan = _build_case(kind, case)
             got = enumerate_placements(plan, limit=2_000_000)
             assert got.tobytes() == enumerate_by_node(plan.root).tobytes(), case
+            assert got.tobytes() == enumerate_by_node(world_plan(plan).root).tobytes(), case
 
 
 @pytest.mark.parametrize("kind", ["pack", "cover"])
 def test_walk_is_the_recursive_pre_order(kind):
+    """`walk` meets the nodes in recursive pre-order, each with the grafts on its
+    path composed, root first."""
+    def frames(node, outer):
+        frame = outer if node.graft is None else compose_graft(outer, node.graft)
+        yield frame
+        for c in node.children:
+            yield from frames(c, frame)
+
     for case in PLAN_CASES:
         root = _build_case(kind, case).root
-        assert list(map(id, walk(root))) == list(map(id, _walk(root))), case
+        assert [id(n) for n, _ in walk(root)] == list(map(id, _walk(root))), case
+        assert [repr(f) for _, f in walk(root)] == list(map(repr, frames(root, (IDENTITY, False))))
 
 
 def test_plans_hold_no_reference_cycles():

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import math
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from sqpack.plan import (
     enumerate_placements, grid_node, plan_from_json, plan_to_json, split_node,
     stacks_node, waste_node,
 )
-from oracles import plan_to_dict, set_runs
+from oracles import plan_to_dict, set_runs, v2_text
 
 SQRT2 = math.sqrt(2.0)
 
@@ -196,7 +196,7 @@ def test_v1_plan_files_load_and_rewrite_as_v2(kind):
     is re-written as the version 2 plan of the same case."""
     text = (DATA / f"v1_{kind}_150.5.json").read_text()
     assert json.loads(text)["version"] == 1
-    assert plan_to_json(plan_from_json(text)) == plan_to_json(build_plan(kind, "square", 150.5))
+    assert v2_text(plan_from_json(text)) == v2_text(build_plan(kind, "square", 150.5))
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -251,8 +251,9 @@ def test_collector_is_paused_and_restored(enabled, monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(planner_mod, "resolve_grafts", recording(planner_mod.resolve_grafts))
-    monkeypatch.setattr(plan_mod, "_PlanWriter", recording(plan_mod._PlanWriter))
+    square, *shape = planner_mod._SHAPES["square"]
+    monkeypatch.setitem(planner_mod._SHAPES, "square", (recording(square), *shape))
+    monkeypatch.setattr(plan_mod, "_Writer", recording(plan_mod._Writer))
     monkeypatch.setattr(plan_mod, "plan_from_dict", recording(plan_mod.plan_from_dict))
     # a shelf tilted to its limit passes check_side and fails inside the build
     steep = ShelfSpec(1e4, 50.0, _tilt_limit(1e4))
@@ -266,7 +267,7 @@ def test_collector_is_paused_and_restored(enabled, monkeypatch):
         plan_from_json(text)
         assert gc.isenabled() is enabled
         with pytest.raises(PlanError):
-            plan_from_json(dumps_stable({"version": 3}))
+            plan_from_json(dumps_stable({"version": 4}))
         assert gc.isenabled() is enabled
         with pytest.raises(InvalidSpec):
             build_plan("pack", "shelf", steep)
@@ -330,18 +331,16 @@ PLANS = st.builds(Plan, kind=st.sampled_from(["pack", "cover"]), x=NUMBERS, regi
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(plan=PLANS)
 def test_plan_json_writes_what_json_dumps_writes(plan):
-    """On random trees the writer's text is `dumps_stable` of the plan's dict,
-    also when it fills its format after every node."""
-    expected = dumps_stable(plan_to_dict(plan))
+    """On random trees, with no grafts and nothing shared, the writer's text is
+    `dumps_stable` of the plan's dict as each node holds it, at version 3 with no
+    definitions."""
+    expected = dumps_stable({**plan_to_dict(plan, world=False), "version": 3, "defs": []})
     assert plan_to_json(plan) == expected
-    with mock.patch.object(plan_mod._PlanWriter, "FILL", 0):
-        assert plan_to_json(plan) == expected
 
 
 def _bit_patterns_plan() -> Plan:
     """Runs, region frames and grid origins of several nodes that hold 0.0, -0.0, 5e-324,
-    1e308 and 0.1, each pattern in every node: with a fill after each node, one pattern
-    is formatted in one fill and met again in later ones."""
+    1e308 and 0.1, each pattern in every node, some of them grafted and one node shared."""
     values = (0.0, -0.0, 5e-324, 1e308, 0.1)
     nodes = []
     for k in range(len(values)):
@@ -350,22 +349,25 @@ def _bit_patterns_plan() -> Plan:
         run = StackRun(Pose(a, b, c), (d, e), 2, 3, (b, a), "band")
         nodes.append(stacks_node(rect_region(9.0, 9.0, Pose(c, d, e), k % 2 == 1),
                                  [run, run], leftovers=[grid], label="strip"))
+    nodes[1].graft = (Pose(-0.0, 5e-324, math.pi / 2), True)
+    nodes.append(copy.copy(nodes[2]))
+    nodes[-1].graft = (Pose(0.1, -0.0, -math.pi), False)
     root = PlanNode(kind="split", region=rect_region(99.0, 99.0, Pose(-0.0, 0.0, 0.1)),
                     area=1e308, label="top", children=nodes)
     return Plan(kind="pack", x=0.1, region=root.region, root=root)
 
 
-@pytest.mark.parametrize("fill", [0, 1, plan_mod._PlanWriter.FILL])
-def test_plan_json_formats_each_bit_pattern_once_and_right(fill):
-    """The writer's text of each float bit pattern, made in one fill and reused in
-    later ones, is the text json.dumps writes, and the plan reads back as written."""
+def test_plan_json_round_trips_each_bit_pattern():
+    """The version 3 text of each float bit pattern is the text json.dumps writes: the
+    plan reads back as written, and its world tree is the oracle's version 2 text."""
     plan = _bit_patterns_plan()
-    expected = dumps_stable(plan_to_dict(plan))
-    assert "-0.0" in expected and "5e-324" in expected and "1e+308" in expected
-    with mock.patch.object(plan_mod._PlanWriter, "FILL", fill):
-        text = plan_to_json(plan)
-        assert text == expected
-        assert plan_to_json(plan_from_json(text)) == text
+    text = plan_to_json(plan)
+    assert "-0.0" in text and "5e-324" in text and "1e+308" in text
+    assert len(json.loads(text)["defs"]) == 1
+    again = plan_from_json(text)
+    assert plan_to_json(again) == text
+    assert v2_text(again) == v2_text(plan)
+    assert "-0.0" in v2_text(plan)
 
 
 def _with_non_finite(place: str, value: float) -> Plan:

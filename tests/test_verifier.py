@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import math
 import os
 import subprocess
@@ -22,7 +21,7 @@ from sqpack.verifier import _lattice_table, _points_covered, verify_covering, ve
 from oracles import (
     covered_by_kd_join, covering_by_ring_probes, enumerate_by_node, packing_by_kd_pairs,
     packing_by_ring_probes, point_in_quad, quads_disjoint, sample_quad, set_runs, stack_runs,
-    uncovered_samples,
+    uncovered_samples, world_plan,
 )
 from test_graft import HUGE_CASES, PLAN_CASES, _build_case
 
@@ -129,7 +128,9 @@ def test_covering_ignores_the_enumeration_limit():
     report = verify_covering(plan, cfg)
     assert report.status == "passed" and not report.partial
     assert report.square_count == plan.root.total_count() > 10 ** 8
-    # deleting a leaf of the strip is still caught
+    # deleting a leaf of the strip is still caught; the leaf is deleted from the
+    # world tree, where no other use shares it
+    plan = world_plan(plan)
     strip = plan.root.children[1]
     assert strip.label == "strip"
     parent, i = next((n, i) for n in _nodes(strip) for i, c in enumerate(n.children)
@@ -165,8 +166,7 @@ def test_covering_report_does_not_depend_on_the_batch_size(chunk, monkeypatch):
 
 
 def test_covering_detects_deleted_leaf():
-    plan = cover_square(400.5)
-    mutated = copy.deepcopy(plan)
+    mutated = world_plan(cover_square(400.5))
 
     def kill_first_grid(node):
         for child in node.children:
@@ -183,8 +183,7 @@ def test_covering_detects_deleted_leaf():
 
 
 def test_covering_detects_deleted_stack_run():
-    plan = build_plan("cover", "strip", 10.5, 200.0)
-    mutated = copy.deepcopy(plan)
+    mutated = world_plan(build_plan("cover", "strip", 10.5, 200.0))
     runs = stack_runs(mutated.root)
     run = runs[0]
     runs[0] = StackRun(base=run.base, step=run.step, count=run.count,
@@ -675,7 +674,7 @@ def test_a_far_square_leaves_the_covering_tolerance(x, listed):
     # cover_square(x) less its largest stack run has a real gap; one more
     # square at 1e300, which covers nothing of the target, once widened the
     # nudge past the target and let the covering pass
-    plan = cover_square(x)
+    plan = world_plan(cover_square(x))
     node, run = max(((n, r) for n in _nodes(plan.root) if n.kind == "stacks"
                      for r in stack_runs(n)), key=lambda pair: pair[1].count * pair[1].repeat)
     runs = stack_runs(node)
@@ -841,8 +840,9 @@ def test_covering_finds_planted_gaps(name):
 def test_covering_finds_dropped_stack_rows():
     # the last row dropped from 5 short stack runs (count <= 8, repeat >= 2)
     # evenly spaced in pre-order; each gap holds listed points of its own,
-    # and the oracle enumerates only the squares near it
-    plan = cover_square(10000.5)
+    # and the oracle enumerates only the squares near it; the rows are dropped
+    # from the world tree, where no other use shares them
+    plan = world_plan(cover_square(10000.5))
     runs = [(n, i) for n in _nodes(plan.root) if n.kind == "stacks"
             for i, r in enumerate(stack_runs(n)) if r.repeat >= 2 and r.count <= 8]
     boxes = []
