@@ -338,9 +338,10 @@ def test_plan_json_writes_what_json_dumps_writes(plan):
     assert plan_to_json(plan) == expected
 
 
-def _bit_patterns_plan() -> Plan:
+def _bit_patterns_plan(uses: int) -> Plan:
     """Runs, region frames and grid origins of several nodes that hold 0.0, -0.0, 5e-324,
-    1e308 and 0.1, each pattern in every node, some of them grafted and one node shared."""
+    1e308 and 0.1, each pattern in every node, some of them grafted, and `uses` further
+    grafted uses of one node."""
     values = (0.0, -0.0, 5e-324, 1e308, 0.1)
     nodes = []
     for k in range(len(values)):
@@ -350,24 +351,30 @@ def _bit_patterns_plan() -> Plan:
         nodes.append(stacks_node(rect_region(9.0, 9.0, Pose(c, d, e), k % 2 == 1),
                                  [run, run], leftovers=[grid], label="strip"))
     nodes[1].graft = (Pose(-0.0, 5e-324, math.pi / 2), True)
-    nodes.append(copy.copy(nodes[2]))
-    nodes[-1].graft = (Pose(0.1, -0.0, -math.pi), False)
+    for _ in range(uses):
+        nodes.append(copy.copy(nodes[2]))
+        nodes[-1].graft = (Pose(0.1, -0.0, -math.pi), False)
     root = PlanNode(kind="split", region=rect_region(99.0, 99.0, Pose(-0.0, 0.0, 0.1)),
                     area=1e308, label="top", children=nodes)
     return Plan(kind="pack", x=0.1, region=root.region, root=root)
 
 
-def test_plan_json_round_trips_each_bit_pattern():
-    """The version 3 text of each float bit pattern is the text json.dumps writes: the
-    plan reads back as written, and its world tree is the oracle's version 2 text."""
-    plan = _bit_patterns_plan()
+@pytest.mark.parametrize("uses", [0, 1, 16384])
+def test_plan_json_formats_each_bit_pattern_once_and_right(uses):
+    """The version 3 text of each float bit pattern is the text json.dumps writes, and a
+    shared node's is written once in `defs` however many uses it has: the plan reads
+    back as written, and its world tree is the oracle's version 2 text."""
+    plan = _bit_patterns_plan(uses)
     text = plan_to_json(plan)
     assert "-0.0" in text and "5e-324" in text and "1e+308" in text
-    assert len(json.loads(text)["defs"]) == 1
+    assert len(json.loads(text)["defs"]) == min(uses, 1)
+    assert text.count('"strip"') == 5
     again = plan_from_json(text)
     assert plan_to_json(again) == text
-    assert v2_text(again) == v2_text(plan)
-    assert "-0.0" in v2_text(plan)
+    world = v2_text(plan)
+    assert v2_text(again) == world
+    assert "-0.0" in world
+    assert world.count('"strip"') == 5 + uses
 
 
 def _with_non_finite(place: str, value: float) -> Plan:
