@@ -162,7 +162,7 @@ def _memoised(build, spec, depth: int, stats: BuildStats, kind: str) -> PlanNode
     a plan. Every use replays its record (band tilts in order, fallback bands,
     largest joint, depth below entry) and gets a shallow copy of the built top
     node over the shared subtree, whose graft alone its callers set; so the
-    uses of one definition hold one `children` list, which the plan writer
+    uses of one definition hold one `children` list, which `plan.definitions`
     tells definitions by."""
     key = (kind, repr(spec))  # repr tells -0.0 from 0.0, which == does not
     entry = stats.built.get(key)

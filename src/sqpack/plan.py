@@ -1,11 +1,11 @@
 """Plan trees: region decompositions with grid, stack-run and waste leaves.
 
-A plan is immutable once built. Accounting (areas, counts, waste/excess)
-is analytic and never requires materialising placements. `walk` gives the
-one pre-order of a tree's nodes, each with its world frame, at any depth. Every
-grid and stack run is one lattice of unit squares; `plan_lattices` lists them
-in that order as one table of columns at any count, the counts as exact
-integers, and `square_at` places each square for enumeration and the verifier.
+A plan is immutable once built. `definitions` reads each distinct node once, so accounting
+(areas, counts, waste/excess) is analytic, checks conservation once per definition and never
+materialises placements. `walk` gives the one pre-order of a tree's nodes, each with its world
+frame, at any depth. Every grid and stack run is one lattice of unit squares; `plan_lattices`
+lists them in that order as one table of columns at any count, the counts as exact integers,
+and `square_at` places each square for enumeration and the verifier.
 
 Node kinds:
   split   -- children tile the node's region (checked by area, not geometry)
@@ -31,11 +31,11 @@ a second one. `walk` composes the grafts down each path, and `plan_lattices`
 maps the grids and the runs of every use from it, the runs in one numpy pass.
 Editing a shared node edits every use of it.
 
-Plan files are format version 3: each definition written once, each use as a
-reference and its graft. Versions 1 and 2 wrote every use out in world
-coordinates, and version 1 also held seam segments and per-node overshoot
-regions, which nothing read; the reader still accepts both, as trees with no
-grafts and nothing shared, and drops those.
+Plan files are format version 3: each definition written once, in "defs", each use of it as
+{"def": k, "graft": [tx, ty, angle, mirror]}, and a node used once in place, with its "graft"
+if it has one. Versions 1 and 2 wrote every use out in world coordinates, and version 1 also
+held seam segments and per-node overshoot regions, which nothing read; the reader still
+accepts both, as trees with no grafts and nothing shared, and drops those.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class PlanNode:
         return 0
 
     def total_count(self) -> int:
-        return sum(n.own_count() for n, _ in walk(self))
+        return definitions(self)[id(self.children)].count
 
 
 def walk(root: PlanNode):
@@ -139,6 +139,47 @@ def walk(root: PlanNode):
         frame = outer if node.graft is None else compose_graft(outer, node.graft)
         yield node, frame
         stack.extend((c, frame) for c in reversed(node.children))
+
+
+@dataclass(slots=True)
+class Definition:
+    """A distinct node of a tree: `node`, its first use in pre-order, is child `index` of
+    `parent`'s; `holds` places of the tree hold it; `count` squares are in its subtree."""
+    node: PlanNode
+    parent: "Definition | None" = None
+    index: int = 0
+    holds: int = 1
+    count: int = 0
+
+    @property
+    def path(self) -> str:
+        """Where its first use is: "root", then each child index down to it."""
+        d, steps = self, []
+        while d.parent is not None:
+            steps.append(d.index)
+            d = d.parent
+        return ".".join(map(str, ["root", *reversed(steps)]))
+
+
+def definitions(root: PlanNode) -> dict[int, Definition]:
+    """Each distinct node at and below `root` once, children first, keyed by the `children` list
+    its uses share (`id`); from a stack of its own, its cost grows with distinct nodes, not uses."""
+    seen = {id(root.children): (top := Definition(root))}
+    stack = [(top, enumerate(root.children))]
+    while stack:
+        d, rest = stack[-1]
+        for i, c in rest:
+            if (key := id(c.children)) in seen:
+                seen[key].holds += 1
+            else:
+                seen[key] = e = Definition(c, d, i)
+                stack.append((e, enumerate(c.children)))
+                break
+        else:  # its children are done: count it, and move it after them
+            stack.pop()
+            d.count = d.node.own_count() + sum(seen[id(c.children)].count for c in d.node.children)
+            seen[key] = seen.pop(key := id(d.node.children))
+    return seen
 
 
 def split_node(region: Region | None, children: list[PlanNode], label: str = "",
@@ -202,45 +243,28 @@ class WasteReport:
         return asdict(self)
 
 
-def _check_node(node: PlanNode, kind: str, path: str) -> tuple[int, list[int]]:
-    """Assert conservation at `node` and below in one walk; return the
-    subtree's square count and the count of each child subtree."""
-    if node.kind not in NODE_KINDS:
-        raise PlanError(f"{path}: unknown node kind {node.kind!r}")
-    if kind == "cover" and node.kind == "waste":
-        raise PlanError(f"{path}: covering plans cannot declare waste nodes")
-    if node.kind == "split":
-        child_sum = sum(c.area for c in node.children)
-        if abs(child_sum - node.area) > AREA_RTOL * max(node.area, 1.0):
-            raise PlanError(f"{path}: split children areas {child_sum} != {node.area}")
-    parts = [_check_node(c, kind, f"{path}.{i}")[0] for i, c in enumerate(node.children)]
-    count = node.own_count() + sum(parts)
-    if kind == "pack" and node.area - count < -AREA_RTOL * max(node.area, 1.0):
-        raise PlanError(f"{path}: packing node holds {count} squares in area {node.area}")
-    return count, parts
-
-
 def account(plan: Plan) -> WasteReport:
-    """Bottom-up analytic accounting. For packing, waste = area - count; for
-    covering, excess = count - area. Conservation is asserted at every node."""
-    count, parts = _check_node(plan.root, plan.kind, "root")
-    area = region_area(plan.region)
-    if plan.kind == "pack":
-        value = area - count
-    else:
-        value = count - area
+    """Analytic accounting over the plan's `definitions`. For packing, waste = area - count;
+    for covering, excess = count - area. Conservation is asserted once per definition, and
+    an error names the path of its first use."""
+    found, pack = definitions(plan.root), plan.kind == "pack"
+    for d in found.values():
+        n, tol = d.node, AREA_RTOL * max(d.node.area, 1.0)
+        if n.kind not in NODE_KINDS:
+            raise PlanError(f"{d.path}: unknown node kind {n.kind!r}")
+        if not pack and n.kind == "waste":
+            raise PlanError(f"{d.path}: covering plans cannot declare waste nodes")
+        if n.kind == "split" and abs((child_sum := sum(c.area for c in n.children)) - n.area) > tol:
+            raise PlanError(f"{d.path}: split children areas {child_sum} != {n.area}")
+        if pack and n.area - d.count < -tol:
+            raise PlanError(f"{d.path}: packing node holds {d.count} squares in area {n.area}")
+    count, area = found[id(plan.root.children)].count, region_area(plan.region)
+    value = area - count if pack else count - area
     if value < -AREA_RTOL * max(area, 1.0):
         raise PlanError(f"negative {plan.kind} balance: {value}")
-    per = []
-    tops = zip(plan.root.children, parts) if plan.root.kind == "split" else [(plan.root, count)]
-    for child, c in tops:
-        entry = {
-            "label": child.label or child.kind,
-            "area": child.area,
-            "count": c,
-            "balance": (child.area - c) if plan.kind == "pack" else (c - child.area),
-        }
-        per.append(entry)
+    per = [{"label": c.label or c.kind, "area": c.area, "count": (k := found[id(c.children)].count),
+            "balance": c.area - k if pack else k - c.area}
+           for c in (plan.root.children if plan.root.kind == "split" else [plan.root])]
     return WasteReport(kind=plan.kind, x=plan.x, area=area, square_count=count,
                        waste_or_excess=value, per_region=per, ledger=dict(plan.root.ledger))
 
@@ -282,9 +306,8 @@ def plan_lattices(plan: Plan | PlanNode) -> dict[str, np.ndarray]:
     `square_at`. A grid of rows x cols is (origin, 0, (1, 0) x cols, (0, 1) x rows); a run's
     base is folded into [-pi/2, pi/2] first. Empty families are left out. PlanError is raised
     unless the sizes add up to the analytic count and each count and repeat is below 2**63."""
-    grids, uses, counts, repeats, total = [], [], [], [], 0
-    for node, frame in walk(plan.root if isinstance(plan, Plan) else plan):
-        total += node.own_count()
+    grids, uses, counts, repeats = [], [], [], []
+    for node, frame in walk(root := plan.root if isinstance(plan, Plan) else plan):
         if node.kind == "grid":
             (ox, oy), rows, cols = _map_grid(node, *frame)
             if rows > 0 and cols > 0:
@@ -317,7 +340,7 @@ def plan_lattices(plan: Plan | PlanNode) -> dict[str, np.ndarray]:
     floats[turned, :3] = pose
     lat = dict(zip(LATTICE_COLUMNS, [*floats.T, np.array(counts, np.int64),
                                      np.array(repeats, np.int64)]))
-    if (n := sum(lattice_sizes(lat))) != total:
+    if (n := sum(lattice_sizes(lat))) != (total := root.total_count()):
         raise PlanError(f"enumerated {n} != analytic {total}")
     return lat
 
@@ -398,9 +421,6 @@ def map_runs(uses: list[tuple[PlanNode, Pose, bool]]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # serialization (deterministic: stable key order, repr-float round trip).
-# Version 3 writes each shared definition once, in "defs", and each use of it
-# as {"def": k, "graft": [tx, ty, angle, mirror]}; a node used once is written
-# in place, with its "graft" if it has one.
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
@@ -412,52 +432,14 @@ def _region_dict(r: Region | None) -> dict | None:
             "kind": r.kind, "mirror": r.mirror}
 
 
-class _Writer:
-    """The version 3 dicts of a tree. The uses of one definition are shallow copies of
-    its node that differ only in `graft`, so they hold one `children` list: a list that
-    more than one place of the tree holds is a definition. It joins `defs` once every
-    definition it uses has, so each refers only to earlier ones, and their order comes
-    from the tree alone. A class, not closures, which would make a reference cycle."""
-
-    def __init__(self, root: PlanNode):
-        self.holds: dict[int, int] = {}  # id(children) -> places of the tree that hold it
-        self.number: dict[int, int] = {}  # id(children) -> its index in `defs`
-        self.defs: list[dict] = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if (held := self.holds.get(key := id(node.children), 0)) == 0:
-                stack.extend(node.children)
-            self.holds[key] = held + 1
-
-    def use(self, n: PlanNode) -> dict:
-        """`n` as a use of its definition, or in place, with its graft if it has one."""
-        if self.holds[key := id(n.children)] == 1:
-            d = self.body(n)
-        else:
-            if key not in self.number:
-                self.defs.append(self.body(n))
-                self.number[key] = len(self.defs) - 1
-            d = {"def": self.number[key]}
-        if n.graft is not None:
-            (f, m) = n.graft
-            d["graft"] = [f.tx, f.ty, f.angle, m]
-        return d
-
-    def body(self, n: PlanNode) -> dict:
-        d = {"area": n.area, "kind": n.kind, "label": n.label, "region": _region_dict(n.region)}
-        if n.kind == "split":
-            d["children"] = [self.use(c) for c in n.children]
-        elif n.kind == "grid":
-            d.update(origin=list(n.origin), rows=n.rows, cols=n.cols)
-        elif n.kind == "stacks":
-            d["leftovers"] = [self.use(c) for c in n.children]
-            d["ledger"] = n.ledger
-            d["runs"] = [[*v[:5], c, m, *v[5:], label] for v, c, m, label
-                         in zip(n.runs.tolist(), n.counts, n.repeats, n.run_labels)]
-        elif n.kind == "waste":
-            d["reason"] = n.reason
-        return d
+def _use(written: dict, n: PlanNode) -> dict:
+    """`n` as its parent writes it: its definition's dict, with its graft if it has one."""
+    d = written[id(n.children)]
+    if n.graft is not None:
+        (f, m) = n.graft
+        d = dict(d) if "def" in d else d  # each use of a definition writes its own
+        d["graft"] = [f.tx, f.ty, f.angle, m]
+    return d
 
 
 def _finite(values, what: str):
@@ -567,14 +549,32 @@ def dumps_stable(obj) -> str:
     return _dumps(obj) + "\n"
 
 
+@gc_paused()
 def plan_to_json(plan: Plan) -> str:
-    """The version 3 text of `plan`: `dumps_stable` of its dict, each definition once."""
-    with gc_paused():
-        writer = _Writer(plan.root)
-        root = writer.use(plan.root)
-        return dumps_stable({"defs": writer.defs, "kind": plan.kind, "meta": plan.meta,
-                             "region": _region_dict(plan.region), "root": root, "version": 3,
-                             "x": plan.x})
+    """The version 3 text of `plan`, `dumps_stable` of its dict. A node that more than one place
+    holds is a definition; it joins `defs` as it finishes, so each uses only earlier ones."""
+    written, defs = {}, []  # id(children) -> the dict a use of it writes, before its graft
+    for key, d in definitions(plan.root).items():
+        n = d.node
+        body = {"area": n.area, "kind": n.kind, "label": n.label, "region": _region_dict(n.region)}
+        if n.kind == "split":
+            body["children"] = [_use(written, c) for c in n.children]
+        elif n.kind == "grid":
+            body.update(origin=list(n.origin), rows=n.rows, cols=n.cols)
+        elif n.kind == "stacks":
+            body["leftovers"] = [_use(written, c) for c in n.children]
+            body["ledger"] = n.ledger
+            body["runs"] = [[*v[:5], c, m, *v[5:], label] for v, c, m, label
+                            in zip(n.runs.tolist(), n.counts, n.repeats, n.run_labels)]
+        elif n.kind == "waste":
+            body["reason"] = n.reason
+        if d.holds > 1:
+            defs.append(body)
+            body = {"def": len(defs) - 1}
+        written[key] = body
+    return dumps_stable({"defs": defs, "kind": plan.kind, "meta": plan.meta, "version": 3,
+                         "region": _region_dict(plan.region), "root": _use(written, plan.root),
+                         "x": plan.x})
 
 
 def _non_finite(name: str):

@@ -16,8 +16,10 @@ without the verifier's rectangles for level lattices. Plan files are
 checked through the version 2 dict of a plan's world tree: every use written
 out, each node mapped by its composed graft one scalar at a time, as plans
 were mapped before their shelves and wedges were shared, instead of the
-shared version 3 text. Square poses are folded one quarter turn at a time,
-instead of by the lattice table's masked passes. Region polygons, areas and membership are
+shared version 3 text. Plans are accounted by recursion into every use of every
+node, instead of `account`'s one pass over the distinct nodes. Square poses are
+folded one quarter turn at a time, instead of by the lattice table's masked
+passes. Region polygons, areas and membership are
 written out kind by kind instead of from the one right trapezoid
 (`Region.trap`) every kind is.
 """
@@ -28,9 +30,12 @@ import math
 
 import numpy as np
 
-from sqpack.geometry import IDENTITY, Pose, Region, compose_graft, corners, points_in_region
+from sqpack.geometry import (
+    IDENTITY, Pose, Region, compose_graft, corners, points_in_region, region_area,
+)
 from sqpack.plan import (
-    PlanError, StackRun, dumps_stable, enumerate_placements, plan_from_json, stacks_node,
+    AREA_RTOL, NODE_KINDS, PlanError, StackRun, WasteReport, dumps_stable, enumerate_placements,
+    plan_from_json, stacks_node,
 )
 from sqpack import verifier
 from sqpack.verifier import _overlap_mask
@@ -525,3 +530,38 @@ def world_plan(plan):
     """`plan` loaded from its version 2 text: every use a node of its own, in world
     coordinates, with no graft, so a test can edit one square, run or leaf."""
     return plan_from_json(v2_text(plan))
+
+
+def _check_node(node, kind: str, path: str) -> tuple[int, list[int]]:
+    """Assert conservation at `node` and below in one walk; return the
+    subtree's square count and the count of each child subtree."""
+    if node.kind not in NODE_KINDS:
+        raise PlanError(f"{path}: unknown node kind {node.kind!r}")
+    if kind == "cover" and node.kind == "waste":
+        raise PlanError(f"{path}: covering plans cannot declare waste nodes")
+    if node.kind == "split":
+        child_sum = sum(c.area for c in node.children)
+        if abs(child_sum - node.area) > AREA_RTOL * max(node.area, 1.0):
+            raise PlanError(f"{path}: split children areas {child_sum} != {node.area}")
+    parts = [_check_node(c, kind, f"{path}.{i}")[0] for i, c in enumerate(node.children)]
+    count = node.own_count() + sum(parts)
+    if kind == "pack" and node.area - count < -AREA_RTOL * max(node.area, 1.0):
+        raise PlanError(f"{path}: packing node holds {count} squares in area {node.area}")
+    return count, parts
+
+
+def account_by_recursion(plan) -> WasteReport:
+    """`plan.account` by recursion into every use of every node: conservation is
+    asserted where each use stands, and an error names the first path in pre-order
+    that fails a node's own checks, or whose subtree holds too many squares."""
+    count, parts = _check_node(plan.root, plan.kind, "root")
+    area = region_area(plan.region)
+    value = area - count if plan.kind == "pack" else count - area
+    if value < -AREA_RTOL * max(area, 1.0):
+        raise PlanError(f"negative {plan.kind} balance: {value}")
+    tops = zip(plan.root.children, parts) if plan.root.kind == "split" else [(plan.root, count)]
+    per = [{"label": child.label or child.kind, "area": child.area, "count": c,
+            "balance": (child.area - c) if plan.kind == "pack" else (c - child.area)}
+           for child, c in tops]
+    return WasteReport(kind=plan.kind, x=plan.x, area=area, square_count=count,
+                       waste_or_excess=value, per_region=per, ledger=dict(plan.root.ledger))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from sqpack.cli import main, run_series, series_csv
 from sqpack.geometry import Pose, rect_region
 from sqpack.render import plan_to_svg
 from sqpack.planner import build_plan, pack_square
-from sqpack.plan import Plan, grid_node, plan_to_json, split_node
+from sqpack.plan import Plan, account, grid_node, plan_from_json, plan_to_json, split_node
 from oracles import v2_text
 
 
@@ -457,6 +458,19 @@ def test_the_deepest_plan_the_loader_accepts_is_checked(tmp_path):
     for argv in (["verify", plan_path], ["render", plan_path, "--out", svg_path]):
         out = _sqpack(*argv)
         assert out.returncode == 0 and "Traceback" not in out.stderr, (lo, argv, out.stderr)
+    # accounting and the writer once recursed too, and the writer failed here; run
+    # in a thread of its own, whose stack starts near as shallow as the command's
+    with ThreadPoolExecutor(1) as pool:
+        plan, text, again = pool.submit(_rewritten, plan_path.read_text()).result(timeout=120)
+    assert account(plan).square_count == plan.root.total_count() > 0
+    assert again == text
+
+
+def _rewritten(text: str):
+    """The plan of `text`, its written text, and that text read and written again."""
+    plan = plan_from_json(text)
+    written = plan_to_json(plan)
+    return plan, written, plan_to_json(plan_from_json(written))
 
 
 def _usage_error(argv) -> int:

@@ -9,6 +9,7 @@ import gc
 import hashlib
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +27,15 @@ from sqpack.geometry import (
     IDENTITY, Pose, ceil_guard, compose_graft, corners, floor_guard, rect_region, trap_region,
 )
 from sqpack.plan import (
-    Plan, PlanNode, StackRun, account, dumps_stable, enumerate_placements, grid_node, plan_from_json,
-    plan_lattices, plan_to_json, stacks_node, walk,
+    Plan, PlanError, PlanNode, StackRun, account, dumps_stable, enumerate_placements, grid_node,
+    plan_from_json, plan_lattices, plan_to_json, stacks_node, walk,
 )
 from sqpack.planner import build_plan, cover_square, pack_square
 from sqpack.render import plan_to_svg
 from sqpack.verifier import verify_covering, verify_packing
 from oracles import (
-    _node_to_dict, enumerate_by_node, fold_square_pose, v2_text, world_plan, world_runs_by_node,
+    _node_to_dict, account_by_recursion, enumerate_by_node, fold_square_pose, v2_text, world_plan,
+    world_runs_by_node,
 )
 
 
@@ -191,10 +193,13 @@ def _local_tree(specs, graft):
     return _use(nodes[0], graft)
 
 
+# (runs, parent, grafts) of each node of a `_local_tree`, and the root's graft
+LOCAL_SPECS = st.lists(st.tuples(LOCAL_RUNS, st.integers(0, 7), st.lists(
+    st.one_of(st.none(), GRAFTS), min_size=1, max_size=2)), min_size=1, max_size=8)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(specs=st.lists(st.tuples(LOCAL_RUNS, st.integers(0, 7), st.lists(
-    st.one_of(st.none(), GRAFTS), min_size=1, max_size=2)), min_size=1, max_size=8),
-       graft=st.one_of(st.none(), GRAFTS))
+@given(specs=LOCAL_SPECS, graft=st.one_of(st.none(), GRAFTS))
 def test_world_runs_are_the_scalar_map_of_each_run(specs, graft):
     """The one numpy pass of `plan_lattices` gives every use of every node the
     world runs, bit for bit, that the scalar oracle gives it run by run: each run
@@ -210,6 +215,23 @@ def test_world_runs_are_the_scalar_map_of_each_run(specs, graft):
         got = list(zip(*(lat[c].tolist() for c in
                          ("bx", "by", "ang", "ux", "uy", "px", "py", "count", "repeat"))))
         assert repr(got) == repr(expected)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(specs=LOCAL_SPECS, graft=st.one_of(st.none(), GRAFTS))
+def test_account_is_the_recursive_account_of_shared_trees(specs, graft):
+    """`account` reads each definition once; the oracle recurses into every use. Both
+    accept the same trees with the same report, and refuse the rest with the same error."""
+    for kind in ("pack", "cover"):
+        plan = Plan(kind=kind, x=1.0, region=rect_region(1.0, 1.0), root=_local_tree(specs, graft))
+        try:
+            expected = account_by_recursion(plan).to_dict()
+        except PlanError as exc:
+            with pytest.raises(PlanError) as got:
+                account(plan)
+            assert str(got.value) == str(exc)
+        else:
+            assert account(plan).to_dict() == expected
 
 
 def test_resolving_makes_no_record_per_run(monkeypatch):
@@ -332,6 +354,40 @@ HUGE_CASES = {"square 20000.5", "panel 4096x4096.2", "wedge 1e4"}
 
 def _build_case(kind, case):
     return build_plan(kind, *PLAN_CASES[case])
+
+
+@pytest.mark.parametrize("kind", ["pack", "cover"])
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+def test_account_is_the_recursive_account(kind, case):
+    plan = _build_case(kind, case)
+    assert account(plan).to_dict() == account_by_recursion(plan).to_dict()
+
+
+def _overfill_a_grid(node):
+    node.rows += 100
+
+
+def _drop_a_split_child(node):
+    node.children.pop()
+
+
+@pytest.mark.parametrize("kind,edit", [("grid", _overfill_a_grid), ("split", _drop_a_split_child)])
+def test_a_defect_in_a_shared_definition_names_its_first_use(kind, edit):
+    """One conservation defect inside the shelf that the tree uses most: `account` checks
+    the shelf once, and names the path of the defect's first use (below the shelf's first
+    use, root.1.0.1), as the oracle that recurses into every use does."""
+    plan = pack_square(1000.25)
+    uses = Counter(id(n.children) for n, _ in walk(plan.root))
+    shelf = max((n for n, _ in walk(plan.root) if n.label == "shelf"),
+                key=lambda n: uses[id(n.children)])
+    assert uses[id(shelf.children)] > 2
+    edit(next(n for n, _ in walk(shelf) if n.kind == kind and n is not shelf))
+    with pytest.raises(PlanError) as oracle:
+        account_by_recursion(plan)
+    with pytest.raises(PlanError) as got:
+        account(plan)
+    assert str(got.value) == str(oracle.value)
+    assert str(got.value).startswith("root.1.0.1.")
 
 
 # sha256 of the version 2 text of the plan's world tree (`oracles.v2_text`),

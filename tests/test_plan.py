@@ -253,7 +253,7 @@ def test_collector_is_paused_and_restored(enabled, monkeypatch):
 
     square, *shape = planner_mod._SHAPES["square"]
     monkeypatch.setitem(planner_mod._SHAPES, "square", (recording(square), *shape))
-    monkeypatch.setattr(plan_mod, "_Writer", recording(plan_mod._Writer))
+    monkeypatch.setattr(plan_mod, "definitions", recording(plan_mod.definitions))
     monkeypatch.setattr(plan_mod, "plan_from_dict", recording(plan_mod.plan_from_dict))
     # a shelf tilted to its limit passes check_side and fails inside the build
     steep = ShelfSpec(1e4, 50.0, _tilt_limit(1e4))
@@ -275,6 +275,38 @@ def test_collector_is_paused_and_restored(enabled, monkeypatch):
     finally:
         (gc.enable if was else gc.disable)()
     assert inside == [False] * 4
+
+
+def _chain_text(levels: int, uses: int) -> str:
+    """A version 3 pack plan of `levels` definitions: a one-square grid, then each a
+    split over `uses` uses of the one before, so `uses ** (levels - 1)` squares."""
+    def region(w):
+        return {"dims": [w, 1.0], "frame": [0.0, 0.0, 0.0], "kind": "rect", "mirror": False}
+    grid = {"area": 1.0, "kind": "grid", "label": "", "region": region(1.0),
+            "origin": [0.0, 0.0], "rows": 1, "cols": 1}
+    splits = [{"area": float(uses ** k), "kind": "split", "label": "", "region": None,
+               "children": [{"def": k - 1}] * uses} for k in range(1, levels)]
+    return dumps_stable({"defs": [grid, *splits], "kind": "pack", "meta": {},
+                         "region": region(float(uses ** (levels - 1))),
+                         "root": {"def": levels - 1}, "version": 3, "x": 1.0})
+
+
+def test_counts_read_each_definition_once(monkeypatch):
+    """18 definitions, each a split over two uses of the one before: the tree walks out to
+    262,143 nodes, and the analytic count reads each of its 18 distinct nodes once."""
+    plan = plan_from_json(_chain_text(18, 2))
+    read, own_count = [], PlanNode.own_count
+    monkeypatch.setattr(PlanNode, "own_count", lambda node: read.append(node) or own_count(node))
+    assert plan.root.total_count() == 2 ** 17 and len(read) == 18
+    read.clear()
+    report = account(plan)
+    assert report.square_count == 2 ** 17 and report.waste_or_excess == 0.0 and len(read) == 18
+
+
+def test_a_chain_of_5000_definitions_is_accounted():
+    # far past the interpreter's recursion limit; `account` recursed once and failed here
+    plan = plan_from_json(_chain_text(5000, 1))
+    assert account(plan).square_count == plan.root.total_count() == 1
 
 
 def test_per_region_breakdown_present():
