@@ -16,8 +16,10 @@ without the verifier's rectangles for level lattices. Plan files are
 checked through the version 2 dict of a plan's world tree: every use written
 out, each node mapped by its composed graft one scalar at a time, as plans
 were mapped before their shelves and wedges were shared, instead of the
-shared version 3 text. Plans are accounted by recursion into every use of every
-node, instead of `account`'s one pass over the distinct nodes. Square poses are
+shared version 3 text, and that text is written as one dict of the whole
+plan, instead of the writer's text per node. Plans are accounted by
+recursion into every use of every node, instead of `account`'s one pass
+over the distinct nodes. Square poses are
 folded one quarter turn at a time, instead of by the lattice table's masked
 passes. Region polygons, areas and membership are
 written out kind by kind instead of from the one right trapezoid
@@ -34,8 +36,8 @@ from sqpack.geometry import (
     IDENTITY, Pose, Region, compose_graft, corners, points_in_region, region_area,
 )
 from sqpack.plan import (
-    AREA_RTOL, NODE_KINDS, PlanError, StackRun, WasteReport, dumps_stable, enumerate_placements,
-    plan_from_json, stacks_node,
+    AREA_RTOL, NODE_KINDS, PlanError, StackRun, WasteReport, definitions, dumps_stable,
+    enumerate_placements, plan_from_json, stacks_node,
 )
 from sqpack import verifier
 from sqpack.verifier import _overlap_mask
@@ -524,6 +526,44 @@ def plan_to_dict(plan, world: bool = True) -> dict:
 def v2_text(plan) -> str:
     """The version 2 file of `plan`'s world tree."""
     return dumps_stable(plan_to_dict(plan))
+
+
+def plan_to_json_by_dicts(plan) -> str:
+    """`plan.plan_to_json` as `dumps_stable` of one dict of the whole plan: each distinct node's
+    dict built once, in the post-order of `definitions`, and nested into its parent's, instead of
+    the writer's text per node, spliced between the keys on either side of the child array."""
+    written, defs = {}, []  # id(children) -> the dict a use of it writes, before its graft
+
+    def use(n) -> dict:
+        d = written[id(n.children)]
+        if n.graft is not None:
+            (f, m) = n.graft
+            d = dict(d) if "def" in d else d  # each use of a definition writes its own
+            d["graft"] = [f.tx, f.ty, f.angle, m]
+        return d
+
+    for key, d in definitions(plan.root).items():
+        n = d.node
+        body = {"area": n.area, "kind": n.kind, "label": n.label,
+                "region": _region_to_dict(n.region)}
+        if n.kind == "split":
+            body["children"] = [use(c) for c in n.children]
+        elif n.kind == "grid":
+            body.update(origin=list(n.origin), rows=n.rows, cols=n.cols)
+        elif n.kind == "stacks":
+            body["leftovers"] = [use(c) for c in n.children]
+            body["ledger"] = n.ledger
+            body["runs"] = [[*v[:5], c, m, *v[5:], label] for v, c, m, label
+                            in zip(n.runs.tolist(), n.counts, n.repeats, n.run_labels)]
+        elif n.kind == "waste":
+            body["reason"] = n.reason
+        if d.holds > 1:
+            defs.append(body)
+            body = {"def": len(defs) - 1}
+        written[key] = body
+    return dumps_stable({"defs": defs, "kind": plan.kind, "meta": plan.meta, "version": 3,
+                         "region": _region_to_dict(plan.region), "root": use(plan.root),
+                         "x": plan.x})
 
 
 def world_plan(plan):

@@ -34,8 +34,8 @@ from sqpack.planner import build_plan, cover_square, pack_square
 from sqpack.render import plan_to_svg
 from sqpack.verifier import verify_covering, verify_packing
 from oracles import (
-    _node_to_dict, account_by_recursion, enumerate_by_node, fold_square_pose, v2_text, world_plan,
-    world_runs_by_node,
+    _node_to_dict, account_by_recursion, enumerate_by_node, fold_square_pose, plan_to_json_by_dicts,
+    v2_text, world_plan, world_runs_by_node,
 )
 
 
@@ -720,11 +720,13 @@ def _sha(text: str) -> str:  # compared instead of texts of megabytes, which pyt
 
 @pytest.mark.parametrize("kind", ["pack", "cover"])
 def test_plan_json_is_the_dict_oracle(kind):
-    """The version 3 text of every case reads back to a plan that writes it again,
-    byte for byte, and whose world tree is the built plan's version 2 dict."""
+    """The version 3 text of every case is the oracle's, written from one dict of the whole
+    plan; it reads back to a plan that writes it again, byte for byte, and whose world tree is
+    the built plan's version 2 dict."""
     for case in PLAN_CASES:
         plan = _build_case(kind, case)
         text = plan_to_json(plan)
+        assert _sha(plan_to_json_by_dicts(plan)) == _sha(text), case
         again = plan_from_json(text)
         assert _sha(plan_to_json(again)) == _sha(text), case
         assert _sha(v2_text(again)) == _sha(v2_text(plan)), case

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import gc
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqpack.plan as plan_mod
@@ -19,9 +21,10 @@ from sqpack.planner import build_plan, pack_square
 from sqpack.plan import (
     OverLimit, Plan, PlanError, PlanNode, StackRun, account, check_bound, dumps_stable,
     enumerate_placements, grid_node, plan_from_json, plan_to_json, split_node,
-    stacks_node, waste_node,
+    stacks_node, walk, waste_node,
 )
-from oracles import plan_to_dict, set_runs, v2_text
+from oracles import plan_to_dict, plan_to_json_by_dicts, set_runs, v2_text
+from test_cli import _sqpack
 
 SQRT2 = math.sqrt(2.0)
 
@@ -303,10 +306,20 @@ def test_counts_read_each_definition_once(monkeypatch):
     assert report.square_count == 2 ** 17 and report.waste_or_excess == 0.0 and len(read) == 18
 
 
-def test_a_chain_of_5000_definitions_is_accounted():
-    # far past the interpreter's recursion limit; `account` recursed once and failed here
+def test_a_chain_of_5000_definitions_is_accounted(tmp_path):
+    """Far past the interpreter's recursion limit: `account` and the writer recursed once and
+    failed here. Each definition is used once, so the text writes them in place, 5,000 deep,
+    which the loader cannot read back: `sqpack verify` refuses it as an input error."""
     plan = plan_from_json(_chain_text(5000, 1))
     assert account(plan).square_count == plan.root.total_count() == 1
+    text = plan_to_json(plan)
+    assert text.count('"children":[') == 4999 and '"defs":[]' in text
+    with pytest.raises(RecursionError):
+        plan_from_json(text)
+    (path := tmp_path / "chain.json").write_text(text)
+    out = _sqpack("verify", path)
+    assert out.returncode == 2 and "cannot read plan" in out.stderr, out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_per_region_breakdown_present():
@@ -324,14 +337,18 @@ NUMBERS = st.one_of(
                      -1.7976931348623157e308, 1.0, 2.0, -3.0, 0.1, 150.5]),
     st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30), st.booleans())
 TEXTS = st.one_of(st.text(max_size=6),
-                  st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é€𝄞", "%s%%", "band 3", ""]))
+                  st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é€𝄞", "%s%%", "band 3", "",
+                                   '"children":[', '],"leftovers":[']))
 POSES = st.builds(Pose, NUMBERS, NUMBERS, NUMBERS)
 REGIONS = st.one_of(st.none(), st.builds(
     Region, st.one_of(st.sampled_from(["rect", "trap", "tri"]), TEXTS),
     st.lists(NUMBERS, min_size=2, max_size=3).map(tuple), POSES, st.booleans()))
 RUNS = st.builds(StackRun, POSES, st.tuples(NUMBERS, NUMBERS), st.integers(0, 10 ** 6),
                  st.integers(0, 10 ** 6), st.tuples(NUMBERS, NUMBERS), TEXTS)
-LEDGERS = st.dictionaries(TEXTS, st.one_of(NUMBERS, st.lists(NUMBERS, max_size=3),
+# ledger and meta keys draw the names of the child arrays often: a writer that found an array by
+# searching its text would find one of these first
+KEYS = st.one_of(st.sampled_from(["children", "leftovers", "region"]), TEXTS)
+LEDGERS = st.dictionaries(KEYS, st.one_of(NUMBERS, st.lists(NUMBERS, max_size=3),
                                            st.lists(st.lists(NUMBERS, max_size=3), max_size=2)),
                           max_size=3)
 
@@ -351,13 +368,96 @@ LEAVES = st.one_of(
     st.builds(PlanNode, kind=st.just("waste"), region=REGIONS, area=NUMBERS, label=TEXTS,
               reason=TEXTS),
     st.builds(PlanNode, kind=TEXTS, region=REGIONS, area=NUMBERS, label=TEXTS))
-TREES = st.recursive(LEAVES, lambda kids: st.one_of(
-    st.builds(PlanNode, kind=st.just("split"), region=REGIONS, area=NUMBERS, label=TEXTS,
-              children=st.lists(kids, max_size=3)),
-    st.builds(_stacks, st.lists(RUNS, max_size=3), region=REGIONS, area=NUMBERS, label=TEXTS,
-              children=st.lists(kids, max_size=3), ledger=LEDGERS)), max_leaves=10)
+
+
+def _branches(kids):
+    return st.one_of(
+        st.builds(PlanNode, kind=st.just("split"), region=REGIONS, area=NUMBERS, label=TEXTS,
+                  children=st.lists(kids, max_size=3)),
+        st.builds(_stacks, st.lists(RUNS, max_size=3), region=REGIONS, area=NUMBERS, label=TEXTS,
+                  children=st.lists(kids, max_size=3), ledger=LEDGERS))
+
+
+TREES = st.recursive(LEAVES, _branches, max_leaves=10)
 PLANS = st.builds(Plan, kind=st.sampled_from(["pack", "cover"]), x=NUMBERS, region=REGIONS,
                   root=TREES, meta=LEDGERS)
+
+
+SUBTREES = st.lists(st.recursive(LEAVES, _branches, max_leaves=4), max_size=2)
+GRAFTS = st.one_of(st.none(), st.tuples(POSES, st.booleans()))
+
+
+@st.composite
+def _shared_plans(draw) -> Plan:
+    """A plan of `PLANS` with uses of drawn subtrees hung under its nodes, each a `copy.copy` of
+    the subtree's top with a graft of its own or none, as a memoised builder's caller makes it.
+    A subtree may be hung inside one hung before it, and one that more than one place holds is
+    a definition; nodes of other kinds than split and stacks hold uses that are never written."""
+    plan = draw(PLANS)
+    for sub in draw(SUBTREES):
+        hosts = [n for n, _ in walk(plan.root)]
+        for i in draw(st.lists(st.integers(0, len(hosts) - 1), min_size=1, max_size=3)):
+            use = copy.copy(sub)
+            use.graft = draw(GRAFTS)
+            hosts[i].children.append(use)
+    return plan
+
+
+def _plan_naming_the_arrays() -> Plan:
+    """Ledger and meta keys and labels that name the child arrays, in a stacks node held once
+    and in one that two uses share, under a split."""
+    def strip(label):
+        grid = grid_node(rect_region(1.0, 1.0), (0.0, 0.0), 1, 1, label='"children":[')
+        return stacks_node(None, [], leftovers=[grid], label=label, area=1.0,
+                           ledger={"children": [], "leftovers": [], "region": [0.5]})
+    shared = strip("shared")
+    root = PlanNode(kind="split", area=3.0, label='],"leftovers":[',
+                    children=[strip("once"), shared, copy.copy(shared)])
+    root.children[2].graft = (Pose(1.0, 0.0, 0.0), False)
+    return Plan(kind="pack", x=3.0, region=rect_region(3.0, 1.0), root=root,
+                meta={"children": [], "region": []})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(plan=_shared_plans())
+@example(plan=_plan_naming_the_arrays())
+def test_plan_json_is_the_text_of_the_whole_plan_dict(plan):
+    """On trees that share subtrees at any depth, the text the writer makes node by node is
+    `dumps_stable` of the one dict of the whole plan, which the writer once built."""
+    assert plan_to_json(plan) == plan_to_json_by_dicts(plan)
+
+
+def test_a_use_holds_every_field_of_its_node():
+    """A use, `copy.copy` of a node, holds the node's own object in every field, a field added
+    later too, and a graft of its own."""
+    run = StackRun(Pose(0.5, 0.25, 0.1), (0.0, 1.0), 3, 2, (1.0, 0.0), "band")
+    node = stacks_node(rect_region(4.0, 3.0), [run], leftovers=[waste_node(rect_region(1.0, 1.0),
+                       "gap")], label="strip", ledger={"band_ends": [0.5]})
+    node.origin, node.rows, node.cols, node.reason = (0.5, 0.5), 2, 3, "why"
+    node.graft = graft = (Pose(1.0, 2.0, 0.5), True)
+    use = copy.copy(node)
+    assert type(use) is PlanNode and use is not node
+    for f in dataclasses.fields(PlanNode):
+        assert getattr(use, f.name) is getattr(node, f.name), f.name
+    use.graft = (Pose(0.0, 0.0, math.pi), False)
+    assert node.graft is graft
+
+
+def test_the_writer_holds_no_dict_of_the_plan():
+    """The writer's traced peak is at most 4 times the text it returns: the dict of the whole
+    plan that it once encoded in one call made its peak 14 times the text at this size."""
+    plan = pack_square(1e5 + 0.5)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = plan_to_json(plan)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 4 * len(text), (peak, len(text))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -398,6 +498,7 @@ def test_plan_json_formats_each_bit_pattern_once_and_right(uses):
     back as written, and its world tree is the oracle's version 2 text."""
     plan = _bit_patterns_plan(uses)
     text = plan_to_json(plan)
+    assert text == plan_to_json_by_dicts(plan)
     assert "-0.0" in text and "5e-324" in text and "1e+308" in text
     assert len(json.loads(text)["defs"]) == min(uses, 1)
     assert text.count('"strip"') == 5
